@@ -12,10 +12,18 @@ import (
 
 var updateGolden = flag.Bool("update", false, "rewrite golden files")
 
-// runSpecEvents builds and runs one concurrent-pool spec with the event
-// stream wired to a file, and returns the resulting event log bytes.
-func runSpecEvents(t *testing.T, conc int, eventsPath string) []byte {
+// runSpecLog builds and runs one replicated-pool spec with the log named by
+// key ("events" or "spans") wired to path, and returns the log's bytes. With
+// kill set the run is 8 steps long and server 1 crashes after step 3 and
+// rejoins after step 6, so the log covers breaker trips, failover reads and
+// a rejoin repair; otherwise it is 4 healthy steps.
+func runSpecLog(t *testing.T, conc int, kill bool, key, path string) []byte {
 	t.Helper()
+	steps, killJSON := 4, ""
+	if kill {
+		steps = 8
+		killJSON = `"staging_kill": {"server": 1, "at_step": 3, "revive_step": 6},`
+	}
 	w, err := Parse(strings.NewReader(fmt.Sprintf(`{
 		"application": "advection-diffusion",
 		"domain": [16, 16, 16],
@@ -25,9 +33,10 @@ func runSpecEvents(t *testing.T, conc int, eventsPath string) []byte {
 		"staging_servers": 3,
 		"staging_replicas": 2,
 		"staging_concurrency": %d,
-		"steps": 4,
-		"events": %q
-	}`, conc, eventsPath)))
+		%s
+		"steps": %d,
+		%q: %q
+	}`, conc, killJSON, steps, key, path)))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -39,17 +48,57 @@ func runSpecEvents(t *testing.T, conc int, eventsPath string) []byte {
 	if err := wf.Close(); err != nil {
 		t.Fatalf("close: %v", err)
 	}
-	if len(res.Steps) != 4 {
-		t.Fatalf("ran %d steps, want 4", len(res.Steps))
+	if len(res.Steps) != steps {
+		t.Fatalf("ran %d steps, want %d", len(res.Steps), steps)
 	}
-	data, err := os.ReadFile(eventsPath)
+	data, err := os.ReadFile(path)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if len(data) == 0 {
-		t.Fatal("empty event log")
+		t.Fatalf("empty %s log", key)
 	}
 	return data
+}
+
+// runSpecEvents is runSpecLog for a healthy run's event stream.
+func runSpecEvents(t *testing.T, conc int, eventsPath string) []byte {
+	t.Helper()
+	return runSpecLog(t, conc, false, "events", eventsPath)
+}
+
+// checkGolden compares got against testdata/<name>, rewriting the file first
+// under -update.
+func checkGolden(t *testing.T, name string, got []byte) {
+	t.Helper()
+	golden := filepath.Join("testdata", name)
+	if *updateGolden {
+		if err := os.MkdirAll("testdata", 0o755); err != nil {
+			t.Fatal(err)
+		}
+		if err := os.WriteFile(golden, got, 0o644); err != nil {
+			t.Fatal(err)
+		}
+	}
+	want, err := os.ReadFile(golden)
+	if err != nil {
+		t.Fatalf("golden file missing (run with -update to create): %v", err)
+	}
+	if !bytes.Equal(got, want) {
+		t.Fatalf("log drifted from %s (%d bytes, want %d); rerun with -update if intentional",
+			golden, len(got), len(want))
+	}
+}
+
+// goldenCases are the serialized (concurrency 1) runs whose event and span
+// logs are committed: a healthy pool, and one whose server 1 is killed and
+// rejoins (failover reads, repair).
+var goldenCases = []struct {
+	suffix string
+	kill   bool
+}{
+	{"conc1", false},
+	{"conc1_kill", true},
 }
 
 // TestSpecEventLogDeterministic pins the determinism contract of the
@@ -73,27 +122,15 @@ func TestSpecEventLogDeterministic(t *testing.T) {
 	}
 }
 
-// TestSpecEventLogGolden pins the serialized (concurrency 1) event log
-// against a committed golden file, so accidental changes to event ordering,
+// TestSpecEventLogGolden pins the serialized (concurrency 1) event logs
+// against committed golden files, so accidental changes to event ordering,
 // fields, or the virtual clock show up as a diff. Regenerate with
 // `go test ./internal/spec -run TestSpecEventLogGolden -update`.
 func TestSpecEventLogGolden(t *testing.T) {
-	got := runSpecEvents(t, 1, filepath.Join(t.TempDir(), "events.jsonl"))
-	golden := filepath.Join("testdata", "events_conc1.golden")
-	if *updateGolden {
-		if err := os.MkdirAll("testdata", 0o755); err != nil {
-			t.Fatal(err)
-		}
-		if err := os.WriteFile(golden, got, 0o644); err != nil {
-			t.Fatal(err)
-		}
-	}
-	want, err := os.ReadFile(golden)
-	if err != nil {
-		t.Fatalf("golden file missing (run with -update to create): %v", err)
-	}
-	if !bytes.Equal(got, want) {
-		t.Fatalf("event log drifted from %s (%d bytes, want %d); rerun with -update if intentional",
-			golden, len(got), len(want))
+	for _, tc := range goldenCases {
+		t.Run(tc.suffix, func(t *testing.T) {
+			got := runSpecLog(t, 1, tc.kill, "events", filepath.Join(t.TempDir(), "events.jsonl"))
+			checkGolden(t, "events_"+tc.suffix+".golden", got)
+		})
 	}
 }

@@ -5,50 +5,15 @@ import (
 	"fmt"
 	"os"
 	"path/filepath"
-	"strings"
 	"testing"
 
 	"crosslayer/internal/obs/span"
 )
 
-// runSpecSpans builds and runs one concurrent-pool spec with the causal
-// span log wired to a file, and returns the resulting span log bytes.
+// runSpecSpans is runSpecLog for a healthy run's causal span log.
 func runSpecSpans(t *testing.T, conc int, spansPath string) []byte {
 	t.Helper()
-	w, err := Parse(strings.NewReader(fmt.Sprintf(`{
-		"application": "advection-diffusion",
-		"domain": [16, 16, 16],
-		"adapt": ["application", "middleware"],
-		"factors": [2, 4],
-		"staging_tcp": true,
-		"staging_servers": 3,
-		"staging_replicas": 2,
-		"staging_concurrency": %d,
-		"steps": 4,
-		"spans": %q
-	}`, conc, spansPath)))
-	if err != nil {
-		t.Fatal(err)
-	}
-	wf, _, err := w.Build()
-	if err != nil {
-		t.Fatal(err)
-	}
-	res := wf.Run(w.StepsOrDefault())
-	if err := wf.Close(); err != nil {
-		t.Fatalf("close: %v", err)
-	}
-	if len(res.Steps) != 4 {
-		t.Fatalf("ran %d steps, want 4", len(res.Steps))
-	}
-	data, err := os.ReadFile(spansPath)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(data) == 0 {
-		t.Fatal("empty span log")
-	}
-	return data
+	return runSpecLog(t, conc, false, "spans", spansPath)
 }
 
 // TestSpecSpanLogDeterministic pins the span-ID and span-ordering
@@ -72,29 +37,17 @@ func TestSpecSpanLogDeterministic(t *testing.T) {
 	}
 }
 
-// TestSpecSpanLogGolden pins the serialized (concurrency 1) span log
-// against a committed golden file — the same contract as the event-stream
-// golden — so accidental changes to span ordering, ID derivation, fields,
-// or the virtual clock show up as a diff. Regenerate with
+// TestSpecSpanLogGolden pins the serialized (concurrency 1) span logs
+// against committed golden files — the same contract and the same cases as
+// the event-stream goldens — so accidental changes to span ordering, ID
+// derivation, fields, or the virtual clock show up as a diff. Regenerate with
 // `go test ./internal/spec -run TestSpecSpanLogGolden -update`.
 func TestSpecSpanLogGolden(t *testing.T) {
-	got := runSpecSpans(t, 1, filepath.Join(t.TempDir(), "spans.jsonl"))
-	golden := filepath.Join("testdata", "spans_conc1.golden")
-	if *updateGolden {
-		if err := os.MkdirAll("testdata", 0o755); err != nil {
-			t.Fatal(err)
-		}
-		if err := os.WriteFile(golden, got, 0o644); err != nil {
-			t.Fatal(err)
-		}
-	}
-	want, err := os.ReadFile(golden)
-	if err != nil {
-		t.Fatalf("golden file missing (run with -update to create): %v", err)
-	}
-	if !bytes.Equal(got, want) {
-		t.Fatalf("span log drifted from %s (%d bytes, want %d); rerun with -update if intentional",
-			golden, len(got), len(want))
+	for _, tc := range goldenCases {
+		t.Run(tc.suffix, func(t *testing.T) {
+			got := runSpecLog(t, 1, tc.kill, "spans", filepath.Join(t.TempDir(), "spans.jsonl"))
+			checkGolden(t, "spans_"+tc.suffix+".golden", got)
+		})
 	}
 }
 

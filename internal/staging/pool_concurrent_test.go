@@ -75,34 +75,59 @@ func putAllConc(t *testing.T, p *Pool, version int, blocks []*field.BoxData, con
 }
 
 // TestConcurrentPoolMatchesSerial pins the parallel data path's contract:
-// the same workload through a Concurrency=8 pool and a serialized pool
-// yields byte-identical reads, in the same Morton order.
+// the same workload through a Concurrency=8 pool and a width-one pool —
+// puts on a healthy pool, a server crash, puts and reads around the dead
+// endpoint, its revival and rejoin repair — yields byte-identical reads in
+// the same Morton order, equal pool manifests, and equal per-server
+// contents.
 func TestConcurrentPoolMatchesSerial(t *testing.T) {
 	serial := newPoolRig(t, 3, 2)
 	conc := newConcRig(t, 3, 2, 8)
 	blocks := spread()
-	putAll(t, serial.pool, 0, blocks)
-	putAllConc(t, conc.pool, 0, blocks, 8)
+	drive := func(rig *poolRig, put func(version int)) {
+		t.Helper()
+		put(0)
+		rig.kill(1)
+		if _, err := rig.pool.GetBlocks("rho", 0, dom()); err != nil {
+			t.Fatalf("get around dead server: %v", err)
+		}
+		put(1) // lands on the survivors only
+		rig.gates[1].Revive()
+		put(2) // first op offered to server 1 probes, repairs and rejoins it
+		if healthy, _ := rig.pool.HealthyEndpoints(); healthy != 3 {
+			t.Fatalf("healthy = %d, want 3 after rejoin", healthy)
+		}
+	}
+	drive(serial, func(v int) { putAll(t, serial.pool, v, blocks) })
+	drive(conc, func(v int) { putAllConc(t, conc.pool, v, blocks, 8) })
 
-	want, err := serial.pool.GetBlocks("rho", 0, dom())
-	if err != nil {
-		t.Fatal(err)
-	}
-	got, err := conc.pool.GetBlocks("rho", 0, dom())
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(got) != len(want) {
-		t.Fatalf("concurrent read %d blocks, serial %d", len(got), len(want))
-	}
-	for i := range got {
-		if !got[i].Equal(want[i]) {
-			t.Fatalf("block %d differs between concurrent and serial reads (%v vs %v)",
-				i, got[i].Box, want[i].Box)
+	for v := 0; v < 3; v++ {
+		want, err := serial.pool.GetBlocks("rho", v, dom())
+		if err != nil {
+			t.Fatal(err)
+		}
+		got, err := conc.pool.GetBlocks("rho", v, dom())
+		if err != nil {
+			t.Fatal(err)
+		}
+		if len(got) != len(blocks) || len(want) != len(blocks) {
+			t.Fatalf("version %d: concurrent read %d blocks, serial %d, want %d",
+				v, len(got), len(want), len(blocks))
+		}
+		for i := range got {
+			if !got[i].Equal(want[i]) {
+				t.Fatalf("version %d block %d differs between concurrent and serial reads (%v vs %v)",
+					v, i, got[i].Box, want[i].Box)
+			}
 		}
 	}
 	if !conc.pool.Manifest().Equal(serial.pool.Manifest()) {
 		t.Fatalf("manifests diverge: %v vs %v", conc.pool.Manifest(), serial.pool.Manifest())
+	}
+	for i := range serial.spaces {
+		if got, want := conc.spaces[i].ContentManifest(), serial.spaces[i].ContentManifest(); !got.Equal(want) {
+			t.Errorf("server %d contents diverge after repair: %v vs %v", i, got, want)
+		}
 	}
 }
 
