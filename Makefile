@@ -3,9 +3,9 @@
 GO ?= go
 FUZZTIME ?= 10s
 
-.PHONY: check build test vet staticcheck race fuzz chaos cover clean
+.PHONY: check build test vet staticcheck race fuzz xbench chaos cover clean
 
-check: vet staticcheck build race fuzz
+check: vet staticcheck build race fuzz xbench
 
 build:
 	$(GO) build ./...
@@ -48,6 +48,12 @@ fuzz:
 	$(GO) test ./internal/staging -run '^$$' -fuzz FuzzStagingSnapshot -fuzztime $(FUZZTIME)
 	$(GO) test ./internal/spec -run '^$$' -fuzz FuzzSpecParse -fuzztime $(FUZZTIME)
 	$(GO) test ./internal/journal -run '^$$' -fuzz FuzzJournal -fuzztime $(FUZZTIME)
+
+# The benchmark harness is its own module (benchmarks/go.mod), so the root
+# ./... patterns above never see it: vet it and run its quick smoke test
+# from its own directory.
+xbench:
+	cd benchmarks && $(GO) vet ./... && $(GO) test ./...
 
 # A seeded chaos sweep over the replicated pool + engine with all
 # cross-layer invariants armed; any violation shrinks to a repro under

@@ -414,7 +414,7 @@ func BenchmarkSubcycledStep(b *testing.B) {
 func BenchmarkTCPStagingRoundTrip(b *testing.B) {
 	dom := grid.NewBox(grid.IV(0, 0, 0), grid.IV(63, 63, 63))
 	sp := staging.NewSpace(4, 0, dom)
-	srv, err := staging.Serve("127.0.0.1:0", sp)
+	srv, err := staging.ServeOptions("127.0.0.1:0", sp, staging.ServerOptions{})
 	if err != nil {
 		b.Fatal(err)
 	}

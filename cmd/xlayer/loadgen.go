@@ -128,25 +128,22 @@ func runServe(o serveOpts) error {
 			Backlog:  o.backlog,
 		}
 		if o.dataDir != "" {
-			dir := filepath.Join(o.dataDir, fmt.Sprintf("server-%d", i))
-			if err := os.MkdirAll(dir, 0o755); err != nil {
+			opts.DataDir = filepath.Join(o.dataDir, fmt.Sprintf("server-%d", i))
+			opts.ServerID = fmt.Sprintf("s%d", i)
+			if err := os.MkdirAll(opts.DataDir, 0o755); err != nil {
 				ln.Close()
 				return fmt.Errorf("serve: data dir: %w", err)
 			}
-			opts.DataDir = dir
-			opts.ServerID = fmt.Sprintf("s%d", i)
-			srv, err := staging.NewServer(ln, space, opts)
-			if err != nil {
-				return fmt.Errorf("serve: recover %s: %w", dir, err)
-			}
-			if rs := srv.RecoverStats(); rs != nil {
-				fmt.Fprintf(os.Stderr, "server %d: recovered %d blocks (%d bytes) from %s (snapshot=%d wal=%d torn_tail=%v)\n",
-					i, rs.Blocks, rs.Bytes, dir, rs.SnapshotBlocks, rs.WALRecords, rs.TornTail)
-			}
-			servers = append(servers, srv)
-		} else {
-			servers = append(servers, staging.ServeOnOptions(ln, space, opts))
 		}
+		srv, err := staging.NewServer(ln, space, opts)
+		if err != nil {
+			return fmt.Errorf("serve: recover %s: %w", opts.DataDir, err)
+		}
+		if rs := srv.RecoverStats(); rs != nil {
+			fmt.Fprintf(os.Stderr, "server %d: recovered %d blocks (%d bytes) from %s (snapshot=%d wal=%d torn_tail=%v)\n",
+				i, rs.Blocks, rs.Bytes, opts.DataDir, rs.SnapshotBlocks, rs.WALRecords, rs.TornTail)
+		}
+		servers = append(servers, srv)
 		fmt.Println(ln.Addr().String())
 	}
 	fmt.Fprintf(os.Stderr, "serving %d staging server(s); max_conns=%d backlog=%d; ^C to stop\n",

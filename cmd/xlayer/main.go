@@ -6,7 +6,7 @@
 //	xlayer <experiment> [-steps N]
 //	xlayer run [-app gas|advdiff] [-placement adaptive|insitu|intransit]
 //	           [-objective tts|util|movement] [-steps N] [-cores N] [-staging M]
-//	xlayer bench [-short] [-out BENCH_pr4.json] [-baseline FILE] [-tol 0.20]
+//	xlayer bench [-short] [-out BENCH.json] [-baseline FILE] [-tol 0.20]
 //
 // Experiments: fig1, fig5, fig6, fig7, fig8, fig9, fig10, fig11, table2,
 // all. fig8 is printed as part of fig7, and fig11/table2 as part of fig10
@@ -18,8 +18,6 @@ import (
 	"encoding/json"
 	"flag"
 	"fmt"
-	"io"
-	"net"
 	"os"
 	"time"
 
@@ -47,7 +45,7 @@ func main() {
 	stagingServers := fs.Int("staging-servers", 1, "shard the TCP staging path across N loopback servers (run mode; >1 implies -staging-tcp)")
 	stagingReplicas := fs.Int("staging-replicas", 1, "replicate each block to K pool servers (run mode; needs -staging-servers >= K)")
 	stagingKill := fs.String("staging-kill", "", "crash one pool server mid-run, e.g. server=1,at=3,revive=6 (run mode; needs -staging-servers > 1)")
-	stagingConc := fs.Int("staging-concurrency", 0, "in-flight staging ops per step; >1 enables the parallel data path (run mode; needs -staging-servers > 1)")
+	stagingConc := fs.Int("staging-concurrency", 0, "in-flight staging ops per step; >1 starts the pool's per-endpoint workers (run mode; needs the TCP staging path: -staging-tcp or -staging-servers > 1)")
 	stagingDataDir := fs.String("staging-data-dir", "", "persist each staging server's space under this directory (WAL + snapshots); a rerun recovers from it (run mode; implies -staging-tcp)")
 	fault := fs.String("fault", "", "fault plan for the TCP staging path, e.g. seed=42,refuse=-1 (run mode; implies -staging-tcp)")
 	journalPath := fs.String("journal", "", "write-ahead journal every step barrier to this file; the run becomes resumable after a kill (run mode)")
@@ -60,7 +58,7 @@ func main() {
 	chromePath := fs.String("chrome", "", "write a Chrome trace_event JSON for Perfetto to this file (spans mode; bench mode exports the Fig-9 pool run)")
 	pprofDir := fs.String("pprof", "", "write cpu.pprof and heap.pprof around the measured region into this directory (bench mode)")
 	metricsAddr := fs.String("metrics-addr", "", "serve Prometheus metrics on this address during the run, e.g. :9090 or :0 (run mode)")
-	benchOut := fs.String("out", "BENCH_pr4.json", "write the benchmark report to this file (bench mode)")
+	benchOut := fs.String("out", "BENCH.json", "write the benchmark report to this file (bench mode)")
 	benchBaseline := fs.String("baseline", "", "compare against this committed baseline report and fail on regression (bench mode)")
 	benchTol := fs.Float64("tol", 0.20, "allowed fractional speedup regression vs the baseline (bench mode)")
 	benchShort := fs.Bool("short", false, "trim workload step counts — the PR-gate configuration (bench mode)")
@@ -130,17 +128,10 @@ func main() {
 			stagingKill: *stagingKill, stagingConcurrency: *stagingConc,
 			stagingDataDir: *stagingDataDir,
 			eventsPath:     *eventsPath, metricsAddr: *metricsAddr,
-			spansPath: *spansPath,
+			spansPath:   *spansPath,
+			journalPath: *journalPath, resume: *resumeRun, haltAfter: *haltAfter,
 		}
-		var err error
-		// Durable staging builds through the spec layer (like journaled
-		// runs) so recovery has one implementation.
-		if *journalPath != "" || *resumeRun || *haltAfter >= 0 || *stagingDataDir != "" {
-			err = runJournaled(o, *journalPath, *resumeRun, *haltAfter)
-		} else {
-			err = runWorkflow(o)
-		}
-		if err != nil {
+		if err := runFromFlags(o); err != nil {
 			fmt.Fprintln(os.Stderr, "xlayer:", err)
 			os.Exit(1)
 		}
@@ -233,7 +224,7 @@ run flags: -app gas|advdiff  -placement adaptive|insitu|intransit
            -csv FILE  -jsonl FILE  -plotfile FILE
            -staging-tcp  -fault PLAN (e.g. seed=42,refuse=-1,corrupt=0.01)
            -staging-servers N  -staging-replicas K  -staging-kill server=1,at=3,revive=6
-           -staging-concurrency C (parallel staging data path; needs -staging-servers > 1)
+           -staging-concurrency C (parallel staging data path; needs -staging-tcp or -staging-servers > 1)
            -staging-data-dir DIR (durable staging: per-server WAL + snapshots; reruns recover)
            -events FILE (structured event stream)  -spans FILE (causal span log)
            -metrics-addr ADDR (Prometheus)
@@ -243,7 +234,7 @@ run flags: -app gas|advdiff  -placement adaptive|insitu|intransit
 runspec:   xlayer runspec [-halt-after N] <spec.json>  (see docs/example_spec.json)
 report:    xlayer report -jsonl trace.jsonl | -csv trace.csv | -events events.jsonl | -spans spans.jsonl
 spans:     xlayer spans [-blame] [-critical-path] [-chrome trace.json] spans.jsonl
-bench:     xlayer bench [-short] [-out BENCH_pr4.json] [-baseline FILE] [-tol 0.20]
+bench:     xlayer bench [-short] [-out BENCH.json] [-baseline FILE] [-tol 0.20]
            [-pprof DIR] [-chrome trace.json]
 chaos:     xlayer chaos [-seeds N] [-start-seed S] [-steps MAX] [-out REPRO_DIR] [-json]
            xlayer chaos -replay repro.json  (re-run a shrunk repro; violations exit nonzero)
@@ -322,14 +313,14 @@ func haltRun(wf *crosslayer.Workflow, n int) error {
 	return nil
 }
 
-// specFromRunOpts maps the run-mode flags onto the declarative spec,
-// reproducing runWorkflow's exact configuration (24³ domain, max level 1,
-// box size 12, 8 ranks, cell scale 1000, hinted factors {2,4}). Journaled
-// runs build through spec.Build so checkpoint/resume — journal recovery,
-// spec fingerprinting, log-tail amputation — has one implementation; the
+// specFromRunOpts maps the run-mode flags onto the declarative spec: a 24³
+// domain, max level 1, box size 12, 8 ranks, cell scale 1000, hinted factors
+// {2,4}. Every `xlayer run` builds through spec.Build, so staging wiring,
+// flag validation, trace identity and checkpoint/resume — journal recovery,
+// spec fingerprinting, log-tail amputation — have one implementation; the
 // JSON round-trip applies the same validation a spec file gets and pins the
 // fingerprint to the canonical form.
-func specFromRunOpts(o runOpts, journalPath string, resume bool) (*spec.Workflow, error) {
+func specFromRunOpts(o runOpts) (*spec.Workflow, error) {
 	steps := o.steps
 	if steps <= 0 {
 		steps = 20
@@ -351,7 +342,7 @@ func specFromRunOpts(o runOpts, journalPath string, resume bool) (*spec.Workflow
 		StagingDataDir:     o.stagingDataDir,
 
 		Events: o.eventsPath, Spans: o.spansPath, MetricsAddr: o.metricsAddr,
-		Journal: journalPath, Resume: resume,
+		Journal: o.journalPath, Resume: o.resume,
 	}
 	switch o.app {
 	case "gas":
@@ -406,15 +397,15 @@ func specFromRunOpts(o runOpts, journalPath string, resume bool) (*spec.Workflow
 	return spec.Parse(bytes.NewReader(b))
 }
 
-// runJournaled is the run-mode path for journaled and resumed runs. It
-// builds through the spec layer (see specFromRunOpts), drives the remaining
-// steps — all of them for a fresh run, the tail beyond the last checkpoint
-// for a resume — and honors -halt-after as a deterministic driver kill.
-func runJournaled(o runOpts, journalPath string, resume bool, haltAfter int) error {
-	if haltAfter >= 0 && journalPath == "" {
+// runFromFlags is run mode. It builds the workflow through the spec layer
+// (see specFromRunOpts), drives the remaining steps — all of them for a
+// fresh run, the tail beyond the last checkpoint for a resume — and honors
+// -halt-after as a deterministic driver kill.
+func runFromFlags(o runOpts) error {
+	if o.haltAfter >= 0 && o.journalPath == "" {
 		return fmt.Errorf("-halt-after needs -journal (the halted run is only recoverable from a journal)")
 	}
-	w, err := specFromRunOpts(o, journalPath, resume)
+	w, err := specFromRunOpts(o)
 	if err != nil {
 		return err
 	}
@@ -423,16 +414,19 @@ func runJournaled(o runOpts, journalPath string, resume bool, haltAfter int) err
 		return err
 	}
 	defer wf.Close()
+	if addr := w.BoundMetricsAddr(); addr != "" {
+		fmt.Printf("metrics: http://%s/metrics\n", addr)
+	}
 	steps := w.StepsOrDefault()
 	remaining := steps - wf.NextStep()
 	if remaining < 0 {
 		remaining = 0
 	}
 	if w.ResumedStep() > 0 {
-		fmt.Printf("resuming %s from step %d\n", journalPath, w.ResumedStep())
+		fmt.Printf("resuming %s from step %d\n", o.journalPath, w.ResumedStep())
 	}
-	if haltAfter >= 0 && haltAfter < remaining {
-		if err := haltRun(wf, haltAfter); err != nil {
+	if o.haltAfter >= 0 && o.haltAfter < remaining {
+		if err := haltRun(wf, o.haltAfter); err != nil {
 			return err
 		}
 	}
@@ -445,26 +439,31 @@ func runJournaled(o runOpts, journalPath string, resume bool, haltAfter int) err
 	}
 
 	tail := ""
-	if journalPath != "" {
-		tail = " | journal " + journalPath
+	if o.journalPath != "" {
+		tail = " | journal " + o.journalPath
 	}
 	if o.stagingDataDir != "" {
 		tail += " | data " + o.stagingDataDir
 	}
 	fmt.Printf("%s | %s placement | objective %s | %d steps%s\n",
 		sim.Name(), o.placement, o.objective, steps, tail)
-	fmt.Printf("simulation time: %.2fs   end-to-end: %.2fs   overhead: %.2fs\n",
-		res.SimSecondsTotal, res.EndToEnd, res.OverheadSeconds)
+	fmt.Printf("simulation time: %.2fs   end-to-end: %.2fs   overhead: %.2fs (%.1f%%)\n",
+		res.SimSecondsTotal, res.EndToEnd, res.OverheadSeconds,
+		100*res.OverheadSeconds/res.SimSecondsTotal)
 	fmt.Printf("placements: %d in-situ, %d in-transit   data moved: %.2f GB\n",
 		res.InSituSteps, res.InTransitSteps, float64(res.BytesMovedTotal)/(1<<30))
 	fmt.Printf("staging utilization (Eq. 12): %.1f%%\n", 100*res.StagingUtilization)
-	retries, reconnects := 0, 0
-	for _, s := range res.Steps {
-		retries += s.StagingRetries
-		reconnects += s.StagingReconnects
-	}
-	if retries+reconnects > 0 {
-		fmt.Printf("staging transport: %d retries, %d reconnects\n", retries, reconnects)
+	if w.StagingTCP {
+		retries, reconnects, degraded := 0, 0, 0
+		for _, s := range res.Steps {
+			retries += s.StagingRetries
+			reconnects += s.StagingReconnects
+			if s.PlacementReason == crosslayer.ReasonStagingFailure {
+				degraded++
+			}
+		}
+		fmt.Printf("staging transport: %d retries, %d reconnects, %d degraded steps\n",
+			retries, reconnects, degraded)
 	}
 	for _, s := range res.Steps {
 		fmt.Printf("  step %2d: factor %2d, %-10s, M=%3d, sim %.3fs, analysis %.3fs — %s\n",
@@ -509,6 +508,9 @@ type runOpts struct {
 	stagingDataDir                  string
 	eventsPath, metricsAddr         string
 	spansPath                       string
+	journalPath                     string
+	resume                          bool
+	haltAfter                       int
 }
 
 // runReport summarizes previously written run artifacts: a step trace
@@ -573,316 +575,6 @@ func runReport(jsonlPath, csvPath, eventsPath, spansPath string) error {
 		crosslayer.WriteSpanPhaseText(os.Stdout, crosslayer.SpanPhaseBreakdown(spans))
 	}
 	return nil
-}
-
-func runWorkflow(o runOpts) error {
-	app, placement, objective := o.app, o.placement, o.objective
-	steps, cores, staging := o.steps, o.cores, o.staging
-	if steps <= 0 {
-		steps = 20
-	}
-	dom := crosslayer.NewBox(crosslayer.IV(0, 0, 0), crosslayer.IV(23, 23, 23))
-	var sim crosslayer.Simulation
-	switch app {
-	case "gas":
-		sim = crosslayer.NewPolytropicGas(crosslayer.GasConfig{
-			AMR: crosslayer.AMRConfig{Domain: dom, MaxLevel: 1, MaxBoxSize: 12, NRanks: 8},
-		})
-	case "advdiff":
-		sim = crosslayer.NewAdvectionDiffusion(crosslayer.AdvDiffConfig{
-			AMR: crosslayer.AMRConfig{Domain: dom, MaxLevel: 1, MaxBoxSize: 12, NRanks: 8, Periodic: true},
-		})
-	default:
-		return fmt.Errorf("unknown app %q", app)
-	}
-
-	if o.stagingConcurrency > 1 && o.stagingServers <= 1 {
-		return fmt.Errorf("-staging-concurrency needs -staging-servers > 1")
-	}
-	cfg := crosslayer.Config{
-		Machine:            crosslayer.Titan(),
-		SimCores:           cores,
-		StagingCores:       staging,
-		StagingConcurrency: o.stagingConcurrency,
-		CellScale:          1000,
-		Hints: crosslayer.Hints{
-			Mode:         crosslayer.AppRangeBased,
-			FactorPhases: []crosslayer.FactorPhase{{FromStep: 0, Factors: []int{2, 4}}},
-		},
-	}
-	switch objective {
-	case "tts":
-		cfg.Objective = crosslayer.MinTimeToSolution
-	case "util":
-		cfg.Objective = crosslayer.MaxStagingUtilization
-	case "movement":
-		cfg.Objective = crosslayer.MinDataMovement
-	default:
-		return fmt.Errorf("unknown objective %q", objective)
-	}
-	switch placement {
-	case "adaptive":
-		cfg.Enable = crosslayer.Adaptations{Application: true, Middleware: true, Resource: true}
-	case "insitu":
-		cfg.StaticPlacement = crosslayer.PlaceInSitu
-	case "intransit":
-		cfg.StaticPlacement = crosslayer.PlaceInTransit
-	default:
-		return fmt.Errorf("unknown placement %q", placement)
-	}
-
-	var emitter *crosslayer.EventEmitter
-	if o.eventsPath != "" {
-		f, err := os.Create(o.eventsPath)
-		if err != nil {
-			return err
-		}
-		emitter = crosslayer.NewEventEmitter(crosslayer.NewJSONLEventSink(f))
-		cfg.Obs = emitter
-		defer func() {
-			emitter.Close()
-			fmt.Println("wrote", o.eventsPath)
-		}()
-	}
-	if o.spansPath != "" {
-		f, err := os.Create(o.spansPath)
-		if err != nil {
-			return err
-		}
-		// The trace ID derives from the run's shape, so two invocations of
-		// the same seeded run share a trace identity (same contract as
-		// spec.Build's span wiring).
-		tracer := crosslayer.NewSpanTracer(crosslayer.NewJSONLSpanSink(f), fmt.Sprintf(
-			"run/%s/%s/%s/steps=%d/servers=%d/replicas=%d/conc=%d",
-			app, placement, objective, steps,
-			o.stagingServers, o.stagingReplicas, o.stagingConcurrency))
-		cfg.Trace = tracer
-		// Registered before the staging closers, so it runs after the pool
-		// drains its buffered op spans into the still-open sink.
-		defer func() {
-			tracer.Close()
-			fmt.Println("wrote", o.spansPath)
-		}()
-	}
-	var reg *crosslayer.MetricsRegistry
-	if o.metricsAddr != "" {
-		reg = crosslayer.NewMetricsRegistry()
-		cfg.Metrics = reg
-		ms, err := crosslayer.ServeMetricsHTTP(o.metricsAddr, reg)
-		if err != nil {
-			return err
-		}
-		defer ms.Close()
-		fmt.Printf("metrics: %s\n", ms.URL())
-	}
-
-	var transport interface {
-		TransportStats() (retries, reconnects int64)
-	}
-	var pool *crosslayer.StagingPool
-	if o.stagingServers > 1 {
-		var closers []io.Closer
-		var after func(int)
-		var err error
-		pool, closers, after, err = dialPoolStaging(o, dom, emitter, reg)
-		if err != nil {
-			return err
-		}
-		for _, c := range closers {
-			defer c.Close()
-		}
-		cfg.Staging = pool
-		cfg.AfterStep = after
-		transport = pool
-	} else if o.stagingTCP || o.fault != "" {
-		client, srv, err := dialLoopbackStaging(o.fault, dom, emitter, reg)
-		if err != nil {
-			return err
-		}
-		defer srv.Close()
-		defer client.Close()
-		cfg.Staging = client
-		transport = client
-	}
-
-	w, err := crosslayer.NewWorkflow(cfg, sim)
-	if err != nil {
-		return err
-	}
-	res := w.Run(steps)
-	fmt.Printf("%s | %s placement | objective %s | %d steps\n", sim.Name(), placement, cfg.Objective, steps)
-	fmt.Printf("simulation time: %.2fs   end-to-end: %.2fs   overhead: %.2fs (%.1f%%)\n",
-		res.SimSecondsTotal, res.EndToEnd, res.OverheadSeconds,
-		100*res.OverheadSeconds/res.SimSecondsTotal)
-	fmt.Printf("placements: %d in-situ, %d in-transit   data moved: %.2f GB\n",
-		res.InSituSteps, res.InTransitSteps, float64(res.BytesMovedTotal)/(1<<30))
-	fmt.Printf("staging utilization (Eq. 12): %.1f%%\n", 100*res.StagingUtilization)
-	if transport != nil {
-		retries, reconnects := transport.TransportStats()
-		degraded := 0
-		for _, s := range res.Steps {
-			if s.PlacementReason == crosslayer.ReasonStagingFailure {
-				degraded++
-			}
-		}
-		fmt.Printf("staging transport: %d retries, %d reconnects, %d degraded steps\n",
-			retries, reconnects, degraded)
-	}
-	if pool != nil {
-		healthy, total := pool.HealthyEndpoints()
-		fmt.Printf("staging pool: %d servers (x%d replicas), %d/%d healthy at end\n",
-			pool.NumEndpoints(), pool.Replicas(), healthy, total)
-	}
-	for _, s := range res.Steps {
-		fmt.Printf("  step %2d: factor %2d, %-10s, M=%3d, sim %.3fs, analysis %.3fs — %s\n",
-			s.Step, s.Factor, s.Placement, s.StagingCores, s.SimSeconds, s.AnalysisSeconds, s.PlacementReason)
-	}
-	if o.csvPath != "" {
-		if err := writeArtifact(o.csvPath, func(f *os.File) error {
-			return crosslayer.WriteTraceCSV(f, res.Steps)
-		}); err != nil {
-			return err
-		}
-		fmt.Println("wrote", o.csvPath)
-	}
-	if o.jsonlPath != "" {
-		if err := writeArtifact(o.jsonlPath, func(f *os.File) error {
-			return crosslayer.WriteTraceJSONL(f, res.Steps)
-		}); err != nil {
-			return err
-		}
-		fmt.Println("wrote", o.jsonlPath)
-	}
-	if o.plotPath != "" {
-		if err := writeArtifact(o.plotPath, func(f *os.File) error {
-			return crosslayer.WritePlotfile(f, w.Simulation().Hierarchy())
-		}); err != nil {
-			return err
-		}
-		fmt.Println("wrote", o.plotPath)
-	}
-	return nil
-}
-
-// dialLoopbackStaging stands up a loopback staging server — behind the
-// fault plan when one is given — and a lazily-connecting client with a
-// tight retry budget, so a dead server degrades steps quickly instead of
-// stalling the run.
-func dialLoopbackStaging(faultStr string, dom crosslayer.Box, em *crosslayer.EventEmitter, reg *crosslayer.MetricsRegistry) (*crosslayer.StagingClient, *crosslayer.StagingServer, error) {
-	space := crosslayer.NewStagingSpace(4, 0, dom)
-	ln, err := net.Listen("tcp", "127.0.0.1:0")
-	if err != nil {
-		return nil, nil, err
-	}
-	wrapped := net.Listener(ln)
-	opts := crosslayer.StagingClientOptions{
-		OpTimeout:   2 * time.Second,
-		MaxRetries:  2,
-		BackoffBase: time.Millisecond,
-		BackoffMax:  10 * time.Millisecond,
-		Events:      em,
-		Metrics:     reg,
-	}
-	if faultStr != "" {
-		plan, err := crosslayer.ParseFaultPlan(faultStr)
-		if err != nil {
-			ln.Close()
-			return nil, nil, err
-		}
-		// The listener wrap carries no OnFault callback: server-side faults
-		// fire on server goroutines and would interleave nondeterministically
-		// into the event stream. Dial-side faults run synchronously under the
-		// workflow's op loop, so their fault_injected events are
-		// reproducible.
-		wrapped = crosslayer.FaultListen(ln, plan)
-		dialPlan := plan
-		if em != nil {
-			dialPlan.OnFault = em.FaultInjected
-		}
-		opts.DialFunc = dialPlan.Dialer()
-	}
-	srv := crosslayer.ServeStagingOn(wrapped, space)
-	srv.Observe(reg)
-	client := crosslayer.NewStagingClient(ln.Addr().String(), opts)
-	return client, srv, nil
-}
-
-// dialPoolStaging stands up -staging-servers loopback servers, each behind a
-// kill-switch gate, and a replicated pool client over them. When
-// -staging-kill is given, the returned after-step hook crashes the chosen
-// server (transport severed, backing space wiped) once its step completes
-// and revives the listener at the scheduled rejoin step.
-func dialPoolStaging(o runOpts, dom crosslayer.Box, em *crosslayer.EventEmitter, reg *crosslayer.MetricsRegistry) (*crosslayer.StagingPool, []io.Closer, func(int), error) {
-	kill, err := crosslayer.ParseStagingKill(o.stagingKill)
-	if err != nil {
-		return nil, nil, nil, err
-	}
-	if kill != nil && (kill.Server < 0 || kill.Server >= o.stagingServers) {
-		return nil, nil, nil, fmt.Errorf("staging kill: server %d out of range [0,%d)", kill.Server, o.stagingServers)
-	}
-	var closers []io.Closer
-	fail := func(err error) (*crosslayer.StagingPool, []io.Closer, func(int), error) {
-		for _, c := range closers {
-			c.Close()
-		}
-		return nil, nil, nil, err
-	}
-	addrs := make([]string, 0, o.stagingServers)
-	gates := make([]*crosslayer.FaultGate, 0, o.stagingServers)
-	spaces := make([]*crosslayer.StagingSpace, 0, o.stagingServers)
-	for i := 0; i < o.stagingServers; i++ {
-		space := crosslayer.NewStagingSpace(1, 0, dom)
-		ln, err := net.Listen("tcp", "127.0.0.1:0")
-		if err != nil {
-			return fail(err)
-		}
-		gate := crosslayer.NewFaultGate(ln)
-		wrapped := net.Listener(gate)
-		if o.fault != "" {
-			plan, err := crosslayer.ParseFaultPlan(o.fault)
-			if err != nil {
-				gate.Close()
-				return fail(err)
-			}
-			wrapped = crosslayer.FaultListen(wrapped, plan)
-		}
-		srv := crosslayer.ServeStagingOn(wrapped, space)
-		srv.Observe(reg)
-		addrs = append(addrs, ln.Addr().String())
-		gates = append(gates, gate)
-		spaces = append(spaces, space)
-		closers = append(closers, srv)
-	}
-	pool, err := crosslayer.NewStagingPool(addrs, dom, crosslayer.StagingPoolOptions{
-		Replicas:    o.stagingReplicas,
-		Concurrency: o.stagingConcurrency,
-		Client: crosslayer.StagingClientOptions{
-			OpTimeout:   2 * time.Second,
-			MaxRetries:  1,
-			BackoffBase: time.Millisecond,
-			BackoffMax:  10 * time.Millisecond,
-		},
-		Events:  em,
-		Metrics: reg,
-	})
-	if err != nil {
-		return fail(err)
-	}
-	closers = append(closers, pool)
-	var after func(int)
-	if kill != nil {
-		gate, space := gates[kill.Server], spaces[kill.Server]
-		after = func(step int) {
-			if step == kill.AtStep {
-				gate.Kill()
-				space.Clear()
-			}
-			if kill.ReviveStep > 0 && step == kill.ReviveStep {
-				gate.Revive()
-			}
-		}
-	}
-	return pool, closers, after, nil
 }
 
 // writeArtifact creates path, runs the writer, and closes the file,

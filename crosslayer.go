@@ -307,11 +307,6 @@ func NewStagingSpace(nservers int, capacityPerServer int64, domain Box) *Staging
 	return staging.NewSpace(nservers, capacityPerServer, domain)
 }
 
-// ServeStaging starts a TCP staging server on addr backed by space.
-func ServeStaging(addr string, space *StagingSpace) (*StagingServer, error) {
-	return staging.Serve(addr, space)
-}
-
 // DialStaging connects to a TCP staging server.
 func DialStaging(addr string) (*StagingClient, error) { return staging.Dial(addr) }
 
@@ -332,12 +327,6 @@ type (
 // ErrStagingUnavailable reports an exhausted retry budget; the workflow
 // treats it as a placement signal and degrades the step to in-situ.
 var ErrStagingUnavailable = staging.ErrStagingUnavailable
-
-// ServeStagingOn starts a staging server on an existing listener — the hook
-// for interposing a fault-injecting wrapper (see FaultListen).
-func ServeStagingOn(ln net.Listener, space *StagingSpace) *StagingServer {
-	return staging.ServeOn(ln, space)
-}
 
 // DialStagingOptions connects to a TCP staging server with explicit
 // resilience options.
@@ -478,12 +467,6 @@ func StagingTenantOf(key string) string { return staging.TenantOf(key) }
 // admission options.
 func ServeStagingOptions(addr string, space *StagingSpace, opts StagingServerOptions) (*StagingServer, error) {
 	return staging.ServeOptions(addr, space, opts)
-}
-
-// ServeStagingOnOptions starts a staging server on an existing listener
-// with explicit admission options.
-func ServeStagingOnOptions(ln net.Listener, space *StagingSpace, opts StagingServerOptions) *StagingServer {
-	return staging.ServeOnOptions(ln, space, opts)
 }
 
 // NewStagingServer starts a staging server on an existing listener and,

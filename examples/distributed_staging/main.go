@@ -21,7 +21,7 @@ func main() {
 
 	// Staging node: 4 server shards behind one TCP endpoint.
 	space := crosslayer.NewStagingSpace(4, 0, dom)
-	srv, err := crosslayer.ServeStaging("127.0.0.1:0", space)
+	srv, err := crosslayer.ServeStagingOptions("127.0.0.1:0", space, crosslayer.StagingServerOptions{})
 	if err != nil {
 		log.Fatal(err)
 	}

@@ -366,7 +366,11 @@ func runPoolWorkload(conc, steps int) (Entry, []span.Span, error) {
 			return Entry{}, nil, fmt.Errorf("bench: listen: %w", err)
 		}
 		link := faultnet.Listen(ln, faultnet.Plan{Latency: poolLinkLatency})
-		servers = append(servers, staging.ServeOn(link, staging.NewSpace(4, 0, domain)))
+		srv, err := staging.NewServer(link, staging.NewSpace(4, 0, domain), staging.ServerOptions{})
+		if err != nil {
+			return Entry{}, nil, fmt.Errorf("bench: server %d: %w", i, err)
+		}
+		servers = append(servers, srv)
 		addrs = append(addrs, ln.Addr().String())
 	}
 	pool, err := staging.NewPool(addrs, domain, staging.PoolOptions{

@@ -347,7 +347,10 @@ func Run(s Schedule) (*RunResult, error) {
 		if s.Net != nil {
 			wrapped = faultnet.Listen(wrapped, s.Net.plan())
 		}
-		srv := staging.ServeOnOptions(wrapped, space, staging.ServerOptions{Events: h.srvEm})
+		srv, err := staging.NewServer(wrapped, space, staging.ServerOptions{Events: h.srvEm})
+		if err != nil {
+			return fail(fmt.Errorf("chaos: server %d: %w", i, err))
+		}
 		srv.Observe(srvReg)
 		addrs = append(addrs, ln.Addr().String())
 		h.gates = append(h.gates, gate)

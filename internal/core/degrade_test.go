@@ -25,7 +25,10 @@ func tcpWorkflow(t *testing.T, plan faultnet.Plan, cooldown int) *Workflow {
 	if err != nil {
 		t.Fatal(err)
 	}
-	srv := staging.ServeOn(faultnet.Listen(ln, plan), space)
+	srv, err := staging.NewServer(faultnet.Listen(ln, plan), space, staging.ServerOptions{})
+	if err != nil {
+		t.Fatal(err)
+	}
 	opts := staging.ClientOptions{
 		OpTimeout:   time.Second,
 		MaxRetries:  2,

@@ -34,7 +34,10 @@ func eventTCPWorkflow(t *testing.T, plan faultnet.Plan, buf *bytes.Buffer, reg *
 	if err != nil {
 		t.Fatal(err)
 	}
-	srv := staging.ServeOn(ln, space)
+	srv, err := staging.NewServer(ln, space, staging.ServerOptions{})
+	if err != nil {
+		t.Fatal(err)
+	}
 	srv.Observe(reg)
 
 	dialPlan := plan

@@ -313,10 +313,16 @@ func standUp(o Options, domain grid.Box) ([]*staging.Server, []*staging.Space, [
 			}
 			return nil, nil, nil, fmt.Errorf("loadgen: listen: %w", err)
 		}
-		srv := staging.ServeOnOptions(ln, space, staging.ServerOptions{
+		srv, err := staging.NewServer(ln, space, staging.ServerOptions{
 			MaxConns: o.MaxConns,
 			Backlog:  o.Backlog,
 		})
+		if err != nil {
+			for _, s := range servers {
+				s.Close()
+			}
+			return nil, nil, nil, fmt.Errorf("loadgen: server %d: %w", i, err)
+		}
 		servers = append(servers, srv)
 		spaces = append(spaces, space)
 		addrs = append(addrs, ln.Addr().String())

@@ -61,12 +61,6 @@ func runSpecLog(t *testing.T, conc int, kill bool, key, path string) []byte {
 	return data
 }
 
-// runSpecEvents is runSpecLog for a healthy run's event stream.
-func runSpecEvents(t *testing.T, conc int, eventsPath string) []byte {
-	t.Helper()
-	return runSpecLog(t, conc, false, "events", eventsPath)
-}
-
 // checkGolden compares got against testdata/<name>, rewriting the file first
 // under -update.
 func checkGolden(t *testing.T, name string, got []byte) {
@@ -112,8 +106,8 @@ func TestSpecEventLogDeterministic(t *testing.T) {
 		conc := conc
 		t.Run(fmt.Sprintf("conc%d", conc), func(t *testing.T) {
 			dir := t.TempDir()
-			first := runSpecEvents(t, conc, filepath.Join(dir, "a.jsonl"))
-			second := runSpecEvents(t, conc, filepath.Join(dir, "b.jsonl"))
+			first := runSpecLog(t, conc, false, "events", filepath.Join(dir, "a.jsonl"))
+			second := runSpecLog(t, conc, false, "events", filepath.Join(dir, "b.jsonl"))
 			if !bytes.Equal(first, second) {
 				t.Fatalf("event logs differ across runs at staging_concurrency=%d:\nrun1 %d bytes, run2 %d bytes",
 					conc, len(first), len(second))

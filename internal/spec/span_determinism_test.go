@@ -10,12 +10,6 @@ import (
 	"crosslayer/internal/obs/span"
 )
 
-// runSpecSpans is runSpecLog for a healthy run's causal span log.
-func runSpecSpans(t *testing.T, conc int, spansPath string) []byte {
-	t.Helper()
-	return runSpecLog(t, conc, false, "spans", spansPath)
-}
-
 // TestSpecSpanLogDeterministic pins the span-ID and span-ordering
 // determinism contract: with a healthy pool the span log must be
 // byte-identical across repeated invocations at every concurrency level —
@@ -27,8 +21,8 @@ func TestSpecSpanLogDeterministic(t *testing.T) {
 		conc := conc
 		t.Run(fmt.Sprintf("conc%d", conc), func(t *testing.T) {
 			dir := t.TempDir()
-			first := runSpecSpans(t, conc, filepath.Join(dir, "a.jsonl"))
-			second := runSpecSpans(t, conc, filepath.Join(dir, "b.jsonl"))
+			first := runSpecLog(t, conc, false, "spans", filepath.Join(dir, "a.jsonl"))
+			second := runSpecLog(t, conc, false, "spans", filepath.Join(dir, "b.jsonl"))
 			if !bytes.Equal(first, second) {
 				t.Fatalf("span logs differ across runs at staging_concurrency=%d:\nrun1 %d bytes, run2 %d bytes",
 					conc, len(first), len(second))
@@ -60,7 +54,7 @@ func TestSpecSpanTreeWellFormed(t *testing.T) {
 		conc := conc
 		t.Run(fmt.Sprintf("conc%d", conc), func(t *testing.T) {
 			path := filepath.Join(t.TempDir(), "spans.jsonl")
-			runSpecSpans(t, conc, path)
+			runSpecLog(t, conc, false, "spans", path)
 			f, err := os.Open(path)
 			if err != nil {
 				t.Fatal(err)

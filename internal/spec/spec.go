@@ -864,18 +864,16 @@ func (w *Workflow) serverOptions() staging.ServerOptions {
 // before it accepts traffic.
 func (w *Workflow) startServer(wrapped net.Listener, space *staging.Space, idx int) (*staging.Server, error) {
 	opts := w.serverOptions()
-	if w.StagingDataDir == "" {
-		return staging.ServeOnOptions(wrapped, space, opts), nil
+	if w.StagingDataDir != "" {
+		opts.DataDir = filepath.Join(w.StagingDataDir, fmt.Sprintf("server-%d", idx))
+		opts.ServerID = fmt.Sprintf("s%d", idx)
+		if err := os.MkdirAll(opts.DataDir, 0o755); err != nil {
+			return nil, fmt.Errorf("spec: staging data dir: %w", err)
+		}
 	}
-	dir := filepath.Join(w.StagingDataDir, fmt.Sprintf("server-%d", idx))
-	if err := os.MkdirAll(dir, 0o755); err != nil {
-		return nil, fmt.Errorf("spec: staging data dir: %w", err)
-	}
-	opts.DataDir = dir
-	opts.ServerID = fmt.Sprintf("s%d", idx)
 	srv, err := staging.NewServer(wrapped, space, opts)
 	if err != nil {
-		return nil, fmt.Errorf("spec: staging recover %s: %w", dir, err)
+		return nil, fmt.Errorf("spec: staging recover %s: %w", opts.DataDir, err)
 	}
 	return srv, nil
 }

@@ -35,7 +35,10 @@ func tenantSoakPool(t *testing.T) *staging.Pool {
 		if err != nil {
 			t.Fatal(err)
 		}
-		srv := staging.ServeOn(faultnet.Listen(ln, plan), sp)
+		srv, err := staging.NewServer(faultnet.Listen(ln, plan), sp, staging.ServerOptions{})
+		if err != nil {
+			t.Fatal(err)
+		}
 		t.Cleanup(func() { srv.Close() })
 		addrs = append(addrs, ln.Addr().String())
 	}

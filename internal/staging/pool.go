@@ -39,20 +39,23 @@ import (
 // server. While at least one replica survives, failures are invisible to
 // the caller.
 //
-// The pool has two data paths selected by PoolOptions.Concurrency:
+// Every operation has one body: it splits into per-endpoint jobs, hands each
+// to submit, and aggregates the answers. PoolOptions.Concurrency only picks
+// the executor those jobs run on:
 //
-//   - Deterministic (Concurrency <= 1, the default): every operation runs
-//     synchronously under one mutex on the caller's goroutine, so with a
-//     deterministic crash schedule the emitted event sequence is
-//     reproducible byte for byte.
-//   - Concurrent (Concurrency > 1): each endpoint gets a worker goroutine
-//     with its own in-flight queue over its one reused connection; puts fan
-//     out across shards and replicas, shard reads run in parallel with
-//     hedged primary+replica requests when the primary is suspect, and the
-//     total number of in-flight endpoint operations is bounded by
-//     Concurrency. Endpoint-level events are buffered and must be flushed
-//     with DrainEvents at a quiet point (the workflow's step barrier),
-//     where they are ordered by (endpoint/shard, kind) before sinking.
+//   - Inline (Concurrency <= 1, the default): there are no goroutines.
+//     submit runs each job on the caller's goroutine, whole operations are
+//     serialized under one mutex, shards are read one after another, and
+//     events and spans sink as they happen — so with a deterministic crash
+//     schedule the emitted sequence is reproducible byte for byte.
+//   - Workers (Concurrency > 1): each endpoint gets a worker goroutine
+//     draining its own job queue over its one reused connection; a put's
+//     replica writes and a read's shards run in parallel, a suspect
+//     primary's read is hedged with the first replica, and the number of
+//     executing endpoint operations is bounded by Concurrency.
+//     Endpoint-level events and op spans are buffered and must be flushed
+//     with DrainEvents/DrainSpans at a quiet point (the workflow's step
+//     barrier), where they are put in a deterministic order before sinking.
 type Pool struct {
 	domain   grid.Box
 	replicas int
@@ -71,14 +74,14 @@ type Pool struct {
 	mHealthy      *obs.Gauge
 	mSkippedOps   *obs.Counter
 
-	// mu serializes whole operations on the deterministic path. The
-	// concurrent path never takes it; Close takes it on both.
+	// mu serializes whole operations when jobs run inline (lockOp). A pool
+	// with workers never takes it per operation; Close takes it on both.
 	mu  sync.Mutex
 	eps []*endpoint
 
-	// stateMu guards the shared mutable state both paths touch: breaker
-	// fields on each endpoint, the live-version manifest, the buffered
-	// event and span queues, the span scope, and the closed flag.
+	// stateMu guards the shared mutable state jobs touch: breaker fields on
+	// each endpoint, the live-version manifest, the buffered event and span
+	// queues, the span scope, and the closed flag.
 	stateMu      sync.Mutex
 	live         map[string]map[int]int // var -> version -> blocks recorded
 	pending      []poolEvent
@@ -86,14 +89,15 @@ type Pool struct {
 	scope        span.Ctx // phase span pool ops parent under (SetSpanScope)
 	closed       bool
 
-	sem     chan struct{} // bounds total in-flight endpoint ops (concurrent path)
+	sem     chan struct{} // bounds executing endpoint ops; nil when jobs run inline
 	workers sync.WaitGroup
 }
 
-// endpoint is one staging server plus its circuit-breaker state and, on the
-// concurrent path, its worker queue. jobs is the endpoint's single in-flight
+// endpoint is one staging server plus its circuit-breaker state and, at
+// Concurrency > 1, its worker queue. jobs is the endpoint's single in-flight
 // pipeline: one worker goroutine drains it over the endpoint's one reused
-// client connection, so operations on an endpoint never interleave.
+// client connection, so operations on an endpoint never interleave. A nil
+// jobs means the pool runs jobs inline (see submit).
 type endpoint struct {
 	idx      int
 	client   *Client
@@ -103,7 +107,7 @@ type endpoint struct {
 	skipped  int // operations skipped while down; drives half-open probes
 }
 
-// poolEvent is one buffered endpoint-level event on the concurrent path.
+// poolEvent is one endpoint-level event buffered by a pool with workers.
 // key is the endpoint index (breaker/repair events) or shard (failover
 // reads); rank orders kinds within a key so the drained sequence is stable
 // regardless of goroutine arrival order.
@@ -136,11 +140,11 @@ type PoolOptions struct {
 	// wall time, so seeded runs probe at reproducible points.
 	ProbeEvery int
 
-	// Concurrency selects the data path. <= 1 (default) is the
-	// Deterministic serialized path; > 1 enables per-endpoint worker
-	// pipelines with at most Concurrency endpoint operations in flight
-	// across the pool. Concurrent pools buffer endpoint events until
-	// DrainEvents.
+	// Concurrency selects the executor. <= 1 (default) runs every
+	// endpoint job inline on the caller's goroutine, one operation at a
+	// time; > 1 starts per-endpoint worker pipelines with at most
+	// Concurrency endpoint operations executing across the pool. Pools
+	// with workers buffer endpoint events until DrainEvents.
 	Concurrency int
 
 	// Client configures each endpoint's TCP client. Events is ignored: the
@@ -207,7 +211,7 @@ func NewPool(addrs []string, domain grid.Box, opts PoolOptions) (*Pool, error) {
 	for i, addr := range addrs {
 		p.eps = append(p.eps, &endpoint{idx: i, client: NewClient(addr, copts)})
 	}
-	if p.conc > 1 {
+	if !p.inline() {
 		p.sem = make(chan struct{}, p.conc)
 		for _, ep := range p.eps {
 			ep.jobs = make(chan func(), p.conc)
@@ -244,6 +248,15 @@ func replicaVar(varName string, primary int) string {
 	return fmt.Sprintf("%s#r%d", varName, primary)
 }
 
+// replicaName is the variable replica j of a shard's ring is stored under:
+// the plain name on the primary, the shard's replica variable elsewhere.
+func replicaName(varName string, shard, j int) string {
+	if j == 0 {
+		return varName
+	}
+	return replicaVar(varName, shard)
+}
+
 // allRegion covers every level's index space: repair fetches do not know the
 // finest refinement level, so they query everything. Extents stay within
 // int32 for the wire encoding.
@@ -255,9 +268,13 @@ func (p *Pool) NumEndpoints() int { return len(p.eps) }
 // Replicas returns the replication factor.
 func (p *Pool) Replicas() int { return p.replicas }
 
-// Concurrency returns the configured in-flight operation bound (1 on the
-// deterministic path).
+// Concurrency returns the configured in-flight operation bound (1 when jobs
+// run inline).
 func (p *Pool) Concurrency() int { return p.conc }
+
+// inline reports whether endpoint jobs run on the caller's goroutine — the
+// pool started no workers — rather than on per-endpoint worker queues.
+func (p *Pool) inline() bool { return p.conc <= 1 }
 
 // HealthyEndpoints reports how many endpoints are in rotation out of the
 // configured total — the health signal the workflow's monitor samples so
@@ -310,7 +327,7 @@ func (p *Pool) Close() error {
 	wasClosed := p.closed
 	p.closed = true
 	p.stateMu.Unlock()
-	if !wasClosed && p.conc > 1 {
+	if !wasClosed && !p.inline() {
 		for _, ep := range p.eps {
 			close(ep.jobs)
 		}
@@ -344,15 +361,20 @@ func (p *Pool) worker(ep *endpoint) {
 	})
 }
 
-// submit schedules fn on ep's worker. The pool-wide semaphore is acquired
-// when the job starts executing — not while it waits in the queue, which
-// would let a backed-up endpoint hold slots and starve idle peers — so
-// Concurrency bounds executing operations while each endpoint's buffered
-// channel bounds its queue. Only coordinator goroutines submit; a repair
-// running on a worker enqueues its peer fetches raw — no semaphore, slot
-// handed back while it waits (see fetchFrom) — so the queues cannot
-// deadlock on themselves.
+// submit is the executor: it runs fn against ep on the caller's goroutine
+// when the pool has no workers, and schedules it on ep's worker otherwise.
+// There the pool-wide semaphore is acquired when the job starts executing —
+// not while it waits in the queue, which would let a backed-up endpoint hold
+// slots and starve idle peers — so Concurrency bounds executing operations
+// while each endpoint's buffered channel bounds its queue. Only coordinator
+// goroutines submit; a repair running on a worker enqueues its peer fetches
+// raw — no semaphore, slot handed back while it waits (see fetchFrom) — so
+// the queues cannot deadlock on themselves.
 func (p *Pool) submit(ep *endpoint, fn func()) {
+	if p.inline() {
+		fn()
+		return
+	}
 	ep.jobs <- func() {
 		p.sem <- struct{}{}
 		defer func() { <-p.sem }()
@@ -360,11 +382,26 @@ func (p *Pool) submit(ep *endpoint, fn func()) {
 	}
 }
 
-// sinkEvent emits an endpoint-level event: inline on the deterministic path
-// (preserving byte-identical seeded logs), buffered until DrainEvents on the
-// concurrent path.
+// lockOp serializes whole operations while jobs run inline: the breaker,
+// probe and repair logic assumes one operation at a time per endpoint, which
+// the per-endpoint workers otherwise provide.
+func (p *Pool) lockOp() {
+	if p.inline() {
+		p.mu.Lock()
+	}
+}
+
+func (p *Pool) unlockOp() {
+	if p.inline() {
+		p.mu.Unlock()
+	}
+}
+
+// sinkEvent emits an endpoint-level event: as it happens when jobs run
+// inline (preserving byte-identical seeded logs), buffered until DrainEvents
+// when workers run them.
 func (p *Pool) sinkEvent(key, rank int, emit func(*obs.Emitter)) {
-	if p.conc <= 1 {
+	if p.inline() {
 		emit(p.events)
 		return
 	}
@@ -376,14 +413,14 @@ func (p *Pool) sinkEvent(key, rank int, emit func(*obs.Emitter)) {
 	p.stateMu.Unlock()
 }
 
-// DrainEvents flushes events buffered by the concurrent data path to the
+// DrainEvents flushes events buffered by the endpoint workers to the
 // emitter, ordered by (endpoint-or-shard key, event kind) with arrival
 // order preserved within equal keys. The workflow calls this at each step
-// barrier so concurrent-mode streams group events deterministically even
-// though goroutine interleavings differ run to run. No-op on the
-// deterministic path, which emits inline.
+// barrier so streams from a pool with workers group events deterministically
+// even though goroutine interleavings differ run to run. No-op when jobs run
+// inline, where events were emitted as they happened.
 func (p *Pool) DrainEvents() {
-	if p.conc <= 1 {
+	if p.inline() {
 		return
 	}
 	p.stateMu.Lock()
@@ -410,12 +447,11 @@ const (
 )
 
 // opRec is one pool-op span under construction, with its per-endpoint RPC
-// children. On the deterministic path it is emitted inline when the op
-// finishes; on the concurrent path it is buffered until DrainSpans, where
-// records are ordered by deterministic properties of the operation — op
-// kind, block Morton code or shard/endpoint index, version, detail — never
-// by goroutine arrival order, so seeded concurrent runs produce
-// byte-identical span logs.
+// children. When jobs run inline it is emitted as the op finishes; with
+// workers it is buffered until DrainSpans, where records are ordered by
+// deterministic properties of the operation — op kind, block Morton code or
+// shard/endpoint index, version, detail — never by goroutine arrival order,
+// so seeded concurrent runs produce byte-identical span logs.
 type opRec struct {
 	parent span.Ctx
 	kind   int
@@ -481,9 +517,9 @@ func (r *opRec) nowNs() int64 {
 	return r.parent.Tracer().NowNs()
 }
 
-// rpc records one endpoint client call: queueNs is the measured queue wait
-// (0 on the deterministic path), e0 the nowNs stamp taken before the call,
-// errLabel a stable transport-error label (errDetail) or "".
+// rpc records one endpoint client call: queueNs is the measured wait between
+// submit and execution (~0 when the job ran inline), e0 the nowNs stamp taken
+// before the call, errLabel a stable transport-error label (errDetail) or "".
 func (r *opRec) rpc(j, endpoint int, name string, queueNs, e0 int64, errLabel string) {
 	if r == nil {
 		return
@@ -522,7 +558,7 @@ func poolErrLabel(err error) string {
 }
 
 // finish stamps the op's outcome, aggregates its RPCs' wall durations, and
-// sinks the record (inline or buffered per the data path).
+// sinks the record (emitted now or buffered, like sinkEvent).
 func (r *opRec) finish(p *Pool, err error) {
 	if r == nil {
 		return
@@ -534,7 +570,7 @@ func (r *opRec) finish(p *Pool, err error) {
 		r.op.ExecNs += r.rpcs[i].op.ExecNs
 	}
 	r.mu.Unlock()
-	if p.conc <= 1 {
+	if p.inline() {
 		r.emit()
 		return
 	}
@@ -556,15 +592,15 @@ func (r *opRec) emit() {
 	}
 }
 
-// DrainSpans flushes pool-op spans buffered by the concurrent data path,
+// DrainSpans flushes pool-op spans buffered by the endpoint workers,
 // ordered by (op kind, routing key, version, name, detail) — all
-// deterministic properties of the operations — so concurrent-mode span logs
-// reproduce byte for byte. The workflow calls this at each step barrier,
-// while the step's phase spans are still open, so the drained spans sit
-// inside their parents' intervals. No-op on the deterministic path, which
-// emits inline.
+// deterministic properties of the operations — so span logs from a pool with
+// workers reproduce byte for byte. The workflow calls this at each step
+// barrier, while the step's phase spans are still open, so the drained spans
+// sit inside their parents' intervals. No-op when jobs run inline, where
+// spans were emitted as each op finished.
 func (p *Pool) DrainSpans() {
-	if p.conc <= 1 {
+	if p.inline() {
 		return
 	}
 	p.stateMu.Lock()
@@ -613,9 +649,9 @@ const (
 	gateProbe                     // half-open: probe the transport
 )
 
-// gate advances ep's breaker state for one offered operation. On the
-// concurrent path it is only ever called from ep's own worker, so at most
-// one probe per endpoint is in flight.
+// gate advances ep's breaker state for one offered operation. It is only
+// ever called from a job submitted to ep — ep's own worker, or the one
+// operation lockOp admits — so at most one probe per endpoint is in flight.
 func (p *Pool) gate(ep *endpoint) gateDecision {
 	p.stateMu.Lock()
 	defer p.stateMu.Unlock()
@@ -712,64 +748,16 @@ func (p *Pool) suspect(ep *endpoint) bool {
 
 // Put stores a block: the primary endpoint gets it under varName, the next
 // Replicas−1 endpoints in ring order get copies under the shard's replica
-// variable. The put succeeds when at least one endpoint stored the block;
-// only a block with no surviving replica at all is a failure.
+// variable. The replica-set writes are submitted together and joined; the
+// put succeeds when at least one endpoint stored the block, and only a block
+// with no surviving replica at all is a failure.
 func (p *Pool) Put(varName string, version int, d *field.BoxData) error {
 	varName, err := p.scoped(varName)
 	if err != nil {
 		return err
 	}
-	if p.conc > 1 {
-		return p.putConcurrent(varName, version, d)
-	}
-	p.mu.Lock()
-	defer p.mu.Unlock()
-	primary := p.route(d.Box)
-	rec := p.newOpRec(opRankPut, p.blockKey(d.Box), int64(version), "pool:put",
-		fmt.Sprintf("var=%s version=%d", varName, version))
-	n := len(p.eps)
-	stored := 0
-	noMem := false
-	quota := false
-	var lastErr error
-	for j := 0; j < p.replicas; j++ {
-		ep := p.eps[(primary+j)%n]
-		name := varName
-		if j > 0 {
-			name = replicaVar(varName, primary)
-		}
-		if !p.usable(ep) {
-			continue
-		}
-		e0 := rec.nowNs()
-		switch err := ep.client.Put(name, version, d); {
-		case err == nil:
-			p.opOK(ep)
-			stored++
-			rec.rpc(j, ep.idx, "rpc:put", 0, e0, "")
-		case errors.Is(err, ErrNoMemory):
-			p.opOK(ep)
-			noMem = true
-			rec.rpc(j, ep.idx, "rpc:put", 0, e0, "no memory")
-		case errors.Is(err, ErrQuotaExceeded):
-			p.opOK(ep)
-			quota = true
-			rec.rpc(j, ep.idx, "rpc:put", 0, e0, "quota exceeded")
-		default:
-			lastErr = err
-			p.opFail(ep)
-			rec.rpc(j, ep.idx, "rpc:put", 0, e0, errDetail(err))
-		}
-	}
-	err = p.finishPut(varName, version, stored, noMem, quota, lastErr)
-	rec.finish(p, err)
-	return err
-}
-
-// putConcurrent fans one block's replica-set writes out to the endpoint
-// workers in parallel and joins them, aggregating exactly as the serial
-// path does.
-func (p *Pool) putConcurrent(varName string, version int, d *field.BoxData) error {
+	p.lockOp()
+	defer p.unlockOp()
 	primary := p.route(d.Box)
 	rec := p.newOpRec(opRankPut, p.blockKey(d.Box), int64(version), "pool:put",
 		fmt.Sprintf("var=%s version=%d", varName, version))
@@ -781,20 +769,10 @@ func (p *Pool) putConcurrent(varName string, version int, d *field.BoxData) erro
 		err    error
 	}
 	ch := make(chan putRes, p.replicas)
-	// Replicas are submitted before the primary: an anti-entropy repair of
-	// the primary endpoint fetches this shard's blocks through the replica
-	// holders' worker queues (see fetchFrom), and enqueueing the replica
-	// writes first guarantees the fetch — which a repair can only enqueue
-	// after the primary-side write was offered to the breaker — lands behind
-	// them in FIFO order, so the repair never misses a block whose primary
-	// write it raced.
-	for j := p.replicas - 1; j >= 0; j-- {
-		j := j
+	for i := 0; i < p.replicas; i++ {
+		j := p.putOrder(i)
 		ep := p.eps[(primary+j)%n]
-		name := varName
-		if j > 0 {
-			name = replicaVar(varName, primary)
-		}
+		name := replicaName(varName, primary, j)
 		enq := rec.nowNs()
 		p.submit(ep, func() {
 			q0 := rec.nowNs()
@@ -842,9 +820,26 @@ func (p *Pool) putConcurrent(varName string, version int, d *field.BoxData) erro
 			lastErr = r.err
 		}
 	}
-	err := p.finishPut(varName, version, stored, noMem, quota, lastErr)
+	err = p.finishPut(varName, version, stored, noMem, quota, lastErr)
 	rec.finish(p, err)
 	return err
+}
+
+// putOrder maps the i-th submission of a put to the replica index it writes.
+// On worker queues replicas are submitted before the primary: an
+// anti-entropy repair of the primary endpoint fetches this shard's blocks
+// through the replica holders' queues (see fetchFrom), and enqueueing the
+// replica writes first guarantees the fetch — which a repair can only
+// enqueue after the primary-side write was offered to the breaker — lands
+// behind them in FIFO order, so the repair never misses a block whose
+// primary write it raced. Inline nothing races; the primary goes first, so a
+// repair it triggers restores the shard as it stood before this put (the
+// order the committed conc-1 event and span logs record).
+func (p *Pool) putOrder(i int) int {
+	if p.inline() {
+		return i
+	}
+	return p.replicas - 1 - i
 }
 
 // finishPut turns the replica-write tallies into the Put result and records
@@ -872,30 +867,45 @@ func (p *Pool) finishPut(varName string, version, stored int, noMem, quota bool,
 // region from every shard, failing a shard's read over to its replicas when
 // the primary is unavailable. It returns ErrStagingUnavailable only when
 // some shard has no reachable replica at all — the "all replicas of a block
-// are gone" condition the workflow treats as a staging failure.
+// are gone" condition the workflow treats as a staging failure. Inline the
+// shards are read in order, stopping at the first lost one; with workers
+// one coordinator goroutine per shard reads them in parallel.
 func (p *Pool) GetBlocks(varName string, version int, region grid.Box) ([]*field.BoxData, error) {
 	varName, serr := p.scoped(varName)
 	if serr != nil {
 		return nil, serr
 	}
-	var out []*field.BoxData
-	if p.conc > 1 {
-		blocks, err := p.getBlocksConcurrent(varName, version, region)
-		if err != nil {
-			return nil, err
-		}
-		out = blocks
-	} else {
-		p.mu.Lock()
-		for shard := range p.eps {
+	p.lockOp()
+	defer p.unlockOp()
+	type shardRes struct {
+		blocks []*field.BoxData
+		err    error
+	}
+	results := make([]shardRes, len(p.eps))
+	var wg sync.WaitGroup
+	for shard := range p.eps {
+		if p.inline() {
 			blocks, err := p.getShard(shard, varName, version, region)
 			if err != nil {
-				p.mu.Unlock()
 				return nil, err
 			}
-			out = append(out, blocks...)
+			results[shard].blocks = blocks
+			continue
 		}
-		p.mu.Unlock()
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			blocks, err := p.getShard(shard, varName, version, region)
+			results[shard] = shardRes{blocks: blocks, err: err}
+		}()
+	}
+	wg.Wait()
+	var out []*field.BoxData
+	for _, r := range results {
+		if r.err != nil {
+			return nil, r.err
+		}
+		out = append(out, r.blocks...)
 	}
 	if len(out) == 0 {
 		return nil, ErrNotFound
@@ -908,113 +918,32 @@ func (p *Pool) GetBlocks(varName string, version int, region grid.Box) ([]*field
 	return out, nil
 }
 
-// getBlocksConcurrent reads every shard in parallel: one coordinator
-// goroutine per shard drives getShardC, whose endpoint requests flow through
-// the per-endpoint worker queues.
-func (p *Pool) getBlocksConcurrent(varName string, version int, region grid.Box) ([]*field.BoxData, error) {
-	type shardRes struct {
-		blocks []*field.BoxData
-		err    error
-	}
-	results := make([]shardRes, len(p.eps))
-	var wg sync.WaitGroup
-	for shard := range p.eps {
-		wg.Add(1)
-		go func(shard int) {
-			defer wg.Done()
-			blocks, err := p.getShardC(shard, varName, version, region)
-			results[shard] = shardRes{blocks: blocks, err: err}
-		}(shard)
-	}
-	wg.Wait()
-	var out []*field.BoxData
-	for _, r := range results {
-		if r.err != nil {
-			return nil, r.err
-		}
-		out = append(out, r.blocks...)
-	}
-	return out, nil
-}
-
-// getShard reads one shard's blocks from its primary, falling back through
-// the replica ring. A NotFound answer is authoritative (the shard holds
-// nothing in the region); only transport failures fall through.
+// getShard reads one shard's blocks. The primary is always asked; when it is
+// suspect (down or mid-failure-streak) once its read has been submitted, the
+// first replica is asked too — on worker queues that hedges a likely primary
+// timeout, inline (where the primary's read has already returned by then) it
+// is the plain fall-through to the next replica. The primary's answer is
+// authoritative whenever it arrives: a put succeeds with any one replica-set
+// write, so the replica variable can legitimately be missing blocks whose
+// replica-side writes failed, and returning a replica's clean-but-partial
+// answer over a healthy primary's would drop them. A replica's clean answer
+// — blocks or NotFound — is therefore held and used only once the primary
+// has failed or been skipped. Remaining replicas are tried one at a time
+// only after the submitted reads all failed.
 func (p *Pool) getShard(shard int, varName string, version int, region grid.Box) ([]*field.BoxData, error) {
 	rec := p.newOpRec(opRankGet, uint64(shard), int64(version), "pool:get",
 		fmt.Sprintf("var=%s version=%d shard=%d", varName, version, shard))
 	n := len(p.eps)
-	var lastErr error
-	for j := 0; j < p.replicas; j++ {
-		ep := p.eps[(shard+j)%n]
-		name := varName
-		if j > 0 {
-			name = replicaVar(varName, shard)
-		}
-		if !p.usable(ep) {
-			continue
-		}
-		e0 := rec.nowNs()
-		blocks, err := ep.client.GetBlocks(name, version, region)
-		switch {
-		case err == nil:
-			p.opOK(ep)
-			rec.rpc(j, ep.idx, "rpc:get", 0, e0, "")
-			if j > 0 {
-				p.noteFailover(shard, ep.idx)
-				rec.markFailover(ep.idx)
-			}
-			rec.finish(p, nil)
-			return blocks, nil
-		case errors.Is(err, ErrNotFound):
-			p.opOK(ep)
-			rec.rpc(j, ep.idx, "rpc:get", 0, e0, "")
-			if j > 0 {
-				p.noteFailover(shard, ep.idx)
-				rec.markFailover(ep.idx)
-			}
-			rec.finish(p, nil)
-			return nil, nil
-		default:
-			lastErr = err
-			p.opFail(ep)
-			rec.rpc(j, ep.idx, "rpc:get", 0, e0, errDetail(err))
-		}
-	}
-	err := shardLostErr(shard, lastErr)
-	rec.finish(p, err)
-	return nil, err
-}
-
-// getShardC is the concurrent-path shard read. The primary is always asked;
-// when it is suspect (down or mid-failure-streak) the first replica is
-// hedged concurrently so a primary timeout does not stall the shard. The
-// primary's answer is authoritative whenever it arrives: a put succeeds
-// with any one replica-set write, so the replica variable can legitimately
-// be missing blocks whose replica-side writes failed, and returning a
-// replica's clean-but-partial answer over a healthy primary's would drop
-// them. A hedged replica answer — blocks or NotFound — is therefore held
-// and used only once the primary has failed or been skipped. Remaining
-// replicas are tried sequentially only after the launched requests all
-// failed.
-func (p *Pool) getShardC(shard int, varName string, version int, region grid.Box) ([]*field.BoxData, error) {
-	rec := p.newOpRec(opRankGet, uint64(shard), int64(version), "pool:get",
-		fmt.Sprintf("var=%s version=%d shard=%d", varName, version, shard))
-	n := len(p.eps)
 	type shardAns struct {
-		j        int
-		blocks   []*field.BoxData
-		err      error
-		notFound bool
-		skipped  bool
+		j       int
+		blocks  []*field.BoxData // nil for a clean NotFound
+		err     error
+		skipped bool // breaker open: not an answer
 	}
 	ch := make(chan shardAns, p.replicas)
 	read := func(j int) {
 		ep := p.eps[(shard+j)%n]
-		name := varName
-		if j > 0 {
-			name = replicaVar(varName, shard)
-		}
+		name := replicaName(varName, shard, j)
 		enq := rec.nowNs()
 		p.submit(ep, func() {
 			q0 := rec.nowNs()
@@ -1032,7 +961,7 @@ func (p *Pool) getShardC(shard int, varName string, version int, region grid.Box
 			case errors.Is(err, ErrNotFound):
 				p.opOK(ep)
 				rec.rpc(j, ep.idx, "rpc:get", q0-enq, e0, "")
-				ch <- shardAns{j: j, notFound: true}
+				ch <- shardAns{j: j}
 			default:
 				p.opFail(ep)
 				rec.rpc(j, ep.idx, "rpc:get", q0-enq, e0, errDetail(err))
@@ -1044,15 +973,13 @@ func (p *Pool) getShardC(shard int, varName string, version int, region grid.Box
 	pending := 1
 	next := 1
 	if p.replicas > 1 && p.suspect(p.eps[shard]) {
-		read(1) // hedge: the suspect primary is likely to time out
+		read(1)
 		pending++
 		next++
 	}
 	var lastErr error
 	primaryFailed := false
-	replicaEmpty := -1                 // j of a clean replica NotFound held until the primary fails
-	var replicaBlocks []*field.BoxData // clean replica answer, held likewise
-	replicaJ := -1
+	var held *shardAns // a replica's clean answer, used once the primary has failed
 	for pending > 0 {
 		a := <-ch
 		pending--
@@ -1063,36 +990,21 @@ func (p *Pool) getShardC(shard int, varName string, version int, region grid.Box
 				primaryFailed = true
 			}
 		case a.skipped:
-			// Breaker open: not an answer.
 			if a.j == 0 {
 				primaryFailed = true
 			}
-		case a.notFound:
-			if a.j == 0 {
-				rec.finish(p, nil)
-				return nil, nil
-			}
-			replicaEmpty = a.j
+		case a.j == 0:
+			rec.finish(p, nil)
+			return a.blocks, nil
 		default:
-			if a.j == 0 {
-				rec.finish(p, nil)
-				return a.blocks, nil
-			}
-			replicaBlocks, replicaJ = a.blocks, a.j
+			held = &a
 		}
-		if primaryFailed {
-			if replicaBlocks != nil {
-				p.noteFailover(shard, p.eps[(shard+replicaJ)%n].idx)
-				rec.markFailover(p.eps[(shard+replicaJ)%n].idx)
-				rec.finish(p, nil)
-				return replicaBlocks, nil
-			}
-			if replicaEmpty >= 0 {
-				p.noteFailover(shard, p.eps[(shard+replicaEmpty)%n].idx)
-				rec.markFailover(p.eps[(shard+replicaEmpty)%n].idx)
-				rec.finish(p, nil)
-				return nil, nil
-			}
+		if primaryFailed && held != nil {
+			served := p.eps[(shard+held.j)%n].idx
+			p.noteFailover(shard, served)
+			rec.markFailover(served)
+			rec.finish(p, nil)
+			return held.blocks, nil
 		}
 		if pending == 0 && next < p.replicas {
 			read(next)
@@ -1129,28 +1041,14 @@ func (p *Pool) DropBefore(varName string, version int) (int64, error) {
 	if err != nil {
 		return 0, err
 	}
-	if p.conc > 1 {
-		return p.dropBeforeConcurrent(varName, version)
-	}
-	p.mu.Lock()
-	defer p.mu.Unlock()
-	var freed int64
-	for i := range p.eps {
-		rec := p.dropRec(i, version, varName)
-		freed += p.dropOnEndpoint(i, varName, version, rec, rec.nowNs())
-	}
-	p.dropLive(varName, version)
-	return freed, nil
-}
-
-// dropBeforeConcurrent fans the per-endpoint evictions out to the workers.
-func (p *Pool) dropBeforeConcurrent(varName string, version int) (int64, error) {
+	p.lockOp()
+	defer p.unlockOp()
 	ch := make(chan int64, len(p.eps))
-	for i := range p.eps {
-		i := i
-		rec := p.dropRec(i, version, varName)
+	for i, ep := range p.eps {
+		rec := p.newOpRec(opRankDrop, uint64(i), int64(version), "pool:drop",
+			fmt.Sprintf("var=%s below=%d ep=%d", varName, version, i))
 		enq := rec.nowNs()
-		p.submit(p.eps[i], func() {
+		p.submit(ep, func() {
 			ch <- p.dropOnEndpoint(i, varName, version, rec, enq)
 		})
 	}
@@ -1162,16 +1060,9 @@ func (p *Pool) dropBeforeConcurrent(varName string, version int) (int64, error) 
 	return freed, nil
 }
 
-// dropRec starts the span record for one endpoint's eviction.
-func (p *Pool) dropRec(i, version int, varName string) *opRec {
-	return p.newOpRec(opRankDrop, uint64(i), int64(version), "pool:drop",
-		fmt.Sprintf("var=%s below=%d ep=%d", varName, version, i))
-}
-
 // dropOnEndpoint evicts varName (and the replica variables endpoint i
 // hosts) below version on that endpoint, returning bytes freed. enq is the
-// wall stamp taken at submit time (queue-wait measurement; the serialized
-// path stamps it just before the inline call, so the wait is ~0).
+// wall stamp taken at submit time (queue-wait measurement).
 func (p *Pool) dropOnEndpoint(i int, varName string, version int, rec *opRec, enq int64) int64 {
 	q0 := rec.nowNs()
 	ep := p.eps[i]
@@ -1395,10 +1286,7 @@ func (p *Pool) fetchShard(shard int, exclude *endpoint, varName string, version 
 		if src == exclude || p.isDown(src) {
 			continue
 		}
-		name := varName
-		if j > 0 {
-			name = replicaVar(varName, shard)
-		}
+		name := replicaName(varName, shard, j)
 		blocks, err := p.fetchFrom(src, name, version)
 		switch {
 		case err == nil:
@@ -1416,32 +1304,31 @@ func (p *Pool) fetchShard(shard int, exclude *endpoint, varName string, version 
 }
 
 // fetchFrom reads every block of name@version from src for a repair pass.
-// On the concurrent path the read runs on src's own worker so it is
-// ordered behind the replica write of any put whose primary-side write the
-// repairing endpoint has already seen (putConcurrent enqueues replicas
-// first) — a direct client call here could read the replica variable an
-// instant before that write lands and the repair would silently drop the
-// block. The job goes straight onto src's queue, skipping the execution
-// semaphore, and the repair's own slot is handed back while it waits:
-// concurrent repairs each hold one slot, so borrowing a second could
-// exhaust the pool and deadlock the workers against each other. Down
-// sources are filtered by the caller, so src's worker is never parked in a
-// repair of its own and the queue drains.
-func (p *Pool) fetchFrom(src *endpoint, name string, version int) ([]*field.BoxData, error) {
-	if p.conc <= 1 {
-		return src.client.GetBlocks(name, version, allRegion)
+// With workers the read runs on src's own worker so it is ordered behind
+// the replica write of any put whose primary-side write the repairing
+// endpoint has already seen (Put enqueues replicas first) — a direct client
+// call here could read the replica variable an instant before that write
+// lands and the repair would silently drop the block. The job goes straight
+// onto src's queue, skipping the execution semaphore, and the repair's own
+// slot is handed back while it waits: concurrent repairs each hold one
+// slot, so borrowing a second could exhaust the pool and deadlock the
+// workers against each other. Down sources are filtered by the caller, so
+// src's worker is never parked in a repair of its own and the queue drains.
+// Inline the repair already runs inside the one admitted operation, so the
+// read is a direct call.
+func (p *Pool) fetchFrom(src *endpoint, name string, version int) (blocks []*field.BoxData, err error) {
+	read := func() { blocks, err = src.client.GetBlocks(name, version, allRegion) }
+	if p.inline() {
+		read()
+		return blocks, err
 	}
-	type fetchRes struct {
-		blocks []*field.BoxData
-		err    error
-	}
-	done := make(chan fetchRes, 1)
+	done := make(chan struct{})
 	src.jobs <- func() {
-		blocks, err := src.client.GetBlocks(name, version, allRegion)
-		done <- fetchRes{blocks, err}
+		read()
+		close(done)
 	}
 	<-p.sem // hand back the repair's execution slot while waiting
-	r := <-done
+	<-done
 	p.sem <- struct{}{}
-	return r.blocks, r.err
+	return blocks, err
 }

@@ -31,8 +31,7 @@ func newPoolRig(t *testing.T, n, replicas int) *poolRig {
 			t.Fatal(err)
 		}
 		g := faultnet.NewGate(ln)
-		srv := ServeOn(g, sp)
-		t.Cleanup(func() { srv.Close() })
+		serveOn(t, g, sp)
 		rig.gates = append(rig.gates, g)
 		rig.spaces = append(rig.spaces, sp)
 		addrs = append(addrs, ln.Addr().String())

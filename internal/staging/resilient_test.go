@@ -27,9 +27,7 @@ func faultServer(t *testing.T, plan faultnet.Plan) *Server {
 	if err != nil {
 		t.Fatal(err)
 	}
-	srv := ServeOn(faultnet.Listen(ln, plan), NewSpace(2, 0, dom()))
-	t.Cleanup(func() { srv.Close() })
-	return srv
+	return serveOn(t, faultnet.Listen(ln, plan), NewSpace(2, 0, dom()))
 }
 
 func TestClientReconnectsAfterRefusedFirstConn(t *testing.T) {
@@ -120,9 +118,8 @@ func TestPutRetriesAreIdempotent(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	faulty := ServeOn(faultnet.Listen(ln, faultnet.Plan{Seed: 11, CorruptRate: 1}), sp)
-	defer faulty.Close()
-	healthy, err := Serve("127.0.0.1:0", sp)
+	faulty := serveOn(t, faultnet.Listen(ln, faultnet.Plan{Seed: 11, CorruptRate: 1}), sp)
+	healthy, err := ServeOptions("127.0.0.1:0", sp, ServerOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -223,7 +220,7 @@ func TestServerCloseSeversInFlightConns(t *testing.T) {
 	// its wg.Wait) hanging. Open a raw connection, send a partial request
 	// header, and demand Close returns promptly.
 	sp := NewSpace(1, 0, dom())
-	srv, err := Serve("127.0.0.1:0", sp)
+	srv, err := ServeOptions("127.0.0.1:0", sp, ServerOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -248,7 +245,7 @@ func TestServerCloseSeversInFlightConns(t *testing.T) {
 
 func TestServerCloseRejectsLateConns(t *testing.T) {
 	sp := NewSpace(1, 0, dom())
-	srv, err := Serve("127.0.0.1:0", sp)
+	srv, err := ServeOptions("127.0.0.1:0", sp, ServerOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}

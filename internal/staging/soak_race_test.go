@@ -48,8 +48,7 @@ func TestConcurrentPoolFaultSoak(t *testing.T) {
 			t.Fatal(err)
 		}
 		g := faultnet.NewGate(ln)
-		srv := ServeOn(faultnet.Listen(g, plan), sp)
-		t.Cleanup(func() { srv.Close() })
+		serveOn(t, faultnet.Listen(g, plan), sp)
 		gates = append(gates, g)
 		spaces = append(spaces, sp)
 		addrs = append(addrs, ln.Addr().String())

@@ -138,8 +138,7 @@ type ServerOptions struct {
 	// DataDir, when set, makes the server durable: the space is persisted
 	// under this directory (write-ahead log + snapshot compaction, see
 	// wal.go) and a previous incarnation's state is recovered from it at
-	// construction. Only NewServer honors it — recovery can fail, and the
-	// panic-free constructors refuse the option.
+	// construction.
 	DataDir string
 
 	// ServerID names this server inside its data dir's file headers, so a
@@ -285,13 +284,8 @@ func (c *countingConn) Write(b []byte) (int, error) {
 	return n, err
 }
 
-// Serve starts a server on addr (e.g. "127.0.0.1:0") backed by space.
-func Serve(addr string, space *Space) (*Server, error) {
-	return ServeOptions(addr, space, ServerOptions{})
-}
-
-// ServeOptions starts a server on addr with explicit options, including
-// DataDir persistence.
+// ServeOptions listens on addr (e.g. "127.0.0.1:0") and starts a server
+// there — NewServer for callers that do not bring their own listener.
 func ServeOptions(addr string, space *Space, opts ServerOptions) (*Server, error) {
 	ln, err := net.Listen("tcp", addr)
 	if err != nil {
@@ -300,27 +294,12 @@ func ServeOptions(addr string, space *Space, opts ServerOptions) (*Server, error
 	return NewServer(ln, space, opts)
 }
 
-// ServeOn starts a server on an existing listener — the hook fault-injection
-// harnesses use to interpose a wrapped listener (e.g. faultnet.Listen).
-func ServeOn(ln net.Listener, space *Space) *Server {
-	return ServeOnOptions(ln, space, ServerOptions{})
-}
-
-// ServeOnOptions starts a server on an existing listener with explicit
-// admission options. It cannot report a recovery failure, so it refuses
-// DataDir — use NewServer for durable servers.
-func ServeOnOptions(ln net.Listener, space *Space, opts ServerOptions) *Server {
-	if opts.DataDir != "" {
-		panic("staging: ServeOnOptions cannot recover a DataDir; use NewServer")
-	}
-	s, _ := NewServer(ln, space, opts)
-	return s
-}
-
-// NewServer is the full server constructor. When opts.DataDir is set the
-// space is persisted under it first — recovering a previous incarnation's
-// write-ahead log and snapshot — and a recovery failure closes ln and is
-// returned instead of serving over wrong state.
+// NewServer starts a server on an existing listener — the hook
+// fault-injection harnesses use to interpose a wrapped listener (e.g.
+// faultnet.Listen). When opts.DataDir is set the space is persisted under it
+// first — recovering a previous incarnation's write-ahead log and snapshot —
+// and a recovery failure closes ln and is returned instead of serving over
+// wrong state; without DataDir NewServer cannot fail.
 func NewServer(ln net.Listener, space *Space, opts ServerOptions) (*Server, error) {
 	var recovered *RecoverStats
 	if opts.DataDir != "" {

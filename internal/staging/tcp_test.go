@@ -5,6 +5,7 @@ import (
 	"errors"
 	"math"
 	"math/rand"
+	"net"
 	"sync"
 	"testing"
 
@@ -74,10 +75,22 @@ func TestCodecRejectsAbsurdHeader(t *testing.T) {
 	}
 }
 
+// serveOn starts a non-durable server on ln — typically a fault-injecting
+// wrapper — and closes it with the test.
+func serveOn(t testing.TB, ln net.Listener, sp *Space) *Server {
+	t.Helper()
+	srv, err := NewServer(ln, sp, ServerOptions{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() { srv.Close() })
+	return srv
+}
+
 func startServer(t *testing.T) (*Server, *Client) {
 	t.Helper()
 	sp := NewSpace(4, 0, dom())
-	srv, err := Serve("127.0.0.1:0", sp)
+	srv, err := ServeOptions("127.0.0.1:0", sp, ServerOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -114,7 +127,7 @@ func TestTCPNotFound(t *testing.T) {
 
 func TestTCPNoMemory(t *testing.T) {
 	sp := NewSpace(1, 100, dom()) // tiny capacity
-	srv, err := Serve("127.0.0.1:0", sp)
+	srv, err := ServeOptions("127.0.0.1:0", sp, ServerOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -212,7 +225,7 @@ func TestTCPSharedClientConcurrent(t *testing.T) {
 
 func TestServerCloseUnblocksAccept(t *testing.T) {
 	sp := NewSpace(1, 0, dom())
-	srv, err := Serve("127.0.0.1:0", sp)
+	srv, err := ServeOptions("127.0.0.1:0", sp, ServerOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -188,11 +188,14 @@ func startAdmissionServer(t *testing.T, maxConns, backlog int) (*Server, *counti
 	if err != nil {
 		t.Fatal(err)
 	}
-	srv := ServeOnOptions(ln, sp, ServerOptions{
+	srv, err := NewServer(ln, sp, ServerOptions{
 		MaxConns: maxConns,
 		Backlog:  backlog,
 		Events:   obs.NewEmitter(sink),
 	})
+	if err != nil {
+		t.Fatal(err)
+	}
 	srv.Observe(reg)
 	t.Cleanup(func() { srv.Close() })
 	return srv, sink, reg
@@ -379,6 +382,10 @@ func TestAdmissionQuotaReconciliation(t *testing.T) {
 					t.Fatalf("op %d: %v", op, err)
 				}
 				cl.Close()
+				// The handler releases its admission slot asynchronously
+				// after the close; a dial that beats the release could find
+				// every slot taken and be shed.
+				waitFor(t, "slot released", func() bool { return len(srv.slots) == 0 })
 			}
 			if rejected == 0 {
 				t.Fatalf("seed produced no quota rejections; tighten the generator")

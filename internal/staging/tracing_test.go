@@ -138,8 +138,7 @@ func TestOldClientNewServerInterop(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	srv := ServeOn(ln, space)
-	defer srv.Close()
+	srv := serveOn(t, ln, space)
 	sink := &span.MemSink{}
 	srv.Trace(span.NewTracer(sink, "interop-server"))
 
@@ -202,8 +201,7 @@ func TestTracedClientServerChildSpans(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	srv := ServeOn(ln, space)
-	defer srv.Close()
+	srv := serveOn(t, ln, space)
 	sink := &span.MemSink{}
 	srv.Trace(span.NewTracer(sink, "interop-server"))
 
@@ -375,9 +373,8 @@ func newPoolRigConc(t *testing.T, n, replicas, conc int) *poolRig {
 			t.Fatal(err)
 		}
 		g := faultnet.NewGate(ln)
-		srv := ServeOn(g, sp)
+		serveOn(t, g, sp)
 		rig.gates = append(rig.gates, g)
-		t.Cleanup(func() { srv.Close() })
 		rig.spaces = append(rig.spaces, sp)
 		addrs = append(addrs, ln.Addr().String())
 	}

@@ -1,9 +1,11 @@
 package crosslayer_test
 
 import (
+	"bytes"
 	"os"
 	"os/exec"
 	"path/filepath"
+	"strings"
 	"testing"
 
 	"crosslayer"
@@ -115,5 +117,43 @@ func TestXlayerFaultFlagSmoke(t *testing.T) {
 	}
 	if !degraded {
 		t.Error("no degraded step in the fault-injected trace")
+	}
+}
+
+// TestXlayerRunJournalParity pins that `xlayer run` has one wiring path: the
+// same fault-injected flags with and without -journal must print the same
+// staging transport line and write identical step traces.
+func TestXlayerRunJournalParity(t *testing.T) {
+	if testing.Short() {
+		t.Skip("skipping CLI build in -short mode")
+	}
+	dir := t.TempDir()
+	run := func(name string, extra ...string) (transport string, trace []byte) {
+		t.Helper()
+		tracePath := filepath.Join(dir, name+".jsonl")
+		out := buildAndRun(t, "./cmd/xlayer", append([]string{
+			"run", "-steps", "2", "-placement", "intransit",
+			"-fault", "seed=7,refuse=-1", "-jsonl", tracePath}, extra...)...)
+		for _, line := range strings.Split(out, "\n") {
+			if strings.HasPrefix(line, "staging transport:") {
+				transport = line
+			}
+		}
+		if transport == "" {
+			t.Fatalf("%s run printed no staging transport line:\n%s", name, out)
+		}
+		trace, err := os.ReadFile(tracePath)
+		if err != nil {
+			t.Fatalf("trace artifact missing: %v", err)
+		}
+		return transport, trace
+	}
+	plainLine, plainTrace := run("plain")
+	journalLine, journalTrace := run("journaled", "-journal", filepath.Join(dir, "run.xlj"))
+	if plainLine != journalLine {
+		t.Errorf("transport lines differ:\n  plain:     %s\n  journaled: %s", plainLine, journalLine)
+	}
+	if !bytes.Equal(plainTrace, journalTrace) {
+		t.Errorf("step traces differ with and without -journal:\n%s\nvs\n%s", plainTrace, journalTrace)
 	}
 }
