@@ -25,6 +25,7 @@ type FluxRegister struct {
 	coarse map[FaceKey][]float64 // flux the coarse solver used
 	fine   map[FaceKey][]float64 // average of the fine fluxes (accumulated)
 	out    map[FaceKey]cfSide    // which coarse cell the correction lands on
+	order  []FaceKey             // registered faces in enumeration order (fine patch, direction, low then high side, row-major)
 }
 
 // FaceKey identifies a coarse face: the face at index Cell along Dir
@@ -79,6 +80,7 @@ func NewFluxRegister(h *Hierarchy, li int) *FluxRegister {
 			return // domain boundary or interior (fine-fine) face
 		}
 		reg.out[key] = cfSide{out: out, sign: sign}
+		reg.order = append(reg.order, key)
 	}
 	for _, cb := range cboxes {
 		for d := 0; d < 3; d++ {
@@ -158,10 +160,14 @@ func mod(a, b int) int {
 // Reflux applies the correction ΔU = sign·λ·(<F_fine> − F_coarse) to the
 // uncovered coarse cells, where λ = dt/dx on the coarse level. Faces that
 // saw only one side's flux (should not happen in a full step) are skipped.
+// Faces are visited in registration order, a function of the hierarchy
+// only: a coarse cell touching two coarse–fine faces receives its two
+// corrections in the same order on every run.
 func (fr *FluxRegister) Reflux(coarse *Level, lambda float64) {
 	fr.mu.Lock()
 	defer fr.mu.Unlock()
-	for key, side := range fr.out {
+	for _, key := range fr.order {
+		side := fr.out[key]
 		fc, okC := fr.coarse[key]
 		ff, okF := fr.fine[key]
 		if !okC || !okF {
