@@ -25,6 +25,9 @@ staticcheck:
 test:
 	$(GO) test ./...
 
+# Covers internal/solver's state-checksum, reference-kernel and scratch-
+# lifetime tests, which drive forEachPatch over lock-free flux registers and
+# per-patch scratch: their one-writer rules are checked here, not assumed.
 race:
 	$(GO) test -race ./...
 

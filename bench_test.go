@@ -196,33 +196,40 @@ func BenchmarkAblationReductionOff(b *testing.B) {
 // Micro benches: the kernels the cost model calibrates against.
 // ---------------------------------------------------------------------
 
+// The two solver-step benchmarks run the xbench solver configurations
+// (benchmarks/xbench/workloads.go: coupled-gas-mem and
+// coupled-advdiff-durable), so their ns/op and B/op are the solver layer of
+// those workloads; at -benchtime 32x / 40x they cover the same steps,
+// regrids included.
+
 func BenchmarkSolverStepGas(b *testing.B) {
 	s := solver.NewPolytropicGas(solver.GasConfig{
 		AMR: amr.Config{
 			Domain:     grid.NewBox(grid.IV(0, 0, 0), grid.IV(23, 23, 23)),
 			MaxLevel:   1,
 			MaxBoxSize: 12,
-			NRanks:     4,
+			NRanks:     8,
 		},
+		Reflux: true,
 	})
-	b.ResetTimer()
-	var cells int64
-	for i := 0; i < b.N; i++ {
-		cells += s.Step().CellsUpdated
-	}
-	b.ReportMetric(float64(cells)/float64(b.N), "cells/op")
+	benchSteps(b, s)
 }
 
 func BenchmarkSolverStepAdvDiff(b *testing.B) {
 	s := solver.NewAdvectionDiffusion(solver.AdvDiffConfig{
 		AMR: amr.Config{
-			Domain:     grid.NewBox(grid.IV(0, 0, 0), grid.IV(23, 23, 23)),
+			Domain:     grid.NewBox(grid.IV(0, 0, 0), grid.IV(31, 31, 31)),
 			MaxLevel:   1,
-			MaxBoxSize: 12,
-			NRanks:     4,
+			MaxBoxSize: 16,
+			NRanks:     8,
 			Periodic:   true,
 		},
 	})
+	benchSteps(b, s)
+}
+
+func benchSteps(b *testing.B, s solver.Simulation) {
+	b.ReportAllocs()
 	b.ResetTimer()
 	var cells int64
 	for i := 0; i < b.N; i++ {
@@ -302,17 +309,39 @@ func BenchmarkStagingPutGet(b *testing.B) {
 	}
 }
 
+// BenchmarkGhostFill fills the two-cell ghost shell of one five-component
+// patch: on a clamped base level (same-level copies and extrapolation), on
+// a periodic one (image copies), and on a fine level (coarse gather and
+// piecewise-constant fill).
 func BenchmarkGhostFill(b *testing.B) {
-	h := amr.NewHierarchy(amr.Config{
-		Domain:     grid.NewBox(grid.IV(0, 0, 0), grid.IV(31, 31, 31)),
-		NComp:      5,
-		MaxBoxSize: 16,
-		NRanks:     4,
-	})
-	p := h.Level(0).Patches[0]
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		h.FillGhost(0, p, 2)
+	for _, bc := range []struct {
+		name     string
+		periodic bool
+		level    int
+	}{{"base", false, 0}, {"periodic", true, 0}, {"level1", false, 1}} {
+		b.Run(bc.name, func(b *testing.B) {
+			h := amr.NewHierarchy(amr.Config{
+				Domain:     grid.NewBox(grid.IV(0, 0, 0), grid.IV(31, 31, 31)),
+				NComp:      5,
+				MaxLevel:   bc.level,
+				MaxBoxSize: 16,
+				NRanks:     4,
+				Periodic:   bc.periodic,
+			})
+			if bc.level > 0 {
+				var tags []grid.IntVect
+				grid.NewBox(grid.IV(12, 12, 12), grid.IV(19, 19, 19)).ForEach(func(q grid.IntVect) {
+					tags = append(tags, q)
+				})
+				h.Regrid(0, tags)
+			}
+			p := h.Level(bc.level).Patches[0]
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				h.FillGhost(bc.level, p, 2)
+			}
+		})
 	}
 }
 

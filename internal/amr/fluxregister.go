@@ -1,10 +1,6 @@
 package amr
 
-import (
-	"sync"
-
-	"crosslayer/internal/grid"
-)
+import "crosslayer/internal/grid"
 
 // FluxRegister implements Berger–Colella refluxing for one coarse–fine
 // level pair: it records the coarse fluxes crossing the fine level's
@@ -15,29 +11,33 @@ import (
 // its invariants on the composite grid exactly, not just per level.
 //
 // Face convention: the face with index i along direction d separates cells
-// i-1 and i; a face key holds the face's cell-i coordinate. All keys are in
-// the coarse level's index space.
+// i-1 and i and is named by its cell-i coordinate, in the coarse level's
+// index space.
+//
+// Fluxes live in dense per-face slots with no lock. Concurrent sweeps are
+// safe because each slot has one writer: a solver records the coarse flux
+// of a face only from the patch that contains the face's own cell, and all
+// r² fine sub-faces of a coarse face belong to one fine patch (fine patch
+// boundaries lie on coarse face planes).
 type FluxRegister struct {
-	ncomp int
-	ratio int
+	ncomp  int
+	ratio  int
+	cboxes []grid.Box // coarsened fine patch boxes the face set was built from
 
-	mu     sync.Mutex
-	coarse map[FaceKey][]float64 // flux the coarse solver used
-	fine   map[FaceKey][]float64 // average of the fine fluxes (accumulated)
-	out    map[FaceKey]cfSide    // which coarse cell the correction lands on
-	order  []FaceKey             // registered faces in enumeration order (fine patch, direction, low then high side, row-major)
+	// faces is in enumeration order — fine patch, direction, low then high
+	// side, row-major — a function of the hierarchy only, so Reflux applies
+	// its corrections in the same order on every run.
+	faces  []cfFace
+	bounds grid.Box   // covers the cell of every face
+	slot   [3][]int32 // per direction over bounds: 1 + index into faces, 0 for none
+
+	coarse, fine       []float64 // ncomp values per face
+	hasCoarse, hasFine []bool
 }
 
-// FaceKey identifies a coarse face: the face at index Cell along Dir
-// (between Cell-1 and Cell).
-type FaceKey struct {
-	Cell grid.IntVect
-	Dir  int
-}
-
-// cfSide records the uncovered coarse cell adjacent to a coarse–fine face
+// cfFace records the uncovered coarse cell adjacent to a coarse–fine face
 // and the sign with which the face's flux enters that cell's update.
-type cfSide struct {
+type cfFace struct {
 	out  grid.IntVect
 	sign float64 // +1: face contributes +λF to out; -1: contributes −λF
 }
@@ -50,78 +50,91 @@ func NewFluxRegister(h *Hierarchy, li int) *FluxRegister {
 	if li < 1 || li > h.FinestLevel() {
 		panic("amr: FluxRegister needs an existing fine level")
 	}
-	r := h.Cfg.RefRatio
-	fine := h.Levels[li]
+	reg := &FluxRegister{ncomp: h.Cfg.NComp, ratio: h.Cfg.RefRatio, bounds: grid.Empty()}
 	coarseDomain := h.Levels[li-1].Domain
 
 	// Coarsened fine union, for coverage queries.
-	var cboxes []grid.Box
-	for _, p := range fine.Patches {
-		cboxes = append(cboxes, p.Box.Coarsen(r))
+	for _, p := range h.Levels[li].Patches {
+		cb := p.Box.Coarsen(reg.ratio)
+		reg.cboxes = append(reg.cboxes, cb)
+		reg.bounds = reg.bounds.Union(grid.NewBox(cb.Lo, cb.Hi.Add(grid.Unit)))
 	}
 	covered := func(c grid.IntVect) bool {
-		for _, b := range cboxes {
+		for _, b := range reg.cboxes {
 			if b.Contains(c) {
 				return true
 			}
 		}
 		return false
 	}
-
-	reg := &FluxRegister{
-		ncomp:  h.Cfg.NComp,
-		ratio:  r,
-		coarse: make(map[FaceKey][]float64),
-		fine:   make(map[FaceKey][]float64),
-		out:    make(map[FaceKey]cfSide),
+	for d := range reg.slot {
+		reg.slot[d] = make([]int32, reg.bounds.NumCells())
 	}
-	addFace := func(key FaceKey, out grid.IntVect, sign float64) {
+	addFace := func(cell grid.IntVect, d int, out grid.IntVect, sign float64) {
 		if !coarseDomain.Contains(out) || covered(out) {
 			return // domain boundary or interior (fine-fine) face
 		}
-		reg.out[key] = cfSide{out: out, sign: sign}
-		reg.order = append(reg.order, key)
+		reg.faces = append(reg.faces, cfFace{out: out, sign: sign})
+		reg.slot[d][reg.bounds.Offset(cell)] = int32(len(reg.faces))
 	}
-	for _, cb := range cboxes {
+	for _, cb := range reg.cboxes {
 		for d := 0; d < 3; d++ {
 			// Low-side faces: face index = cb.Lo along d; outside cell is
 			// one below, and the face contributes −λF to it.
 			loFace := grid.NewBox(cb.Lo, cb.Hi.WithComp(d, cb.Lo.Comp(d)))
 			loFace.ForEach(func(q grid.IntVect) {
-				key := FaceKey{Cell: q, Dir: d}
-				addFace(key, q.WithComp(d, q.Comp(d)-1), -1)
+				addFace(q, d, q.WithComp(d, q.Comp(d)-1), -1)
 			})
 			// High-side faces: face index = cb.Hi+1 along d; outside cell
 			// is the face's own index cell, contribution +λF.
 			hiFace := grid.NewBox(cb.Lo.WithComp(d, cb.Hi.Comp(d)+1), cb.Hi.WithComp(d, cb.Hi.Comp(d)+1))
 			hiFace.ForEach(func(q grid.IntVect) {
-				key := FaceKey{Cell: q, Dir: d}
-				addFace(key, q, +1)
+				addFace(q, d, q, +1)
 			})
 		}
 	}
+	n := len(reg.faces)
+	reg.coarse, reg.fine = make([]float64, n*reg.ncomp), make([]float64, n*reg.ncomp)
+	reg.hasCoarse, reg.hasFine = make([]bool, n), make([]bool, n)
 	return reg
 }
 
+// Matches reports whether the face set still describes fine level li of h:
+// it does until a regrid changes that level's boxes.
+func (fr *FluxRegister) Matches(h *Hierarchy, li int) bool {
+	if li > h.FinestLevel() || len(h.Levels[li].Patches) != len(fr.cboxes) {
+		return false
+	}
+	for i, p := range h.Levels[li].Patches {
+		if p.Box.Coarsen(fr.ratio) != fr.cboxes[i] {
+			return false
+		}
+	}
+	return true
+}
+
 // NumFaces returns the number of registered coarse–fine faces.
-func (fr *FluxRegister) NumFaces() int { return len(fr.out) }
+func (fr *FluxRegister) NumFaces() int { return len(fr.faces) }
+
+// face returns the index of the registered face at cell along dir (coarse
+// index space), or -1.
+func (fr *FluxRegister) face(cell grid.IntVect, dir int) int {
+	if !fr.bounds.Contains(cell) {
+		return -1
+	}
+	return int(fr.slot[dir][fr.bounds.Offset(cell)]) - 1
+}
 
 // RecordCoarse stores the coarse solver's flux at a face (coarse index
 // space). Faces that are not coarse–fine boundary faces are ignored, so the
 // solver can call it unconditionally from its face sweep.
 func (fr *FluxRegister) RecordCoarse(cell grid.IntVect, dir int, flux []float64) {
-	key := FaceKey{Cell: cell, Dir: dir}
-	if _, ok := fr.out[key]; !ok {
+	i := fr.face(cell, dir)
+	if i < 0 {
 		return
 	}
-	fr.mu.Lock()
-	defer fr.mu.Unlock()
-	cp := fr.coarse[key]
-	if cp == nil {
-		cp = make([]float64, fr.ncomp)
-		fr.coarse[key] = cp
-	}
-	copy(cp, flux)
+	copy(fr.coarse[i*fr.ncomp:(i+1)*fr.ncomp], flux)
+	fr.hasCoarse[i] = true
 }
 
 // AccumFine accumulates a fine-level face flux (fine index space) onto its
@@ -132,21 +145,16 @@ func (fr *FluxRegister) AccumFine(cell grid.IntVect, dir int, flux []float64) {
 	if mod(cell.Comp(dir), fr.ratio) != 0 {
 		return // not aligned with a coarse face plane
 	}
-	key := FaceKey{Cell: cell.Div(fr.ratio), Dir: dir}
-	if _, ok := fr.out[key]; !ok {
+	i := fr.face(cell.Div(fr.ratio), dir)
+	if i < 0 {
 		return
 	}
 	w := 1.0 / float64(fr.ratio*fr.ratio)
-	fr.mu.Lock()
-	defer fr.mu.Unlock()
-	fp := fr.fine[key]
-	if fp == nil {
-		fp = make([]float64, fr.ncomp)
-		fr.fine[key] = fp
-	}
+	fp := fr.fine[i*fr.ncomp : (i+1)*fr.ncomp]
 	for c := range fp {
 		fp[c] += w * flux[c]
 	}
+	fr.hasFine[i] = true
 }
 
 func mod(a, b int) int {
@@ -158,27 +166,21 @@ func mod(a, b int) int {
 }
 
 // Reflux applies the correction ΔU = sign·λ·(<F_fine> − F_coarse) to the
-// uncovered coarse cells, where λ = dt/dx on the coarse level. Faces that
-// saw only one side's flux (should not happen in a full step) are skipped.
-// Faces are visited in registration order, a function of the hierarchy
-// only: a coarse cell touching two coarse–fine faces receives its two
-// corrections in the same order on every run.
+// uncovered coarse cells, where λ = dt/dx on the coarse level, visiting
+// faces in enumeration order. Faces that saw only one side's flux (should
+// not happen in a full step) are skipped.
 func (fr *FluxRegister) Reflux(coarse *Level, lambda float64) {
-	fr.mu.Lock()
-	defer fr.mu.Unlock()
-	for _, key := range fr.order {
-		side := fr.out[key]
-		fc, okC := fr.coarse[key]
-		ff, okF := fr.fine[key]
-		if !okC || !okF {
+	for i, f := range fr.faces {
+		if !fr.hasCoarse[i] || !fr.hasFine[i] {
 			continue
 		}
+		fc, ff := fr.coarse[i*fr.ncomp:], fr.fine[i*fr.ncomp:]
 		for _, p := range coarse.Patches {
-			if !p.Box.Contains(side.out) {
+			if !p.Box.Contains(f.out) {
 				continue
 			}
 			for c := 0; c < fr.ncomp; c++ {
-				p.Data.Add(side.out, c, side.sign*lambda*(ff[c]-fc[c]))
+				p.Data.Add(f.out, c, f.sign*lambda*(ff[c]-fc[c]))
 			}
 			break
 		}
@@ -188,8 +190,7 @@ func (fr *FluxRegister) Reflux(coarse *Level, lambda float64) {
 // Reset clears accumulated fluxes so the register can be reused for the
 // next step (the face set is still valid until the next regrid).
 func (fr *FluxRegister) Reset() {
-	fr.mu.Lock()
-	defer fr.mu.Unlock()
-	fr.coarse = make(map[FaceKey][]float64)
-	fr.fine = make(map[FaceKey][]float64)
+	clear(fr.fine)
+	clear(fr.hasCoarse)
+	clear(fr.hasFine)
 }

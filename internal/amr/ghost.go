@@ -5,6 +5,17 @@ import (
 	"crosslayer/internal/grid"
 )
 
+// GhostScratch holds the buffers of one ghost fill. A caller that fills
+// the same patch every step keeps one per patch and passes it to
+// FillGhostInto; every fill reshapes the buffers to the patch it is given
+// and rewrites all of them, so a scratch that outlives a regrid is safe to
+// reuse. The zero value is ready to use.
+type GhostScratch struct {
+	data   *field.BoxData // the ghost-extended patch
+	coarse *field.BoxData // coarse level gathered under the ghost box
+	filled []bool         // per ghost-box cell: already has its value
+}
+
 // FillGhost returns patch data extended by ng ghost cells, filled in
 // priority order from (1) same-level patches, including periodic images
 // when the domain is periodic, (2) the next coarser level by
@@ -13,7 +24,7 @@ import (
 //
 // The returned BoxData covers p.Box.Grow(ng); the interior equals p.Data.
 func (h *Hierarchy) FillGhost(li int, p *Patch, ng int) *field.BoxData {
-	return h.fillGhost(li, p, ng, nil)
+	return h.FillGhostInto(&GhostScratch{}, li, p, ng, nil, 0)
 }
 
 // FillGhostBlended is FillGhost with the coarse source replaced by a time
@@ -24,50 +35,44 @@ func (h *Hierarchy) FillGhost(li int, p *Patch, ng int) *field.BoxData {
 // at theta = (t−T)/Δ. oldCoarse must parallel the coarse level's patches
 // (a snapshot taken before the coarse level advanced).
 func (h *Hierarchy) FillGhostBlended(li int, p *Patch, ng int, oldCoarse []*field.BoxData, theta float64) *field.BoxData {
-	if li == 0 {
-		return h.fillGhost(li, p, ng, nil)
-	}
-	coarse := h.Levels[li-1]
-	if len(oldCoarse) != len(coarse.Patches) {
+	if li > 0 && len(oldCoarse) != len(h.Levels[li-1].Patches) {
 		panic("amr: FillGhostBlended snapshot does not match the coarse level")
 	}
-	blend := func(cdata *field.BoxData) {
-		for j, cp := range coarse.Patches {
-			if !cp.Box.Intersects(cdata.Box) {
-				continue
-			}
-			is := cp.Box.Intersect(cdata.Box)
-			tmp := oldCoarse[j].Subset(is)
-			for c := 0; c < h.Cfg.NComp; c++ {
-				tmp.Scale(c, 1-theta)
-				tmp.Axpy(theta, cp.Data, c, c)
-			}
-			cdata.CopyFrom(tmp)
-		}
-	}
-	return h.fillGhost(li, p, ng, blend)
+	return h.FillGhostInto(&GhostScratch{}, li, p, ng, oldCoarse, theta)
 }
 
-// fillGhost implements both fill variants; coarseFill, when non-nil,
-// populates the gathered coarse snapshot instead of the default copy from
-// the current coarse level.
-func (h *Hierarchy) fillGhost(li int, p *Patch, ng int, coarseFill func(*field.BoxData)) *field.BoxData {
+// FillGhostInto is the ghost fill behind FillGhost (oldCoarse nil) and
+// FillGhostBlended, writing into s's buffers. The result is owned by s and
+// valid until s is filled again.
+func (h *Hierarchy) FillGhostInto(s *GhostScratch, li int, p *Patch, ng int, oldCoarse []*field.BoxData, theta float64) *field.BoxData {
+	return h.fillGhost(s, li, p, ng, 0, h.Cfg.NComp, oldCoarse, theta)
+}
+
+// fillGhost fills components [c0, c0+nc) of the ghost-extended patch. All
+// copying is by rows of the x-fastest layout; nothing is done per cell
+// except the two fallback fills, which touch only cells no patch covers.
+func (h *Hierarchy) fillGhost(s *GhostScratch, li int, p *Patch, ng, c0, nc int, oldCoarse []*field.BoxData, theta float64) *field.BoxData {
 	l := h.Levels[li]
 	gb := p.Box.Grow(ng)
-	out := field.New(gb, h.Cfg.NComp)
-	filled := make([]bool, gb.NumCells())
-
-	markCopied := func(src grid.Box) {
-		is := gb.Intersect(src)
-		is.ForEach(func(q grid.IntVect) { filled[gb.Offset(q)] = true })
+	out := field.Sized(s.data, gb, nc)
+	s.data = out
+	if n := int(gb.NumCells()); cap(s.filled) < n {
+		s.filled = make([]bool, n)
+	} else {
+		s.filled = s.filled[:n]
+		clear(s.filled)
+	}
+	filled := s.filled
+	copyRows := func(sp *Patch, shift grid.IntVect) {
+		if is := gb.Intersect(sp.Box.Shift(shift)); !is.IsEmpty() {
+			out.CopyRegion(sp.Data, is, shift, 0, c0, nc)
+			markRows(filled, gb, is)
+		}
 	}
 
 	// (1) same-level copies.
 	for _, sp := range l.Patches {
-		if sp.Box.Intersects(gb) {
-			out.CopyFrom(sp.Data)
-			markCopied(sp.Box)
-		}
+		copyRows(sp, grid.Zero)
 	}
 
 	// (1b) periodic images: copy each patch shifted by all non-zero
@@ -80,17 +85,8 @@ func (h *Hierarchy) fillGhost(li int, p *Patch, ng int, coarseFill func(*field.B
 					if sx == 0 && sy == 0 && sz == 0 {
 						continue
 					}
-					shift := grid.IV(sx*ext.X, sy*ext.Y, sz*ext.Z)
 					for _, sp := range l.Patches {
-						sb := sp.Box.Shift(shift)
-						if !sb.Intersects(gb) {
-							continue
-						}
-						is := gb.Intersect(sb)
-						is.ForEach(func(q grid.IntVect) {
-							out.CopyCell(q, sp.Data, q.Sub(shift))
-							filled[gb.Offset(q)] = true
-						})
+						copyRows(sp, grid.IV(sx*ext.X, sy*ext.Y, sz*ext.Z))
 					}
 				}
 			}
@@ -100,39 +96,86 @@ func (h *Hierarchy) fillGhost(li int, p *Patch, ng int, coarseFill func(*field.B
 	// (2) coarse interpolation for unfilled in-domain cells.
 	if li > 0 {
 		r := h.Cfg.RefRatio
-		coarse := h.Levels[li-1]
 		cgb := gb.Coarsen(r)
-		cdata := field.New(cgb, h.Cfg.NComp)
-		if coarseFill != nil {
-			coarseFill(cdata)
-		} else {
-			for _, cp := range coarse.Patches {
-				cdata.CopyFrom(cp.Data)
+		cdata := field.Sized(s.coarse, cgb, nc)
+		s.coarse = cdata
+		cdata.FillAll(0) // cells under no coarse patch read as zero
+		for j, cp := range h.Levels[li-1].Patches {
+			is := cgb.Intersect(cp.Box)
+			if is.IsEmpty() {
+				continue
+			}
+			if oldCoarse == nil {
+				cdata.CopyRegion(cp.Data, is, grid.Zero, 0, c0, nc)
+				continue
+			}
+			cdata.CopyRegion(oldCoarse[j], is, grid.Zero, 0, c0, nc)
+			nx := is.Size().X
+			for c := 0; c < nc; c++ {
+				cd, cur := cdata.Comp(c), cp.Data.Comp(c0+c)
+				for z := is.Lo.Z; z <= is.Hi.Z; z++ {
+					for y := is.Lo.Y; y <= is.Hi.Y; y++ {
+						o, so := cgb.Offset(grid.IV(is.Lo.X, y, z)), cp.Box.Offset(grid.IV(is.Lo.X, y, z))
+						for i := 0; i < nx; i++ {
+							cd[o+i] = cd[o+i]*(1-theta) + theta*cur[so+i]
+						}
+					}
+				}
 			}
 		}
-		gb.ForEach(func(q grid.IntVect) {
-			if filled[gb.Offset(q)] || !l.Domain.Contains(q) {
-				return
+		dom := gb.Intersect(l.Domain)
+		for c := 0; c < nc; c++ {
+			oc, cc := out.Comp(c), cdata.Comp(c)
+			for z := dom.Lo.Z; z <= dom.Hi.Z; z++ {
+				for y := dom.Lo.Y; y <= dom.Hi.Y; y++ {
+					// co walks the coarse row under this fine row; sub is
+					// the fine cell's position inside its coarse cell.
+					first := grid.IV(dom.Lo.X, y, z).Div(r)
+					co, sub := cgb.Offset(first), dom.Lo.X-first.X*r
+					o := gb.Offset(grid.IV(dom.Lo.X, y, z))
+					for x := dom.Lo.X; x <= dom.Hi.X; x, o = x+1, o+1 {
+						if !filled[o] {
+							oc[o] = cc[co]
+						}
+						if sub++; sub == r {
+							sub, co = 0, co+1
+						}
+					}
+				}
 			}
-			cq := q.Div(r)
-			for c := 0; c < h.Cfg.NComp; c++ {
-				out.Set(q, c, cdata.Get(cq, c))
-			}
-			filled[gb.Offset(q)] = true
-		})
+		}
+		markRows(filled, gb, dom)
 	}
 
 	// (3) clamped extrapolation for anything left (out-of-domain cells of
 	// non-periodic problems, or corner cells with no periodic image).
-	gb.ForEach(func(q grid.IntVect) {
-		if filled[gb.Offset(q)] {
-			return
+	for c := 0; c < nc; c++ {
+		oc := out.Comp(c)
+		for z := gb.Lo.Z; z <= gb.Hi.Z; z++ {
+			for y := gb.Lo.Y; y <= gb.Hi.Y; y++ {
+				o := gb.Offset(grid.IV(gb.Lo.X, y, z))
+				src := gb.Offset(grid.IV(gb.Lo.X, min(max(y, p.Box.Lo.Y), p.Box.Hi.Y), min(max(z, p.Box.Lo.Z), p.Box.Hi.Z))) - gb.Lo.X
+				for x := gb.Lo.X; x <= gb.Hi.X; x, o = x+1, o+1 {
+					if !filled[o] {
+						oc[o] = oc[src+min(max(x, p.Box.Lo.X), p.Box.Hi.X)]
+					}
+				}
+			}
 		}
-		cq := q.Max(p.Box.Lo).Min(p.Box.Hi)
-		for c := 0; c < h.Cfg.NComp; c++ {
-			out.Set(q, c, out.Get(cq, c))
-		}
-	})
-
+	}
 	return out
+}
+
+// markRows sets filled over region, a sub-box of gb, one row at a time.
+func markRows(filled []bool, gb, region grid.Box) {
+	nx := region.Size().X
+	for z := region.Lo.Z; z <= region.Hi.Z; z++ {
+		for y := region.Lo.Y; y <= region.Hi.Y; y++ {
+			o := gb.Offset(grid.IV(region.Lo.X, y, z))
+			row := filled[o : o+nx]
+			for i := range row {
+				row[i] = true
+			}
+		}
+	}
 }

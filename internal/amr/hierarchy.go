@@ -214,19 +214,14 @@ func (h *Hierarchy) AverageDown() {
 		fine, coarse := h.Levels[li], h.Levels[li-1]
 		r := h.Cfg.RefRatio
 		for _, fp := range fine.Patches {
-			restricted := field.Restrict(fp.Data, r)
 			// Only coarse cells whose children are all present may be
 			// replaced; chopping can misalign fine boxes with the ratio.
 			full := grid.Box{
 				Lo: fp.Box.Lo.Add(grid.IV(r-1, r-1, r-1)).Div(r),
 				Hi: fp.Box.Hi.Add(grid.Unit).Div(r).Sub(grid.Unit),
 			}
-			if full.IsEmpty() {
-				continue
-			}
-			covered := restricted.Subset(full)
 			for _, cp := range coarse.Patches {
-				cp.Data.CopyFrom(covered)
+				field.RestrictInto(cp.Data, fp.Data, r, cp.Box.Intersect(full))
 			}
 		}
 	}

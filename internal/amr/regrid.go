@@ -12,23 +12,28 @@ import (
 // max_d |u(i+e_d) - u(i-e_d)| is the standard Chombo-style refinement
 // criterion for tracking steep features and shocks.
 func (h *Hierarchy) TagCells(li, c int, thresh float64) []grid.IntVect {
-	l := h.Levels[li]
 	var tags []grid.IntVect
-	for _, p := range l.Patches {
-		g := h.FillGhost(li, p, 1)
-		p.Box.ForEach(func(q grid.IntVect) {
-			diff := 0.0
-			for d := 0; d < 3; d++ {
-				hi := g.Get(q.WithComp(d, q.Comp(d)+1), c)
-				lo := g.Get(q.WithComp(d, q.Comp(d)-1), c)
-				if a := math.Abs(hi - lo); a > diff {
-					diff = a
+	var scratch GhostScratch // one-component ghost fill, reshaped per patch
+	for _, p := range h.Levels[li].Patches {
+		g := h.fillGhost(&scratch, li, p, 1, c, 1, nil, 0)
+		u, gsz := g.Comp(0), g.Box.Size()
+		strides := [3]int{1, gsz.X, gsz.X * gsz.Y}
+		for z := p.Box.Lo.Z; z <= p.Box.Hi.Z; z++ {
+			for y := p.Box.Lo.Y; y <= p.Box.Hi.Y; y++ {
+				o := g.Box.Offset(grid.IV(p.Box.Lo.X, y, z))
+				for x := p.Box.Lo.X; x <= p.Box.Hi.X; x, o = x+1, o+1 {
+					diff := 0.0
+					for _, st := range strides {
+						if a := math.Abs(u[o+st] - u[o-st]); a > diff {
+							diff = a
+						}
+					}
+					if diff > thresh {
+						tags = append(tags, grid.IV(x, y, z))
+					}
 				}
 			}
-			if diff > thresh {
-				tags = append(tags, q)
-			}
-		})
+		}
 	}
 	return tags
 }

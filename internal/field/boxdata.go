@@ -83,26 +83,48 @@ func (d *BoxData) Clone() *BoxData {
 	return c
 }
 
+// Sized returns data over box with ncomp components and unspecified
+// contents: d itself, reshaped, when its backing array is large enough (d
+// may be nil), otherwise a fresh allocation. It is how per-step scratch is
+// kept across steps: a buffer whose patch changed shape under a regrid is
+// reshaped or replaced here, never read at its old shape.
+func Sized(d *BoxData, box grid.Box, ncomp int) *BoxData {
+	n := int(box.NumCells()) * ncomp
+	if d == nil || cap(d.data) < n {
+		return New(box, ncomp)
+	}
+	d.Box, d.NComp, d.data = box, ncomp, d.data[:n]
+	return d
+}
+
 // CopyFrom copies the values of src over the region where the two boxes
 // intersect, for all components. Both must have the same NComp.
 func (d *BoxData) CopyFrom(src *BoxData) {
 	if d.NComp != src.NComp {
 		panic(fmt.Sprintf("field: component mismatch %d vs %d", d.NComp, src.NComp))
 	}
-	is := d.Box.Intersect(src.Box)
-	if is.IsEmpty() {
+	d.CopyRegion(src, d.Box.Intersect(src.Box), grid.Zero, 0, 0, d.NComp)
+}
+
+// CopyRegion copies n components of src starting at sc into the components
+// of d starting at dc, over region (in d's index space, inside d.Box), one
+// row copy per (y, z). The source cell of q is q−shift, which must lie
+// inside src.Box: a non-zero shift is how periodic images are copied.
+func (d *BoxData) CopyRegion(src *BoxData, region grid.Box, shift grid.IntVect, dc, sc, n int) {
+	if region.IsEmpty() {
 		return
 	}
 	dn, sn := int(d.NumCells()), int(src.NumCells())
 	dsz, ssz := d.Box.Size(), src.Box.Size()
-	nx := is.Size().X
-	for c := 0; c < d.NComp; c++ {
-		dc, sc := d.data[c*dn:(c+1)*dn], src.data[c*sn:(c+1)*sn]
-		for z := is.Lo.Z; z <= is.Hi.Z; z++ {
-			for y := is.Lo.Y; y <= is.Hi.Y; y++ {
-				do := (z-d.Box.Lo.Z)*dsz.Y*dsz.X + (y-d.Box.Lo.Y)*dsz.X + (is.Lo.X - d.Box.Lo.X)
-				so := (z-src.Box.Lo.Z)*ssz.Y*ssz.X + (y-src.Box.Lo.Y)*ssz.X + (is.Lo.X - src.Box.Lo.X)
-				copy(dc[do:do+nx], sc[so:so+nx])
+	slo := region.Lo.Sub(shift).Sub(src.Box.Lo)
+	nx := region.Size().X
+	for c := 0; c < n; c++ {
+		dcomp, scomp := d.data[(dc+c)*dn:(dc+c+1)*dn], src.data[(sc+c)*sn:(sc+c+1)*sn]
+		for z := region.Lo.Z; z <= region.Hi.Z; z++ {
+			for y := region.Lo.Y; y <= region.Hi.Y; y++ {
+				do := ((z-d.Box.Lo.Z)*dsz.Y+(y-d.Box.Lo.Y))*dsz.X + (region.Lo.X - d.Box.Lo.X)
+				so := ((z-region.Lo.Z+slo.Z)*ssz.Y+(y-region.Lo.Y+slo.Y))*ssz.X + slo.X
+				copy(dcomp[do:do+nx], scomp[so:so+nx])
 			}
 		}
 	}

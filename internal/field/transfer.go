@@ -12,33 +12,42 @@ import (
 // r³ fine children. This is the restriction operator AMR uses to keep
 // coarse levels consistent with covering fine patches.
 func Restrict(fine *BoxData, r int) *BoxData {
-	cb := fine.Box.Coarsen(r)
-	coarse := New(cb, fine.NComp)
+	coarse := New(fine.Box.Coarsen(r), fine.NComp)
+	RestrictInto(coarse, fine, r, coarse.Box)
+	return coarse
+}
+
+// RestrictInto writes, for every cell of region, the mean of the cell's
+// fine children into coarse. region must lie inside both coarse.Box and
+// fine.Box.Coarsen(r). Children are summed x fastest, then y, then z, and
+// clipped to the fine box: patches produced by regrid chopping may start at
+// ratio-misaligned offsets, so a coarse cell's children can be partial.
+func RestrictInto(coarse, fine *BoxData, r int, region grid.Box) {
+	fb, fsz := fine.Box, fine.Box.Size()
+	cb, csz := coarse.Box, coarse.Box.Size()
 	for c := 0; c < fine.NComp; c++ {
-		cc := coarse.Comp(c)
-		csz := cb.Size()
-		for z := cb.Lo.Z; z <= cb.Hi.Z; z++ {
-			for y := cb.Lo.Y; y <= cb.Hi.Y; y++ {
-				for x := cb.Lo.X; x <= cb.Hi.X; x++ {
-					// Child block clipped to the fine box: patches produced
-					// by regrid chopping may start at ratio-misaligned
-					// offsets, so a coarse cell's children can be partial.
-					blk := grid.NewBox(grid.IV(x*r, y*r, z*r),
-						grid.IV(x*r+r-1, y*r+r-1, z*r+r-1)).Intersect(fine.Box)
-					sum, n := 0.0, 0
-					blk.ForEach(func(p grid.IntVect) {
-						sum += fine.Get(p, c)
-						n++
-					})
-					co := (z-cb.Lo.Z)*csz.Y*csz.X + (y-cb.Lo.Y)*csz.X + (x - cb.Lo.X)
-					if n > 0 {
-						cc[co] = sum / float64(n)
+		cc, fc := coarse.Comp(c), fine.Comp(c)
+		for z := region.Lo.Z; z <= region.Hi.Z; z++ {
+			z0, z1 := max(z*r, fb.Lo.Z), min(z*r+r-1, fb.Hi.Z)
+			for y := region.Lo.Y; y <= region.Hi.Y; y++ {
+				y0, y1 := max(y*r, fb.Lo.Y), min(y*r+r-1, fb.Hi.Y)
+				co := ((z-cb.Lo.Z)*csz.Y+(y-cb.Lo.Y))*csz.X - cb.Lo.X
+				for x := region.Lo.X; x <= region.Hi.X; x++ {
+					x0, x1 := max(x*r, fb.Lo.X), min(x*r+r-1, fb.Hi.X)
+					sum := 0.0
+					for fz := z0; fz <= z1; fz++ {
+						for fy := y0; fy <= y1; fy++ {
+							fo := ((fz-fb.Lo.Z)*fsz.Y+(fy-fb.Lo.Y))*fsz.X - fb.Lo.X
+							for _, v := range fc[fo+x0 : fo+x1+1] {
+								sum += v
+							}
+						}
 					}
+					cc[co+x] = sum / float64((x1-x0+1)*(y1-y0+1)*(z1-z0+1))
 				}
 			}
 		}
 	}
-	return coarse
 }
 
 // Prolong fills fine data over fineBox (which must coarsen into

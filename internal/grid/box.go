@@ -34,7 +34,7 @@ func (b Box) NumCells() int64 {
 	if b.IsEmpty() {
 		return 0
 	}
-	return b.Size().Product()
+	return int64(b.Hi.X-b.Lo.X+1) * int64(b.Hi.Y-b.Lo.Y+1) * int64(b.Hi.Z-b.Lo.Z+1)
 }
 
 // Contains reports whether cell p lies inside b.
@@ -145,10 +145,12 @@ func (b Box) Subtract(o Box) []Box {
 }
 
 // Offset returns the linear row-major offset of cell p within b, ordering
-// X fastest. p must be inside b.
+// X fastest. p must be inside b. Like NumCells it is written out on the
+// corner coordinates so that it inlines: both sit under every BoxData
+// access.
 func (b Box) Offset(p IntVect) int {
-	sz := b.Size()
-	return (p.Z-b.Lo.Z)*sz.Y*sz.X + (p.Y-b.Lo.Y)*sz.X + (p.X - b.Lo.X)
+	nx, ny := b.Hi.X-b.Lo.X+1, b.Hi.Y-b.Lo.Y+1
+	return ((p.Z-b.Lo.Z)*ny+(p.Y-b.Lo.Y))*nx + (p.X - b.Lo.X)
 }
 
 // Cell returns the cell at linear row-major offset i within b (inverse of

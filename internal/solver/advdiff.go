@@ -63,6 +63,8 @@ type AdvectionDiffusion struct {
 	time float64
 	step int
 	dx0  float64
+
+	scratch scratch // per level, reused across steps
 }
 
 // NewAdvectionDiffusion builds the solver, applies the pulse initial
@@ -194,49 +196,40 @@ func (s *AdvectionDiffusion) Step() StepStats {
 }
 
 func (s *AdvectionDiffusion) advanceLevel(li int, dt float64) int64 {
-	return s.advanceLevelWith(li, dt, func(p *amr.Patch) *field.BoxData {
-		return s.h.FillGhost(li, p, 1)
-	})
+	return s.advanceLevelWith(li, dt, nil, 0)
 }
 
 // advanceSubcycled performs one Berger–Oliger coarse step: level 0 advances
 // by dt, then the fine level takes RefRatio substeps of dt/RefRatio with
-// coarse ghosts interpolated in time between the level-0 snapshot taken
-// before the coarse advance and its new state.
+// coarse ghosts interpolated in time between level 0's state before the
+// coarse advance and its new state.
 func (s *AdvectionDiffusion) advanceSubcycled(dt float64) int64 {
-	var old []*field.BoxData
-	if s.h.FinestLevel() >= 1 {
-		for _, p := range s.h.Level(0).Patches {
-			old = append(old, p.Data.Clone())
-		}
-	}
 	cells := s.advanceLevel(0, dt)
 	if s.h.FinestLevel() < 1 {
 		return cells
 	}
+	// The advance swapped level 0's previous state into its next buffers,
+	// where it stays until level 0 advances again.
+	old := s.scratch[0].next
 	r := s.h.Cfg.RefRatio
 	dtFine := dt / float64(r)
 	for k := 0; k < r; k++ {
 		theta := float64(k) / float64(r) // ghosts at the substep's start time
-		cells += s.advanceLevelWith(1, dtFine, func(p *amr.Patch) *field.BoxData {
-			return s.h.FillGhostBlended(1, p, 1, old, theta)
-		})
+		cells += s.advanceLevelWith(1, dtFine, old, theta)
 	}
 	return cells
 }
 
-// advanceLevelWith is the level update with a caller-supplied ghost fill.
-func (s *AdvectionDiffusion) advanceLevelWith(li int, dt float64, fill func(*amr.Patch) *field.BoxData) int64 {
+// advanceLevelWith is the level update; a non-nil oldCoarse blends the
+// coarse ghost source in time (amr.FillGhostBlended). Jacobi, like the gas
+// update: patches write their next buffers, swapped in at the end.
+func (s *AdvectionDiffusion) advanceLevelWith(li int, dt float64, oldCoarse []*field.BoxData, theta float64) int64 {
 	l := s.h.Level(li)
 	dx := s.dx0
 	for i := 0; i < li; i++ {
 		dx /= float64(s.h.Cfg.RefRatio)
 	}
-
-	ghosts := make([]*field.BoxData, len(l.Patches))
-	forEachPatch(len(l.Patches), func(i int) {
-		ghosts[i] = fill(l.Patches[i])
-	})
+	ls := s.scratch.level(li, l)
 
 	var cells int64
 	for _, p := range l.Patches {
@@ -247,26 +240,35 @@ func (s *AdvectionDiffusion) advanceLevelWith(li int, dt float64, fill func(*amr
 	nu := s.cfg.Diffusion
 	forEachPatch(len(l.Patches), func(pi int) {
 		p := l.Patches[pi]
-		g := ghosts[pi]
-		next := field.New(p.Box, 1)
-		p.Box.ForEach(func(q grid.IntVect) {
-			u0 := g.Get(q, 0)
-			adv, lap := 0.0, 0.0
-			for d := 0; d < 3; d++ {
-				um := g.Get(q.WithComp(d, q.Comp(d)-1), 0)
-				up := g.Get(q.WithComp(d, q.Comp(d)+1), 0)
-				// first-order upwind advection
-				if v[d] >= 0 {
-					adv += v[d] * (u0 - um) / dx
-				} else {
-					adv += v[d] * (up - u0) / dx
+		g := s.h.FillGhostInto(&ls.ghost[pi], li, p, 1, oldCoarse, theta)
+		next := field.Sized(ls.next[pi], p.Box, 1)
+		ls.next[pi] = next
+		u, out := g.Comp(0), next.Comp(0)
+		gsz := g.Box.Size()
+		strides := [3]int{1, gsz.X, gsz.X * gsz.Y}
+		o := 0
+		for z := p.Box.Lo.Z; z <= p.Box.Hi.Z; z++ {
+			for y := p.Box.Lo.Y; y <= p.Box.Hi.Y; y++ {
+				gi := g.Box.Offset(grid.IV(p.Box.Lo.X, y, z))
+				for x := p.Box.Lo.X; x <= p.Box.Hi.X; x, gi, o = x+1, gi+1, o+1 {
+					u0 := u[gi]
+					adv, lap := 0.0, 0.0
+					for d, st := range strides {
+						um, up := u[gi-st], u[gi+st]
+						// first-order upwind advection
+						if v[d] >= 0 {
+							adv += v[d] * (u0 - um) / dx
+						} else {
+							adv += v[d] * (up - u0) / dx
+						}
+						lap += (up - 2*u0 + um) / (dx * dx)
+					}
+					out[o] = u0 + dt*(-adv+nu*lap)
 				}
-				lap += (up - 2*u0 + um) / (dx * dx)
 			}
-			next.Set(q, 0, u0+dt*(-adv+nu*lap))
-		})
-		p.Data = next
+		}
 	})
+	ls.swap(l)
 	return cells
 }
 

@@ -81,6 +81,9 @@ type PolytropicGas struct {
 	time float64
 	step int
 	dx0  float64 // base-level mesh spacing
+
+	scratch scratch             // per level, reused across steps
+	regs    []*amr.FluxRegister // regs[li] registers fine level li; rebuilt when a regrid changes it
 }
 
 // NewPolytropicGas builds the solver and applies the blast-wave initial
@@ -194,20 +197,13 @@ type prim struct {
 	rho, u, v, w, p float64
 }
 
-func (s *PolytropicGas) toPrim(d *field.BoxData, q grid.IntVect) prim {
-	rho := d.Get(q, CompRho)
-	if rho < 1e-12 {
-		rho = 1e-12
+// comps returns the component slices of a five-component state: the
+// kernels index these directly (component-major, x fastest).
+func comps(d *field.BoxData) (u [NumComp][]float64) {
+	for c := range u {
+		u[c] = d.Comp(c)
 	}
-	u := d.Get(q, CompMx) / rho
-	v := d.Get(q, CompMy) / rho
-	w := d.Get(q, CompMz) / rho
-	e := d.Get(q, CompE)
-	pr := (s.cfg.Gamma - 1) * (e - 0.5*rho*(u*u+v*v+w*w))
-	if pr < 1e-12 {
-		pr = 1e-12
-	}
-	return prim{rho, u, v, w, pr}
+	return u
 }
 
 // flux computes the Euler flux of state pm along direction d.
@@ -275,14 +271,15 @@ func (s *PolytropicGas) maxWaveSpeed() float64 {
 	speed := 1e-12
 	for _, l := range s.h.Levels {
 		for _, p := range l.Patches {
-			p.Box.ForEach(func(q grid.IntVect) {
-				pm := s.toPrim(p.Data, q)
+			u := comps(p.Data)
+			for i := range u[CompRho] {
+				pm := s.primFromConserved([NumComp]float64{u[CompRho][i], u[CompMx][i], u[CompMy][i], u[CompMz][i], u[CompE][i]})
 				c := s.sound(pm)
 				v := math.Max(math.Abs(pm.u), math.Max(math.Abs(pm.v), math.Abs(pm.w)))
 				if v+c > speed {
 					speed = v + c
 				}
-			})
+			}
 		}
 	}
 	return speed
@@ -305,32 +302,19 @@ func (s *PolytropicGas) Step() StepStats {
 	// Flux registers (one per fine level) capture coarse and fine fluxes at
 	// the coarse-fine boundaries during the sweeps, then correct the
 	// uncovered coarse cells so the composite update is conservative.
-	var regs []*amr.FluxRegister // regs[li] registers fine level li (nil for level 0)
 	if s.cfg.Reflux {
-		regs = make([]*amr.FluxRegister, s.h.FinestLevel()+2)
-		for li := 1; li <= s.h.FinestLevel(); li++ {
-			regs[li] = amr.NewFluxRegister(s.h, li)
-		}
+		s.resetRegisters()
 	}
-	regAt := func(li int) *amr.FluxRegister {
-		if regs == nil || li < 1 || li >= len(regs) {
-			return nil
-		}
-		return regs[li]
-	}
-
 	var cells int64
 	for li := 0; li <= s.h.FinestLevel(); li++ {
-		cells += s.advanceLevel(li, dt, regAt(li), regAt(li+1))
+		cells += s.advanceLevel(li, dt, s.regAt(li), s.regAt(li+1))
 	}
-	if s.cfg.Reflux {
-		dx := s.dx0
-		for li := 1; li <= s.h.FinestLevel(); li++ {
-			if reg := regAt(li); reg != nil {
-				reg.Reflux(s.h.Level(li-1), dt/dx)
-			}
-			dx /= float64(s.h.Cfg.RefRatio)
+	dx := s.dx0
+	for li := 1; li <= s.h.FinestLevel(); li++ {
+		if reg := s.regAt(li); reg != nil {
+			reg.Reflux(s.h.Level(li-1), dt/dx)
 		}
+		dx /= float64(s.h.Cfg.RefRatio)
 	}
 	s.h.AverageDown()
 
@@ -354,10 +338,41 @@ func (s *PolytropicGas) Step() StepStats {
 	}
 }
 
+// resetRegisters readies regs[li] for every fine level li: cleared when its
+// face set still matches the level, rebuilt when a regrid changed it.
+func (s *PolytropicGas) resetRegisters() {
+	if s.regs == nil {
+		s.regs = make([]*amr.FluxRegister, s.cfg.AMR.MaxLevel+2)
+	}
+	for li := 1; li < len(s.regs); li++ {
+		switch {
+		case li > s.h.FinestLevel():
+			s.regs[li] = nil
+		case s.regs[li] != nil && s.regs[li].Matches(s.h, li):
+			s.regs[li].Reset()
+		default:
+			s.regs[li] = amr.NewFluxRegister(s.h, li)
+		}
+	}
+}
+
+// regAt returns the register of fine level li, nil when refluxing is off or
+// li is not a fine level.
+func (s *PolytropicGas) regAt(li int) *amr.FluxRegister {
+	if li < 1 || li >= len(s.regs) {
+		return nil
+	}
+	return s.regs[li]
+}
+
 // advanceLevel performs the unsplit Godunov update of level li. regSelf
 // (non-nil when li ≥ 1 and refluxing is on) accumulates this level's
 // boundary fluxes as the fine side of its coarse-fine interface; regAbove
 // records this level's fluxes as the coarse side of level li+1's interface.
+//
+// The update is Jacobi: every patch reads the level's current data through
+// its ghost fill and writes its next buffer; the buffers are swapped in
+// once all patches are done.
 func (s *PolytropicGas) advanceLevel(li int, dt float64, regSelf, regAbove *amr.FluxRegister) int64 {
 	l := s.h.Level(li)
 	dx := s.dx0
@@ -365,69 +380,90 @@ func (s *PolytropicGas) advanceLevel(li int, dt float64, regSelf, regAbove *amr.
 		dx /= float64(s.h.Cfg.RefRatio)
 	}
 	lambda := dt / dx
-
-	// Snapshot ghost-extended data for every patch first (Jacobi update).
-	ghosts := make([]*field.BoxData, len(l.Patches))
-	forEachPatch(len(l.Patches), func(i int) {
-		ghosts[i] = s.h.FillGhost(li, l.Patches[i], 2)
-	})
+	ls := s.scratch.level(li, l)
 
 	var cells int64
 	for _, p := range l.Patches {
 		cells += p.Box.NumCells()
 	}
-
 	forEachPatch(len(l.Patches), func(pi int) {
 		p := l.Patches[pi]
-		g := ghosts[pi]
-		next := p.Data.Clone()
-		// For each direction, sweep faces and apply flux differences.
-		for d := 0; d < 3; d++ {
-			faceBox := p.Box.GrowDir(d, 0) // faces between q-1 and q for q in [Lo, Hi+1] along d
-			lo, hi := faceBox.Lo, faceBox.Hi.WithComp(d, faceBox.Hi.Comp(d)+1)
-			grid.NewBox(lo, hi).ForEach(func(q grid.IntVect) {
-				qm1 := q.WithComp(d, q.Comp(d)-1)
-				qm2 := q.WithComp(d, q.Comp(d)-2)
-				qp1 := q.WithComp(d, q.Comp(d)+1)
+		g := s.h.FillGhostInto(&ls.ghost[pi], li, p, 2, nil, 0)
+		next := field.Sized(ls.next[pi], p.Box, NumComp)
+		ls.next[pi] = next
+		s.sweepFaces(p, g, next, lambda, regSelf, regAbove)
+		s.floorState(next)
+	})
+	ls.swap(l)
+	return cells
+}
 
-				// MUSCL reconstruction with minmod slopes of the primitive
-				// state, per component of the conserved vector (slope of
-				// conserved quantities; simple and robust).
-				var left, right prim
-				{
+// sweepFaces sets next to p.Data plus the flux differences of every face
+// of p, read from the two-cell ghost extension g. Directions go d = 0, 1,
+// 2 and the faces of a direction in row-major order, so a cell receives
+// +λF of its low face before −λF of its high face: the order of floating-
+// point additions into a cell is part of the solver's bit-for-bit contract.
+func (s *PolytropicGas) sweepFaces(p *amr.Patch, g, next *field.BoxData, lambda float64, regSelf, regAbove *amr.FluxRegister) {
+	u, n := comps(g), comps(next)
+	for c, cur := range comps(p.Data) {
+		copy(n[c], cur)
+	}
+	lo, hi := p.Box.Lo, p.Box.Hi
+	gsz, nsz := g.Box.Size(), p.Box.Size()
+	gstride := [3]int{1, gsz.X, gsz.X * gsz.Y}
+	nstride := [3]int{1, nsz.X, nsz.X * nsz.Y}
+	for d := 0; d < 3; d++ {
+		// Faces between q−e_d and q for q in [lo, hi+e_d].
+		gs, ns := gstride[d], nstride[d]
+		loD, hiD := lo.Comp(d), hi.Comp(d)
+		fhi := hi.WithComp(d, hiD+1)
+		for z := lo.Z; z <= fhi.Z; z++ {
+			for y := lo.Y; y <= fhi.Y; y++ {
+				gi := g.Box.Offset(grid.IV(lo.X, y, z))
+				ni := ((z-lo.Z)*nsz.Y + (y - lo.Y)) * nsz.X // past the patch on the hi+e_d row, where only ni−ns is used
+				qd := [3]int{lo.X, y, z}[d]
+				for x := lo.X; x <= fhi.X; x, gi, ni = x+1, gi+1, ni+1 {
+					if d == 0 {
+						qd = x
+					}
+					// MUSCL reconstruction with minmod slopes, per
+					// component of the conserved vector (simple and robust).
 					var ul, ur [NumComp]float64
-					for c := 0; c < NumComp; c++ {
-						um2, um1 := g.Get(qm2, c), g.Get(qm1, c)
-						u0, up1 := g.Get(q, c), g.Get(qp1, c)
+					for c, uc := range u {
+						um2, um1, u0, up1 := uc[gi-2*gs], uc[gi-gs], uc[gi], uc[gi+gs]
 						sl := minmod(um1-um2, u0-um1)
 						sr := minmod(u0-um1, up1-u0)
 						ul[c] = um1 + 0.5*sl
 						ur[c] = u0 - 0.5*sr
 					}
-					left = s.primFromConserved(ul)
-					right = s.primFromConserved(ur)
-				}
-				f := s.hll(left, right, d)
-				if regAbove != nil {
-					regAbove.RecordCoarse(q, d, f[:])
-				}
-				if regSelf != nil {
-					regSelf.AccumFine(q, d, f[:])
-				}
-				for c := 0; c < NumComp; c++ {
-					if p.Box.Contains(qm1) {
-						next.Add(qm1, c, -lambda*f[c])
+					f := s.hll(s.primFromConserved(ul), s.primFromConserved(ur), d)
+
+					// q−e_d is a cell of p unless q is on the low boundary,
+					// q unless it is past the high one. Those two boundary
+					// planes are the only faces a fine register can own, and
+					// a coarse flux is recorded by the patch holding cell q
+					// alone (one writer per register slot).
+					lowIn, highIn := qd > loD, qd <= hiD
+					if regAbove != nil && highIn {
+						regAbove.RecordCoarse(grid.IV(x, y, z), d, f[:])
 					}
-					if p.Box.Contains(q) {
-						next.Add(q, c, lambda*f[c])
+					if regSelf != nil && !(lowIn && highIn) {
+						regSelf.AccumFine(grid.IV(x, y, z), d, f[:])
+					}
+					if lowIn {
+						for c := range n {
+							n[c][ni-ns] += -lambda * f[c]
+						}
+					}
+					if highIn {
+						for c := range n {
+							n[c][ni] += lambda * f[c]
+						}
 					}
 				}
-			})
+			}
 		}
-		s.floorState(next)
-		p.Data = next
-	})
-	return cells
+	}
 }
 
 // primFromConserved converts a conserved vector to primitives with floors.
@@ -447,20 +483,18 @@ func (s *PolytropicGas) primFromConserved(u [NumComp]float64) prim {
 // floorState enforces positive density and pressure after an update.
 func (s *PolytropicGas) floorState(d *field.BoxData) {
 	g1 := s.cfg.Gamma - 1
-	d.Box.ForEach(func(q grid.IntVect) {
-		rho := d.Get(q, CompRho)
+	u := comps(d)
+	for i, rho := range u[CompRho] {
 		if rho < 1e-10 {
 			rho = 1e-10
-			d.Set(q, CompRho, rho)
+			u[CompRho][i] = rho
 		}
-		u := d.Get(q, CompMx) / rho
-		v := d.Get(q, CompMy) / rho
-		w := d.Get(q, CompMz) / rho
-		ke := 0.5 * rho * (u*u + v*v + w*w)
-		if pr := g1 * (d.Get(q, CompE) - ke); pr < 1e-10 {
-			d.Set(q, CompE, ke+1e-10/g1)
+		vx, vy, vz := u[CompMx][i]/rho, u[CompMy][i]/rho, u[CompMz][i]/rho
+		ke := 0.5 * rho * (vx*vx + vy*vy + vz*vz)
+		if pr := g1 * (u[CompE][i] - ke); pr < 1e-10 {
+			u[CompE][i] = ke + 1e-10/g1
 		}
-	})
+	}
 }
 
 // TotalMass returns the integral of density over the base level — a

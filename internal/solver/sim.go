@@ -12,6 +12,7 @@ import (
 	"sync"
 
 	"crosslayer/internal/amr"
+	"crosslayer/internal/field"
 )
 
 // Simulation is the contract between an AMR application and the workflow
@@ -42,8 +43,9 @@ type StepStats struct {
 }
 
 // forEachPatch runs f over patches [0,n) with bounded parallelism. Explicit
-// AMR updates are embarrassingly parallel across patches once ghost data is
-// snapshotted, so this is the hot loop of both solvers.
+// AMR updates are embarrassingly parallel across patches: a level advance
+// reads every Patch.Data and writes only the scratch of the patch it is on
+// (levelScratch), so this is the hot loop of both solvers.
 func forEachPatch(n int, f func(i int)) {
 	workers := runtime.GOMAXPROCS(0)
 	if workers > n {
@@ -73,9 +75,40 @@ func forEachPatch(n int, f func(i int)) {
 	wg.Wait()
 }
 
-func minFloat(a, b float64) float64 {
-	if a < b {
-		return a
+// levelScratch is one level's working memory, kept across steps so a
+// step on an unchanged hierarchy allocates nothing: per patch index, the
+// ghost-extended snapshot the update reads and the buffer it writes. The
+// update never writes Patch.Data in place; once every patch of the level is
+// done, swap exchanges each patch's data with its next buffer, which
+// thereby holds the level's previous state until the next advance.
+//
+// No buffer is trusted across a hierarchy change: every use reshapes it to
+// the patch it serves (field.Sized, amr.GhostScratch), reallocating only
+// when the backing array is too small, and rewrites all of it. Entries past
+// the level's current patch count idle until a regrid grows the level again.
+type levelScratch struct {
+	ghost []amr.GhostScratch
+	next  []*field.BoxData
+}
+
+// scratch is a solver's working memory, one levelScratch per level.
+type scratch []levelScratch
+
+// level returns level li's scratch with an entry for every patch of l.
+func (sc *scratch) level(li int, l *amr.Level) *levelScratch {
+	for len(*sc) <= li {
+		*sc = append(*sc, levelScratch{})
 	}
-	return b
+	ls := &(*sc)[li]
+	for len(ls.next) < len(l.Patches) {
+		ls.ghost = append(ls.ghost, amr.GhostScratch{})
+		ls.next = append(ls.next, nil)
+	}
+	return ls
+}
+
+func (ls *levelScratch) swap(l *amr.Level) {
+	for i, p := range l.Patches {
+		p.Data, ls.next[i] = ls.next[i], p.Data
+	}
 }
