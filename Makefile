@@ -3,7 +3,7 @@
 GO ?= go
 FUZZTIME ?= 10s
 
-.PHONY: check build test vet staticcheck race fuzz xbench chaos cover clean
+.PHONY: check build test vet staticcheck race fuzz xbench perf chaos cover clean
 
 check: vet staticcheck build race fuzz xbench
 
@@ -58,6 +58,14 @@ fuzz:
 xbench:
 	cd benchmarks && $(GO) vet ./... && $(GO) test ./...
 
+# Performance: all four xbench workloads in their quick size with the
+# per-layer ledger on. Result lines land in xbench-quick.txt, one Perfetto-
+# loadable trace per workload in xbench-trace/. For numbers worth comparing
+# run `bash benchmarks/run.sh --workload W --seconds 20` (benchmarks/README.md);
+# for a CPU profile of one kernel, `go test . -bench NAME -cpuprofile FILE`.
+perf:
+	bash -o pipefail -c 'bash benchmarks/run.sh --quick --trace 1 --trace-dir xbench-trace | tee xbench-quick.txt'
+
 # A seeded chaos sweep over the replicated pool + engine with all
 # cross-layer invariants armed; any violation shrinks to a repro under
 # CHAOS_OUT and fails the target.
@@ -73,3 +81,4 @@ cover:
 
 clean:
 	$(GO) clean ./...
+	rm -rf .xbench xbench-trace xbench-quick.txt

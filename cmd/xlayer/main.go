@@ -1,16 +1,23 @@
-// Command xlayer regenerates the paper's tables and figures and runs
-// standalone coupled workflows.
+// Command xlayer regenerates the paper's tables and figures, runs
+// standalone coupled workflows, and drives the staging service and its
+// chaos and load harnesses.
 //
 // Usage:
 //
 //	xlayer <experiment> [-steps N]
 //	xlayer run [-app gas|advdiff] [-placement adaptive|insitu|intransit]
 //	           [-objective tts|util|movement] [-steps N] [-cores N] [-staging M]
-//	xlayer bench [-short] [-out BENCH.json] [-baseline FILE] [-tol 0.20]
+//	xlayer runspec <spec.json>
+//	xlayer report -jsonl FILE | -csv FILE | -events FILE | -spans FILE
+//	xlayer spans [-blame] [-critical-path] [-chrome FILE] <spans.jsonl>
+//	xlayer chaos [-seeds N] [-out REPRO_DIR] | -replay FILE
+//	xlayer loadgen [-tenants K] [-out report.json] [-short]
+//	xlayer serve [-servers N] [-max-conns N] [-data-dir DIR]
 //
 // Experiments: fig1, fig5, fig6, fig7, fig8, fig9, fig10, fig11, table2,
 // all. fig8 is printed as part of fig7, and fig11/table2 as part of fig10
-// (they share runs, exactly as in the paper).
+// (they share runs, exactly as in the paper). Run `xlayer` with no
+// arguments for every flag.
 package main
 
 import (
@@ -55,13 +62,10 @@ func main() {
 	spansPath := fs.String("spans", "", "stream the causal span log as JSON Lines to this file (run mode); span log for the per-phase table (report mode)")
 	spansBlame := fs.Bool("blame", false, "print the per-layer wall-time blame table (spans mode)")
 	spansCritical := fs.Bool("critical-path", false, "print each step's critical path through the overlapped pipeline (spans mode; implies -blame)")
-	chromePath := fs.String("chrome", "", "write a Chrome trace_event JSON for Perfetto to this file (spans mode; bench mode exports the Fig-9 pool run)")
-	pprofDir := fs.String("pprof", "", "write cpu.pprof and heap.pprof around the measured region into this directory (bench mode)")
+	chromePath := fs.String("chrome", "", "write a Chrome trace_event JSON for Perfetto to this file (spans mode)")
 	metricsAddr := fs.String("metrics-addr", "", "serve Prometheus metrics on this address during the run, e.g. :9090 or :0 (run mode)")
-	benchOut := fs.String("out", "BENCH.json", "write the benchmark report to this file (bench mode)")
-	benchBaseline := fs.String("baseline", "", "compare against this committed baseline report and fail on regression (bench mode)")
-	benchTol := fs.Float64("tol", 0.20, "allowed fractional speedup regression vs the baseline (bench mode)")
-	benchShort := fs.Bool("short", false, "trim workload step counts — the PR-gate configuration (bench mode)")
+	outPath := fs.String("out", "", "write the xlayer-bench/v1 report to this file (loadgen mode); write shrunk repros into this directory (chaos mode)")
+	short := fs.Bool("short", false, "trim the domain and step count — the CI smoke shape (loadgen mode)")
 	lgTenants := fs.Int("tenants", 8, "concurrent tenant workflows (loadgen mode)")
 	lgServers := fs.Int("servers", 3, "shared staging servers (loadgen mode; serve mode default 1)")
 	lgReplicas := fs.Int("replicas", 2, "pool replication factor (loadgen mode)")
@@ -151,27 +155,14 @@ func main() {
 			fmt.Fprintln(os.Stderr, "xlayer:", err)
 			os.Exit(1)
 		}
-	case "bench":
-		if err := runBench(*benchOut, *benchBaseline, *benchTol, *benchShort, *pprofDir, *chromePath); err != nil {
-			fmt.Fprintln(os.Stderr, "xlayer:", err)
-			os.Exit(1)
-		}
 	case "loadgen":
-		// -out doubles as the bench report path; in loadgen mode the report
-		// is only written when -out is given explicitly.
-		outPath := ""
-		fs.Visit(func(f *flag.Flag) {
-			if f.Name == "out" {
-				outPath = *benchOut
-			}
-		})
 		if err := runLoadgen(loadgenOpts{
 			tenants: *lgTenants, steps: *steps,
 			servers: *lgServers, replicas: *lgReplicas,
 			maxConns: *lgMaxConns, backlog: *lgBacklog,
 			quotaBytes: *lgQuotaBytes, quotaBlocks: *lgQuotaBlocks,
-			seed: *lgSeed, logDir: *lgLogDir, outPath: outPath,
-			short: *benchShort,
+			seed: *lgSeed, logDir: *lgLogDir, outPath: *outPath,
+			short: *short,
 		}); err != nil {
 			fmt.Fprintln(os.Stderr, "xlayer:", err)
 			os.Exit(1)
@@ -196,17 +187,9 @@ func main() {
 			os.Exit(1)
 		}
 	case "chaos":
-		// -out doubles as the bench report path; in chaos mode it is the
-		// repro directory and only applies when given explicitly.
-		outDir := ""
-		fs.Visit(func(f *flag.Flag) {
-			if f.Name == "out" {
-				outDir = *benchOut
-			}
-		})
 		if err := runChaos(chaosOpts{
 			seeds: *chaosSeeds, startSeed: *chaosStartSeed, maxSteps: *steps,
-			outDir: outDir, replay: *chaosReplay, jsonOut: *chaosJSON,
+			outDir: *outPath, replay: *chaosReplay, jsonOut: *chaosJSON,
 		}); err != nil {
 			fmt.Fprintln(os.Stderr, "xlayer:", err)
 			os.Exit(1)
@@ -218,7 +201,7 @@ func main() {
 }
 
 func usage() {
-	fmt.Fprintln(os.Stderr, `usage: xlayer <fig1|fig5|fig6|fig7|fig8|fig9|fig10|fig11|table2|all|run|runspec|report|spans|bench|chaos|loadgen|serve> [flags]
+	fmt.Fprintln(os.Stderr, `usage: xlayer <fig1|fig5|fig6|fig7|fig8|fig9|fig10|fig11|table2|all|run|runspec|report|spans|chaos|loadgen|serve> [flags]
 run flags: -app gas|advdiff  -placement adaptive|insitu|intransit
            -objective tts|util|movement  -steps N  -cores N  -staging M
            -csv FILE  -jsonl FILE  -plotfile FILE
@@ -234,8 +217,6 @@ run flags: -app gas|advdiff  -placement adaptive|insitu|intransit
 runspec:   xlayer runspec [-halt-after N] <spec.json>  (see docs/example_spec.json)
 report:    xlayer report -jsonl trace.jsonl | -csv trace.csv | -events events.jsonl | -spans spans.jsonl
 spans:     xlayer spans [-blame] [-critical-path] [-chrome trace.json] spans.jsonl
-bench:     xlayer bench [-short] [-out BENCH.json] [-baseline FILE] [-tol 0.20]
-           [-pprof DIR] [-chrome trace.json]
 chaos:     xlayer chaos [-seeds N] [-start-seed S] [-steps MAX] [-out REPRO_DIR] [-json]
            xlayer chaos -replay repro.json  (re-run a shrunk repro; violations exit nonzero)
 loadgen:   xlayer loadgen [-tenants K] [-steps N] [-servers N] [-replicas K] [-seed S]

@@ -57,8 +57,7 @@ func main() {
 				}
 			}
 			// Completion marker: readers must not consume a version until
-			// every block has landed (the in-process API uses write locks
-			// for this; over TCP a marker variable serves the same role).
+			// every block has landed; a marker variable put last says so.
 			marker := crosslayer.NewBoxData(crosslayer.NewBox(crosslayer.IV(0, 0, 0), crosslayer.IV(0, 0, 0)), 1)
 			marker.Set(crosslayer.IV(0, 0, 0), 0, float64(sent))
 			if err := cl.Put("rho.done", v, marker); err != nil {
@@ -78,7 +77,7 @@ func main() {
 		defer cl.Close()
 		stats := crosslayer.NewStatisticsService(64)
 		for v := 0; v < steps; v++ {
-			for { // poll the completion marker (notifications are in-process; TCP readers poll)
+			for { // poll the completion marker
 				if _, err := cl.GetBlocks("rho.done", v, crosslayer.NewBox(crosslayer.IV(0, 0, 0), crosslayer.IV(0, 0, 0))); err == nil {
 					break
 				}

@@ -36,7 +36,6 @@ import (
 	"sync"
 	"time"
 
-	"crosslayer/internal/bench"
 	"crosslayer/internal/field"
 	"crosslayer/internal/grid"
 	"crosslayer/internal/staging"
@@ -150,6 +149,34 @@ type Record struct {
 	Checksum      string `json:"checksum"`
 }
 
+// Schema identifies the report format. The name predates loadgen and is
+// kept so existing readers of loadgen-report.json keep working.
+const Schema = "xlayer-bench/v1"
+
+// Entry is one result in `go test -bench` vocabulary: N completed steps,
+// nanoseconds per step, plus named custom metrics.
+type Entry struct {
+	Name    string             `json:"name"`
+	N       int                `json:"n"`
+	NsPerOp float64            `json:"ns_per_op"`
+	Metrics map[string]float64 `json:"metrics,omitempty"`
+}
+
+// Report is one load run: an entry per tenant and a closing
+// loadgen/aggregate entry.
+type Report struct {
+	Schema  string  `json:"schema"`
+	Short   bool    `json:"short"`
+	Entries []Entry `json:"entries"`
+}
+
+// Write renders the report as indented JSON.
+func (r *Report) Write(w io.Writer) error {
+	enc := json.NewEncoder(w)
+	enc.SetIndent("", "  ")
+	return enc.Encode(r)
+}
+
 // tenantResult is one tenant's outcome, filled by its driver goroutine.
 type tenantResult struct {
 	idx     int
@@ -171,7 +198,7 @@ type tenantResult struct {
 
 // Run drives the full load: stand the shared servers up, launch every
 // tenant's closed loop, join them, and assemble the report.
-func Run(opts Options) (*bench.Report, error) {
+func Run(opts Options) (*Report, error) {
 	o := opts.withDefaults()
 	edge := domainEdge(o.Short)
 	domain := grid.NewBox(grid.IV(0, 0, 0), grid.IV(edge-1, edge-1, edge-1))
@@ -228,7 +255,7 @@ func Run(opts Options) (*bench.Report, error) {
 		return nil, fmt.Errorf("loadgen: %d tenants failed: %v", len(failed), failed)
 	}
 
-	rep := &bench.Report{Schema: bench.Schema, Short: o.Short}
+	rep := &Report{Schema: Schema, Short: o.Short}
 	var admitted, queued, shed, quotaSrv int64
 	for _, s := range servers {
 		a, q, sh, qr := s.AdmissionStats()
@@ -248,7 +275,7 @@ func Run(opts Options) (*bench.Report, error) {
 		mismatches += r.mismatches
 		restarts += r.restart
 		quotaCli += r.quota
-		e := bench.Entry{
+		e := Entry{
 			Name:    "loadgen/" + r.tenant,
 			N:       r.steps,
 			NsPerOp: float64(r.wall.Nanoseconds()) / float64(max(r.steps, 1)),
@@ -272,7 +299,7 @@ func Run(opts Options) (*bench.Report, error) {
 		o.logf("%-16s %3d steps  %8.1f ms/step  put p99 %6.2f ms  restarts %d",
 			e.Name, r.steps, e.NsPerOp/1e6, e.Metrics["put_p99_ms"], r.restart)
 	}
-	agg := bench.Entry{
+	agg := Entry{
 		Name:    "loadgen/aggregate",
 		N:       totalSteps,
 		NsPerOp: float64(wall.Nanoseconds()) / float64(max(totalSteps, 1)),

@@ -123,3 +123,40 @@ func TestUnlimitedAdmissionIsQuiet(t *testing.T) {
 		t.Errorf("restarts_total = %v, want 0 when unlimited", rs)
 	}
 }
+
+// The report types moved here from the retired internal/bench; the bytes
+// Write produces are what readers of loadgen-report.json parse, so they are
+// pinned: same keys, same order, same indentation, metrics omitted when nil.
+func TestReportWriteBytes(t *testing.T) {
+	r := &Report{Schema: Schema, Short: true, Entries: []Entry{
+		{Name: "loadgen/t00", N: 3, NsPerOp: 4e8, Metrics: map[string]float64{"steps_per_sec": 2.5}},
+		{Name: "loadgen/aggregate", N: 6},
+	}}
+	var buf bytes.Buffer
+	if err := r.Write(&buf); err != nil {
+		t.Fatal(err)
+	}
+	const want = `{
+  "schema": "xlayer-bench/v1",
+  "short": true,
+  "entries": [
+    {
+      "name": "loadgen/t00",
+      "n": 3,
+      "ns_per_op": 400000000,
+      "metrics": {
+        "steps_per_sec": 2.5
+      }
+    },
+    {
+      "name": "loadgen/aggregate",
+      "n": 6,
+      "ns_per_op": 0
+    }
+  ]
+}
+`
+	if got := buf.String(); got != want {
+		t.Errorf("Report.Write =\n%s\nwant\n%s", got, want)
+	}
+}

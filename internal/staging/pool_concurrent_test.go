@@ -8,6 +8,7 @@ import (
 
 	"crosslayer/internal/faultnet"
 	"crosslayer/internal/field"
+	"crosslayer/internal/grid"
 	"crosslayer/internal/obs"
 )
 
@@ -204,5 +205,53 @@ func TestSerialPoolEmitsInline(t *testing.T) {
 	}
 	if sink.Total() == 0 {
 		t.Fatal("serialized pool buffered events; must emit inline")
+	}
+}
+
+// TestWorkerExecutorOverlapsLinkLatency pins what the worker executor is
+// for. Loopback has no interconnect, so each server sits behind 150 µs of
+// injected per-I/O latency: the inline executor pays every round trip in
+// sequence, the per-endpoint workers overlap them. The workload is one
+// workflow step's staging I/O (put 64 × 4 KiB blocks, read the region back,
+// evict the previous version) on three servers with two replicas; the bar
+// is the 1.5× EXPERIMENTS.md states.
+func TestWorkerExecutorOverlapsLinkLatency(t *testing.T) {
+	var blocks []*field.BoxData
+	for i := 0; i < 64; i++ {
+		blocks = append(blocks, block(grid.IV(16*(i%4), 16*(i/4%4), 16*(i/16)), 8, float64(i)))
+	}
+	wall := func(conc int) time.Duration {
+		var addrs []string
+		for i := 0; i < 3; i++ {
+			ln, err := net.Listen("tcp", "127.0.0.1:0")
+			if err != nil {
+				t.Fatal(err)
+			}
+			serveOn(t, faultnet.Listen(ln, faultnet.Plan{Latency: 150 * time.Microsecond}), NewSpace(1, 0, dom()))
+			addrs = append(addrs, ln.Addr().String())
+		}
+		p, err := NewPool(addrs, dom(), PoolOptions{Replicas: 2, Concurrency: conc})
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer p.Close()
+		start := time.Now()
+		for v := 0; v < 3; v++ {
+			putAllConc(t, p, v, blocks, conc)
+			got, err := p.GetBlocks("rho", v, dom())
+			if err != nil || len(got) != len(blocks) {
+				t.Fatalf("concurrency %d: read back %d of %d blocks: %v", conc, len(got), len(blocks), err)
+			}
+			if _, err := p.DropBefore("rho", v); err != nil {
+				t.Fatal(err)
+			}
+		}
+		return time.Since(start)
+	}
+	serial, concurrent := wall(1), wall(16)
+	ratio := float64(serial) / float64(concurrent)
+	t.Logf("inline %v, Concurrency 16 %v: %.2fx", serial, concurrent, ratio)
+	if ratio < 1.5 {
+		t.Errorf("worker executor is %.2fx the inline one, want >= 1.5x", ratio)
 	}
 }

@@ -336,14 +336,6 @@ func (sp *Space) TenantUsage(tenant string) (bytes int64, blocks int) {
 	return 0, 0
 }
 
-// PutAsync stores a block in the background, delivering the result on the
-// returned channel (buffered: the sender never blocks).
-func (sp *Space) PutAsync(varName string, version int, d *field.BoxData) <-chan error {
-	done := make(chan error, 1)
-	go func() { done <- sp.Put(varName, version, d) }()
-	return done
-}
-
 // Get assembles the stored data of varName at version over region into a
 // fresh BoxData. Cells of region not covered by any stored block are zero;
 // ErrNotFound is returned when nothing intersects at all. Shards are
@@ -464,15 +456,4 @@ func (sp *Space) MemCapacity() int64 {
 		c += s.capacity
 	}
 	return c
-}
-
-// MemPerServer reports each shard's usage, exposing imbalance.
-func (sp *Space) MemPerServer() []int64 {
-	out := make([]int64, len(sp.servers))
-	for i, s := range sp.servers {
-		s.mu.Lock()
-		out[i] = s.memUsed
-		s.mu.Unlock()
-	}
-	return out
 }

@@ -126,22 +126,6 @@ func TestDropBeforeOtherVarUntouched(t *testing.T) {
 	}
 }
 
-func TestPutAsync(t *testing.T) {
-	sp := NewSpace(2, 0, dom())
-	errs := []<-chan error{
-		sp.PutAsync("rho", 0, block(grid.IV(0, 0, 0), 4, 1)),
-		sp.PutAsync("rho", 0, block(grid.IV(8, 0, 0), 4, 2)),
-	}
-	for _, ch := range errs {
-		if err := <-ch; err != nil {
-			t.Fatal(err)
-		}
-	}
-	if _, err := sp.Get("rho", 0, dom()); err != nil {
-		t.Fatal(err)
-	}
-}
-
 func TestPutEmptyRejected(t *testing.T) {
 	sp := NewSpace(1, 0, dom())
 	if err := sp.Put("rho", 0, nil); err == nil {
@@ -181,8 +165,8 @@ func TestRoutingSpreadsLoad(t *testing.T) {
 		}
 	}
 	nonEmpty := 0
-	for _, used := range sp.MemPerServer() {
-		if used > 0 {
+	for _, s := range sp.servers {
+		if s.memUsed > 0 {
 			nonEmpty++
 		}
 	}

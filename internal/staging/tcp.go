@@ -485,10 +485,7 @@ func (s *Server) admit(conn net.Conn) {
 	}
 	select {
 	case s.backlog <- conn:
-		s.nQueued.Add(1)
-		if m := s.metrics.Load(); m != nil {
-			m.admQueued.Inc()
-		}
+		s.noteQueued()
 	default:
 		s.shed(conn)
 	}
@@ -553,6 +550,13 @@ func (s *Server) noteAdmitted() {
 	s.nAdmitted.Add(1)
 	if m := s.metrics.Load(); m != nil {
 		m.admAdmitted.Inc()
+	}
+}
+
+func (s *Server) noteQueued() {
+	s.nQueued.Add(1)
+	if m := s.metrics.Load(); m != nil {
+		m.admQueued.Inc()
 	}
 }
 

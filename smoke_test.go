@@ -2,27 +2,37 @@ package crosslayer_test
 
 import (
 	"bytes"
+	"encoding/json"
 	"os"
 	"os/exec"
 	"path/filepath"
+	"sort"
 	"strings"
 	"testing"
 
 	"crosslayer"
+	"crosslayer/internal/loadgen"
 )
+
+// buildBin compiles a main package into a fresh temp dir and returns the
+// binary's path.
+func buildBin(t *testing.T, pkg string) string {
+	t.Helper()
+	bin := filepath.Join(t.TempDir(), filepath.Base(pkg))
+	build := exec.Command("go", "build", "-o", bin, pkg)
+	if out, err := build.CombinedOutput(); err != nil {
+		t.Fatalf("go build %s: %v\n%s", pkg, err, out)
+	}
+	return bin
+}
 
 // buildAndRun compiles a main package and executes it with args, returning
 // its combined output. Any build or runtime failure fails the test.
 func buildAndRun(t *testing.T, pkg string, args ...string) string {
 	t.Helper()
-	dir := t.TempDir()
-	bin := filepath.Join(dir, filepath.Base(pkg))
-	build := exec.Command("go", "build", "-o", bin, pkg)
-	if out, err := build.CombinedOutput(); err != nil {
-		t.Fatalf("go build %s: %v\n%s", pkg, err, out)
-	}
+	bin := buildBin(t, pkg)
 	cmd := exec.Command(bin, args...)
-	cmd.Dir = dir // examples write artifacts to their cwd; keep them out of the repo
+	cmd.Dir = filepath.Dir(bin) // examples write artifacts to their cwd; keep them out of the repo
 	out, err := cmd.CombinedOutput()
 	if err != nil {
 		t.Fatalf("%s %v: %v\n%s", pkg, args, err, out)
@@ -156,4 +166,57 @@ func TestXlayerRunJournalParity(t *testing.T) {
 	if !bytes.Equal(plainTrace, journalTrace) {
 		t.Errorf("step traces differ with and without -journal:\n%s\nvs\n%s", plainTrace, journalTrace)
 	}
+}
+
+// TestXlayerBenchRetiredLoadgenReportKept pins the CLI edge the retired
+// bench subcommand left behind: it is gone (usage, non-zero exit), and
+// `loadgen -out` — the one remaining writer of the xlayer-bench/v1 schema —
+// still writes a report with the same aggregate metric keys.
+func TestXlayerBenchRetiredLoadgenReportKept(t *testing.T) {
+	if testing.Short() {
+		t.Skip("skipping CLI build in -short mode")
+	}
+	bin := buildBin(t, "./cmd/xlayer")
+	if out, err := exec.Command(bin, "bench").CombinedOutput(); err == nil || !bytes.Contains(out, []byte("usage: xlayer")) {
+		t.Errorf("bench subcommand: err = %v, want a non-zero exit with usage; output:\n%s", err, out)
+	}
+	report := filepath.Join(t.TempDir(), "f.json")
+	if out, err := exec.Command(bin, "loadgen", "-short", "-tenants", "2", "-out", report).CombinedOutput(); err != nil {
+		t.Fatalf("xlayer loadgen: %v\n%s", err, out)
+	}
+	raw, err := os.ReadFile(report)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var rep loadgen.Report // its JSON keys are pinned by loadgen's TestReportWriteBytes
+	if err := json.Unmarshal(raw, &rep); err != nil {
+		t.Fatal(err)
+	}
+	if rep.Schema != "xlayer-bench/v1" {
+		t.Errorf("schema = %q, want xlayer-bench/v1", rep.Schema)
+	}
+	want := []string{
+		"admission_admitted_total", "admission_queued_total", "admission_shed_total",
+		"audit_missing_total", "bytes_moved", "checksum_mismatch_total",
+		"client_quota_rejected", "manifest_leak_total", "quota_rejected_total",
+		"restarts_total", "steps_per_sec", "tenants",
+	}
+	for _, e := range rep.Entries {
+		if e.Name != "loadgen/aggregate" {
+			continue
+		}
+		var got []string
+		for k := range e.Metrics {
+			got = append(got, k)
+		}
+		sort.Strings(got)
+		if strings.Join(got, ",") != strings.Join(want, ",") {
+			t.Errorf("loadgen/aggregate metric keys = %v, want %v", got, want)
+		}
+		if e.N <= 0 || e.NsPerOp <= 0 {
+			t.Errorf("loadgen/aggregate n = %d, ns_per_op = %v", e.N, e.NsPerOp)
+		}
+		return
+	}
+	t.Errorf("no loadgen/aggregate entry in %s", raw)
 }
