@@ -3,7 +3,7 @@
 GO ?= go
 FUZZTIME ?= 10s
 
-.PHONY: check build test vet staticcheck race fuzz xbench perf chaos cover clean
+.PHONY: check build test vet staticcheck race fuzz xbench perf chaos cover loc clean
 
 check: vet staticcheck build race fuzz xbench
 
@@ -78,6 +78,12 @@ chaos:
 cover:
 	$(GO) test ./... -count=1 -coverprofile=coverage.out -covermode=atomic
 	$(GO) tool cover -func=coverage.out | tee coverage-summary.txt
+
+# The root module's non-test Go line count, as ROADMAP.md and CHANGES.md
+# quote it (cmd/, examples/ and internal/ included; benchmarks/ is its own
+# module and is not).
+loc:
+	@find . -name '*.go' -not -name '*_test.go' -not -path './benchmarks/*' | xargs wc -l | tail -1
 
 clean:
 	$(GO) clean ./...

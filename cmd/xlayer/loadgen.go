@@ -2,10 +2,8 @@ package main
 
 import (
 	"fmt"
-	"net"
 	"os"
 	"os/signal"
-	"path/filepath"
 	"strings"
 	"syscall"
 
@@ -106,45 +104,29 @@ func runServe(o serveOpts) error {
 		return fmt.Errorf("serve: -quota-bytes/-quota-blocks need -quota-tenants")
 	}
 
-	var servers []*staging.Server
-	defer func() {
-		for _, s := range servers {
-			s.Close()
-		}
-	}()
-	for i := 0; i < o.servers; i++ {
-		ln, err := net.Listen("tcp", o.addr)
-		if err != nil {
-			return err
-		}
-		space := staging.NewSpace(1, 0, domain)
-		for _, t := range tenants {
-			space.SetTenantQuota(t, staging.TenantQuota{
-				MaxBytes: o.quotaBytes, MaxBlocks: o.quotaBlocks,
-			})
-		}
-		opts := staging.ServerOptions{
-			MaxConns: o.maxConns,
-			Backlog:  o.backlog,
-		}
-		if o.dataDir != "" {
-			opts.DataDir = filepath.Join(o.dataDir, fmt.Sprintf("server-%d", i))
-			opts.ServerID = fmt.Sprintf("s%d", i)
-			if err := os.MkdirAll(opts.DataDir, 0o755); err != nil {
-				ln.Close()
-				return fmt.Errorf("serve: data dir: %w", err)
-			}
-		}
-		srv, err := staging.NewServer(ln, space, opts)
-		if err != nil {
-			return fmt.Errorf("serve: recover %s: %w", opts.DataDir, err)
-		}
-		if rs := srv.RecoverStats(); rs != nil {
+	fo := staging.FleetOptions{
+		Servers: o.servers,
+		Domain:  domain,
+		Addr:    o.addr,
+		DataDir: o.dataDir,
+		Quotas:  make(map[string]staging.TenantQuota, len(tenants)),
+		Server:  staging.ServerOptions{MaxConns: o.maxConns, Backlog: o.backlog},
+	}
+	for _, t := range tenants {
+		fo.Quotas[t] = staging.TenantQuota{MaxBytes: o.quotaBytes, MaxBlocks: o.quotaBlocks}
+	}
+	fleet, err := staging.NewFleet(fo)
+	if err != nil {
+		return fmt.Errorf("serve: %w", err)
+	}
+	defer fleet.Close()
+	addrs := fleet.Addrs()
+	for i, addr := range addrs {
+		if rs := fleet.Server(i).RecoverStats(); rs != nil {
 			fmt.Fprintf(os.Stderr, "server %d: recovered %d blocks (%d bytes) from %s (snapshot=%d wal=%d torn_tail=%v)\n",
-				i, rs.Blocks, rs.Bytes, opts.DataDir, rs.SnapshotBlocks, rs.WALRecords, rs.TornTail)
+				i, rs.Blocks, rs.Bytes, fleet.DataDir(i), rs.SnapshotBlocks, rs.WALRecords, rs.TornTail)
 		}
-		servers = append(servers, srv)
-		fmt.Println(ln.Addr().String())
+		fmt.Println(addr)
 	}
 	fmt.Fprintf(os.Stderr, "serving %d staging server(s); max_conns=%d backlog=%d; ^C to stop\n",
 		o.servers, o.maxConns, o.backlog)
@@ -155,13 +137,11 @@ func runServe(o serveOpts) error {
 	// Graceful shutdown: drain in-flight handlers, flush + fsync every WAL,
 	// then report and exit 0. Shutdown is idempotent with the deferred
 	// Close, which becomes a no-op for already-shut servers.
-	for _, s := range servers {
-		if err := s.Shutdown(); err != nil {
-			return fmt.Errorf("serve: shutdown: %w", err)
-		}
+	if err := fleet.Shutdown(); err != nil {
+		return fmt.Errorf("serve: shutdown: %w", err)
 	}
-	for _, s := range servers {
-		admitted, queued, shed, quota := s.AdmissionStats()
+	for i := range addrs {
+		admitted, queued, shed, quota := fleet.Server(i).AdmissionStats()
 		fmt.Fprintf(os.Stderr, "admission: admitted=%d queued=%d shed=%d quota_rejected=%d\n",
 			admitted, queued, shed, quota)
 	}

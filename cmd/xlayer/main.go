@@ -29,6 +29,7 @@ import (
 	"time"
 
 	"crosslayer"
+	"crosslayer/internal/policy"
 	"crosslayer/internal/spec"
 )
 
@@ -242,40 +243,51 @@ func runSpec(path string, haltAfter int) error {
 	if err != nil {
 		return err
 	}
-	wf, sim, err := w.Build()
+	wf, res, err := driveSpec(w, haltAfter, "resuming from journal at", false)
 	if err != nil {
 		return err
 	}
 	defer wf.Close()
-	steps := w.StepsOrDefault()
-	remaining := steps - wf.NextStep()
-	if remaining < 0 {
-		remaining = 0
-	}
-	if w.ResumedStep() > 0 {
-		fmt.Printf("resuming from journal at step %d\n", w.ResumedStep())
-	}
-	if haltAfter >= 0 {
-		if w.Journal == "" {
-			return fmt.Errorf("-halt-after needs a journal in the spec (the halted run is only recoverable from one)")
-		}
-		if haltAfter < remaining {
-			if err := haltRun(wf, haltAfter); err != nil {
-				return err
-			}
-		}
-	}
-	res := wf.Run(remaining)
-	if err := wf.JournalErr(); err != nil {
-		fmt.Fprintln(os.Stderr, "xlayer: journal degraded:", err)
-	}
-	fmt.Printf("%s (%s) | %d steps\n", sim.Name(), path, steps)
+	fmt.Printf("%s (%s) | %d steps\n", wf.Simulation().Name(), path, w.StepsOrDefault())
 	fmt.Printf("simulation time: %.2fs   end-to-end: %.2fs   overhead: %.2fs\n",
 		res.SimSecondsTotal, res.EndToEnd, res.OverheadSeconds)
 	fmt.Printf("placements: %d in-situ, %d in-transit   data moved: %.2f GB   energy: %.0f J\n",
 		res.InSituSteps, res.InTransitSteps, float64(res.BytesMovedTotal)/(1<<30), res.EnergyJoules)
 	fmt.Printf("staging utilization (Eq. 12): %.1f%%\n", 100*res.StagingUtilization)
 	return nil
+}
+
+// driveSpec builds w and runs the steps it still owes — all of them for a
+// fresh run, the tail beyond the last checkpoint for a resume — honoring
+// -halt-after (haltAfter >= 0) as a deterministic driver kill. resumeNote is
+// the mode's wording of the resume notice; announceMetrics prints the bound
+// metrics URL first. The caller closes the returned workflow.
+func driveSpec(w *spec.Workflow, haltAfter int, resumeNote string, announceMetrics bool) (*crosslayer.Workflow, crosslayer.Result, error) {
+	if haltAfter >= 0 && w.Journal == "" {
+		return nil, crosslayer.Result{}, fmt.Errorf("-halt-after needs a journal (the halted run is only recoverable from one)")
+	}
+	wf, _, err := w.Build()
+	if err != nil {
+		return nil, crosslayer.Result{}, err
+	}
+	if addr := w.BoundMetricsAddr(); announceMetrics && addr != "" {
+		fmt.Printf("metrics: http://%s/metrics\n", addr)
+	}
+	remaining := max(w.StepsOrDefault()-wf.NextStep(), 0)
+	if w.ResumedStep() > 0 {
+		fmt.Printf("%s step %d\n", resumeNote, w.ResumedStep())
+	}
+	if haltAfter >= 0 && haltAfter < remaining {
+		if err := haltRun(wf, haltAfter); err != nil {
+			wf.Close()
+			return nil, crosslayer.Result{}, err
+		}
+	}
+	res := wf.Run(remaining)
+	if err := wf.JournalErr(); err != nil {
+		fmt.Fprintln(os.Stderr, "xlayer: journal degraded:", err)
+	}
+	return wf, res, nil
 }
 
 // haltRun executes n steps and then exits the process immediately — defers
@@ -334,14 +346,14 @@ func specFromRunOpts(o runOpts) (*spec.Workflow, error) {
 	default:
 		return nil, fmt.Errorf("unknown app %q", o.app)
 	}
-	switch o.objective {
-	case "tts": // spec default
-	case "util":
-		w.Objective = "max-staging-utilization"
-	case "movement":
-		w.Objective = "min-data-movement"
-	default:
-		return nil, fmt.Errorf("unknown objective %q", o.objective)
+	obj, err := policy.ParseObjective(o.objective)
+	if err != nil {
+		return nil, err
+	}
+	// The default stays unspelled, as journal fingerprints and trace seeds
+	// have always recorded it.
+	if obj != policy.MinTimeToSolution {
+		w.Objective = obj.String()
 	}
 	switch o.placement {
 	case "adaptive":
@@ -383,38 +395,15 @@ func specFromRunOpts(o runOpts) (*spec.Workflow, error) {
 // fresh run, the tail beyond the last checkpoint for a resume — and honors
 // -halt-after as a deterministic driver kill.
 func runFromFlags(o runOpts) error {
-	if o.haltAfter >= 0 && o.journalPath == "" {
-		return fmt.Errorf("-halt-after needs -journal (the halted run is only recoverable from a journal)")
-	}
 	w, err := specFromRunOpts(o)
 	if err != nil {
 		return err
 	}
-	wf, sim, err := w.Build()
+	wf, res, err := driveSpec(w, o.haltAfter, "resuming "+o.journalPath+" from", true)
 	if err != nil {
 		return err
 	}
 	defer wf.Close()
-	if addr := w.BoundMetricsAddr(); addr != "" {
-		fmt.Printf("metrics: http://%s/metrics\n", addr)
-	}
-	steps := w.StepsOrDefault()
-	remaining := steps - wf.NextStep()
-	if remaining < 0 {
-		remaining = 0
-	}
-	if w.ResumedStep() > 0 {
-		fmt.Printf("resuming %s from step %d\n", o.journalPath, w.ResumedStep())
-	}
-	if o.haltAfter >= 0 && o.haltAfter < remaining {
-		if err := haltRun(wf, o.haltAfter); err != nil {
-			return err
-		}
-	}
-	res := wf.Run(remaining)
-	if err := wf.JournalErr(); err != nil {
-		fmt.Fprintln(os.Stderr, "xlayer: journal degraded:", err)
-	}
 	if missing := wf.ResumeAuditMissing(); missing > 0 {
 		fmt.Fprintf(os.Stderr, "xlayer: resume audit: %d manifest blocks missing from the pool\n", missing)
 	}
@@ -427,7 +416,7 @@ func runFromFlags(o runOpts) error {
 		tail += " | data " + o.stagingDataDir
 	}
 	fmt.Printf("%s | %s placement | objective %s | %d steps%s\n",
-		sim.Name(), o.placement, o.objective, steps, tail)
+		wf.Simulation().Name(), o.placement, o.objective, w.StepsOrDefault(), tail)
 	fmt.Printf("simulation time: %.2fs   end-to-end: %.2fs   overhead: %.2fs (%.1f%%)\n",
 		res.SimSecondsTotal, res.EndToEnd, res.OverheadSeconds,
 		100*res.OverheadSeconds/res.SimSecondsTotal)

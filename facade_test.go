@@ -108,3 +108,114 @@ func TestFacadeExportsAreReferenced(t *testing.T) {
 			len(unused), len(exported), strings.Join(unused, "\n  "))
 	}
 }
+
+// internalKeep lists the exported functions under internal/ that no non-test
+// code names and that stay anyway, each with the reason. Everything else
+// exported there must be named by some non-test file, or be deleted.
+var internalKeep = map[string]string{
+	"PolytropicGas.TotalMass":        "conservation observable the solver tests and BenchmarkAblationReflux rest on",
+	"AdvectionDiffusion.TotalScalar": "conservation observable the solver tests rest on",
+	"Hierarchy.FillGhost":            "allocating form of FillGhostInto; reference for the ghost-fill differential tests",
+	"Hierarchy.FillGhostBlended":     "allocating form of FillGhostBlendedInto; reference for the subcycling tests",
+	"BoxData.Fill":                   "test fixture builder across field, staging, viz and spec tests",
+	"BoxData.CopyCell":               "per-cell copy amr's reference ghost fill (reference_test.go) is written with",
+	"BoxData.Axpy":                   "amr's reference blend (reference_test.go) is written with it",
+	"Box.Cell":                       "inverse of Box.Offset; the solver and amr reference kernels index through it",
+	"Box.GrowDir":                    "one-direction Grow; the solver reference kernels (reference_test.go) build face boxes with it",
+	"Restrict":                       "allocating form of RestrictInto; the conservation tests drive it",
+	"EntropyPlan.ApplyPlan":          "applies a decided plan; reduce's tests check plan and result separately",
+	"MemCost":                        "the paper's Mem_data_reduce (Eq. 2) by name",
+	"FluxRegister.NumFaces":          "observation hook for the register-rebuild tests",
+	"Engine.PlanIncludes":            "observation hook for the root-leaf plan tests",
+	"NewSubset":                      "the third analysis.Service; core's workflow test plugs it in through Config.Analysis",
+	"Space.ContentManifest":          "unsized form of ContentManifestSized; what the concurrent-pool tests compare",
+	"Space.CompactWAL":               "forces a snapshot compaction; the WAL tests and FuzzStagingSnapshot need the trigger",
+	"Space.TenantUsage":              "observation hook for the quota accounting and WAL usage-recovery tests",
+	"Space.Persisted":                "observation hook: shutdown tests assert the WAL detached",
+	"NewRingSink":                    "in-memory event sink the pool, core and obs tests read events back from",
+	"RingSink.Total":                 "NewRingSink's overflow observable",
+	"MetricsServer.URL":              "what tests and operators scrape; the CLI prints the same string from Addr",
+	"Ctx.EndErr":                     "ends a span with an error label; the tree tests build failed spans with it",
+	"Ctx.AddDetail":                  "unused, but dropping it and its 16-byte field shrinks span.Ctx, which alone moved coupled-gas-mem step_p90 +10 % (bisected in PR 22; GC phase, not work): goes with a PR that may re-baseline",
+	"Emitter.WithWallClock":          "wall-clock stamping no shipped path enables yet (ROADMAP item 4)",
+	"Tracer.WithWallDurations":       "wall-duration stamping no shipped path enables yet (ROADMAP item 4)",
+	"Tracer.WallEnabled":             "reports WithWallDurations (ROADMAP item 4)",
+}
+
+// TestInternalExportsAreReferenced is the facade rule applied to internal/:
+// an exported function or method (on an exported type) there must be named
+// by non-test code somewhere in the repo — the root module, examples/ or
+// benchmarks/ — or sit on internalKeep with a reason. It matches by bare
+// identifier, so it under-reports (any same-named identifier counts); what
+// it does flag is referenced only by tests, or by nothing.
+func TestInternalExportsAreReferenced(t *testing.T) {
+	fset := token.NewFileSet()
+	uses := map[string]int{}
+	type fn struct{ name, ident, path string }
+	var declared []fn
+	err := filepath.WalkDir(".", func(path string, d fs.DirEntry, err error) error {
+		if err != nil || d.IsDir() || !strings.HasSuffix(path, ".go") || strings.HasSuffix(path, "_test.go") {
+			return err
+		}
+		f, err := parser.ParseFile(fset, path, nil, parser.SkipObjectResolution)
+		if err != nil {
+			return err
+		}
+		own := map[*ast.Ident]bool{}
+		for _, decl := range f.Decls {
+			d, ok := decl.(*ast.FuncDecl)
+			if !ok {
+				continue
+			}
+			own[d.Name] = true
+			if !d.Name.IsExported() || !strings.HasPrefix(filepath.ToSlash(path), "internal/") {
+				continue
+			}
+			name := d.Name.Name
+			if d.Recv != nil {
+				recv := d.Recv.List[0].Type
+				if star, ok := recv.(*ast.StarExpr); ok {
+					recv = star.X
+				}
+				id, ok := recv.(*ast.Ident)
+				if !ok || !id.IsExported() {
+					continue
+				}
+				name = id.Name + "." + name
+			}
+			declared = append(declared, fn{name, d.Name.Name, path})
+		}
+		ast.Inspect(f, func(n ast.Node) bool {
+			if id, ok := n.(*ast.Ident); ok && !own[id] {
+				uses[id.Name]++
+			}
+			return true
+		})
+		return nil
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+
+	var unused []string
+	seen := map[string]bool{}
+	for _, d := range declared {
+		if uses[d.ident] > 0 {
+			continue
+		}
+		seen[d.name] = true
+		if internalKeep[d.name] == "" {
+			unused = append(unused, d.name+" ("+d.path+")")
+		}
+	}
+	sort.Strings(unused)
+	if len(unused) > 0 {
+		t.Errorf("%d exported functions under internal/ are named by no non-test code; delete them (with their unit tests) or add them to internalKeep with a reason:\n  %s",
+			len(unused), strings.Join(unused, "\n  "))
+	}
+	for name := range internalKeep {
+		if !seen[name] {
+			t.Errorf("internalKeep lists %s, which is gone or now referenced; drop the entry", name)
+		}
+	}
+}

@@ -178,15 +178,3 @@ func (s *Subset) Analyze(blocks []*field.BoxData, comp int, dx float64) Report {
 		Metrics:     map[string]float64{"subset_bytes": float64(outBytes)},
 	}
 }
-
-// Extract returns the actual subset blocks (the analysis product).
-func (s *Subset) Extract(blocks []*field.BoxData) []*field.BoxData {
-	var out []*field.BoxData
-	for _, b := range blocks {
-		is := b.Box.Intersect(s.Region)
-		if !is.IsEmpty() {
-			out = append(out, b.Subset(is))
-		}
-	}
-	return out
-}

@@ -108,18 +108,6 @@ func TestSubsetService(t *testing.T) {
 	if rep.OutputBytes != region.NumCells()*8 {
 		t.Errorf("subset bytes = %d, want %d", rep.OutputBytes, region.NumCells()*8)
 	}
-	sub := s.Extract([]*field.BoxData{d, out})
-	if len(sub) != 1 {
-		t.Fatalf("extracted %d blocks", len(sub))
-	}
-	if sub[0].Box != region {
-		t.Errorf("subset box = %v", sub[0].Box)
-	}
-	sub[0].Box.ForEach(func(q grid.IntVect) {
-		if sub[0].Get(q, 0) != d.Get(q, 0) {
-			t.Fatalf("subset value mismatch at %v", q)
-		}
-	})
 }
 
 func TestServiceInterfaceCompliance(t *testing.T) {

@@ -3,10 +3,7 @@ package chaos
 import (
 	"bytes"
 	"fmt"
-	"io"
-	"net"
 	"os"
-	"path/filepath"
 	"sync"
 	"time"
 
@@ -151,8 +148,7 @@ func (t tenantStore) DrainSpans()             { t.pool.DrainSpans() }
 // kindTally counts the staging servers' admission and quota events by kind.
 // Unlike tallySink it needs a lock: server handlers emit concurrently. The
 // counts never feed a byte-compared log — they exist only so the admission
-// reconciliation check can hold events, metrics, and AdmissionStats to the
-// same numbers.
+// reconciliation check can hold the events to the admission counters.
 type kindTally struct {
 	mu     sync.Mutex
 	byKind map[obs.Kind]int
@@ -193,9 +189,7 @@ type harness struct {
 	s           Schedule
 	wf          *core.Workflow
 	pool        *staging.Pool
-	gates       []*faultnet.Gate
-	spaces      []*staging.Space
-	servers     []*staging.Server
+	fleet       *staging.Fleet
 	srvEvents   *kindTally
 	srvEm       *obs.Emitter
 	tally       *tallySink
@@ -203,6 +197,7 @@ type harness struct {
 	reg         *obs.Registry
 	resumeBase  int
 	effCooldown int
+	objective   policy.Objective
 	planHas     map[policy.Mechanism]bool
 
 	// probe is where probePut writes: the pool itself, or the probe
@@ -221,11 +216,10 @@ type harness struct {
 	// legitimate and the durability audit stops.
 	lossArmed bool
 
-	// dataRoot/dataDirs are the durable shape's disk layout (restart
-	// schedules only): one temp root, one subdir per server. faultErr holds
-	// the first restart I/O failure — a harness failure, not a violation.
+	// dataRoot is the durable shape's temp root (restart schedules only),
+	// the fleet's DataDir. faultErr holds the first restart I/O failure — a
+	// harness failure, not a violation.
 	dataRoot string
-	dataDirs []string
 	faultErr error
 
 	lastFailStep  int  // most recent staging_failure step, -1 before any
@@ -283,7 +277,8 @@ func Run(s Schedule) (*RunResult, error) {
 		planHas:      make(map[policy.Mechanism]bool),
 		probeBoxes:   probeBoxes(),
 	}
-	for _, m := range policy.Plan(objectiveOf(s.Objective)) {
+	h.objective, _ = policy.ParseObjective(s.Objective) // Validate vouched for it
+	for _, m := range policy.Plan(h.objective) {
 		h.planHas[m] = true
 	}
 	h.effCooldown = effectiveCooldown(s.Cooldown)
@@ -296,15 +291,9 @@ func Run(s Schedule) (*RunResult, error) {
 	srvReg := obs.NewRegistry()
 	h.srvEvents = &kindTally{}
 	h.srvEm = obs.NewEmitter(h.srvEvents)
-	var servers []io.Closer
 	fail := func(err error) (*RunResult, error) {
-		for _, c := range servers {
-			c.Close()
-		}
-		for _, sp := range h.spaces {
-			if sp.Persisted() {
-				sp.ClosePersist()
-			}
+		if h.fleet != nil {
+			h.fleet.Close()
 		}
 		if h.dataRoot != "" {
 			os.RemoveAll(h.dataRoot)
@@ -322,42 +311,26 @@ func Run(s Schedule) (*RunResult, error) {
 		}
 		h.dataRoot = root
 	}
-	addrs := make([]string, 0, s.Servers)
-	for i := 0; i < s.Servers; i++ {
-		space := staging.NewSpace(1, s.SqueezeBytes, domain)
-		if s.Tenants == 2 && s.QuotaBytes > 0 {
-			space.SetTenantQuota(probeTenant, staging.TenantQuota{MaxBytes: s.QuotaBytes})
-		}
-		ln, err := net.Listen("tcp", "127.0.0.1:0")
-		if err != nil {
-			return fail(fmt.Errorf("chaos: staging listen: %w", err))
-		}
-		if h.dataRoot != "" {
-			dir := filepath.Join(h.dataRoot, fmt.Sprintf("server-%d", i))
-			if err := os.MkdirAll(dir, 0o755); err != nil {
-				return fail(fmt.Errorf("chaos: data dir: %w", err))
-			}
-			h.dataDirs = append(h.dataDirs, dir)
-			if _, err := space.Persist(dir, fmt.Sprintf("s%d", i)); err != nil {
-				return fail(fmt.Errorf("chaos: persist server %d: %w", i, err))
-			}
-		}
-		gate := faultnet.NewGate(ln)
-		var wrapped net.Listener = gate
-		if s.Net != nil {
-			wrapped = faultnet.Listen(wrapped, s.Net.plan())
-		}
-		srv, err := staging.NewServer(wrapped, space, staging.ServerOptions{Events: h.srvEm})
-		if err != nil {
-			return fail(fmt.Errorf("chaos: server %d: %w", i, err))
-		}
-		srv.Observe(srvReg)
-		addrs = append(addrs, ln.Addr().String())
-		h.gates = append(h.gates, gate)
-		h.spaces = append(h.spaces, space)
-		h.servers = append(h.servers, srv)
-		servers = append(servers, srv)
+	fo := staging.FleetOptions{
+		Servers:  s.Servers,
+		Domain:   domain,
+		Capacity: s.SqueezeBytes,
+		DataDir:  h.dataRoot,
+		Server:   staging.ServerOptions{Events: h.srvEm, Metrics: srvReg},
 	}
+	if s.Tenants == 2 && s.QuotaBytes > 0 {
+		fo.Quotas = map[string]staging.TenantQuota{probeTenant: {MaxBytes: s.QuotaBytes}}
+	}
+	if s.Net != nil {
+		plan := s.Net.plan()
+		fo.Fault = &plan
+	}
+	fleet, err := staging.NewFleet(fo)
+	if err != nil {
+		return fail(fmt.Errorf("chaos: %w", err))
+	}
+	h.fleet = fleet
+	addrs := fleet.Addrs()
 
 	var logBuf, spanBuf, jbuf bytes.Buffer
 	crashAt := -1
@@ -399,15 +372,8 @@ func Run(s Schedule) (*RunResult, error) {
 	if err := h.wf.Close(); err != nil {
 		return nil, fmt.Errorf("chaos: close: %w", err)
 	}
-	for _, c := range servers {
-		c.Close()
-	}
-	for _, sp := range h.spaces {
-		if sp.Persisted() {
-			if err := sp.ClosePersist(); err != nil {
-				return nil, fmt.Errorf("chaos: close persist: %w", err)
-			}
-		}
+	if err := fleet.Shutdown(); err != nil {
+		return nil, fmt.Errorf("chaos: shutdown: %w", err)
 	}
 	h.checkEndOfRun(res)
 	h.checkAdmission(srvReg)
@@ -525,7 +491,7 @@ func (h *harness) drive(logBuf, spanBuf, jbuf *bytes.Buffer, domain grid.Box, ad
 		Machine:                sysmodel.Intrepid(),
 		SimCores:               simCores,
 		StagingCores:           stagingCores,
-		Objective:              objectiveOf(s.Objective),
+		Objective:              h.objective,
 		StaticPlacement:        policy.PlaceInTransit,
 		EnableHybrid:           s.Hybrid,
 		Staging:                store,
@@ -538,16 +504,8 @@ func (h *harness) drive(logBuf, spanBuf, jbuf *bytes.Buffer, domain grid.Box, ad
 		Metrics:                reg,
 		Journal:                jw,
 	}
-	for _, m := range s.Adapt {
-		switch m {
-		case "application":
-			cfg.Enable.Application = true
-		case "middleware":
-			cfg.Enable.Middleware = true
-		case "resource":
-			cfg.Enable.Resource = true
-		}
-	}
+	mechs, _ := policy.ParseMechanisms(s.Adapt)
+	cfg.Enable = core.AdaptationsOf(mechs)
 	if len(s.Factors) > 0 {
 		cfg.Hints.Mode = policy.AppRangeBased
 		cfg.Hints.FactorPhases = []policy.FactorPhase{{FromStep: 0, Factors: s.Factors}}
@@ -598,16 +556,6 @@ func (h *harness) drive(logBuf, spanBuf, jbuf *bytes.Buffer, domain grid.Box, ad
 		return core.Result{}, fmt.Errorf("chaos: journal: %w", err)
 	}
 	return res, nil
-}
-
-func objectiveOf(name string) policy.Objective {
-	switch name {
-	case "util":
-		return policy.MaxStagingUtilization
-	case "movement":
-		return policy.MinDataMovement
-	}
-	return policy.MinTimeToSolution
 }
 
 // effectiveCooldown mirrors core.Config.withDefaults.
@@ -671,12 +619,11 @@ func (h *harness) record(step int) core.StepRecord {
 func (h *harness) applyFaults(step int) {
 	for _, k := range h.s.Kills {
 		if k.At == step {
-			h.gates[k.Server].Kill()
-			h.spaces[k.Server].Clear()
+			h.fleet.Kill(k.Server)
 			h.dataDead[k.Server] = true
 		}
 		if k.Revive != 0 && k.Revive == step {
-			h.gates[k.Server].Revive()
+			h.fleet.Revive(k.Server)
 		}
 	}
 	for _, r := range h.s.Restarts {
@@ -687,43 +634,28 @@ func (h *harness) applyFaults(step int) {
 	if w := h.s.Wipe; w != nil && w.At == step {
 		// Silent state loss: the space empties but the gate stays up and
 		// dataDead is deliberately NOT set — the audit must catch this.
-		h.spaces[w.Server].Clear()
+		h.fleet.Wipe(w.Server)
 	}
 }
 
 // restart hard-kills one durable server at a step barrier and brings it
-// back over its data dir: the gate severs connections, the WAL file
-// descriptor drops without a flush (kill -9 on disk), memory empties — then
-// the server recovers from the dir (Recover) or the dir is discarded and it
-// rejoins empty. The gate reopens only after recovery completes, the way a
-// restarted process only listens once it has replayed its log. Recovery
-// restores the acked pre-restart state exactly, so dataDead is left
-// untouched on the Recover path: whatever the endpoint already owed to
-// rejoin repair it still owes, and the restart itself lost nothing — the
-// durability audit stays armed straight through.
+// back over its data dir (Fleet.Restart). Recovery restores the acked
+// pre-restart state exactly, so dataDead is left untouched on the Recover
+// path: whatever the endpoint already owed to rejoin repair it still owes,
+// and the restart itself lost nothing — the durability audit stays armed
+// straight through. A discarded dir is real data loss and marks it.
 func (h *harness) restart(r Restart) {
-	ioErr := func(err error) bool {
-		if err != nil && h.faultErr == nil {
-			h.faultErr = fmt.Errorf("chaos: restart server %d: %w", r.Server, err)
+	stats, err := h.fleet.Restart(r.Server, r.Recover)
+	if err != nil {
+		if h.faultErr == nil {
+			h.faultErr = fmt.Errorf("chaos: %w", err)
 		}
-		return err != nil
+		return // gate stays down: the server never came back
 	}
-	h.gates[r.Server].Kill()
-	h.spaces[r.Server].CrashPersist()
-	h.spaces[r.Server].Clear()
-	dir := h.dataDirs[r.Server]
 	if !r.Recover {
-		if ioErr(os.RemoveAll(dir)) || ioErr(os.MkdirAll(dir, 0o755)) {
-			return // gate stays down: the server never came back
-		}
 		h.dataDead[r.Server] = true
 	}
-	stats, err := h.spaces[r.Server].Persist(dir, fmt.Sprintf("s%d", r.Server))
-	if ioErr(err) {
-		return
-	}
 	h.srvEm.StagingRecovery(r.Server, stats.Blocks, stats.Bytes, stats.TornTail)
-	h.gates[r.Server].Revive()
 }
 
 // updateLossArmed disarms the durability audit permanently once any

@@ -22,6 +22,8 @@ import (
 	"io"
 	"math/rand"
 	"os"
+
+	"crosslayer/internal/policy"
 )
 
 // Kill crashes one staging server after step At completes: the gate severs
@@ -272,17 +274,11 @@ func (s Schedule) Validate() error {
 	default:
 		return fmt.Errorf("chaos: unknown app %q", s.App)
 	}
-	switch s.Objective {
-	case "", "tts", "util", "movement":
-	default:
-		return fmt.Errorf("chaos: unknown objective %q", s.Objective)
+	if _, err := policy.ParseObjective(s.Objective); err != nil {
+		return fmt.Errorf("chaos: %w", err)
 	}
-	for _, m := range s.Adapt {
-		switch m {
-		case "application", "middleware", "resource":
-		default:
-			return fmt.Errorf("chaos: unknown mechanism %q", m)
-		}
+	if _, err := policy.ParseMechanisms(s.Adapt); err != nil {
+		return fmt.Errorf("chaos: %w", err)
 	}
 	return nil
 }

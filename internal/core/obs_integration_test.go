@@ -34,11 +34,10 @@ func eventTCPWorkflow(t *testing.T, plan faultnet.Plan, buf *bytes.Buffer, reg *
 	if err != nil {
 		t.Fatal(err)
 	}
-	srv, err := staging.NewServer(ln, space, staging.ServerOptions{})
+	srv, err := staging.NewServer(ln, space, staging.ServerOptions{Metrics: reg})
 	if err != nil {
 		t.Fatal(err)
 	}
-	srv.Observe(reg)
 
 	dialPlan := plan
 	dialPlan.OnFault = em.FaultInjected

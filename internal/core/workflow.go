@@ -27,6 +27,15 @@ type Adaptations struct {
 	Resource    bool
 }
 
+// AdaptationsOf enables the mechanisms in a set (see policy.ParseMechanisms).
+func AdaptationsOf(on map[policy.Mechanism]bool) Adaptations {
+	return Adaptations{
+		Application: on[policy.MechApplication],
+		Middleware:  on[policy.MechMiddleware],
+		Resource:    on[policy.MechResource],
+	}
+}
+
 // Config assembles a workflow.
 type Config struct {
 	Machine      sysmodel.Machine

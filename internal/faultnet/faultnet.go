@@ -72,12 +72,6 @@ type Plan struct {
 	OnFault func(kind, detail string)
 }
 
-// IsZero reports whether the plan injects no faults at all.
-func (p Plan) IsZero() bool {
-	return p.RefuseAccepts == 0 && p.DropAfterBytes == 0 &&
-		p.Latency == 0 && p.TruncateRate == 0 && p.CorruptRate == 0
-}
-
 // Validate checks rate bounds.
 func (p Plan) Validate() error {
 	if p.TruncateRate < 0 || p.TruncateRate > 1 {
@@ -214,14 +208,6 @@ func (l *Listener) Close() error { return l.inner.Close() }
 
 // Addr returns the inner listener's address.
 func (l *Listener) Addr() net.Addr { return l.inner.Addr() }
-
-// Accepted reports how many connections the listener has accepted (refused
-// ones included).
-func (l *Listener) Accepted() int {
-	l.mu.Lock()
-	defer l.mu.Unlock()
-	return l.accepted
-}
 
 // Dialer dials through the plan: every connection it opens carries the
 // plan's per-connection faults (client-side injection, for peers whose

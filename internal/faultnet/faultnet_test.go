@@ -64,10 +64,10 @@ func TestParsePlanErrors(t *testing.T) {
 			t.Errorf("ParsePlan(%q) accepted", s)
 		}
 	}
-	if p, err := ParsePlan(""); err != nil || !p.IsZero() {
+	if p, err := ParsePlan(""); err != nil || p.String() != "none" {
 		t.Errorf("empty plan: %+v, %v", p, err)
 	}
-	if p, err := ParsePlan("none"); err != nil || !p.IsZero() {
+	if p, err := ParsePlan("none"); err != nil || p.String() != "none" {
 		t.Errorf("none plan: %+v, %v", p, err)
 	}
 }
@@ -135,8 +135,8 @@ func TestRefuseAcceptsFirstN(t *testing.T) {
 	if ok == 0 {
 		t.Fatal("no connection survived after the refused prefix")
 	}
-	if ln.Accepted() < 3 {
-		t.Fatalf("accepted %d, want >= 3", ln.Accepted())
+	if ln.accepted < 3 {
+		t.Fatalf("accepted %d, want >= 3", ln.accepted)
 	}
 }
 

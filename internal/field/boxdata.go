@@ -150,30 +150,6 @@ func (d *BoxData) Subset(sub grid.Box) *BoxData {
 	return out
 }
 
-// MaxNorm returns the maximum absolute value of component c.
-func (d *BoxData) MaxNorm(c int) float64 {
-	m := 0.0
-	for _, v := range d.Comp(c) {
-		if a := math.Abs(v); a > m {
-			m = a
-		}
-	}
-	return m
-}
-
-// L2Norm returns the root-mean-square of component c (0 for empty data).
-func (d *BoxData) L2Norm(c int) float64 {
-	s := d.Comp(c)
-	if len(s) == 0 {
-		return 0
-	}
-	sum := 0.0
-	for _, v := range s {
-		sum += v * v
-	}
-	return math.Sqrt(sum / float64(len(s)))
-}
-
 // Sum returns the sum of component c.
 func (d *BoxData) Sum(c int) float64 {
 	sum := 0.0

@@ -109,12 +109,6 @@ func TestNorms(t *testing.T) {
 	d := New(box(0, 0, 0, 1, 0, 0), 1)
 	d.Set(grid.IV(0, 0, 0), 0, 3)
 	d.Set(grid.IV(1, 0, 0), 0, -4)
-	if got := d.MaxNorm(0); got != 4 {
-		t.Errorf("MaxNorm = %v", got)
-	}
-	if got := d.L2Norm(0); math.Abs(got-math.Sqrt(12.5)) > 1e-12 {
-		t.Errorf("L2Norm = %v", got)
-	}
 	lo, hi := d.MinMax(0)
 	if lo != -4 || hi != 3 {
 		t.Errorf("MinMax = %v %v", lo, hi)

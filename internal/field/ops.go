@@ -1,11 +1,6 @@
 package field
 
-import (
-	"fmt"
-	"math"
-
-	"crosslayer/internal/grid"
-)
+import "crosslayer/internal/grid"
 
 // Axpy computes d[c] += a * src[c] over the intersection of the two boxes,
 // for one component pair.
@@ -27,19 +22,6 @@ func (d *BoxData) Scale(c int, a float64) {
 	}
 }
 
-// Clamp bounds component c into [lo, hi].
-func (d *BoxData) Clamp(c int, lo, hi float64) {
-	s := d.Comp(c)
-	for i := range s {
-		if s[i] < lo {
-			s[i] = lo
-		}
-		if s[i] > hi {
-			s[i] = hi
-		}
-	}
-}
-
 // Equal reports whether two containers hold identical boxes, component
 // counts and values (exact float comparison).
 func (d *BoxData) Equal(o *BoxData) bool {
@@ -55,71 +37,4 @@ func (d *BoxData) Equal(o *BoxData) bool {
 		}
 	}
 	return true
-}
-
-// ProlongTrilinear fills fine data over fineBox by trilinear interpolation
-// of coarse cell-centered values. Compared with the piecewise-constant
-// Prolong it produces C0-continuous fields across coarse cells, which
-// reduces the prolongation error for smooth solutions by one order. The
-// coarse data must cover fineBox.Coarsen(r) grown by one cell (the stencil
-// reaches the neighbouring coarse cells).
-func ProlongTrilinear(coarse *BoxData, fineBox grid.Box, r int) *BoxData {
-	need := fineBox.Coarsen(r).Grow(1)
-	if !coarse.Box.ContainsBox(need) {
-		panic(fmt.Sprintf("field: ProlongTrilinear needs coarse %v to contain %v", coarse.Box, need))
-	}
-	fine := New(fineBox, coarse.NComp)
-	rf := float64(r)
-	for c := 0; c < coarse.NComp; c++ {
-		fineBox.ForEach(func(q grid.IntVect) {
-			// Physical position of the fine cell center in coarse index
-			// units: (q + 0.5)/r - 0.5 relative to coarse centers.
-			fx := (float64(q.X)+0.5)/rf - 0.5
-			fy := (float64(q.Y)+0.5)/rf - 0.5
-			fz := (float64(q.Z)+0.5)/rf - 0.5
-			ix, iy, iz := int(math.Floor(fx)), int(math.Floor(fy)), int(math.Floor(fz))
-			tx, ty, tz := fx-float64(ix), fy-float64(iy), fz-float64(iz)
-			var v float64
-			for dz := 0; dz <= 1; dz++ {
-				wz := tz
-				if dz == 0 {
-					wz = 1 - tz
-				}
-				for dy := 0; dy <= 1; dy++ {
-					wy := ty
-					if dy == 0 {
-						wy = 1 - ty
-					}
-					for dx := 0; dx <= 1; dx++ {
-						wx := tx
-						if dx == 0 {
-							wx = 1 - tx
-						}
-						v += wx * wy * wz * coarse.Get(grid.IV(ix+dx, iy+dy, iz+dz), c)
-					}
-				}
-			}
-			fine.Set(q, c, v)
-		})
-	}
-	return fine
-}
-
-// GradientMax returns, for component c, the largest undivided central
-// difference across the interior cells (boundary cells use one-sided
-// differences of width 1 implicitly by clamping). Used by tagging
-// diagnostics and tests.
-func (d *BoxData) GradientMax(c int) float64 {
-	b := d.Box
-	m := 0.0
-	b.ForEach(func(q grid.IntVect) {
-		for dim := 0; dim < 3; dim++ {
-			hiQ := q.WithComp(dim, min(q.Comp(dim)+1, b.Hi.Comp(dim)))
-			loQ := q.WithComp(dim, max(q.Comp(dim)-1, b.Lo.Comp(dim)))
-			if g := math.Abs(d.Get(hiQ, c) - d.Get(loQ, c)); g > m {
-				m = g
-			}
-		}
-	})
-	return m
 }

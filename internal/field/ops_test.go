@@ -1,8 +1,6 @@
 package field
 
 import (
-	"math"
-	"math/rand"
 	"testing"
 
 	"crosslayer/internal/grid"
@@ -37,15 +35,6 @@ func TestScaleAndClamp(t *testing.T) {
 	if d.Get(grid.IV(0, 0, 0), 0) != 6 || d.Get(grid.IV(0, 0, 0), 1) != 5 {
 		t.Error("Scale leaked across components")
 	}
-	d.Clamp(0, 0, 4)
-	if got := d.Get(grid.IV(0, 0, 0), 0); got != 4 {
-		t.Errorf("Clamp = %v", got)
-	}
-	d.Fill(0, -7)
-	d.Clamp(0, -1, 4)
-	if got := d.Get(grid.IV(0, 0, 0), 0); got != -1 {
-		t.Errorf("Clamp low = %v", got)
-	}
 }
 
 func TestEqual(t *testing.T) {
@@ -65,94 +54,6 @@ func TestEqual(t *testing.T) {
 	d := New(box(0, 0, 0, 1, 2, 2), 2)
 	if a.Equal(d) {
 		t.Error("different box equal")
-	}
-}
-
-func TestProlongTrilinearExactOnLinear(t *testing.T) {
-	// Trilinear interpolation reproduces linear fields exactly (away from
-	// clamped boundaries).
-	coarse := New(box(-1, -1, -1, 5, 5, 5), 1)
-	coarse.Box.ForEach(func(p grid.IntVect) {
-		coarse.Set(p, 0, 2*float64(p.X)+3*float64(p.Y)-float64(p.Z))
-	})
-	fineBox := box(0, 0, 0, 7, 7, 7) // coarsens to (0..3), stencil needs (-1..4)
-	fine := ProlongTrilinear(coarse, fineBox, 2)
-	fineBox.ForEach(func(q grid.IntVect) {
-		// the same linear function evaluated at the fine cell center, in
-		// coarse index coordinates
-		x := (float64(q.X)+0.5)/2 - 0.5
-		y := (float64(q.Y)+0.5)/2 - 0.5
-		z := (float64(q.Z)+0.5)/2 - 0.5
-		want := 2*x + 3*y - z
-		if got := fine.Get(q, 0); math.Abs(got-want) > 1e-12 {
-			t.Fatalf("at %v: got %v want %v", q, got, want)
-		}
-	})
-}
-
-func TestProlongTrilinearConstant(t *testing.T) {
-	coarse := New(box(-1, -1, -1, 3, 3, 3), 1)
-	coarse.FillAll(7)
-	fine := ProlongTrilinear(coarse, box(0, 0, 0, 3, 3, 3), 2)
-	fine.Box.ForEach(func(q grid.IntVect) {
-		if fine.Get(q, 0) != 7 {
-			t.Fatalf("constant not preserved at %v", q)
-		}
-	})
-}
-
-func TestProlongTrilinearSmoother(t *testing.T) {
-	// On a smooth (quadratic) field, trilinear prolongation must beat
-	// piecewise-constant prolongation in RMS error against the exact fine
-	// field.
-	coarse := New(box(-1, -1, -1, 9, 9, 9), 1)
-	f := func(x, y, z float64) float64 { return x*x + 0.5*y*y + 0.25*z*z }
-	coarse.Box.ForEach(func(p grid.IntVect) {
-		coarse.Set(p, 0, f(float64(p.X), float64(p.Y), float64(p.Z)))
-	})
-	fineBox := box(0, 0, 0, 15, 15, 15)
-	exact := New(fineBox, 1)
-	fineBox.ForEach(func(q grid.IntVect) {
-		x := (float64(q.X)+0.5)/2 - 0.5
-		y := (float64(q.Y)+0.5)/2 - 0.5
-		z := (float64(q.Z)+0.5)/2 - 0.5
-		exact.Set(q, 0, f(x, y, z))
-	})
-	tri := ProlongTrilinear(coarse, fineBox, 2)
-	pc := Prolong(coarse, fineBox, 2)
-	errTri := RMSError(exact, tri, 0)
-	errPC := RMSError(exact, pc, 0)
-	if errTri >= errPC {
-		t.Errorf("trilinear error %.4f not below piecewise-constant %.4f", errTri, errPC)
-	}
-}
-
-func TestProlongTrilinearPanicsWithoutStencil(t *testing.T) {
-	coarse := New(box(0, 0, 0, 3, 3, 3), 1) // no grown halo
-	defer func() {
-		if recover() == nil {
-			t.Error("missing stencil halo should panic")
-		}
-	}()
-	ProlongTrilinear(coarse, box(0, 0, 0, 7, 7, 7), 2)
-}
-
-func TestGradientMax(t *testing.T) {
-	d := New(box(0, 0, 0, 3, 3, 3), 1)
-	if got := d.GradientMax(0); got != 0 {
-		t.Errorf("flat gradient = %v", got)
-	}
-	d.Set(grid.IV(2, 2, 2), 0, 5)
-	got := d.GradientMax(0)
-	if got != 5 {
-		t.Errorf("spike gradient = %v, want 5", got)
-	}
-	rng := rand.New(rand.NewSource(2))
-	for i := range d.Comp(0) {
-		d.Comp(0)[i] = rng.Float64()
-	}
-	if g := d.GradientMax(0); g < 0 || g > 1 {
-		t.Errorf("random-field gradient %v outside [0,1]", g)
 	}
 }
 

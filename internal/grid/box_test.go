@@ -17,9 +17,6 @@ func TestIntVectArithmetic(t *testing.T) {
 	if got := a.Scale(3); got != IV(3, 6, 9) {
 		t.Errorf("Scale = %v", got)
 	}
-	if got := a.Mul(b); got != IV(4, 10, 18) {
-		t.Errorf("Mul = %v", got)
-	}
 	if got := a.Product(); got != 6 {
 		t.Errorf("Product = %d", got)
 	}
@@ -266,16 +263,6 @@ func TestBoxForEachOrder(t *testing.T) {
 	}
 }
 
-func TestMortonRoundTrip(t *testing.T) {
-	f := func(x, y, z uint16) bool {
-		p := IV(int(x), int(y), int(z))
-		return MortonDecode(MortonCode(p)) == p
-	}
-	if err := quick.Check(f, nil); err != nil {
-		t.Error(err)
-	}
-}
-
 func TestMortonOrdersLocally(t *testing.T) {
 	// The code of a point must be strictly between codes of the octant
 	// corners it lies between — a weak but useful locality sanity check.
@@ -310,30 +297,6 @@ func TestDecompose(t *testing.T) {
 	}
 	if got := Decompose(Empty(), 8); got != nil {
 		t.Errorf("Decompose empty = %v", got)
-	}
-}
-
-func TestSplitEven(t *testing.T) {
-	dom := NewBox(IV(0, 0, 0), IV(15, 15, 15))
-	for _, n := range []int{1, 2, 3, 7, 16} {
-		boxes := SplitEven(dom, n)
-		if len(boxes) != n {
-			t.Fatalf("SplitEven(%d) returned %d boxes", n, len(boxes))
-		}
-		var cells int64
-		for _, b := range boxes {
-			cells += b.NumCells()
-		}
-		if cells != dom.NumCells() {
-			t.Errorf("SplitEven(%d) covers %d cells", n, cells)
-		}
-		// balance: no box more than 2x the ideal share
-		ideal := float64(dom.NumCells()) / float64(n)
-		for _, b := range boxes {
-			if float64(b.NumCells()) > 2*ideal+1 {
-				t.Errorf("SplitEven(%d): box %v too large (%d cells, ideal %.0f)", n, b, b.NumCells(), ideal)
-			}
-		}
 	}
 }
 

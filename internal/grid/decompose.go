@@ -52,35 +52,6 @@ func DecomposeAligned(domain Box, maxSize, align int) []Box {
 	return append(DecomposeAligned(lower, maxSize, align), DecomposeAligned(upper, maxSize, align)...)
 }
 
-// SplitEven chops domain into exactly n disjoint covering boxes with cell
-// counts as equal as bisection allows. n must be >= 1. The implementation
-// repeatedly splits the largest box along its longest axis.
-func SplitEven(domain Box, n int) []Box {
-	if n < 1 {
-		panic("grid: SplitEven n must be >= 1")
-	}
-	boxes := []Box{domain}
-	for len(boxes) < n {
-		// Find the largest splittable box.
-		bi, best := -1, int64(1)
-		for i, b := range boxes {
-			if nc := b.NumCells(); nc > best && b.Size().MaxComp() > 1 {
-				bi, best = i, nc
-			}
-		}
-		if bi < 0 {
-			break // all boxes are single cells; cannot split further
-		}
-		b := boxes[bi]
-		d := b.Size().MaxDim()
-		mid := b.Lo.Comp(d) + b.Size().Comp(d)/2
-		lower, upper := b.ChopDim(d, mid)
-		boxes[bi] = lower
-		boxes = append(boxes, upper)
-	}
-	return boxes
-}
-
 // MortonSort orders boxes by the Morton code of their low corner (offset so
 // all coordinates are non-negative). Boxes adjacent in the returned order
 // tend to be adjacent in space.

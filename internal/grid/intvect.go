@@ -35,9 +35,6 @@ func (v IntVect) Sub(w IntVect) IntVect { return IntVect{v.X - w.X, v.Y - w.Y, v
 // Scale returns the componentwise product v*s.
 func (v IntVect) Scale(s int) IntVect { return IntVect{v.X * s, v.Y * s, v.Z * s} }
 
-// Mul returns the componentwise product v*w.
-func (v IntVect) Mul(w IntVect) IntVect { return IntVect{v.X * w.X, v.Y * w.Y, v.Z * w.Z} }
-
 // Div returns the componentwise floor division v/s for positive s.
 // Floor (not truncating) division keeps coarsening correct for negative
 // indices: -1/2 must coarsen to -1, not 0.

@@ -34,12 +34,3 @@ func compact(v uint64) uint64 {
 	v = (v | v>>32) & 0x1fffff
 	return v
 }
-
-// MortonDecode inverts MortonCode.
-func MortonDecode(code uint64) IntVect {
-	return IntVect{
-		X: int(compact(code)),
-		Y: int(compact(code >> 1)),
-		Z: int(compact(code >> 2)),
-	}
-}

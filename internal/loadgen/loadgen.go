@@ -29,7 +29,6 @@ import (
 	"io"
 	"math"
 	"math/rand"
-	"net"
 	"os"
 	"path/filepath"
 	"sort"
@@ -203,23 +202,26 @@ func Run(opts Options) (*Report, error) {
 	edge := domainEdge(o.Short)
 	domain := grid.NewBox(grid.IV(0, 0, 0), grid.IV(edge-1, edge-1, edge-1))
 
-	servers, spaces, addrs, err := standUp(o, domain)
-	if err != nil {
-		return nil, err
+	// The shared servers carry no event emitter — sheds land on accept
+	// goroutines — and no metrics registry: the report carries each server's
+	// own AdmissionStats.
+	fo := staging.FleetOptions{
+		Servers: o.Servers,
+		Domain:  domain,
+		Server:  staging.ServerOptions{MaxConns: o.MaxConns, Backlog: o.Backlog},
 	}
-	defer func() {
-		for _, s := range servers {
-			s.Close()
-		}
-	}()
 	if o.QuotaBytes > 0 || o.QuotaBlocks > 0 {
-		q := staging.TenantQuota{MaxBytes: o.QuotaBytes, MaxBlocks: o.QuotaBlocks}
-		for _, sp := range spaces {
-			for i := 0; i < o.Tenants; i++ {
-				sp.SetTenantQuota(TenantID(i), q)
-			}
+		fo.Quotas = make(map[string]staging.TenantQuota, o.Tenants)
+		for i := 0; i < o.Tenants; i++ {
+			fo.Quotas[TenantID(i)] = staging.TenantQuota{MaxBytes: o.QuotaBytes, MaxBlocks: o.QuotaBlocks}
 		}
 	}
+	fleet, err := staging.NewFleet(fo)
+	if err != nil {
+		return nil, fmt.Errorf("loadgen: %w", err)
+	}
+	defer fleet.Close()
+	addrs := fleet.Addrs()
 	if o.LogDir != "" {
 		if err := os.MkdirAll(o.LogDir, 0o755); err != nil {
 			return nil, fmt.Errorf("loadgen: log dir: %w", err)
@@ -257,8 +259,8 @@ func Run(opts Options) (*Report, error) {
 
 	rep := &Report{Schema: Schema, Short: o.Short}
 	var admitted, queued, shed, quotaSrv int64
-	for _, s := range servers {
-		a, q, sh, qr := s.AdmissionStats()
+	for i := range addrs {
+		a, q, sh, qr := fleet.Server(i).AdmissionStats()
 		admitted += a
 		queued += q
 		shed += sh
@@ -322,39 +324,6 @@ func Run(opts Options) (*Report, error) {
 	o.logf("%-16s %d steps in %.2fs  admitted=%d queued=%d shed=%d quota=%d leaks=%d",
 		agg.Name, totalSteps, wall.Seconds(), admitted, queued, shed, quotaSrv, leaks)
 	return rep, nil
-}
-
-// standUp starts the shared servers. They carry no event emitter — sheds
-// land on accept goroutines and the harness reconciles via AdmissionStats —
-// and no metrics registry (the report carries the tallies).
-func standUp(o Options, domain grid.Box) ([]*staging.Server, []*staging.Space, []string, error) {
-	var servers []*staging.Server
-	var spaces []*staging.Space
-	var addrs []string
-	for i := 0; i < o.Servers; i++ {
-		space := staging.NewSpace(1, 0, domain)
-		ln, err := net.Listen("tcp", "127.0.0.1:0")
-		if err != nil {
-			for _, s := range servers {
-				s.Close()
-			}
-			return nil, nil, nil, fmt.Errorf("loadgen: listen: %w", err)
-		}
-		srv, err := staging.NewServer(ln, space, staging.ServerOptions{
-			MaxConns: o.MaxConns,
-			Backlog:  o.Backlog,
-		})
-		if err != nil {
-			for _, s := range servers {
-				s.Close()
-			}
-			return nil, nil, nil, fmt.Errorf("loadgen: server %d: %w", i, err)
-		}
-		servers = append(servers, srv)
-		spaces = append(spaces, space)
-		addrs = append(addrs, ln.Addr().String())
-	}
-	return servers, spaces, addrs, nil
 }
 
 // tileDomain cuts the domain into blockEdge³ boxes in x-fastest order.

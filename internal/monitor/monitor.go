@@ -166,20 +166,3 @@ func (m *Monitor) PredictSimSeconds(fallback float64) float64 {
 	}
 	return m.simSecsEWMA
 }
-
-// PredictDataBytes estimates the next step's S_data.
-func (m *Monitor) PredictDataBytes(fallback int64) int64 {
-	if !m.haveEWMA {
-		return fallback
-	}
-	return int64(m.dataBytesEWMA)
-}
-
-// PeakMemSeries returns the per-step peak rank memory (Fig. 1's profile).
-func (m *Monitor) PeakMemSeries() []int64 {
-	out := make([]int64, len(m.samples))
-	for i := range m.samples {
-		out[i] = m.samples[i].MaxMemUsed()
-	}
-	return out
-}

@@ -63,28 +63,6 @@ func TestPredictSimSecondsEWMA(t *testing.T) {
 	}
 }
 
-func TestPredictDataBytes(t *testing.T) {
-	m := New(1) // alpha 1 = track last exactly
-	if got := m.PredictDataBytes(123); got != 123 {
-		t.Errorf("fallback = %d", got)
-	}
-	m.Record(Sample{DataBytes: 1000})
-	m.Record(Sample{DataBytes: 3000})
-	if got := m.PredictDataBytes(0); got != 3000 {
-		t.Errorf("alpha=1 prediction = %d", got)
-	}
-}
-
-func TestPeakMemSeries(t *testing.T) {
-	m := New(0)
-	m.Record(Sample{MemUsedPerRank: []int64{1, 5}})
-	m.Record(Sample{MemUsedPerRank: []int64{9, 2}})
-	got := m.PeakMemSeries()
-	if len(got) != 2 || got[0] != 5 || got[1] != 9 {
-		t.Errorf("PeakMemSeries = %v", got)
-	}
-}
-
 func TestNewValidatesAlpha(t *testing.T) {
 	defer func() {
 		if recover() == nil {

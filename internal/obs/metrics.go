@@ -83,35 +83,6 @@ func (h *Histogram) Count() uint64 { return h.count.Load() }
 // Sum returns the sum of all observed values.
 func (h *Histogram) Sum() float64 { return math.Float64frombits(h.sumBits.Load()) }
 
-// Quantile estimates quantile q (in [0,1]) from the bucket counts by
-// linear interpolation within the holding bucket — the same estimate
-// Prometheus's histogram_quantile computes.
-func (h *Histogram) Quantile(q float64) float64 {
-	total := h.count.Load()
-	if total == 0 {
-		return math.NaN()
-	}
-	rank := q * float64(total)
-	var seen float64
-	lo := 0.0
-	for i, b := range h.bounds {
-		n := float64(h.counts[i].Load())
-		if seen+n >= rank {
-			if n == 0 {
-				return b
-			}
-			return lo + (b-lo)*(rank-seen)/n
-		}
-		seen += n
-		lo = b
-	}
-	// The +Inf bucket: no upper bound to interpolate toward.
-	if len(h.bounds) > 0 {
-		return h.bounds[len(h.bounds)-1]
-	}
-	return math.NaN()
-}
-
 // DefBuckets is the default seconds histogram (covers the model-scale step
 // costs from milliseconds to minutes).
 var DefBuckets = []float64{0.005, 0.025, 0.1, 0.5, 1, 2.5, 5, 10, 30, 60, 120, 300}

@@ -55,12 +55,6 @@ func BuildTree(spans []Span) (*Tree, error) {
 	return t, nil
 }
 
-// Children returns s's children ordered by start.
-func (t *Tree) Children(s *Span) []*Span { return t.children[s.ID] }
-
-// Lookup returns the span with the given ID, or nil.
-func (t *Tree) Lookup(id string) *Span { return t.byID[id] }
-
 // Roots returns the parentless spans (one run span per log, normally).
 func (t *Tree) Roots() []*Span { return t.roots }
 

@@ -271,15 +271,6 @@ func (t *Tracer) SetVirtualClock(clock func() float64) {
 	t.clock = clock
 }
 
-// TraceUint64 returns the numeric trace ID (0 for a nil tracer) — the value
-// the staging client stamps into the wire extension.
-func (t *Tracer) TraceUint64() uint64 {
-	if t == nil {
-		return 0
-	}
-	return t.trace
-}
-
 // Close closes the sink.
 func (t *Tracer) Close() error {
 	if t == nil {
@@ -394,14 +385,6 @@ func (t *Tracer) Begin(parent Ctx, name, layer string, step int) Ctx {
 	start := t.now()
 	t.mu.Unlock()
 	return Ctx{t: t, id: id, parent: parent.id, step: step, name: name, layer: layer, start: start}
-}
-
-// Child opens a span under c with c's step.
-func (c Ctx) Child(name, layer string) Ctx {
-	if c.t == nil {
-		return Ctx{}
-	}
-	return c.t.Begin(c, name, layer, c.step)
 }
 
 // AddDetail attaches free-form context emitted with the span at End.

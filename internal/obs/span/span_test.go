@@ -55,9 +55,6 @@ func TestNilTracerIsInert(t *testing.T) {
 	c.EndErr("x")
 	c.AddDetail("d")
 	c.Record(Op{Name: "op"})
-	if k := c.Child("child", LayerStep); k.Enabled() {
-		t.Fatal("zero ctx produced an enabled child")
-	}
 	if trace, parent := c.WireIDs(); trace != 0 || parent != 0 {
 		t.Fatal("zero ctx has wire IDs")
 	}
@@ -138,7 +135,7 @@ func TestBuildTreeRejectsIllFormed(t *testing.T) {
 	if len(tree.Roots()) != 1 || tree.Roots()[0].ID != "a" {
 		t.Fatal("root not found")
 	}
-	if kids := tree.Children(tree.Lookup("a")); len(kids) != 1 || kids[0].ID != "b" {
+	if kids := tree.children["a"]; len(kids) != 1 || kids[0].ID != "b" {
 		t.Fatal("children not indexed")
 	}
 

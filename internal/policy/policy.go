@@ -43,6 +43,21 @@ func (o Objective) String() string {
 	return fmt.Sprintf("Objective(%d)", int(o))
 }
 
+// ParseObjective is the inverse of Objective.String, also accepting the
+// short aliases the CLI and chaos schedules use ("tts", "util", "movement");
+// the empty string is the default, MinTimeToSolution.
+func ParseObjective(s string) (Objective, error) {
+	switch s {
+	case "", "tts", MinTimeToSolution.String():
+		return MinTimeToSolution, nil
+	case "util", MaxStagingUtilization.String():
+		return MaxStagingUtilization, nil
+	case "movement", MinDataMovement.String():
+		return MinDataMovement, nil
+	}
+	return MinTimeToSolution, fmt.Errorf("unknown objective %q", s)
+}
+
 // AppMode selects the application-layer down-sampling mode.
 type AppMode int
 
@@ -320,6 +335,24 @@ func (m Mechanism) String() string {
 		return "resource"
 	}
 	return fmt.Sprintf("Mechanism(%d)", int(m))
+}
+
+// ParseMechanisms is the inverse of Mechanism.String over a list of names:
+// the set of mechanisms named.
+func ParseMechanisms(names []string) (map[Mechanism]bool, error) {
+	known := make(map[string]Mechanism)
+	for m := MechApplication; m <= MechResource; m++ {
+		known[m.String()] = m
+	}
+	set := make(map[Mechanism]bool, len(names))
+	for _, name := range names {
+		m, ok := known[name]
+		if !ok {
+			return nil, fmt.Errorf("unknown mechanism %q", name)
+		}
+		set[m] = true
+	}
+	return set, nil
 }
 
 // Plan implements the cross-layer root–leaf policy (§4.4): mechanisms

@@ -253,3 +253,35 @@ func TestSplitFraction(t *testing.T) {
 		t.Errorf("no work: phi = %v", got)
 	}
 }
+
+// TestParseRunVocabulary pins the one parse every front end shares: the
+// String() forms round-trip, the CLI/chaos aliases and the empty default
+// resolve, and anything else is an error naming the offender.
+func TestParseRunVocabulary(t *testing.T) {
+	for _, o := range []Objective{MinTimeToSolution, MaxStagingUtilization, MinDataMovement} {
+		if got, err := ParseObjective(o.String()); err != nil || got != o {
+			t.Errorf("ParseObjective(%q) = %v, %v", o, got, err)
+		}
+	}
+	for alias, want := range map[string]Objective{
+		"": MinTimeToSolution, "tts": MinTimeToSolution, "util": MaxStagingUtilization, "movement": MinDataMovement,
+	} {
+		if got, err := ParseObjective(alias); err != nil || got != want {
+			t.Errorf("ParseObjective(%q) = %v, %v; want %v", alias, got, err, want)
+		}
+	}
+	if _, err := ParseObjective("fastest"); err == nil {
+		t.Error("unknown objective accepted")
+	}
+
+	set, err := ParseMechanisms([]string{MechResource.String(), MechApplication.String()})
+	if err != nil || len(set) != 2 || !set[MechResource] || !set[MechApplication] || set[MechMiddleware] {
+		t.Errorf("ParseMechanisms = %v, %v", set, err)
+	}
+	if set, err := ParseMechanisms(nil); err != nil || len(set) != 0 {
+		t.Errorf("empty list = %v, %v", set, err)
+	}
+	if _, err := ParseMechanisms([]string{"application", "network"}); err == nil {
+		t.Error("unknown mechanism accepted")
+	}
+}

@@ -12,9 +12,7 @@ import (
 	"errors"
 	"fmt"
 	"io"
-	"net"
 	"os"
-	"path/filepath"
 	"strconv"
 	"strings"
 	"time"
@@ -61,7 +59,8 @@ type Workflow struct {
 	Steps        int     `json:"steps"`
 
 	// Objective: "min-time-to-solution" (default),
-	// "max-staging-utilization" or "min-data-movement".
+	// "max-staging-utilization" or "min-data-movement" (or the CLI's short
+	// aliases, see policy.ParseObjective).
 	Objective string `json:"objective"`
 	// Adapt lists enabled mechanisms: "application", "middleware",
 	// "resource" (empty = static run).
@@ -306,17 +305,11 @@ func (w *Workflow) validate() error {
 			return fmt.Errorf("spec: domain extents must be >= 8, got %v", w.Domain)
 		}
 	}
-	switch w.Objective {
-	case "", "min-time-to-solution", "max-staging-utilization", "min-data-movement":
-	default:
-		return fmt.Errorf("spec: unknown objective %q", w.Objective)
+	if _, err := policy.ParseObjective(w.Objective); err != nil {
+		return fmt.Errorf("spec: %w", err)
 	}
-	for _, m := range w.Adapt {
-		switch m {
-		case "application", "middleware", "resource":
-		default:
-			return fmt.Errorf("spec: unknown mechanism %q", m)
-		}
+	if _, err := policy.ParseMechanisms(w.Adapt); err != nil {
+		return fmt.Errorf("spec: %w", err)
 	}
 	switch w.Placement {
 	case "", "insitu", "intransit":
@@ -398,7 +391,7 @@ func (w *Workflow) validate() error {
 }
 
 // Build constructs the simulation and workflow the spec describes.
-func (w *Workflow) Build() (*core.Workflow, solver.Simulation, error) {
+func (w *Workflow) Build() (_ *core.Workflow, _ solver.Simulation, err error) {
 	amrCfg := amr.Config{
 		Domain: grid.NewBox(grid.IV(0, 0, 0),
 			grid.IV(w.Domain[0]-1, w.Domain[1]-1, w.Domain[2]-1)),
@@ -435,24 +428,10 @@ func (w *Workflow) Build() (*core.Workflow, solver.Simulation, error) {
 	default:
 		cfg.Machine = sysmodel.Titan()
 	}
-	switch w.Objective {
-	case "max-staging-utilization":
-		cfg.Objective = policy.MaxStagingUtilization
-	case "min-data-movement":
-		cfg.Objective = policy.MinDataMovement
-	default:
-		cfg.Objective = policy.MinTimeToSolution
-	}
-	for _, m := range w.Adapt {
-		switch m {
-		case "application":
-			cfg.Enable.Application = true
-		case "middleware":
-			cfg.Enable.Middleware = true
-		case "resource":
-			cfg.Enable.Resource = true
-		}
-	}
+	// Parse validated both; a hand-built spec with a bad name runs the defaults.
+	cfg.Objective, _ = policy.ParseObjective(w.Objective)
+	mechs, _ := policy.ParseMechanisms(w.Adapt)
+	cfg.Enable = core.AdaptationsOf(mechs)
 	if w.Placement == "intransit" {
 		cfg.StaticPlacement = policy.PlaceInTransit
 	}
@@ -479,7 +458,15 @@ func (w *Workflow) Build() (*core.Workflow, solver.Simulation, error) {
 		return nil, nil, err
 	}
 
+	// Everything Build opens is closed again if it returns an error.
 	var closers []io.Closer
+	defer func() {
+		if err != nil {
+			for _, c := range closers {
+				c.Close()
+			}
+		}
+	}()
 	var emitter *obs.Emitter
 	var eventsFile, spansFile *os.File
 	if w.Events != "" {
@@ -504,9 +491,6 @@ func (w *Workflow) Build() (*core.Workflow, solver.Simulation, error) {
 		}
 		f, err := openLog(w.Spans, recovered != nil, off)
 		if err != nil {
-			for _, c := range closers {
-				c.Close()
-			}
 			return nil, nil, fmt.Errorf("spec: spans: %w", err)
 		}
 		spansFile = f
@@ -519,9 +503,6 @@ func (w *Workflow) Build() (*core.Workflow, solver.Simulation, error) {
 	if w.Journal != "" {
 		jw, jc, err := w.openJournal(recovered, emitter, tracer, eventsFile, spansFile)
 		if err != nil {
-			for _, c := range closers {
-				c.Close()
-			}
 			return nil, nil, err
 		}
 		cfg.Journal = jw
@@ -533,37 +514,18 @@ func (w *Workflow) Build() (*core.Workflow, solver.Simulation, error) {
 		cfg.Metrics = reg
 		ms, err := obs.ServeMetrics(w.MetricsAddr, reg)
 		if err != nil {
-			for _, c := range closers {
-				c.Close()
-			}
 			return nil, nil, fmt.Errorf("spec: metrics: %w", err)
 		}
 		w.metricsBound = ms.Addr()
 		closers = append(closers, ms)
 	}
 	if w.StagingTCP {
-		if w.StagingServers > 1 {
-			pool, cs, after, err := w.buildStagingPool(amrCfg.Domain, emitter, reg)
-			if err != nil {
-				for _, c := range closers {
-					c.Close()
-				}
-				return nil, nil, err
-			}
-			cfg.Staging = pool
-			cfg.AfterStep = after
-			closers = append(closers, cs...)
-		} else {
-			client, srv, err := w.buildStagingTCP(amrCfg.Domain, emitter, tracer, reg)
-			if err != nil {
-				for _, c := range closers {
-					c.Close()
-				}
-				return nil, nil, err
-			}
-			cfg.Staging = client
-			closers = append(closers, srv, client)
+		store, cs, after, err := w.buildStaging(amrCfg.Domain, emitter, tracer, reg)
+		if err != nil {
+			return nil, nil, err
 		}
+		cfg.Staging, cfg.AfterStep = store, after
+		closers = append(closers, cs...)
 	}
 
 	var wf *core.Workflow
@@ -579,9 +541,6 @@ func (w *Workflow) Build() (*core.Workflow, solver.Simulation, error) {
 		wf, err = core.NewWorkflow(cfg, sim)
 	}
 	if err != nil {
-		for _, c := range closers {
-			c.Close()
-		}
 		return nil, nil, err
 	}
 	for _, c := range closers {
@@ -702,140 +661,101 @@ func (w *Workflow) Fingerprint() string {
 // checkpointed step + 1), or 0 for a fresh build.
 func (w *Workflow) ResumedStep() int { return w.resumedStep }
 
-// buildStagingTCP stands up a loopback staging server (optionally behind the
-// spec's fault plan) and dials a resilient client with a tight retry budget,
-// so a dead server degrades steps instead of stalling the run for minutes.
-func (w *Workflow) buildStagingTCP(domain grid.Box, em *obs.Emitter, tr *span.Tracer, reg *obs.Registry) (*staging.Client, *staging.Server, error) {
-	space := staging.NewSpace(4, 0, domain)
-	ln, err := net.Listen("tcp", "127.0.0.1:0")
-	if err != nil {
-		return nil, nil, fmt.Errorf("spec: staging listen: %w", err)
+// buildStaging stands up the spec's loopback staging fleet and the client
+// side over it: one server with a 4-shard space behind a resilient Client,
+// or staging_servers single-shard servers behind a replicated Pool. It
+// returns the store, what to close (fleet first, so it closes last), and the
+// after-step hook that executes a scheduled staging_kill.
+//
+// The servers carry no event emitter and the listener-side fault plan no
+// OnFault callback: both fire on server goroutines, and interleaving them
+// into the event stream would break its run-to-run byte stability. Sheds
+// surface through metrics and Server.AdmissionStats.
+func (w *Workflow) buildStaging(domain grid.Box, em *obs.Emitter, tr *span.Tracer, reg *obs.Registry) (core.StagingStore, []io.Closer, func(step int), error) {
+	pooled := w.StagingServers > 1
+	fo := staging.FleetOptions{
+		Servers: w.StagingServers,
+		Domain:  domain,
+		Shards:  4,
+		DataDir: w.StagingDataDir,
+		Server: staging.ServerOptions{
+			MaxConns: w.StagingMaxConns, Backlog: w.StagingAcceptBacklog, Metrics: reg,
+		},
 	}
-	wrapped := ln
-	var plan faultnet.Plan
-	if w.Fault != nil {
-		plan = w.Fault.Plan()
-		// The server-side wrap carries no OnFault callback: listener faults
-		// fire on server goroutines, and interleaving them into the event
-		// stream would break its run-to-run byte stability.
-		wrapped = faultnet.Listen(ln, plan)
+	if pooled {
+		fo.Shards = 1
 	}
-	// Admission events fire on accept goroutines, so spec-built servers
-	// carry no emitter (same byte-stability reasoning as OnFault above);
-	// sheds surface through metrics and Server.AdmissionStats.
-	srv, err := w.startServer(wrapped, space, 0)
-	if err != nil {
-		return nil, nil, err
-	}
-	srv.Observe(reg)
-	opts := staging.ClientOptions{
+	// Tight retry budgets: a dead server should degrade steps, not stall the
+	// run for minutes.
+	copts := staging.ClientOptions{
 		OpTimeout:   2 * time.Second,
 		MaxRetries:  2,
 		BackoffBase: time.Millisecond,
 		BackoffMax:  10 * time.Millisecond,
-		Events:      em,
-		Metrics:     reg,
 	}
 	if w.Fault != nil {
-		// Dial through the same fault plan so client-side connection faults
-		// (e.g. drop-after budgets) also apply to reconnect attempts. Dial-side
-		// faults happen synchronously under the workflow's op loop, so the
-		// fault_injected events they emit are deterministic.
-		dialPlan := plan
-		if em != nil || tr != nil {
-			dialPlan.OnFault = func(fault, detail string) {
-				if em != nil {
+		plan := w.Fault.Plan()
+		fo.Fault = &plan
+		if !pooled {
+			// Dial through the same fault plan so client-side connection faults
+			// (e.g. drop-after budgets) also apply to reconnect attempts.
+			// Dial-side faults happen synchronously under the workflow's op
+			// loop, so the fault_injected events they emit are deterministic.
+			dialPlan := plan
+			if em != nil || tr != nil {
+				dialPlan.OnFault = func(fault, detail string) {
 					em.FaultInjected(fault, detail)
+					tr.Fault(fault, detail) // both nil-safe; spans the fault under the current step
 				}
-				tr.Fault(fault, detail) // nil-safe; spans the fault under the current step
 			}
+			copts.DialFunc = dialPlan.Dialer()
 		}
-		opts.DialFunc = dialPlan.Dialer()
 	}
-	client, err := staging.DialOptions(ln.Addr().String(), opts)
+	fleet, err := staging.NewFleet(fo)
 	if err != nil {
-		// A refuse-accepts plan rejects the very first dial; the resilient
-		// client retries from inside its op loop, so start it unconnected
-		// rather than failing the build.
-		client = staging.NewClient(ln.Addr().String(), opts)
+		return nil, nil, nil, fmt.Errorf("spec: %w", err)
 	}
-	return client, srv, nil
-}
-
-// buildStagingPool stands up staging_servers loopback servers, each behind a
-// faultnet.Gate kill switch (and optionally the spec's fault plan), and a
-// replicated pool client over them. When a kill is scheduled, the returned
-// after-step hook crashes the chosen server once its step completes — the
-// gate severs the transport, Clear wipes the backing space, so a revived
-// server comes back empty and rejoin repair has real work — and revives the
-// gate after the scheduled rejoin step.
-func (w *Workflow) buildStagingPool(domain grid.Box, em *obs.Emitter, reg *obs.Registry) (*staging.Pool, []io.Closer, func(step int), error) {
-	n := w.StagingServers
-	addrs := make([]string, 0, n)
-	gates := make([]*faultnet.Gate, 0, n)
-	spaces := make([]*staging.Space, 0, n)
-	var closers []io.Closer
-	fail := func(err error) (*staging.Pool, []io.Closer, func(step int), error) {
-		for _, c := range closers {
-			c.Close()
-		}
-		return nil, nil, nil, err
-	}
-	for i := 0; i < n; i++ {
-		space := staging.NewSpace(1, 0, domain)
-		ln, err := net.Listen("tcp", "127.0.0.1:0")
+	if !pooled {
+		copts.Events, copts.Metrics = em, reg
+		client, err := staging.DialOptions(fleet.Addrs()[0], copts)
 		if err != nil {
-			return fail(fmt.Errorf("spec: staging listen: %w", err))
+			// A refuse-accepts plan rejects the very first dial; the resilient
+			// client retries from inside its op loop, so start it unconnected
+			// rather than failing the build.
+			client = staging.NewClient(fleet.Addrs()[0], copts)
 		}
-		gate := faultnet.NewGate(ln)
-		var wrapped net.Listener = gate
-		if w.Fault != nil {
-			wrapped = faultnet.Listen(wrapped, w.Fault.Plan())
-		}
-		srv, err := w.startServer(wrapped, space, i)
-		if err != nil {
-			return fail(err)
-		}
-		srv.Observe(reg)
-		addrs = append(addrs, ln.Addr().String())
-		gates = append(gates, gate)
-		spaces = append(spaces, space)
-		closers = append(closers, srv)
+		return client, []io.Closer{fleet, client}, nil, nil
 	}
-	pool, err := staging.NewPool(addrs, domain, staging.PoolOptions{
+	// One retry per op: the pool's circuit breaker is the resilience layer
+	// here, so a dead endpoint should trip it quickly instead of burning a
+	// deep per-op retry budget.
+	copts.MaxRetries = 1
+	pool, err := staging.NewPool(fleet.Addrs(), domain, staging.PoolOptions{
 		Replicas:    max(w.StagingReplicas, 1),
 		Concurrency: w.StagingConcurrency,
 		Tenant:      w.Tenant,
-		Client: staging.ClientOptions{
-			// One retry per op: the pool's circuit breaker is the resilience
-			// layer here, so a dead endpoint should trip it quickly instead of
-			// burning a deep per-op retry budget.
-			OpTimeout:   2 * time.Second,
-			MaxRetries:  1,
-			BackoffBase: time.Millisecond,
-			BackoffMax:  10 * time.Millisecond,
-		},
-		Events:  em,
-		Metrics: reg,
+		Client:      copts,
+		Events:      em,
+		Metrics:     reg,
 	})
 	if err != nil {
-		return fail(err)
+		fleet.Close()
+		return nil, nil, nil, err
 	}
-	closers = append(closers, pool)
 	var after func(step int)
 	if k := w.StagingKill; k != nil {
-		gate, space := gates[k.Server], spaces[k.Server]
+		// Kill empties the server's space, so the revived server comes back
+		// with nothing and rejoin repair has real work.
 		after = func(step int) {
 			if step == k.AtStep {
-				gate.Kill()
-				space.Clear()
+				fleet.Kill(k.Server)
 			}
 			if k.ReviveStep > 0 && step == k.ReviveStep {
-				gate.Revive()
+				fleet.Revive(k.Server)
 			}
 		}
 	}
-	return pool, closers, after, nil
+	return pool, []io.Closer{fleet, pool}, after, nil
 }
 
 // traceSeed derives the deterministic trace-ID seed from the spec fields
@@ -851,31 +771,6 @@ func (w *Workflow) traceSeed() string {
 		s += "/tenant=" + w.Tenant
 	}
 	return s
-}
-
-// serverOptions is the admission configuration every spec-built staging
-// server runs with.
-func (w *Workflow) serverOptions() staging.ServerOptions {
-	return staging.ServerOptions{MaxConns: w.StagingMaxConns, Backlog: w.StagingAcceptBacklog}
-}
-
-// startServer stands up one staging server over wrapped — durable when
-// staging_data_dir is set, recovering <dir>/server-<idx>'s space from disk
-// before it accepts traffic.
-func (w *Workflow) startServer(wrapped net.Listener, space *staging.Space, idx int) (*staging.Server, error) {
-	opts := w.serverOptions()
-	if w.StagingDataDir != "" {
-		opts.DataDir = filepath.Join(w.StagingDataDir, fmt.Sprintf("server-%d", idx))
-		opts.ServerID = fmt.Sprintf("s%d", idx)
-		if err := os.MkdirAll(opts.DataDir, 0o755); err != nil {
-			return nil, fmt.Errorf("spec: staging data dir: %w", err)
-		}
-	}
-	srv, err := staging.NewServer(wrapped, space, opts)
-	if err != nil {
-		return nil, fmt.Errorf("spec: staging recover %s: %w", opts.DataDir, err)
-	}
-	return srv, nil
 }
 
 // BoundMetricsAddr returns the actual metrics listen address after Build

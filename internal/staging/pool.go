@@ -262,9 +262,6 @@ func replicaName(varName string, shard, j int) string {
 // int32 for the wire encoding.
 var allRegion = grid.NewBox(grid.IV(-(1<<30), -(1<<30), -(1<<30)), grid.IV(1<<30, 1<<30, 1<<30))
 
-// NumEndpoints returns the endpoint count.
-func (p *Pool) NumEndpoints() int { return len(p.eps) }
-
 // Replicas returns the replication factor.
 func (p *Pool) Replicas() int { return p.replicas }
 

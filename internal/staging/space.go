@@ -200,9 +200,6 @@ func NewSpace(nservers int, capacityPerServer int64, domain grid.Box) *Space {
 	return sp
 }
 
-// NumServers returns the shard count.
-func (sp *Space) NumServers() int { return len(sp.servers) }
-
 // route picks the shard for a block: Morton code of the box center scaled
 // into the shard range, preserving spatial locality across shards.
 func (sp *Space) route(b grid.Box) *server {
@@ -444,16 +441,4 @@ func (sp *Space) MemUsed() int64 {
 		s.mu.Unlock()
 	}
 	return used
-}
-
-// MemCapacity returns the total capacity across shards (0 = unlimited).
-func (sp *Space) MemCapacity() int64 {
-	var c int64
-	for _, s := range sp.servers {
-		if s.capacity == 0 {
-			return 0
-		}
-		c += s.capacity
-	}
-	return c
 }

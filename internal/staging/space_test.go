@@ -175,15 +175,6 @@ func TestRoutingSpreadsLoad(t *testing.T) {
 	}
 }
 
-func TestMemCapacity(t *testing.T) {
-	if got := NewSpace(4, 100, dom()).MemCapacity(); got != 400 {
-		t.Errorf("MemCapacity = %d", got)
-	}
-	if got := NewSpace(4, 0, dom()).MemCapacity(); got != 0 {
-		t.Errorf("unlimited capacity = %d", got)
-	}
-}
-
 // TestPutKeepsDistinctBlocksWithEqualBoxes pins append semantics for plain
 // puts: blocks from different AMR levels can share box coordinates (a
 // level-0 box and a refined level-1 box coincide numerically), so a put

@@ -135,6 +135,14 @@ type ServerOptions struct {
 	// and per quota-rejected put (attributed by tenant).
 	Events *obs.Emitter
 
+	// Metrics, when set, registers the server's transport metrics in this
+	// registry: requests served by op, raw bytes in/out, the active-connection
+	// gauge, the admission counters AdmissionStats reads — and, for a durable
+	// server, the space's xlayer_staging_wal_* instruments. Without it the
+	// server does no per-request or per-byte metric work; only the admission
+	// counters stay live, unregistered.
+	Metrics *obs.Registry
+
 	// DataDir, when set, makes the server durable: the space is persisted
 	// under this directory (write-ahead log + snapshot compaction, see
 	// wal.go) and a previous incarnation's state is recovered from it at
@@ -167,11 +175,13 @@ type Server struct {
 	backlog chan net.Conn
 	done    chan struct{}
 
-	// Admission and quota tallies, live regardless of Observe so harnesses
-	// can reconcile them against event streams and metrics.
-	nAdmitted, nQueued, nShed, nQuota atomic.Int64
+	// The admission book: one counter per tally, registered in
+	// ServerOptions.Metrics when given and live-but-unregistered otherwise,
+	// so update sites never branch. admShed is the series of this server's
+	// one possible shed reason.
+	admAdmitted, admQueued, admShed, quotaRejected *obs.Counter
 
-	metrics atomic.Pointer[serverMetrics]
+	metrics *serverMetrics // per-request/per-byte instruments; nil without a registry
 	tracer  atomic.Pointer[span.Tracer]
 
 	// draining is set by Shutdown: handlers finish the request they are
@@ -184,15 +194,12 @@ type Server struct {
 	conns  map[net.Conn]*atomic.Bool // per-conn mid-request flag
 }
 
-// serverMetrics is the server's instrument set (see Observe).
+// serverMetrics is the per-request and per-byte instrument set of a server
+// built with ServerOptions.Metrics.
 type serverMetrics struct {
 	reqPut, reqGet, reqDrop, reqStat, reqManifest, reqOther *obs.Counter
 	bytesIn, bytesOut                                       *obs.Counter
 	activeConns                                             *obs.Gauge
-
-	admAdmitted, admQueued              *obs.Counter
-	admShedMaxConns, admShedBacklogFull *obs.Counter
-	quotaRejected                       *obs.Counter
 }
 
 // count tallies one decoded request by op.
@@ -213,12 +220,24 @@ func (m *serverMetrics) count(op byte) {
 	}
 }
 
-// Observe registers the server's transport metrics in reg: requests served
-// by op, raw bytes in/out, and the active-connection gauge — plus, for a
-// durable server, the space's xlayer_staging_wal_* instruments. Call it
-// right after construction, before clients connect; connections accepted
-// earlier are not counted. A nil registry is ignored.
-func (s *Server) Observe(reg *obs.Registry) {
+// initMetrics binds the server's instruments to opts.Metrics. The admission
+// counters are always live (a nil registry hands out unregistered ones, as
+// Client.initMetrics relies on); everything per request or per byte exists
+// only with a registry.
+func (s *Server) initMetrics() {
+	reg := s.opts.Metrics
+	const shedName = "xlayer_staging_admission_shed_total"
+	const shedHelp = "Connections refused by admission control, by reason."
+	s.admAdmitted = reg.Counter("xlayer_staging_admission_admitted_total",
+		"Connections admitted for service by the staging server.")
+	s.admQueued = reg.Counter("xlayer_staging_admission_queued_total",
+		"Connections parked in the bounded accept backlog.")
+	s.admShed = reg.Counter(shedName, shedHelp, "reason", "max_conns")
+	if full := reg.Counter(shedName, shedHelp, "reason", "backlog_full"); s.opts.Backlog > 0 {
+		s.admShed = full
+	}
+	s.quotaRejected = reg.Counter("xlayer_staging_admission_quota_rejected_total",
+		"Puts rejected server-side by a tenant byte/block quota.")
 	if reg == nil {
 		return
 	}
@@ -227,7 +246,7 @@ func (s *Server) Observe(reg *obs.Registry) {
 	}
 	const reqName = "xlayer_staging_server_requests_total"
 	const reqHelp = "Requests served by the staging server, by operation."
-	m := &serverMetrics{
+	s.metrics = &serverMetrics{
 		reqPut:      reg.Counter(reqName, reqHelp, "op", "put"),
 		reqGet:      reg.Counter(reqName, reqHelp, "op", "get"),
 		reqDrop:     reg.Counter(reqName, reqHelp, "op", "drop"),
@@ -241,17 +260,6 @@ func (s *Server) Observe(reg *obs.Registry) {
 		activeConns: reg.Gauge("xlayer_staging_server_active_conns",
 			"Client connections currently being served."),
 	}
-	const shedName = "xlayer_staging_admission_shed_total"
-	const shedHelp = "Connections refused by admission control, by reason."
-	m.admAdmitted = reg.Counter("xlayer_staging_admission_admitted_total",
-		"Connections admitted for service by the staging server.")
-	m.admQueued = reg.Counter("xlayer_staging_admission_queued_total",
-		"Connections parked in the bounded accept backlog.")
-	m.admShedMaxConns = reg.Counter(shedName, shedHelp, "reason", "max_conns")
-	m.admShedBacklogFull = reg.Counter(shedName, shedHelp, "reason", "backlog_full")
-	m.quotaRejected = reg.Counter("xlayer_staging_admission_quota_rejected_total",
-		"Puts rejected server-side by a tenant byte/block quota.")
-	s.metrics.Store(m)
 }
 
 // Trace installs a tracer for server-side child spans: every request that
@@ -322,6 +330,7 @@ func NewServer(ln net.Listener, space *Space, opts ServerOptions) (*Server, erro
 		conns:     make(map[net.Conn]*atomic.Bool),
 		done:      make(chan struct{}),
 	}
+	s.initMetrics()
 	if opts.MaxConns > 0 {
 		s.slots = make(chan struct{}, opts.MaxConns)
 		// Backlog <= 0 means no queue at all: skip the dispatcher so
@@ -418,11 +427,13 @@ func (s *Server) Shutdown() error {
 
 // AdmissionStats reports the server's cumulative admission tallies:
 // connections admitted for service, connections that waited in the accept
-// backlog, connections shed, and puts rejected by tenant quota. The
-// counters are live independent of Observe, so harnesses can reconcile
-// them against emitted events and registered metrics exactly.
+// backlog, connections shed, and puts rejected by tenant quota. It reads
+// the admission counters themselves, so it cannot drift from the
+// xlayer_staging_admission_* metrics — and servers handed one shared
+// registry share those series, so each then reports the fleet-wide totals.
 func (s *Server) AdmissionStats() (admitted, queued, shed, quotaRejected int64) {
-	return s.nAdmitted.Load(), s.nQueued.Load(), s.nShed.Load(), s.nQuota.Load()
+	return int64(s.admAdmitted.Value()), int64(s.admQueued.Value()),
+		int64(s.admShed.Value()), int64(s.quotaRejected.Value())
 }
 
 // track registers conn for Close-time severing, returning its mid-request
@@ -468,13 +479,13 @@ func (s *Server) acceptLoop() {
 // the backlog is full too. With no MaxConns every connection is served.
 func (s *Server) admit(conn net.Conn) {
 	if s.slots == nil {
-		s.noteAdmitted()
+		s.admAdmitted.Inc()
 		s.serveConn(conn)
 		return
 	}
 	select {
 	case s.slots <- struct{}{}:
-		s.noteAdmitted()
+		s.admAdmitted.Inc()
 		s.serveConn(conn)
 		return
 	default:
@@ -485,7 +496,7 @@ func (s *Server) admit(conn net.Conn) {
 	}
 	select {
 	case s.backlog <- conn:
-		s.noteQueued()
+		s.admQueued.Inc()
 	default:
 		s.shed(conn)
 	}
@@ -509,7 +520,7 @@ func (s *Server) dispatchLoop() {
 			s.drainBacklog()
 			return
 		case s.slots <- struct{}{}:
-			s.noteAdmitted()
+			s.admAdmitted.Inc()
 			s.serveConn(conn)
 		}
 	}
@@ -527,37 +538,16 @@ func (s *Server) drainBacklog() {
 	}
 }
 
-// shed refuses one connection deterministically: close it, bump the shed
-// tallies, and emit the structured refuse-with-reason event.
+// shed refuses one connection deterministically: close it, count it, and
+// emit the structured refuse-with-reason event.
 func (s *Server) shed(conn net.Conn) {
 	conn.Close()
-	s.nShed.Add(1)
+	s.admShed.Inc()
 	reason := "max_conns"
 	if s.opts.Backlog > 0 {
 		reason = "backlog_full"
 	}
-	if m := s.metrics.Load(); m != nil {
-		if reason == "max_conns" {
-			m.admShedMaxConns.Inc()
-		} else {
-			m.admShedBacklogFull.Inc()
-		}
-	}
 	s.opts.Events.AdmissionShed(reason, len(s.slots), len(s.backlog))
-}
-
-func (s *Server) noteAdmitted() {
-	s.nAdmitted.Add(1)
-	if m := s.metrics.Load(); m != nil {
-		m.admAdmitted.Inc()
-	}
-}
-
-func (s *Server) noteQueued() {
-	s.nQueued.Add(1)
-	if m := s.metrics.Load(); m != nil {
-		m.admQueued.Inc()
-	}
 }
 
 // releaseSlot frees the handler slot a served connection held.
@@ -584,7 +574,7 @@ func (s *Server) serveConn(conn net.Conn) {
 		defer s.untrack(conn)
 		defer conn.Close()
 		served := conn
-		if m := s.metrics.Load(); m != nil {
+		if m := s.metrics; m != nil {
 			m.activeConns.Add(1)
 			defer m.activeConns.Add(-1)
 			served = &countingConn{Conn: conn, in: m.bytesIn, out: m.bytesOut}
@@ -620,8 +610,8 @@ func (s *Server) handleOne(r *bufio.Reader, w *bufio.Writer, busy *atomic.Bool) 
 	}
 	busy.Store(true)
 	op := hdr[0] &^ opFlagTrace
-	if m := s.metrics.Load(); m != nil {
-		m.count(op)
+	if s.metrics != nil {
+		s.metrics.count(op)
 	}
 	if s.opts.RequestHook != nil {
 		s.opts.RequestHook(op)
@@ -667,10 +657,7 @@ func (s *Server) handleOne(r *bufio.Reader, w *bufio.Writer, busy *atomic.Bool) 
 // noteQuotaRejected tallies one quota-rejected put and emits the
 // tenant-attributed event.
 func (s *Server) noteQuotaRejected(varName string, bytes int64) {
-	s.nQuota.Add(1)
-	if m := s.metrics.Load(); m != nil {
-		m.quotaRejected.Inc()
-	}
+	s.quotaRejected.Inc()
 	s.opts.Events.QuotaRejected(TenantOf(varName), varName, bytes)
 }
 

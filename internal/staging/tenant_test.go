@@ -181,8 +181,16 @@ func waitFor(t *testing.T, what string, cond func() bool) {
 // wired to a counting event sink and a metrics registry.
 func startAdmissionServer(t *testing.T, maxConns, backlog int) (*Server, *countingSink, *obs.Registry) {
 	t.Helper()
-	sink := &countingSink{}
 	reg := obs.NewRegistry()
+	srv, sink := startAdmissionServerOn(t, maxConns, backlog, reg)
+	return srv, sink, reg
+}
+
+// startAdmissionServerOn is startAdmissionServer over the caller's registry;
+// nil builds the server the way every registry-less deployment does.
+func startAdmissionServerOn(t *testing.T, maxConns, backlog int, reg *obs.Registry) (*Server, *countingSink) {
+	t.Helper()
+	sink := &countingSink{}
 	sp := NewSpace(2, 0, dom())
 	ln, err := net.Listen("tcp", "127.0.0.1:0")
 	if err != nil {
@@ -192,13 +200,13 @@ func startAdmissionServer(t *testing.T, maxConns, backlog int) (*Server, *counti
 		MaxConns: maxConns,
 		Backlog:  backlog,
 		Events:   obs.NewEmitter(sink),
+		Metrics:  reg,
 	})
 	if err != nil {
 		t.Fatal(err)
 	}
-	srv.Observe(reg)
 	t.Cleanup(func() { srv.Close() })
-	return srv, sink, reg
+	return srv, sink
 }
 
 // noRetryClient dials with the retry budget disabled so each op maps to
@@ -215,9 +223,16 @@ func noRetryClient(t *testing.T, addr string) *Client {
 // occupy both slots and every further connection is refused
 // deterministically — shed with reason max_conns, counted identically by
 // AdmissionStats, the shed events, and the Prometheus counter — while
-// Close still drains cleanly with connections open.
+// Close still drains cleanly with connections open. It runs with and
+// without a registry: AdmissionStats reads the same counters either way,
+// registered or not.
 func TestAdmissionConnFlood(t *testing.T) {
-	srv, sink, reg := startAdmissionServer(t, 2, 0)
+	t.Run("registry", func(t *testing.T) { testAdmissionConnFlood(t, obs.NewRegistry()) })
+	t.Run("no registry", func(t *testing.T) { testAdmissionConnFlood(t, nil) })
+}
+
+func testAdmissionConnFlood(t *testing.T, reg *obs.Registry) {
+	srv, sink := startAdmissionServerOn(t, 2, 0, reg)
 
 	c1 := noRetryClient(t, srv.Addr())
 	c2 := noRetryClient(t, srv.Addr())
@@ -250,13 +265,25 @@ func TestAdmissionConnFlood(t *testing.T) {
 	if n := sink.count(obs.KindAdmissionShed); n != flood {
 		t.Errorf("shed events = %d, want %d", n, flood)
 	}
-	if v := reg.Counter("xlayer_staging_admission_shed_total", "",
-		"reason", "max_conns").Value(); v != flood {
-		t.Errorf("shed{reason=max_conns} metric = %v, want %d", v, flood)
-	}
-	if v := reg.Counter("xlayer_staging_admission_shed_total", "",
-		"reason", "backlog_full").Value(); v != 0 {
-		t.Errorf("shed{reason=backlog_full} metric = %v, want 0", v)
+	if reg != nil {
+		for _, c := range []struct {
+			name, reason string
+			want         int64
+		}{
+			{"xlayer_staging_admission_admitted_total", "", admitted},
+			{"xlayer_staging_admission_queued_total", "", queued},
+			{"xlayer_staging_admission_shed_total", "max_conns", shed},
+			{"xlayer_staging_admission_shed_total", "backlog_full", 0},
+			{"xlayer_staging_admission_quota_rejected_total", "", 0},
+		} {
+			var labels []string
+			if c.reason != "" {
+				labels = []string{"reason", c.reason}
+			}
+			if v := reg.Counter(c.name, "", labels...).Value(); int64(v) != c.want {
+				t.Errorf("%s%v = %v, AdmissionStats says %d", c.name, labels, v, c.want)
+			}
+		}
 	}
 
 	// Releasing a slot lets the next connection through.

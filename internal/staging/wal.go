@@ -299,20 +299,6 @@ func (sp *Space) WALStats() WALStats {
 	return st
 }
 
-// SyncWAL fsyncs the attached WAL (a no-op when detached: appends already
-// sync record by record, this flushes any pending OS state on demand).
-func (sp *Space) SyncWAL() error {
-	sp.opMu.Lock()
-	defer sp.opMu.Unlock()
-	if sp.dur == nil {
-		return nil
-	}
-	if sp.dur.err != nil {
-		return sp.dur.err
-	}
-	return sp.dur.sync()
-}
-
 // CompactWAL forces a snapshot compaction: the space's objects are dumped
 // in canonical manifest order to a fresh snapshot and the WAL rotates to a
 // new epoch.

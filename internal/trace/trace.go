@@ -10,41 +10,90 @@ import (
 	"encoding/json"
 	"fmt"
 	"io"
+	"reflect"
 	"strconv"
 
 	"crosslayer/internal/core"
 	"crosslayer/internal/policy"
 )
 
-// csvHeader lists the exported columns, in order.
-var csvHeader = []string{
-	"step", "factor", "placement", "placement_reason",
-	"sim_seconds", "reduce_seconds", "analysis_seconds", "transfer_seconds",
-	"bytes_produced", "bytes_analyzed", "bytes_moved",
-	"staging_cores", "staging_retries", "staging_reconnects",
-	"peak_mem_bytes", "min_mem_avail",
-	"triangles", "sim_clock", "staging_clock", "finest_level",
+// column is one exported field of the per-step record: its CSV header and
+// JSONL key, whether JSONL drops it when zero, and how to read it out of and
+// parse it into a record. columns is the one place the trace format lists
+// its fields; all four codecs below walk it.
+type column struct {
+	name      string
+	omitEmpty bool
+	get       func(*core.StepRecord) any           // int, int64, float64 or string
+	set       func(*core.StepRecord, string) error // from the value's text form
 }
 
-// WriteCSV emits one row per step record.
+func intCol(name string, omitEmpty bool, field func(*core.StepRecord) *int) column {
+	return column{name, omitEmpty,
+		func(r *core.StepRecord) any { return *field(r) },
+		func(r *core.StepRecord, s string) (err error) { *field(r), err = strconv.Atoi(s); return }}
+}
+
+func int64Col(name string, field func(*core.StepRecord) *int64) column {
+	return column{name, false,
+		func(r *core.StepRecord) any { return *field(r) },
+		func(r *core.StepRecord, s string) (err error) { *field(r), err = strconv.ParseInt(s, 10, 64); return }}
+}
+
+func floatCol(name string, omitEmpty bool, field func(*core.StepRecord) *float64) column {
+	return column{name, omitEmpty,
+		func(r *core.StepRecord) any { return *field(r) },
+		func(r *core.StepRecord, s string) (err error) { *field(r), err = strconv.ParseFloat(s, 64); return }}
+}
+
+// columns lists the exported fields, in CSV column and JSONL key order.
+var columns = []column{
+	intCol("step", false, func(r *core.StepRecord) *int { return &r.Step }),
+	intCol("factor", false, func(r *core.StepRecord) *int { return &r.Factor }),
+	// Strict: an unknown (or, in JSONL, absent) placement is an error, never
+	// a silent in-situ.
+	{"placement", false,
+		func(r *core.StepRecord) any { return r.Placement.String() },
+		func(r *core.StepRecord, s string) (err error) { r.Placement, err = policy.ParsePlacement(s); return }},
+	{"placement_reason", true,
+		func(r *core.StepRecord) any { return r.PlacementReason },
+		func(r *core.StepRecord, s string) error { r.PlacementReason = s; return nil }},
+	floatCol("sim_seconds", false, func(r *core.StepRecord) *float64 { return &r.SimSeconds }),
+	floatCol("reduce_seconds", true, func(r *core.StepRecord) *float64 { return &r.ReduceSeconds }),
+	floatCol("analysis_seconds", false, func(r *core.StepRecord) *float64 { return &r.AnalysisSeconds }),
+	floatCol("transfer_seconds", true, func(r *core.StepRecord) *float64 { return &r.TransferSeconds }),
+	int64Col("bytes_produced", func(r *core.StepRecord) *int64 { return &r.BytesProduced }),
+	int64Col("bytes_analyzed", func(r *core.StepRecord) *int64 { return &r.BytesAnalyzed }),
+	int64Col("bytes_moved", func(r *core.StepRecord) *int64 { return &r.BytesMoved }),
+	intCol("staging_cores", false, func(r *core.StepRecord) *int { return &r.StagingCores }),
+	intCol("staging_retries", true, func(r *core.StepRecord) *int { return &r.StagingRetries }),
+	intCol("staging_reconnects", true, func(r *core.StepRecord) *int { return &r.StagingReconnects }),
+	int64Col("peak_mem_bytes", func(r *core.StepRecord) *int64 { return &r.PeakMemBytes }),
+	int64Col("min_mem_avail", func(r *core.StepRecord) *int64 { return &r.MinMemAvail }),
+	intCol("triangles", true, func(r *core.StepRecord) *int { return &r.Triangles }),
+	floatCol("sim_clock", false, func(r *core.StepRecord) *float64 { return &r.SimClock }),
+	floatCol("staging_clock", false, func(r *core.StepRecord) *float64 { return &r.StagingClock }),
+	intCol("finest_level", false, func(r *core.StepRecord) *int { return &r.FinestLevel }),
+}
+
+// WriteCSV emits a header row and one row per step record.
 func WriteCSV(w io.Writer, steps []core.StepRecord) error {
 	cw := csv.NewWriter(w)
-	if err := cw.Write(csvHeader); err != nil {
+	row := make([]string, len(columns))
+	for i, c := range columns {
+		row[i] = c.name
+	}
+	if err := cw.Write(row); err != nil {
 		return err
 	}
-	f := func(v float64) string { return strconv.FormatFloat(v, 'g', 10, 64) }
-	i := func(v int64) string { return strconv.FormatInt(v, 10) }
-	for _, s := range steps {
-		row := []string{
-			strconv.Itoa(s.Step), strconv.Itoa(s.Factor),
-			s.Placement.String(), s.PlacementReason,
-			f(s.SimSeconds), f(s.ReduceSeconds), f(s.AnalysisSeconds), f(s.TransferSeconds),
-			i(s.BytesProduced), i(s.BytesAnalyzed), i(s.BytesMoved),
-			strconv.Itoa(s.StagingCores),
-			strconv.Itoa(s.StagingRetries), strconv.Itoa(s.StagingReconnects),
-			i(s.PeakMemBytes), i(s.MinMemAvail),
-			strconv.Itoa(s.Triangles), f(s.SimClock), f(s.StagingClock),
-			strconv.Itoa(s.FinestLevel),
+	for i := range steps {
+		for j, c := range columns {
+			switch v := c.get(&steps[i]).(type) {
+			case float64:
+				row[j] = strconv.FormatFloat(v, 'g', 10, 64)
+			default:
+				row[j] = fmt.Sprint(v)
+			}
 		}
 		if err := cw.Write(row); err != nil {
 			return err
@@ -54,49 +103,29 @@ func WriteCSV(w io.Writer, steps []core.StepRecord) error {
 	return cw.Error()
 }
 
-// jsonStep is the JSONL projection of a step record.
-type jsonStep struct {
-	Step              int     `json:"step"`
-	Factor            int     `json:"factor"`
-	Placement         string  `json:"placement"`
-	PlacementReason   string  `json:"placement_reason,omitempty"`
-	SimSeconds        float64 `json:"sim_seconds"`
-	ReduceSeconds     float64 `json:"reduce_seconds,omitempty"`
-	AnalysisSeconds   float64 `json:"analysis_seconds"`
-	TransferSeconds   float64 `json:"transfer_seconds,omitempty"`
-	BytesProduced     int64   `json:"bytes_produced"`
-	BytesAnalyzed     int64   `json:"bytes_analyzed"`
-	BytesMoved        int64   `json:"bytes_moved"`
-	StagingCores      int     `json:"staging_cores"`
-	StagingRetries    int     `json:"staging_retries,omitempty"`
-	StagingReconnects int     `json:"staging_reconnects,omitempty"`
-	PeakMemBytes      int64   `json:"peak_mem_bytes"`
-	MinMemAvail       int64   `json:"min_mem_avail"`
-	Triangles         int     `json:"triangles,omitempty"`
-	SimClock          float64 `json:"sim_clock"`
-	StagingClock      float64 `json:"staging_clock"`
-	FinestLevel       int     `json:"finest_level"`
-}
-
-// WriteJSONL emits one JSON object per line per step record.
+// WriteJSONL emits one JSON object per line per step record, keys in column
+// order, omitEmpty columns dropped when zero.
 func WriteJSONL(w io.Writer, steps []core.StepRecord) error {
-	enc := json.NewEncoder(w)
-	for _, s := range steps {
-		js := jsonStep{
-			Step: s.Step, Factor: s.Factor,
-			Placement: s.Placement.String(), PlacementReason: s.PlacementReason,
-			SimSeconds: s.SimSeconds, ReduceSeconds: s.ReduceSeconds,
-			AnalysisSeconds: s.AnalysisSeconds, TransferSeconds: s.TransferSeconds,
-			BytesProduced: s.BytesProduced, BytesAnalyzed: s.BytesAnalyzed,
-			BytesMoved:     s.BytesMoved,
-			StagingCores:   s.StagingCores,
-			StagingRetries: s.StagingRetries, StagingReconnects: s.StagingReconnects,
-			PeakMemBytes: s.PeakMemBytes,
-			MinMemAvail:  s.MinMemAvail, Triangles: s.Triangles,
-			SimClock: s.SimClock, StagingClock: s.StagingClock,
-			FinestLevel: s.FinestLevel,
+	var line bytes.Buffer
+	for i := range steps {
+		line.Reset()
+		for _, c := range columns {
+			v := c.get(&steps[i])
+			if c.omitEmpty && reflect.ValueOf(v).IsZero() {
+				continue
+			}
+			val, err := json.Marshal(v)
+			if err != nil {
+				return err
+			}
+			sep := byte(',')
+			if line.Len() == 0 {
+				sep = '{'
+			}
+			fmt.Fprintf(&line, "%c%q:%s", sep, c.name, val)
 		}
-		if err := enc.Encode(&js); err != nil {
+		line.WriteString("}\n")
+		if _, err := w.Write(line.Bytes()); err != nil {
 			return err
 		}
 	}
@@ -120,40 +149,40 @@ func ReadJSONL(r io.Reader) ([]core.StepRecord, error) {
 		if len(line) == 0 {
 			continue
 		}
-		var js jsonStep
-		if err := json.Unmarshal(line, &js); err != nil {
+		var obj map[string]json.RawMessage
+		if err := json.Unmarshal(line, &obj); err != nil {
 			if i == len(lines)-1 {
 				break // unterminated torn tail from a killed writer
 			}
 			return nil, fmt.Errorf("trace: %w", err)
 		}
-		rec := core.StepRecord{
-			Step: js.Step, Factor: js.Factor,
-			PlacementReason: js.PlacementReason,
-			SimSeconds:      js.SimSeconds, ReduceSeconds: js.ReduceSeconds,
-			AnalysisSeconds: js.AnalysisSeconds, TransferSeconds: js.TransferSeconds,
-			BytesProduced: js.BytesProduced, BytesAnalyzed: js.BytesAnalyzed,
-			BytesMoved:     js.BytesMoved,
-			StagingCores:   js.StagingCores,
-			StagingRetries: js.StagingRetries, StagingReconnects: js.StagingReconnects,
-			PeakMemBytes: js.PeakMemBytes,
-			MinMemAvail:  js.MinMemAvail, Triangles: js.Triangles,
-			SimClock: js.SimClock, StagingClock: js.StagingClock,
-			FinestLevel: js.FinestLevel,
+		var rec core.StepRecord
+		for _, c := range columns {
+			raw, present := obj[c.name]
+			text := string(raw)
+			if _, isString := c.get(&rec).(string); isString {
+				// An absent string column reads as "", which placement rejects.
+				text = ""
+				if present {
+					if err := json.Unmarshal(raw, &text); err != nil {
+						return nil, fmt.Errorf("trace: record %d, %s: %w", len(out), c.name, err)
+					}
+				}
+			} else if !present {
+				continue
+			}
+			if err := c.set(&rec, text); err != nil {
+				return nil, fmt.Errorf("trace: record %d, %s: %w", len(out), c.name, err)
+			}
 		}
-		p, err := policy.ParsePlacement(js.Placement)
-		if err != nil {
-			return nil, fmt.Errorf("trace: record %d: %w", len(out), err)
-		}
-		rec.Placement = p
 		out = append(out, rec)
 	}
 	return out, nil
 }
 
 // ReadCSV parses records written by WriteCSV. Columns are matched by
-// header name, so column order does not matter; every column of csvHeader
-// must be present.
+// header name, so column order does not matter; every column must be
+// present.
 func ReadCSV(r io.Reader) ([]core.StepRecord, error) {
 	cr := csv.NewReader(r)
 	header, err := cr.Read()
@@ -167,9 +196,9 @@ func ReadCSV(r io.Reader) ([]core.StepRecord, error) {
 	for i, name := range header {
 		col[name] = i
 	}
-	for _, name := range csvHeader {
-		if _, ok := col[name]; !ok {
-			return nil, fmt.Errorf("trace: CSV missing column %q", name)
+	for _, c := range columns {
+		if _, ok := col[c.name]; !ok {
+			return nil, fmt.Errorf("trace: CSV missing column %q", c.name)
 		}
 	}
 
@@ -183,56 +212,11 @@ func ReadCSV(r io.Reader) ([]core.StepRecord, error) {
 			return nil, fmt.Errorf("trace: %w", err)
 		}
 		var rec core.StepRecord
-		var perr error
-		get := func(name string) string { return row[col[name]] }
-		atoi := func(name string) int {
-			v, err := strconv.Atoi(get(name))
-			if err != nil && perr == nil {
-				perr = fmt.Errorf("trace: row %d, column %s: %w", len(out)+1, name, err)
+		for _, c := range columns {
+			if err := c.set(&rec, row[col[c.name]]); err != nil {
+				return nil, fmt.Errorf("trace: row %d, column %s: %w", len(out)+1, c.name, err)
 			}
-			return v
 		}
-		ai64 := func(name string) int64 {
-			v, err := strconv.ParseInt(get(name), 10, 64)
-			if err != nil && perr == nil {
-				perr = fmt.Errorf("trace: row %d, column %s: %w", len(out)+1, name, err)
-			}
-			return v
-		}
-		af := func(name string) float64 {
-			v, err := strconv.ParseFloat(get(name), 64)
-			if err != nil && perr == nil {
-				perr = fmt.Errorf("trace: row %d, column %s: %w", len(out)+1, name, err)
-			}
-			return v
-		}
-		rec.Step = atoi("step")
-		rec.Factor = atoi("factor")
-		rec.PlacementReason = get("placement_reason")
-		rec.SimSeconds = af("sim_seconds")
-		rec.ReduceSeconds = af("reduce_seconds")
-		rec.AnalysisSeconds = af("analysis_seconds")
-		rec.TransferSeconds = af("transfer_seconds")
-		rec.BytesProduced = ai64("bytes_produced")
-		rec.BytesAnalyzed = ai64("bytes_analyzed")
-		rec.BytesMoved = ai64("bytes_moved")
-		rec.StagingCores = atoi("staging_cores")
-		rec.StagingRetries = atoi("staging_retries")
-		rec.StagingReconnects = atoi("staging_reconnects")
-		rec.PeakMemBytes = ai64("peak_mem_bytes")
-		rec.MinMemAvail = ai64("min_mem_avail")
-		rec.Triangles = atoi("triangles")
-		rec.SimClock = af("sim_clock")
-		rec.StagingClock = af("staging_clock")
-		rec.FinestLevel = atoi("finest_level")
-		if perr != nil {
-			return nil, perr
-		}
-		p, err := policy.ParsePlacement(get("placement"))
-		if err != nil {
-			return nil, fmt.Errorf("trace: row %d: %w", len(out)+1, err)
-		}
-		rec.Placement = p
 		out = append(out, rec)
 	}
 }
