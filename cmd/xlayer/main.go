@@ -424,16 +424,9 @@ func runFromFlags(o runOpts) error {
 		res.InSituSteps, res.InTransitSteps, float64(res.BytesMovedTotal)/(1<<30))
 	fmt.Printf("staging utilization (Eq. 12): %.1f%%\n", 100*res.StagingUtilization)
 	if w.StagingTCP {
-		retries, reconnects, degraded := 0, 0, 0
-		for _, s := range res.Steps {
-			retries += s.StagingRetries
-			reconnects += s.StagingReconnects
-			if s.PlacementReason == crosslayer.ReasonStagingFailure {
-				degraded++
-			}
-		}
+		rep := crosslayer.SummarizeTrace(res.Steps)
 		fmt.Printf("staging transport: %d retries, %d reconnects, %d degraded steps\n",
-			retries, reconnects, degraded)
+			rep.Retries, rep.Reconnects, rep.Degraded)
 	}
 	for _, s := range res.Steps {
 		fmt.Printf("  step %2d: factor %2d, %-10s, M=%3d, sim %.3fs, analysis %.3fs — %s\n",

@@ -1,7 +1,6 @@
 package core
 
 import (
-	"bytes"
 	"fmt"
 
 	"crosslayer/internal/journal"
@@ -17,48 +16,6 @@ import (
 // kill a run that is otherwise healthy.
 type CheckpointSink interface {
 	WriteCheckpoint(journal.Checkpoint) (int, error)
-}
-
-// snapshotOf mirrors a StepRecord into the journal's dependency-free copy.
-func snapshotOf(r StepRecord) journal.StepSnapshot {
-	var placement uint8
-	if r.Placement == policy.PlaceInTransit {
-		placement = 1
-	}
-	return journal.StepSnapshot{
-		Step: r.Step, Factor: r.Factor,
-		ReduceSeconds: r.ReduceSeconds, Entropy: r.Entropy,
-		BytesProduced: r.BytesProduced, BytesAnalyzed: r.BytesAnalyzed, BytesMoved: r.BytesMoved,
-		Placement: placement, PlacementReason: r.PlacementReason, HybridFrac: r.HybridFrac,
-		SimSeconds: r.SimSeconds, AnalysisSeconds: r.AnalysisSeconds, TransferSeconds: r.TransferSeconds,
-		StagingCores:   r.StagingCores,
-		StagingRetries: r.StagingRetries, StagingReconnects: r.StagingReconnects,
-		PeakMemBytes: r.PeakMemBytes, MinMemAvail: r.MinMemAvail,
-		MaxRankDataBytes: r.MaxRankDataBytes, StagingMemUsed: r.StagingMemUsed,
-		Triangles: r.Triangles, SimClock: r.SimClock, StagingClock: r.StagingClock,
-		FinestLevel: r.FinestLevel,
-	}
-}
-
-// recordOf converts a journaled snapshot back into a StepRecord.
-func recordOf(s journal.StepSnapshot) StepRecord {
-	placement := policy.PlaceInSitu
-	if s.Placement == 1 {
-		placement = policy.PlaceInTransit
-	}
-	return StepRecord{
-		Step: s.Step, Factor: s.Factor,
-		ReduceSeconds: s.ReduceSeconds, Entropy: s.Entropy,
-		BytesProduced: s.BytesProduced, BytesAnalyzed: s.BytesAnalyzed, BytesMoved: s.BytesMoved,
-		Placement: placement, PlacementReason: s.PlacementReason, HybridFrac: s.HybridFrac,
-		SimSeconds: s.SimSeconds, AnalysisSeconds: s.AnalysisSeconds, TransferSeconds: s.TransferSeconds,
-		StagingCores:   s.StagingCores,
-		StagingRetries: s.StagingRetries, StagingReconnects: s.StagingReconnects,
-		PeakMemBytes: s.PeakMemBytes, MinMemAvail: s.MinMemAvail,
-		MaxRankDataBytes: s.MaxRankDataBytes, StagingMemUsed: s.StagingMemUsed,
-		Triangles: s.Triangles, SimClock: s.SimClock, StagingClock: s.StagingClock,
-		FinestLevel: s.FinestLevel,
-	}
 }
 
 // lastPlacementByte encodes the placement_change edge-detector state (0
@@ -88,12 +45,11 @@ func (w *Workflow) writeCheckpoint(rec StepRecord) {
 	entries := 0
 	if man, ok := manifestOf(w.store); ok {
 		entries = len(man.Entries)
-		var buf bytes.Buffer
-		if err := staging.EncodeManifest(&buf, man); err != nil {
+		var err error
+		if manifestBytes, err = staging.EncodeManifest(man); err != nil {
 			w.journalErr = fmt.Errorf("core: checkpoint manifest: %w", err)
 			return
 		}
-		manifestBytes = buf.Bytes()
 	}
 	w.events.CheckpointWrite(rec.Step, entries)
 
@@ -128,7 +84,7 @@ func (w *Workflow) writeCheckpoint(rec StepRecord) {
 
 		EventsOffset: -1,
 		SpansOffset:  -1,
-		Record:       snapshotOf(rec),
+		Record:       rec,
 		Manifest:     manifestBytes,
 	}
 	n, err := w.journal.WriteCheckpoint(cp)
@@ -220,7 +176,7 @@ func (w *Workflow) resume(rec *journal.Recovered, opts ResumeOptions) error {
 	// checkpoint's embedded record.
 	w.result.Steps = make([]StepRecord, 0, len(rec.Checkpoints))
 	for i := range rec.Checkpoints {
-		w.result.Steps = append(w.result.Steps, recordOf(rec.Checkpoints[i].Record))
+		w.result.Steps = append(w.result.Steps, rec.Checkpoints[i].Record)
 	}
 	w.result.SimSecondsTotal = cp.SimSecondsTotal
 	w.result.BytesMovedTotal = cp.BytesMovedTotal
@@ -252,7 +208,7 @@ func (w *Workflow) resume(rec *journal.Recovered, opts ResumeOptions) error {
 		if !ok {
 			return fmt.Errorf("core: journal carries a staging manifest but the store tracks none")
 		}
-		man, err := staging.DecodeManifest(bytes.NewReader(cp.Manifest))
+		man, err := staging.DecodeManifest(cp.Manifest)
 		if err != nil {
 			return fmt.Errorf("core: checkpoint manifest: %w", err)
 		}

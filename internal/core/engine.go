@@ -140,14 +140,14 @@ func (e *Engine) AdaptResource(redBytes, redCells int64, s monitor.Sample, mon *
 	if !e.cfg.Enable.Resource || !e.plan[policy.MechResource] {
 		return e.cfg.StagingCores
 	}
-	send := e.cfg.Machine.TransferTime(redBytes, e.cfg.SimCores) * e.cfg.LinkDegrade
+	send := e.cfg.Machine.TransferTime(redBytes, e.cfg.SimCores)
 	// The receive cost lands on the staging servers (one per staging
 	// node), so its wallclock shrinks with the allocation exactly like the
 	// analysis does: recv·M = latency·M + bytes·coresPerNode/bandwidth ≈
 	// constant core-seconds. Folding it into AnalysisCoreSecs keeps the
 	// sizing equation linear in M and consistent with execution.
-	recvCoreSecs := (float64(redBytes)/e.cfg.Machine.NetBandwidth*float64(e.cfg.Machine.CoresPerNode) +
-		e.cfg.Machine.NetLatency) * e.cfg.LinkDegrade
+	recvCoreSecs := float64(redBytes)/e.cfg.Machine.NetBandwidth*float64(e.cfg.Machine.CoresPerNode) +
+		e.cfg.Machine.NetLatency
 	// A replicated pool with crashed endpoints has lost the cores those
 	// servers contributed: cap the allocation to the healthy fraction so the
 	// resource layer stops planning capacity that no longer exists (Eq. 10).

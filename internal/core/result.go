@@ -15,61 +15,14 @@
 package core
 
 import (
+	"crosslayer/internal/journal"
 	"crosslayer/internal/policy"
 )
 
-// StepRecord captures everything one workflow step did — the raw material
-// for every figure and table of the paper's evaluation.
-type StepRecord struct {
-	Step int
-
-	// Application layer.
-	Factor        int     // down-sampling factor applied (1 = full resolution)
-	ReduceSeconds float64 // modeled reduction cost (charged in-situ)
-	Entropy       float64 // mean block entropy (entropy mode only)
-
-	// Data volumes at model scale.
-	BytesProduced int64 // S_data before reduction
-	BytesAnalyzed int64 // after reduction
-	BytesMoved    int64 // shipped to staging (0 when in-situ)
-
-	// Middleware layer.
-	Placement       policy.Placement
-	PlacementReason string
-	// HybridFrac is the in-situ share of this step's analysis: 1 for pure
-	// in-situ, 0 for pure in-transit, in between for hybrid placement.
-	HybridFrac float64
-
-	// Timing (modeled, seconds).
-	SimSeconds      float64 // this step's simulation time
-	AnalysisSeconds float64 // analysis wallclock wherever it ran
-	TransferSeconds float64 // send+receive cost (in-transit only)
-
-	// Resource layer.
-	StagingCores int // pool size in effect this step
-
-	// Staging transport health (nonzero only with a remote Config.Staging
-	// transport). Retries/reconnects the transport performed during this
-	// step's in-transit attempt; when the budget ran out the step shows
-	// PlacementReason == policy.ReasonStagingFailure and Placement in-situ.
-	StagingRetries    int
-	StagingReconnects int
-
-	// Memory (model scale).
-	PeakMemBytes     int64 // max per-rank simulation memory in use
-	MinMemAvail      int64 // tightest per-rank availability
-	MaxRankDataBytes int64 // peak core's analysis-data share (Eq. 2's S_data)
-	StagingMemUsed   int64
-
-	// Analysis output.
-	Triangles int
-
-	// Virtual clocks after this step.
-	SimClock     float64
-	StagingClock float64
-
-	FinestLevel int
-}
+// StepRecord is one workflow step's record. The struct is declared once, in
+// internal/journal (which this package imports and which journals it
+// verbatim in every checkpoint).
+type StepRecord = journal.StepRecord
 
 // Result aggregates a workflow run.
 type Result struct {

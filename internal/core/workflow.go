@@ -70,13 +70,6 @@ type Config struct {
 	// memory (solver scratch, ghost copies, metadata). Default 3.
 	MemOverhead float64
 
-	// LinkDegrade multiplies modeled transfer times (failure injection:
-	// a congested or degraded interconnect). Default 1.
-	LinkDegrade float64
-
-	// MonitorAlpha is the Monitor's EWMA weight (default 0.5).
-	MonitorAlpha float64
-
 	// AnalysisEvery runs analysis only every k-th step (temporal
 	// resolution, our extension of the paper's "temporal adaptation"
 	// mechanism). Default 1 = every step.
@@ -172,9 +165,6 @@ func (c *Config) withDefaults() Config {
 	if out.MemOverhead == 0 {
 		out.MemOverhead = 3
 	}
-	if out.LinkDegrade == 0 {
-		out.LinkDegrade = 1
-	}
 	if len(out.Isovalues) == 0 {
 		out.Isovalues = []float64{1.23, 4.18} // the paper's Fig. 6 isovalues
 	}
@@ -202,7 +192,6 @@ type Workflow struct {
 	cfg    Config
 	sim    solver.Simulation
 	svc    analysis.Service
-	space  *staging.Space
 	store  StagingStore // where in-transit data goes (space or remote client)
 	mon    *monitor.Monitor
 	engine *Engine
@@ -265,20 +254,19 @@ func buildWorkflow(cfg Config, sim solver.Simulation, rec *journal.Recovered, op
 	if c.Tenant != "" && !staging.ValidTenant(c.Tenant) {
 		return nil, fmt.Errorf("core: %w: %q", staging.ErrBadTenant, c.Tenant)
 	}
-	h := sim.Hierarchy()
 	w := &Workflow{
 		cfg:           c,
 		sim:           sim,
 		svc:           c.Analysis,
-		space:         staging.NewSpace(max(1, c.StagingCores/8), 0, h.Cfg.Domain),
-		mon:           monitor.New(c.MonitorAlpha),
+		mon:           monitor.New(0),
 		simTL:         sysmodel.NewTimeline("simulation"),
 		pool:          sysmodel.NewStagingPool(c.StagingCores),
 		stagingMemCap: c.Machine.MemPerCore() * int64(c.StagingCores),
 	}
 	w.store = c.Staging
 	if w.store == nil {
-		w.store = spaceStore{w.space}
+		// The in-process space exists only when it is the store.
+		w.store = spaceStore{staging.NewSpace(max(1, c.StagingCores/8), 0, sim.Hierarchy().Cfg.Domain)}
 	}
 	w.engine = NewEngine(c)
 	if !c.Enable.Resource {
@@ -357,9 +345,6 @@ func (w *Workflow) Monitor() *monitor.Monitor { return w.mon }
 // Simulation exposes the coupled simulation (e.g. for snapshotting its
 // hierarchy after a run).
 func (w *Workflow) Simulation() solver.Simulation { return w.sim }
-
-// Space exposes the staging space (read-only use in experiments).
-func (w *Workflow) Space() *staging.Space { return w.space }
 
 // Result returns the accumulated run result. EndToEnd and derived fields
 // are finalized on every call, so it is safe to inspect mid-run.
@@ -670,7 +655,7 @@ func (w *Workflow) runAnalysis(rec *StepRecord, blocks []*field.BoxData, sample 
 	}
 
 	// Middleware layer: place the analysis.
-	transfer := c.Machine.TransferTime(redBytes, min(c.SimCores, w.pool.Cores())) * c.LinkDegrade
+	transfer := c.Machine.TransferTime(redBytes, min(c.SimCores, w.pool.Cores()))
 	stagingRemaining := w.pool.RemainingAt(dataReady)
 	placement, reason := w.engine.AdaptMiddleware(PlacementState{
 		ReducedBytes:     redBytes,
@@ -925,7 +910,7 @@ func (w *Workflow) runInTransit(rec *StepRecord, blocks []*field.BoxData, dataRe
 		cells += b.NumCells()
 	}
 	bytes := w.scale(cells * 8)
-	transfer := c.Machine.TransferTime(bytes, min(c.SimCores, w.pool.Cores())) * c.LinkDegrade
+	transfer := c.Machine.TransferTime(bytes, min(c.SimCores, w.pool.Cores()))
 
 	// --- remote I/O joins here; nothing is booked until it all succeeded ---
 	version := ship.version
@@ -959,7 +944,7 @@ func (w *Workflow) runInTransit(rec *StepRecord, blocks []*field.BoxData, dataRe
 	// The staging side first receives and indexes the data (its servers —
 	// one per staging node — do that work), then analyzes.
 	stagingNodes := max(1, w.pool.Cores()/c.Machine.CoresPerNode)
-	recv := c.Machine.TransferTime(bytes, stagingNodes) * c.LinkDegrade
+	recv := c.Machine.TransferTime(bytes, stagingNodes)
 	coreSecs := c.Machine.AnalysisTime(w.scale(rep.CellsSwept), 1) +
 		recv*float64(w.pool.Cores())
 	_, done := w.pool.RunJob(dataReady+transfer, coreSecs)

@@ -351,27 +351,6 @@ func TestCoreUsageHistogram(t *testing.T) {
 	}
 }
 
-func TestLinkDegradePushesInSitu(t *testing.T) {
-	// With a badly degraded link, the adaptive policy should stop shipping
-	// at least some steps that a healthy link would ship.
-	run := func(degrade float64) Result {
-		cfg := baseCfg()
-		cfg.Enable = Adaptations{Middleware: true}
-		cfg.LinkDegrade = degrade
-		w, err := NewWorkflow(cfg, smallGas(1))
-		if err != nil {
-			t.Fatal(err)
-		}
-		return w.Run(10)
-	}
-	healthy := run(1)
-	degraded := run(5000)
-	if degraded.InSituSteps < healthy.InSituSteps {
-		t.Errorf("degraded link in-situ steps %d below healthy %d",
-			degraded.InSituSteps, healthy.InSituSteps)
-	}
-}
-
 func TestEnergyAccountingPositiveAndAdaptiveSaves(t *testing.T) {
 	run := func(adapt bool) Result {
 		cfg := baseCfg()

@@ -14,7 +14,7 @@
 //   - DropAfterBytes: a connection is severed once this many bytes have
 //     crossed it (reads + writes combined).
 //   - Latency: every Read/Write sleeps first (a congested or degraded
-//     interconnect — the runtime analogue of Config.LinkDegrade).
+//     interconnect).
 //   - TruncateRate: a Write sends only a prefix, then severs the
 //     connection (a crashed peer mid-message).
 //   - CorruptRate: a Write flips one byte (a corrupted payload; exercises

@@ -47,7 +47,8 @@ func FuzzJournal(f *testing.F) {
 	f.Add(seed(Header{Fingerprint: "fp"}, cp(0)))
 	f.Add(seed(Header{TraceSeed: "s"}, cp(0), cp(1), cp(4)))
 	full := seed(Header{Fingerprint: "fp", TraceSeed: "seed"}, cp(0), cp(1))
-	f.Add(full[:len(full)-3]) // torn tail
+	f.Add(full[:len(full)-3])                       // torn tail
+	f.Add(seed(pinnedHeader(), pinnedCheckpoint())) // every field non-zero
 
 	f.Fuzz(func(t *testing.T, data []byte) {
 		rec, err := Scan(bytes.NewReader(data))

@@ -39,6 +39,8 @@ import (
 	"io"
 	"math"
 	"os"
+
+	"crosslayer/internal/policy"
 )
 
 // Typed failures for the resume preconditions. Callers match with
@@ -72,10 +74,9 @@ const (
 	recHeader     = 1
 	recCheckpoint = 2
 
-	maxString   = 4096        // header fingerprint / trace seed
-	maxReason   = 256         // placement reason in a step snapshot
-	maxManifest = 16 << 20    // embedded pool manifest snapshot
-	maxSmallInt = MaxSmallInt // fields carried as uint32
+	maxString   = 4096     // header fingerprint / trace seed
+	maxReason   = 256      // placement reason in a step record
+	maxManifest = 16 << 20 // embedded pool manifest snapshot
 )
 
 // Header identifies the run a journal belongs to. Fingerprint is the
@@ -88,37 +89,64 @@ type Header struct {
 	TraceSeed   string
 }
 
-// StepSnapshot is the journal's copy of one core.StepRecord, field for
-// field. The journal package sits below internal/core (core imports it),
-// so the record is mirrored here rather than imported; internal/core
-// converts in both directions. Placement is 0 for in-situ, 1 for
-// in-transit.
-type StepSnapshot struct {
-	Step              int
-	Factor            int
-	ReduceSeconds     float64
-	Entropy           float64
-	BytesProduced     int64
-	BytesAnalyzed     int64
-	BytesMoved        int64
-	Placement         uint8
-	PlacementReason   string
-	HybridFrac        float64
-	SimSeconds        float64
-	AnalysisSeconds   float64
-	TransferSeconds   float64
-	StagingCores      int
+// StepRecord captures everything one workflow step did — the raw material
+// for every figure and table of the paper's evaluation, and the per-step
+// payload of every checkpoint. It is declared here, below internal/core
+// (which imports this package and re-exports it as core.StepRecord), so the
+// engine, the trace writers and the checkpoint codec share one struct.
+type StepRecord struct {
+	Step int
+
+	// Application layer.
+	Factor        int     // down-sampling factor applied (1 = full resolution)
+	ReduceSeconds float64 // modeled reduction cost (charged in-situ)
+	Entropy       float64 // mean block entropy (entropy mode only)
+
+	// Data volumes at model scale.
+	BytesProduced int64 // S_data before reduction
+	BytesAnalyzed int64 // after reduction
+	BytesMoved    int64 // shipped to staging (0 when in-situ)
+
+	// Middleware layer.
+	Placement       policy.Placement
+	PlacementReason string
+	// HybridFrac is the in-situ share of this step's analysis: 1 for pure
+	// in-situ, 0 for pure in-transit, in between for hybrid placement.
+	HybridFrac float64
+
+	// Timing (modeled, seconds).
+	SimSeconds      float64 // this step's simulation time
+	AnalysisSeconds float64 // analysis wallclock wherever it ran
+	TransferSeconds float64 // send+receive cost (in-transit only)
+
+	// Resource layer.
+	StagingCores int // pool size in effect this step
+
+	// Staging transport health (nonzero only with a remote Config.Staging
+	// transport). Retries/reconnects the transport performed during this
+	// step's in-transit attempt; when the budget ran out the step shows
+	// PlacementReason == policy.ReasonStagingFailure and Placement in-situ.
 	StagingRetries    int
 	StagingReconnects int
-	PeakMemBytes      int64
-	MinMemAvail       int64
-	MaxRankDataBytes  int64
-	StagingMemUsed    int64
-	Triangles         int
-	SimClock          float64
-	StagingClock      float64
-	FinestLevel       int
+
+	// Memory (model scale).
+	PeakMemBytes     int64 // max per-rank simulation memory in use
+	MinMemAvail      int64 // tightest per-rank availability
+	MaxRankDataBytes int64 // peak core's analysis-data share (Eq. 2's S_data)
+	StagingMemUsed   int64
+
+	// Analysis output.
+	Triangles int
+
+	// Virtual clocks after this step.
+	SimClock     float64
+	StagingClock float64
+
+	FinestLevel int
 }
+
+// StepSnapshot is the record under the name benchmarks/xbench spells it by.
+type StepSnapshot = StepRecord
 
 // Checkpoint is one step barrier's worth of resumable state: everything
 // the engine cannot recompute by replaying the pure simulation. A resumed
@@ -183,7 +211,7 @@ type Checkpoint struct {
 	// Record is the step's own trace record: checkpoints carry the full
 	// per-step record so a resumed run rebuilds the complete trace
 	// (Result.Steps) from the journal alone.
-	Record StepSnapshot
+	Record StepRecord
 
 	// Manifest is the staging pool's content manifest at the barrier
 	// (staging.EncodeManifest bytes, opaque to this package; empty when
@@ -192,70 +220,114 @@ type Checkpoint struct {
 	Manifest []byte
 }
 
-func finite(vs ...float64) error {
-	for _, v := range vs {
-		if math.IsNaN(v) || math.IsInf(v, 0) {
-			return fmt.Errorf("%w: non-finite float", ErrBadJournal)
-		}
-	}
-	return nil
+// field is one row of the checkpoint codec table: a location in a
+// Checkpoint, its name for error text, and the bound the format puts on it.
+// The Go type the accessor points at selects the wire form:
+//
+//	*int               uint32, 0..MaxSmallInt
+//	*uint64            uint64
+//	*int64             two's-complement int64
+//	*float64           IEEE-754 bits, finite
+//	*bool              one byte, 0 or 1
+//	*uint8, *Placement one byte, 0..max
+//	*string            uint16 length ≤ max | bytes
+//	*[]byte            uint32 length ≤ max | bytes
+type field struct {
+	name string
+	max  int
+	at   func(*Checkpoint) any
 }
 
-func smallInt(name string, vs ...int) error {
-	for _, v := range vs {
-		if v < 0 || v > maxSmallInt {
-			return fmt.Errorf("%w: %s %d out of range", ErrBadJournal, name, v)
-		}
-	}
-	return nil
+// checkpointFields is the checkpoint record, in wire order: the one place
+// the format lists its fields. encodeCheckpoint, decodeCheckpoint and
+// validate all walk it, and TestCheckpointTableCoversEveryField fails when a
+// struct field has no row — a new field is one struct field plus one row
+// appended here (old journals then need a codec version to stay readable).
+var checkpointFields = []field{
+	{"Step", 0, func(c *Checkpoint) any { return &c.Step }},
+	{"EventSeq", 0, func(c *Checkpoint) any { return &c.EventSeq }},
+	{"SpanSeq", 0, func(c *Checkpoint) any { return &c.SpanSeq }},
+	{"RunSpanSeq", 0, func(c *Checkpoint) any { return &c.RunSpanSeq }},
+	{"SimBusyUntil", 0, func(c *Checkpoint) any { return &c.SimBusyUntil }},
+	{"SimBusyTotal", 0, func(c *Checkpoint) any { return &c.SimBusyTotal }},
+	{"PoolBusyUntil", 0, func(c *Checkpoint) any { return &c.PoolBusyUntil }},
+	{"PoolBusyTotal", 0, func(c *Checkpoint) any { return &c.PoolBusyTotal }},
+	{"PoolCores", 0, func(c *Checkpoint) any { return &c.PoolCores }},
+	{"PoolCoreSecondsBusy", 0, func(c *Checkpoint) any { return &c.PoolCoreSecondsBusy }},
+	{"PoolCoreSecondsTotal", 0, func(c *Checkpoint) any { return &c.PoolCoreSecondsTotal }},
+	{"StagingMemUsed", 0, func(c *Checkpoint) any { return &c.StagingMemUsed }},
+	{"StagingDownUntil", 0, func(c *Checkpoint) any { return &c.StagingDownUntil }},
+	{"LastPlacement", 2, func(c *Checkpoint) any { return &c.LastPlacement }},
+	{"MonitorHaveEWMA", 0, func(c *Checkpoint) any { return &c.MonitorHaveEWMA }},
+	{"MonitorSimEWMA", 0, func(c *Checkpoint) any { return &c.MonitorSimEWMA }},
+	{"MonitorDataEWMA", 0, func(c *Checkpoint) any { return &c.MonitorDataEWMA }},
+	{"SimSecondsTotal", 0, func(c *Checkpoint) any { return &c.SimSecondsTotal }},
+	{"BytesMovedTotal", 0, func(c *Checkpoint) any { return &c.BytesMovedTotal }},
+	{"InSituSteps", 0, func(c *Checkpoint) any { return &c.InSituSteps }},
+	{"InTransitSteps", 0, func(c *Checkpoint) any { return &c.InTransitSteps }},
+	{"RNGCursor", 0, func(c *Checkpoint) any { return &c.RNGCursor }},
+	{"EventsOffset", 0, func(c *Checkpoint) any { return &c.EventsOffset }},
+	{"SpansOffset", 0, func(c *Checkpoint) any { return &c.SpansOffset }},
+
+	{"Record.Step", 0, func(c *Checkpoint) any { return &c.Record.Step }},
+	{"Record.Factor", 0, func(c *Checkpoint) any { return &c.Record.Factor }},
+	{"Record.ReduceSeconds", 0, func(c *Checkpoint) any { return &c.Record.ReduceSeconds }},
+	{"Record.Entropy", 0, func(c *Checkpoint) any { return &c.Record.Entropy }},
+	{"Record.BytesProduced", 0, func(c *Checkpoint) any { return &c.Record.BytesProduced }},
+	{"Record.BytesAnalyzed", 0, func(c *Checkpoint) any { return &c.Record.BytesAnalyzed }},
+	{"Record.BytesMoved", 0, func(c *Checkpoint) any { return &c.Record.BytesMoved }},
+	{"Record.Placement", int(policy.PlaceInTransit), func(c *Checkpoint) any { return &c.Record.Placement }},
+	{"Record.PlacementReason", maxReason, func(c *Checkpoint) any { return &c.Record.PlacementReason }},
+	{"Record.HybridFrac", 0, func(c *Checkpoint) any { return &c.Record.HybridFrac }},
+	{"Record.SimSeconds", 0, func(c *Checkpoint) any { return &c.Record.SimSeconds }},
+	{"Record.AnalysisSeconds", 0, func(c *Checkpoint) any { return &c.Record.AnalysisSeconds }},
+	{"Record.TransferSeconds", 0, func(c *Checkpoint) any { return &c.Record.TransferSeconds }},
+	{"Record.StagingCores", 0, func(c *Checkpoint) any { return &c.Record.StagingCores }},
+	{"Record.StagingRetries", 0, func(c *Checkpoint) any { return &c.Record.StagingRetries }},
+	{"Record.StagingReconnects", 0, func(c *Checkpoint) any { return &c.Record.StagingReconnects }},
+	{"Record.PeakMemBytes", 0, func(c *Checkpoint) any { return &c.Record.PeakMemBytes }},
+	{"Record.MinMemAvail", 0, func(c *Checkpoint) any { return &c.Record.MinMemAvail }},
+	{"Record.MaxRankDataBytes", 0, func(c *Checkpoint) any { return &c.Record.MaxRankDataBytes }},
+	{"Record.StagingMemUsed", 0, func(c *Checkpoint) any { return &c.Record.StagingMemUsed }},
+	{"Record.Triangles", 0, func(c *Checkpoint) any { return &c.Record.Triangles }},
+	{"Record.SimClock", 0, func(c *Checkpoint) any { return &c.Record.SimClock }},
+	{"Record.StagingClock", 0, func(c *Checkpoint) any { return &c.Record.StagingClock }},
+	{"Record.FinestLevel", 0, func(c *Checkpoint) any { return &c.Record.FinestLevel }},
+
+	{"Manifest", maxManifest, func(c *Checkpoint) any { return &c.Manifest }},
 }
 
 // validate bounds every field that the wire format narrows, so encoding
 // and decoding agree on exactly the same value space.
 func (cp *Checkpoint) validate() error {
-	r := &cp.Record
-	if err := smallInt("step", cp.Step, r.Step); err != nil {
-		return err
+	for _, f := range checkpointFields {
+		ok := true
+		switch p := f.at(cp).(type) {
+		case *int:
+			ok = *p >= 0 && *p <= MaxSmallInt
+		case *float64:
+			ok = !math.IsNaN(*p) && !math.IsInf(*p, 0)
+		case *uint8:
+			ok = int(*p) <= f.max
+		case *policy.Placement:
+			ok = *p >= 0 && int(*p) <= f.max
+		case *string:
+			ok = len(*p) <= f.max
+		case *[]byte:
+			ok = len(*p) <= f.max
+		}
+		if !ok {
+			return fmt.Errorf("%w: %s out of range", ErrBadJournal, f.name)
+		}
 	}
-	if r.Step != cp.Step {
-		return fmt.Errorf("%w: checkpoint step %d carries record for step %d", ErrBadJournal, cp.Step, r.Step)
-	}
-	if err := smallInt("count", cp.PoolCores, cp.StagingDownUntil, cp.InSituSteps, cp.InTransitSteps,
-		r.Factor, r.StagingCores, r.StagingRetries, r.StagingReconnects, r.Triangles, r.FinestLevel); err != nil {
-		return err
-	}
-	if cp.LastPlacement > 2 {
-		return fmt.Errorf("%w: last placement %d", ErrBadJournal, cp.LastPlacement)
-	}
-	if r.Placement > 1 {
-		return fmt.Errorf("%w: record placement %d", ErrBadJournal, r.Placement)
-	}
-	if len(r.PlacementReason) > maxReason {
-		return fmt.Errorf("%w: placement reason %d bytes (max %d)", ErrBadJournal, len(r.PlacementReason), maxReason)
+	if cp.Record.Step != cp.Step {
+		return fmt.Errorf("%w: checkpoint step %d carries record for step %d", ErrBadJournal, cp.Step, cp.Record.Step)
 	}
 	if cp.EventsOffset < -1 || cp.SpansOffset < -1 {
 		return fmt.Errorf("%w: negative log offset", ErrBadJournal)
 	}
-	if len(cp.Manifest) > maxManifest {
-		return fmt.Errorf("%w: manifest %d bytes (max %d)", ErrBadJournal, len(cp.Manifest), maxManifest)
-	}
-	return finite(
-		cp.SimBusyUntil, cp.SimBusyTotal, cp.PoolBusyUntil, cp.PoolBusyTotal,
-		cp.PoolCoreSecondsBusy, cp.PoolCoreSecondsTotal,
-		cp.MonitorSimEWMA, cp.MonitorDataEWMA, cp.SimSecondsTotal,
-		r.ReduceSeconds, r.Entropy, r.HybridFrac,
-		r.SimSeconds, r.AnalysisSeconds, r.TransferSeconds,
-		r.SimClock, r.StagingClock)
+	return nil
 }
-
-// The encode/decode primitives (appendF64 and friends, the strict decode
-// cursor, the record framing) live in record.go, shared with the staging
-// WAL codec.
-func appendF64(b []byte, v float64) []byte { return AppendF64(b, v) }
-
-func appendStr(b []byte, s string) []byte { return AppendString(b, s) }
-
-func appendBool(b []byte, v bool) []byte { return AppendBool(b, v) }
 
 func encodeHeader(h Header) ([]byte, error) {
 	if len(h.Fingerprint) > maxString || len(h.TraceSeed) > maxString {
@@ -264,91 +336,41 @@ func encodeHeader(h Header) ([]byte, error) {
 	b := []byte{recHeader}
 	b = binary.BigEndian.AppendUint32(b, headerMagic)
 	b = binary.BigEndian.AppendUint16(b, codecVersion)
-	b = appendStr(b, h.Fingerprint)
-	b = appendStr(b, h.TraceSeed)
+	b = AppendString(b, h.Fingerprint)
+	b = AppendString(b, h.TraceSeed)
 	return b, nil
 }
 
-func encodeCheckpoint(cp Checkpoint) ([]byte, error) {
+func encodeCheckpoint(cp *Checkpoint) ([]byte, error) {
 	if err := cp.validate(); err != nil {
 		return nil, err
 	}
-	b := []byte{recCheckpoint}
-	b = binary.BigEndian.AppendUint32(b, uint32(cp.Step))
-	b = binary.BigEndian.AppendUint64(b, cp.EventSeq)
-	b = binary.BigEndian.AppendUint64(b, cp.SpanSeq)
-	b = binary.BigEndian.AppendUint64(b, cp.RunSpanSeq)
-	b = appendF64(b, cp.SimBusyUntil)
-	b = appendF64(b, cp.SimBusyTotal)
-	b = appendF64(b, cp.PoolBusyUntil)
-	b = appendF64(b, cp.PoolBusyTotal)
-	b = binary.BigEndian.AppendUint32(b, uint32(cp.PoolCores))
-	b = appendF64(b, cp.PoolCoreSecondsBusy)
-	b = appendF64(b, cp.PoolCoreSecondsTotal)
-	b = binary.BigEndian.AppendUint64(b, uint64(cp.StagingMemUsed))
-	b = binary.BigEndian.AppendUint32(b, uint32(cp.StagingDownUntil))
-	b = append(b, cp.LastPlacement)
-	b = appendBool(b, cp.MonitorHaveEWMA)
-	b = appendF64(b, cp.MonitorSimEWMA)
-	b = appendF64(b, cp.MonitorDataEWMA)
-	b = appendF64(b, cp.SimSecondsTotal)
-	b = binary.BigEndian.AppendUint64(b, uint64(cp.BytesMovedTotal))
-	b = binary.BigEndian.AppendUint32(b, uint32(cp.InSituSteps))
-	b = binary.BigEndian.AppendUint32(b, uint32(cp.InTransitSteps))
-	b = binary.BigEndian.AppendUint64(b, cp.RNGCursor)
-	b = binary.BigEndian.AppendUint64(b, uint64(cp.EventsOffset))
-	b = binary.BigEndian.AppendUint64(b, uint64(cp.SpansOffset))
-
-	r := &cp.Record
-	b = binary.BigEndian.AppendUint32(b, uint32(r.Step))
-	b = binary.BigEndian.AppendUint32(b, uint32(r.Factor))
-	b = appendF64(b, r.ReduceSeconds)
-	b = appendF64(b, r.Entropy)
-	b = binary.BigEndian.AppendUint64(b, uint64(r.BytesProduced))
-	b = binary.BigEndian.AppendUint64(b, uint64(r.BytesAnalyzed))
-	b = binary.BigEndian.AppendUint64(b, uint64(r.BytesMoved))
-	b = append(b, r.Placement)
-	b = appendStr(b, r.PlacementReason)
-	b = appendF64(b, r.HybridFrac)
-	b = appendF64(b, r.SimSeconds)
-	b = appendF64(b, r.AnalysisSeconds)
-	b = appendF64(b, r.TransferSeconds)
-	b = binary.BigEndian.AppendUint32(b, uint32(r.StagingCores))
-	b = binary.BigEndian.AppendUint32(b, uint32(r.StagingRetries))
-	b = binary.BigEndian.AppendUint32(b, uint32(r.StagingReconnects))
-	b = binary.BigEndian.AppendUint64(b, uint64(r.PeakMemBytes))
-	b = binary.BigEndian.AppendUint64(b, uint64(r.MinMemAvail))
-	b = binary.BigEndian.AppendUint64(b, uint64(r.MaxRankDataBytes))
-	b = binary.BigEndian.AppendUint64(b, uint64(r.StagingMemUsed))
-	b = binary.BigEndian.AppendUint32(b, uint32(r.Triangles))
-	b = appendF64(b, r.SimClock)
-	b = appendF64(b, r.StagingClock)
-	b = binary.BigEndian.AppendUint32(b, uint32(r.FinestLevel))
-
-	b = binary.BigEndian.AppendUint32(b, uint32(len(cp.Manifest)))
-	b = append(b, cp.Manifest...)
+	b := make([]byte, 1, 512+len(cp.Manifest))
+	b[0] = recCheckpoint
+	for _, f := range checkpointFields {
+		switch p := f.at(cp).(type) {
+		case *int:
+			b = binary.BigEndian.AppendUint32(b, uint32(*p))
+		case *uint64:
+			b = binary.BigEndian.AppendUint64(b, *p)
+		case *int64:
+			b = binary.BigEndian.AppendUint64(b, uint64(*p))
+		case *float64:
+			b = AppendF64(b, *p)
+		case *bool:
+			b = AppendBool(b, *p)
+		case *uint8:
+			b = append(b, *p)
+		case *policy.Placement:
+			b = append(b, byte(*p))
+		case *string:
+			b = AppendString(b, *p)
+		case *[]byte:
+			b = binary.BigEndian.AppendUint32(b, uint32(len(*p)))
+			b = append(b, *p...)
+		}
+	}
 	return b, nil
-}
-
-// decodeManifest reads the checkpoint's embedded manifest blob: uint32
-// length (bounded by maxManifest) followed by the opaque bytes.
-func decodeManifest(d *Dec) []byte {
-	n := d.U32()
-	if d.Err() != nil {
-		return nil
-	}
-	if n > maxManifest {
-		d.Fail("manifest %d bytes (max %d)", n, maxManifest)
-		return nil
-	}
-	if n == 0 {
-		return nil
-	}
-	out := d.Take(int(n))
-	if out == nil {
-		return nil
-	}
-	return append([]byte(nil), out...)
 }
 
 func decodeHeader(payload []byte) (Header, error) {
@@ -372,58 +394,33 @@ func decodeHeader(payload []byte) (Header, error) {
 func decodeCheckpoint(payload []byte) (Checkpoint, error) {
 	d := NewDec(payload, ErrBadJournal)
 	var cp Checkpoint
-	cp.Step = d.SmallInt()
-	cp.EventSeq = d.U64()
-	cp.SpanSeq = d.U64()
-	cp.RunSpanSeq = d.U64()
-	cp.SimBusyUntil = d.F64()
-	cp.SimBusyTotal = d.F64()
-	cp.PoolBusyUntil = d.F64()
-	cp.PoolBusyTotal = d.F64()
-	cp.PoolCores = d.SmallInt()
-	cp.PoolCoreSecondsBusy = d.F64()
-	cp.PoolCoreSecondsTotal = d.F64()
-	cp.StagingMemUsed = d.I64()
-	cp.StagingDownUntil = d.SmallInt()
-	cp.LastPlacement = d.U8()
-	cp.MonitorHaveEWMA = d.Bool()
-	cp.MonitorSimEWMA = d.F64()
-	cp.MonitorDataEWMA = d.F64()
-	cp.SimSecondsTotal = d.F64()
-	cp.BytesMovedTotal = d.I64()
-	cp.InSituSteps = d.SmallInt()
-	cp.InTransitSteps = d.SmallInt()
-	cp.RNGCursor = d.U64()
-	cp.EventsOffset = d.I64()
-	cp.SpansOffset = d.I64()
-
-	r := &cp.Record
-	r.Step = d.SmallInt()
-	r.Factor = d.SmallInt()
-	r.ReduceSeconds = d.F64()
-	r.Entropy = d.F64()
-	r.BytesProduced = d.I64()
-	r.BytesAnalyzed = d.I64()
-	r.BytesMoved = d.I64()
-	r.Placement = d.U8()
-	r.PlacementReason = d.Str(maxReason)
-	r.HybridFrac = d.F64()
-	r.SimSeconds = d.F64()
-	r.AnalysisSeconds = d.F64()
-	r.TransferSeconds = d.F64()
-	r.StagingCores = d.SmallInt()
-	r.StagingRetries = d.SmallInt()
-	r.StagingReconnects = d.SmallInt()
-	r.PeakMemBytes = d.I64()
-	r.MinMemAvail = d.I64()
-	r.MaxRankDataBytes = d.I64()
-	r.StagingMemUsed = d.I64()
-	r.Triangles = d.SmallInt()
-	r.SimClock = d.F64()
-	r.StagingClock = d.F64()
-	r.FinestLevel = d.SmallInt()
-
-	cp.Manifest = decodeManifest(d)
+	for _, f := range checkpointFields {
+		switch p := f.at(&cp).(type) {
+		case *int:
+			*p = d.SmallInt()
+		case *uint64:
+			*p = d.U64()
+		case *int64:
+			*p = d.I64()
+		case *float64:
+			*p = d.F64()
+		case *bool:
+			*p = d.Bool()
+		case *uint8:
+			*p = d.U8()
+		case *policy.Placement:
+			*p = policy.Placement(d.U8())
+		case *string:
+			*p = d.Str(f.max)
+		case *[]byte:
+			// A blob is copied out of the scan buffer; empty decodes as nil.
+			if n := d.U32(); n > uint32(f.max) {
+				d.Fail("%s %d bytes (max %d)", f.name, n, f.max)
+			} else if n > 0 {
+				*p = append([]byte(nil), d.Take(int(n))...)
+			}
+		}
+	}
 	if err := d.Done(); err != nil {
 		return Checkpoint{}, err
 	}
@@ -432,9 +429,6 @@ func decodeCheckpoint(payload []byte) (Checkpoint, error) {
 	}
 	return cp, nil
 }
-
-// frame wraps one record body with the length prefix and CRC-32C trailer.
-func frame(body []byte) []byte { return FrameRecord(body) }
 
 // Writer appends journal records to an underlying writer. Errors are
 // sticky: the first failed write poisons the Writer and every later call
@@ -467,7 +461,7 @@ func (jw *Writer) write(body []byte) (int, error) {
 	if jw.err != nil {
 		return 0, jw.err
 	}
-	framed := frame(body)
+	framed := FrameRecord(body)
 	if _, err := jw.w.Write(framed); err != nil {
 		jw.err = fmt.Errorf("journal: write: %w", err)
 		return 0, jw.err
@@ -509,7 +503,7 @@ func (jw *Writer) WriteCheckpoint(cp Checkpoint) (int, error) {
 		}
 		cp.EventsOffset, cp.SpansOffset = ev, sp
 	}
-	body, err := encodeCheckpoint(cp)
+	body, err := encodeCheckpoint(&cp)
 	if err != nil {
 		jw.err = err
 		return 0, err
@@ -552,42 +546,38 @@ func Scan(r io.Reader) (*Recovered, error) {
 		return nil, fmt.Errorf("journal: read: %w", err)
 	}
 	rec := &Recovered{}
-	off := 0
 	sawHeader := false
-	for off < len(data) {
-		body, n, ok := NextRecord(data[off:])
-		if !ok {
-			rec.Torn = true
-			break
-		}
+	rec.Good, rec.Torn, err = Records(data, func(body []byte) error {
 		typ, payload := body[0], body[1:]
 		switch {
 		case !sawHeader:
 			if typ != recHeader {
-				return nil, fmt.Errorf("%w: first record has type %d (want header)", ErrBadJournal, typ)
+				return fmt.Errorf("%w: first record has type %d (want header)", ErrBadJournal, typ)
 			}
 			h, err := decodeHeader(payload)
 			if err != nil {
-				return nil, err
+				return err
 			}
 			rec.Header, sawHeader = h, true
 		case typ == recHeader:
-			return nil, fmt.Errorf("%w: duplicate header record", ErrBadJournal)
+			return fmt.Errorf("%w: duplicate header record", ErrBadJournal)
 		case typ == recCheckpoint:
 			cp, err := decodeCheckpoint(payload)
 			if err != nil {
-				return nil, err
+				return err
 			}
 			if last := rec.Last(); last != nil && cp.Step <= last.Step {
-				return nil, fmt.Errorf("%w: checkpoint step %d after step %d", ErrBadJournal, cp.Step, last.Step)
+				return fmt.Errorf("%w: checkpoint step %d after step %d", ErrBadJournal, cp.Step, last.Step)
 			}
 			rec.Checkpoints = append(rec.Checkpoints, cp)
 		default:
-			return nil, fmt.Errorf("%w: unknown record type %d", ErrBadJournal, typ)
+			return fmt.Errorf("%w: unknown record type %d", ErrBadJournal, typ)
 		}
-		off += n
+		return nil
+	})
+	if err != nil {
+		return nil, err
 	}
-	rec.Good = int64(off)
 	return rec, nil
 }
 

@@ -303,3 +303,40 @@ func TestJournalEmptyAndGarbage(t *testing.T) {
 		t.Fatalf("garbage journal: torn=%v good=%d", rec.Torn, rec.Good)
 	}
 }
+
+// TestCheckpointTableCoversEveryField: every exported field of Checkpoint
+// and of the step record it embeds is named by exactly one row of
+// checkpointFields, under its own name. A field added to either struct
+// without a row fails here instead of silently not being journaled.
+func TestCheckpointTableCoversEveryField(t *testing.T) {
+	var cp Checkpoint
+	rows := map[uintptr][]string{} // field address -> rows pointing at it
+	for _, f := range checkpointFields {
+		addr := reflect.ValueOf(f.at(&cp)).Pointer()
+		rows[addr] = append(rows[addr], f.name)
+	}
+	covered := 0
+	var walk func(v reflect.Value, prefix string)
+	walk = func(v reflect.Value, prefix string) {
+		for i := 0; i < v.NumField(); i++ {
+			name := prefix + v.Type().Field(i).Name
+			if !v.Type().Field(i).IsExported() {
+				t.Errorf("%s is unexported: the codec cannot carry it", name)
+				continue
+			}
+			if v.Field(i).Kind() == reflect.Struct {
+				walk(v.Field(i), name+".")
+				continue
+			}
+			got := rows[v.Field(i).Addr().Pointer()]
+			if len(got) != 1 || got[0] != name {
+				t.Errorf("field %s has table rows %q, want exactly one named %q", name, got, name)
+			}
+			covered++
+		}
+	}
+	walk(reflect.ValueOf(&cp).Elem(), "")
+	if covered != len(checkpointFields) {
+		t.Errorf("table has %d rows, the structs have %d fields", len(checkpointFields), covered)
+	}
+}

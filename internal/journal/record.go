@@ -60,6 +60,27 @@ func NextRecord(b []byte) (body []byte, n int, ok bool) {
 	return body, total, true
 }
 
+// Records walks the complete records at the front of data in order, calling
+// fn with each body (at least one byte: the record type). It stops at the
+// first record NextRecord rejects — torn then reports a torn tail and good is
+// the byte length of the valid prefix, the point a recovering writer
+// truncates to — or at fn's first error, which it returns. Every on-disk log
+// scanner in the tree is a callback on this one loop.
+func Records(data []byte, fn func(body []byte) error) (good int64, torn bool, err error) {
+	off := 0
+	for off < len(data) {
+		body, n, ok := NextRecord(data[off:])
+		if !ok {
+			return int64(off), true, nil
+		}
+		if err := fn(body); err != nil {
+			return int64(off), false, err
+		}
+		off += n
+	}
+	return int64(off), false, nil
+}
+
 // AppendString appends the codec's string form: uint16 (BE) length prefix
 // followed by the raw bytes. Dec.Str inverts it.
 func AppendString(b []byte, s string) []byte {
@@ -122,11 +143,10 @@ func (d *Dec) Rest() []byte {
 
 // Take consumes exactly n bytes, failing the cursor when fewer remain.
 func (d *Dec) Take(n int) []byte {
-	if d.err != nil {
-		return nil
+	if d.err == nil && len(d.b) < n {
+		d.Fail("short payload")
 	}
-	if len(d.b) < n {
-		d.err = fmt.Errorf("%w: short payload", d.bad)
+	if d.err != nil {
 		return nil
 	}
 	out := d.b[:n]
@@ -134,86 +154,64 @@ func (d *Dec) Take(n int) []byte {
 	return out
 }
 
-// U8 reads one byte.
-func (d *Dec) U8() uint8 {
-	b := d.Take(1)
-	if b == nil {
-		return 0
+// fixed is Take for the fixed-width reads: a failed cursor reads zeros.
+func (d *Dec) fixed(n int) []byte {
+	if b := d.Take(n); b != nil {
+		return b
 	}
-	return b[0]
+	return make([]byte, n)
 }
+
+// U8 reads one byte.
+func (d *Dec) U8() uint8 { return d.fixed(1)[0] }
 
 // U16 reads a big-endian uint16.
-func (d *Dec) U16() uint16 {
-	b := d.Take(2)
-	if b == nil {
-		return 0
-	}
-	return binary.BigEndian.Uint16(b)
-}
+func (d *Dec) U16() uint16 { return binary.BigEndian.Uint16(d.fixed(2)) }
 
 // U32 reads a big-endian uint32.
-func (d *Dec) U32() uint32 {
-	b := d.Take(4)
-	if b == nil {
-		return 0
-	}
-	return binary.BigEndian.Uint32(b)
-}
+func (d *Dec) U32() uint32 { return binary.BigEndian.Uint32(d.fixed(4)) }
+
+// U64 reads a big-endian uint64.
+func (d *Dec) U64() uint64 { return binary.BigEndian.Uint64(d.fixed(8)) }
+
+// I64 reads a big-endian two's-complement int64.
+func (d *Dec) I64() int64 { return int64(d.U64()) }
 
 // SmallInt reads a big-endian uint32 bounded by MaxSmallInt, the codec's
 // form for non-negative counts.
 func (d *Dec) SmallInt() int {
 	v := d.U32()
-	if d.err == nil && v > MaxSmallInt {
-		d.err = fmt.Errorf("%w: count %d out of range", d.bad, v)
+	if v > MaxSmallInt {
+		d.Fail("count %d out of range", v)
 		return 0
 	}
 	return int(v)
 }
 
-// U64 reads a big-endian uint64.
-func (d *Dec) U64() uint64 {
-	b := d.Take(8)
-	if b == nil {
-		return 0
-	}
-	return binary.BigEndian.Uint64(b)
-}
-
-// I64 reads a big-endian two's-complement int64.
-func (d *Dec) I64() int64 { return int64(d.U64()) }
-
 // F64 reads a big-endian IEEE-754 float64, rejecting NaN and infinities —
 // no valid payload in this tree carries a non-finite value.
 func (d *Dec) F64() float64 {
 	v := math.Float64frombits(d.U64())
-	if d.err == nil && (math.IsNaN(v) || math.IsInf(v, 0)) {
-		d.err = fmt.Errorf("%w: non-finite float", d.bad)
+	if math.IsNaN(v) || math.IsInf(v, 0) {
+		d.Fail("non-finite float")
 	}
 	return v
 }
 
 // Bool reads a boolean, rejecting every encoding other than 0 or 1.
 func (d *Dec) Bool() bool {
-	switch d.U8() {
-	case 0:
-		return false
-	case 1:
-		return true
-	default:
-		if d.err == nil {
-			d.err = fmt.Errorf("%w: bad boolean", d.bad)
-		}
-		return false
+	v := d.U8()
+	if v > 1 {
+		d.Fail("bad boolean")
 	}
+	return v == 1
 }
 
 // Str reads a length-prefixed string of at most max bytes.
 func (d *Dec) Str(max int) string {
 	n := int(d.U16())
-	if d.err == nil && n > max {
-		d.err = fmt.Errorf("%w: string %d bytes (max %d)", d.bad, n, max)
+	if n > max {
+		d.Fail("string %d bytes (max %d)", n, max)
 		return ""
 	}
 	return string(d.Take(n))

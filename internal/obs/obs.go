@@ -17,11 +17,7 @@
 package obs
 
 import (
-	"bufio"
-	"bytes"
-	"encoding/json"
 	"fmt"
-	"io"
 	"sync"
 	"time"
 )
@@ -145,66 +141,6 @@ type Event struct {
 type Sink interface {
 	Emit(ev Event)
 	Close() error
-}
-
-// JSONLSink writes one JSON object per line through a buffered writer.
-type JSONLSink struct {
-	mu  sync.Mutex
-	bw  *bufio.Writer
-	enc *json.Encoder
-	c   io.Closer // closed by Close when the underlying writer is a Closer
-	err error
-}
-
-// NewJSONLSink wraps w. If w is an io.Closer (e.g. *os.File) it is closed
-// by the sink's Close after the buffer is flushed.
-func NewJSONLSink(w io.Writer) *JSONLSink {
-	bw := bufio.NewWriter(w)
-	s := &JSONLSink{bw: bw, enc: json.NewEncoder(bw)}
-	if c, ok := w.(io.Closer); ok {
-		s.c = c
-	}
-	return s
-}
-
-// Emit encodes ev as one JSONL line. The first encoding error sticks and is
-// reported by Close.
-func (s *JSONLSink) Emit(ev Event) {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	if s.err != nil {
-		return
-	}
-	s.err = s.enc.Encode(&ev)
-}
-
-// Flush pushes buffered lines down to the underlying writer without
-// closing it — the step-barrier hook of journaled runs, so a driver kill
-// after the barrier never strands events in the buffer.
-func (s *JSONLSink) Flush() error {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	if ferr := s.bw.Flush(); s.err == nil {
-		s.err = ferr
-	}
-	return s.err
-}
-
-// Close flushes the buffer (and closes the underlying writer when it is a
-// Closer), returning the first error seen.
-func (s *JSONLSink) Close() error {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	if ferr := s.bw.Flush(); s.err == nil {
-		s.err = ferr
-	}
-	if s.c != nil {
-		if cerr := s.c.Close(); s.err == nil {
-			s.err = cerr
-		}
-		s.c = nil
-	}
-	return s.err
 }
 
 // RingSink retains the last N events in memory — the test and debugging
@@ -650,32 +586,4 @@ func (s StepCtx) Finished(placement string, factor int, simSec, anaSec, xferSec 
 		Seconds: simSec + anaSec + xferSec, Bytes: bytesMoved,
 		Detail: fmt.Sprintf("sim=%.6gs analysis=%.6gs transfer=%.6gs", simSec, anaSec, xferSec),
 	})
-}
-
-// ReadEvents parses a JSONL event stream written by JSONLSink. A killed
-// writer can leave a half-written, unterminated final line; that torn
-// tail is tolerated (dropped). A malformed but newline-terminated line is
-// corruption and fails the read.
-func ReadEvents(r io.Reader) ([]Event, error) {
-	data, err := io.ReadAll(r)
-	if err != nil {
-		return nil, fmt.Errorf("obs: %w", err)
-	}
-	lines := bytes.Split(data, []byte("\n"))
-	var out []Event
-	for i, line := range lines {
-		line = bytes.TrimSpace(line)
-		if len(line) == 0 {
-			continue
-		}
-		var ev Event
-		if err := json.Unmarshal(line, &ev); err != nil {
-			if i == len(lines)-1 {
-				break // unterminated torn tail from a killed writer
-			}
-			return nil, fmt.Errorf("obs: event %d: %w", len(out)+1, err)
-		}
-		out = append(out, ev)
-	}
-	return out, nil
 }

@@ -21,13 +21,12 @@
 package span
 
 import (
-	"bufio"
-	"bytes"
-	"encoding/json"
 	"fmt"
 	"io"
 	"sync"
 	"time"
+
+	"crosslayer/internal/obs"
 )
 
 // Layer names for wall-time attribution. The critical-path analyzer blames
@@ -80,65 +79,9 @@ type Sink interface {
 	Close() error
 }
 
-// JSONLSink writes one JSON object per line through a buffered writer.
-type JSONLSink struct {
-	mu  sync.Mutex
-	bw  *bufio.Writer
-	enc *json.Encoder
-	c   io.Closer
-	err error
-}
-
-// NewJSONLSink wraps w. If w is an io.Closer (e.g. *os.File) it is closed
-// by the sink's Close after the buffer is flushed.
-func NewJSONLSink(w io.Writer) *JSONLSink {
-	bw := bufio.NewWriter(w)
-	s := &JSONLSink{bw: bw, enc: json.NewEncoder(bw)}
-	if c, ok := w.(io.Closer); ok {
-		s.c = c
-	}
-	return s
-}
-
-// Emit encodes s as one JSONL line. The first encoding error sticks and is
-// reported by Close.
-func (s *JSONLSink) Emit(sp Span) {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	if s.err != nil {
-		return
-	}
-	s.err = s.enc.Encode(&sp)
-}
-
-// Flush pushes buffered lines down to the underlying writer without
-// closing it — the step-barrier hook of journaled runs (mirrors
-// obs.JSONLSink.Flush).
-func (s *JSONLSink) Flush() error {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	if ferr := s.bw.Flush(); s.err == nil {
-		s.err = ferr
-	}
-	return s.err
-}
-
-// Close flushes the buffer (and closes the underlying writer when it is a
-// Closer), returning the first error seen.
-func (s *JSONLSink) Close() error {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	if ferr := s.bw.Flush(); s.err == nil {
-		s.err = ferr
-	}
-	if s.c != nil {
-		if cerr := s.c.Close(); s.err == nil {
-			s.err = cerr
-		}
-		s.c = nil
-	}
-	return s.err
-}
+// NewJSONLSink is the span log's JSONL sink: the same buffered sticky-error
+// line sink the event stream writes through.
+func NewJSONLSink(w io.Writer) *obs.JSONLSink[Span] { return obs.NewJSONLSinkOf[Span](w) }
 
 // MemSink retains every span in memory — the test, bench, and chaos sink.
 type MemSink struct {
@@ -551,30 +494,6 @@ func (t *Tracer) Fault(fault, detail string) {
 	amb.Record(Op{Name: "fault:" + fault, Layer: LayerNetworkFault, Detail: detail})
 }
 
-// ReadSpans parses a JSONL span log written by JSONLSink. A half-written,
-// unterminated final line — the torn tail a killed writer leaves — is
-// tolerated and dropped; a malformed terminated line fails the read
-// (mirrors obs.ReadEvents).
-func ReadSpans(r io.Reader) ([]Span, error) {
-	data, err := io.ReadAll(r)
-	if err != nil {
-		return nil, fmt.Errorf("span: %w", err)
-	}
-	lines := bytes.Split(data, []byte("\n"))
-	var out []Span
-	for i, line := range lines {
-		line = bytes.TrimSpace(line)
-		if len(line) == 0 {
-			continue
-		}
-		var s Span
-		if err := json.Unmarshal(line, &s); err != nil {
-			if i == len(lines)-1 {
-				break // unterminated torn tail from a killed writer
-			}
-			return nil, fmt.Errorf("span: span %d: %w", len(out)+1, err)
-		}
-		out = append(out, s)
-	}
-	return out, nil
-}
+// ReadSpans parses a JSONL span log written by NewJSONLSink; a torn final
+// line is dropped, a malformed terminated line fails the read.
+func ReadSpans(r io.Reader) ([]Span, error) { return obs.ReadJSONL[Span](r, "span: span") }

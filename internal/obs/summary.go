@@ -87,19 +87,19 @@ func (s EventSummary) WriteText(w io.Writer) error {
 	fmt.Fprintf(w, "event log: %d events across %d steps\n", s.Events, s.Steps)
 	if len(s.ByKind) > 0 {
 		fmt.Fprintln(w, "events by kind:")
-		for _, k := range sortedKinds(s.ByKind) {
+		for _, k := range SortedKeys(s.ByKind) {
 			fmt.Fprintf(w, "  %-18s %d\n", string(k), s.ByKind[k])
 		}
 	}
 	if len(s.Decisions) > 0 {
 		fmt.Fprintln(w, "policy decisions by layer:")
-		for _, k := range sortedKeys(s.Decisions) {
+		for _, k := range SortedKeys(s.Decisions) {
 			fmt.Fprintf(w, "  %-12s %d\n", k, s.Decisions[k])
 		}
 	}
 	if len(s.PlacementChanges) > 0 {
 		fmt.Fprintln(w, "placement changes by reason:")
-		for _, k := range sortedKeys(s.PlacementChanges) {
+		for _, k := range SortedKeys(s.PlacementChanges) {
 			fmt.Fprintf(w, "  %-44s %d\n", k, s.PlacementChanges[k])
 		}
 	}
@@ -113,7 +113,7 @@ func (s EventSummary) WriteText(w io.Writer) error {
 	}
 	if len(s.Faults) > 0 {
 		fmt.Fprintln(w, "faults injected:")
-		for _, k := range sortedKeys(s.Faults) {
+		for _, k := range SortedKeys(s.Faults) {
 			fmt.Fprintf(w, "  %-12s %d\n", k, s.Faults[k])
 		}
 	}
@@ -126,17 +126,10 @@ func (s EventSummary) WriteText(w io.Writer) error {
 	return nil
 }
 
-func sortedKeys(m map[string]int) []string {
-	out := make([]string, 0, len(m))
-	for k := range m {
-		out = append(out, k)
-	}
-	sort.Strings(out)
-	return out
-}
-
-func sortedKinds(m map[Kind]int) []Kind {
-	out := make([]Kind, 0, len(m))
+// SortedKeys returns m's keys in ascending order — the iteration order of
+// every report this tree prints from a map.
+func SortedKeys[K ~string, V any](m map[K]V) []K {
+	out := make([]K, 0, len(m))
 	for k := range m {
 		out = append(out, k)
 	}

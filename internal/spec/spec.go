@@ -614,31 +614,27 @@ func (w *Workflow) openJournal(rec *journal.Recovered, em *obs.Emitter, tr *span
 			return nil, nil, fmt.Errorf("spec: journal: %w", err)
 		}
 	}
-	jw.SetBarrierFlush(func() (int64, int64, error) {
-		ev, sp := int64(-1), int64(-1)
-		if err := em.Flush(); err != nil {
+	jw.SetBarrierFlush(func() (ev, sp int64, err error) {
+		if ev, err = flushedSize(em.Flush, eventsFile); err != nil {
 			return 0, 0, err
 		}
-		if err := tr.Flush(); err != nil {
-			return 0, 0, err
-		}
-		if eventsFile != nil {
-			st, err := eventsFile.Stat()
-			if err != nil {
-				return 0, 0, err
-			}
-			ev = st.Size()
-		}
-		if spansFile != nil {
-			st, err := spansFile.Stat()
-			if err != nil {
-				return 0, 0, err
-			}
-			sp = st.Size()
-		}
-		return ev, sp, nil
+		sp, err = flushedSize(tr.Flush, spansFile)
+		return ev, sp, err
 	})
 	return jw, f, nil
+}
+
+// flushedSize flushes a JSONL log and reports the byte offset its file has
+// reached, -1 when the log has no file.
+func flushedSize(flush func() error, f *os.File) (int64, error) {
+	if err := flush(); err != nil || f == nil {
+		return -1, err
+	}
+	st, err := f.Stat()
+	if err != nil {
+		return -1, err
+	}
+	return st.Size(), nil
 }
 
 // Fingerprint canonically encodes every run-shaping field of the spec — the

@@ -39,9 +39,26 @@ const maxWireCells = int64(64) << 20
 // crcTable is the Castagnoli polynomial table the payload checksum uses.
 var crcTable = crc32.MakeTable(crc32.Castagnoli)
 
+// boxWireSize is the wire size of a box: lo then hi, 3×int32 each. Block
+// headers and get requests both carry boxes in this form.
+const boxWireSize = 24
+
+// putBox packs b into dst[:boxWireSize].
+func putBox(dst []byte, b grid.Box) {
+	for i, v := range []int{b.Lo.X, b.Lo.Y, b.Lo.Z, b.Hi.X, b.Hi.Y, b.Hi.Z} {
+		binary.LittleEndian.PutUint32(dst[4*i:], uint32(int32(v)))
+	}
+}
+
+// getBox unpacks src[:boxWireSize]; it inverts putBox.
+func getBox(src []byte) grid.Box {
+	geti := func(i int) int { return int(int32(binary.LittleEndian.Uint32(src[4*i:]))) }
+	return grid.NewBox(grid.IV(geti(0), geti(1), geti(2)), grid.IV(geti(3), geti(4), geti(5)))
+}
+
 // EncodedSize returns the wire size of a block in bytes.
 func EncodedSize(d *field.BoxData) int64 {
-	return 4 + 24 + 4 + d.NumCells()*int64(d.NComp)*8 + 4
+	return 4 + boxWireSize + 4 + d.NumCells()*int64(d.NComp)*8 + 4
 }
 
 // EncodeBlock writes d to w in wire format.
@@ -49,11 +66,9 @@ func EncodeBlock(w io.Writer, d *field.BoxData) error {
 	if d == nil || d.Box.IsEmpty() {
 		return fmt.Errorf("%w: empty block", ErrBadBlock)
 	}
-	hdr := make([]byte, 4+24+4)
+	hdr := make([]byte, 4+boxWireSize+4)
 	binary.LittleEndian.PutUint32(hdr[0:], blockMagic)
-	for i, v := range []int{d.Box.Lo.X, d.Box.Lo.Y, d.Box.Lo.Z, d.Box.Hi.X, d.Box.Hi.Y, d.Box.Hi.Z} {
-		binary.LittleEndian.PutUint32(hdr[4+4*i:], uint32(int32(v)))
-	}
+	putBox(hdr[4:], d.Box)
 	binary.LittleEndian.PutUint32(hdr[28:], uint32(d.NComp))
 	if _, err := w.Write(hdr); err != nil {
 		return err
@@ -78,18 +93,14 @@ func EncodeBlock(w io.Writer, d *field.BoxData) error {
 
 // DecodeBlock reads one wire-format block from r.
 func DecodeBlock(r io.Reader) (*field.BoxData, error) {
-	hdr := make([]byte, 4+24+4)
+	hdr := make([]byte, 4+boxWireSize+4)
 	if _, err := io.ReadFull(r, hdr); err != nil {
 		return nil, err
 	}
 	if binary.LittleEndian.Uint32(hdr[0:]) != blockMagic {
 		return nil, fmt.Errorf("%w: bad magic", ErrBadBlock)
 	}
-	geti := func(i int) int { return int(int32(binary.LittleEndian.Uint32(hdr[4+4*i:]))) }
-	box := grid.NewBox(
-		grid.IV(geti(0), geti(1), geti(2)),
-		grid.IV(geti(3), geti(4), geti(5)),
-	)
+	box := getBox(hdr[4:])
 	ncomp := int(binary.LittleEndian.Uint32(hdr[28:]))
 	// Bound each extent before multiplying: three ~2^31 extents overflow the
 	// int64 cell product, so NumCells alone cannot be trusted on wire input.

@@ -4,8 +4,9 @@ import (
 	"encoding/binary"
 	"errors"
 	"fmt"
-	"io"
 	"sort"
+
+	"crosslayer/internal/journal"
 )
 
 // Manifest is a point-in-time snapshot of what the pool believes it holds:
@@ -109,95 +110,76 @@ const (
 // ErrBadManifest tags every decode failure.
 var ErrBadManifest = errors.New("staging: bad manifest")
 
-// EncodeManifest writes m in the canonical wire form. Entries are sorted
+// check bounds one entry to the value space the wire format carries.
+func (e ManifestEntry) check() error {
+	switch {
+	case len(e.Var) == 0 || len(e.Var) > manifestMaxVar:
+		return fmt.Errorf("var %q has bad length", e.Var)
+	case e.Version < 0 || e.Version > journal.MaxSmallInt:
+		return fmt.Errorf("version %d out of range", e.Version)
+	case e.Blocks < 1 || e.Blocks > journal.MaxSmallInt:
+		return fmt.Errorf("block count %d out of range", e.Blocks)
+	}
+	return nil
+}
+
+// EncodeManifest renders m in the canonical wire form. Entries are sorted
 // into canonical order first; entries with an empty/oversized variable
 // name, a negative version, or a non-positive block count are rejected.
-func EncodeManifest(w io.Writer, m Manifest) error {
+func EncodeManifest(m Manifest) ([]byte, error) {
 	entries := make([]ManifestEntry, len(m.Entries))
 	copy(entries, m.Entries)
 	sortEntries(entries)
 	if len(entries) > manifestMaxEntries {
-		return fmt.Errorf("staging: manifest has %d entries (max %d)", len(entries), manifestMaxEntries)
+		return nil, fmt.Errorf("staging: manifest has %d entries (max %d)", len(entries), manifestMaxEntries)
 	}
-	for i, e := range entries {
-		if len(e.Var) == 0 || len(e.Var) > manifestMaxVar {
-			return fmt.Errorf("staging: manifest var %q has bad length", e.Var)
-		}
-		if e.Version < 0 || e.Version > 1<<30 {
-			return fmt.Errorf("staging: manifest version %d out of range", e.Version)
-		}
-		if e.Blocks < 1 || e.Blocks > 1<<30 {
-			return fmt.Errorf("staging: manifest block count %d out of range", e.Blocks)
-		}
-		if i > 0 && entries[i-1].Var == e.Var && entries[i-1].Version == e.Version {
-			return fmt.Errorf("staging: duplicate manifest entry %s@%d", e.Var, e.Version)
-		}
-	}
-	buf := make([]byte, 0, 8)
+	buf := make([]byte, 0, 8+24*len(entries))
 	buf = binary.BigEndian.AppendUint32(buf, manifestMagic)
 	buf = binary.BigEndian.AppendUint32(buf, uint32(len(entries)))
-	for _, e := range entries {
-		buf = binary.BigEndian.AppendUint16(buf, uint16(len(e.Var)))
-		buf = append(buf, e.Var...)
+	for i, e := range entries {
+		if err := e.check(); err != nil {
+			return nil, fmt.Errorf("staging: manifest %v", err)
+		}
+		if i > 0 && entries[i-1].Var == e.Var && entries[i-1].Version == e.Version {
+			return nil, fmt.Errorf("staging: duplicate manifest entry %s@%d", e.Var, e.Version)
+		}
+		buf = journal.AppendString(buf, e.Var)
 		buf = binary.BigEndian.AppendUint32(buf, uint32(e.Version))
 		buf = binary.BigEndian.AppendUint32(buf, uint32(e.Blocks))
 	}
-	_, err := w.Write(buf)
-	return err
+	return buf, nil
 }
 
-// DecodeManifest reads one canonical manifest. Hostile input cannot force
-// large allocations: lengths are bounded before any allocation, and the
-// strict (var, version) ordering is enforced so every valid encoding has
-// exactly one decoding and vice versa.
-func DecodeManifest(r io.Reader) (Manifest, error) {
-	var hdr [8]byte
-	if _, err := io.ReadFull(r, hdr[:]); err != nil {
-		return Manifest{}, fmt.Errorf("%w: short header: %v", ErrBadManifest, err)
+// DecodeManifest decodes one canonical manifest, which must span data
+// exactly. Hostile input cannot force large allocations: entries are
+// decoded from bytes already in hand, every field is bounded, and the strict
+// (var, version) ordering is enforced so every valid encoding has exactly
+// one decoding and vice versa.
+func DecodeManifest(data []byte) (Manifest, error) {
+	d := journal.NewDec(data, ErrBadManifest)
+	if magic := d.U32(); d.Err() == nil && magic != manifestMagic {
+		d.Fail("bad magic")
 	}
-	if binary.BigEndian.Uint32(hdr[:4]) != manifestMagic {
-		return Manifest{}, fmt.Errorf("%w: bad magic", ErrBadManifest)
-	}
-	count := binary.BigEndian.Uint32(hdr[4:])
+	count := d.U32()
 	if count > manifestMaxEntries {
-		return Manifest{}, fmt.Errorf("%w: %d entries exceeds max", ErrBadManifest, count)
+		d.Fail("%d entries exceeds max", count)
 	}
 	var m Manifest
-	var nameBuf [manifestMaxVar]byte
-	for i := uint32(0); i < count; i++ {
-		var lenBuf [2]byte
-		if _, err := io.ReadFull(r, lenBuf[:]); err != nil {
-			return Manifest{}, fmt.Errorf("%w: short entry: %v", ErrBadManifest, err)
-		}
-		varLen := binary.BigEndian.Uint16(lenBuf[:])
-		if varLen == 0 || varLen > manifestMaxVar {
-			return Manifest{}, fmt.Errorf("%w: var length %d out of range", ErrBadManifest, varLen)
-		}
-		if _, err := io.ReadFull(r, nameBuf[:varLen]); err != nil {
-			return Manifest{}, fmt.Errorf("%w: short var name: %v", ErrBadManifest, err)
-		}
-		var numBuf [8]byte
-		if _, err := io.ReadFull(r, numBuf[:]); err != nil {
-			return Manifest{}, fmt.Errorf("%w: short entry tail: %v", ErrBadManifest, err)
-		}
-		e := ManifestEntry{
-			Var:     string(nameBuf[:varLen]),
-			Version: int(binary.BigEndian.Uint32(numBuf[:4])),
-			Blocks:  int(binary.BigEndian.Uint32(numBuf[4:])),
-		}
-		if e.Version < 0 || e.Version > 1<<30 {
-			return Manifest{}, fmt.Errorf("%w: version %d out of range", ErrBadManifest, e.Version)
-		}
-		if e.Blocks < 1 || e.Blocks > 1<<30 {
-			return Manifest{}, fmt.Errorf("%w: block count %d out of range", ErrBadManifest, e.Blocks)
+	for i := uint32(0); i < count && d.Err() == nil; i++ {
+		e := ManifestEntry{Var: d.Str(manifestMaxVar), Version: d.SmallInt(), Blocks: d.SmallInt()}
+		if err := e.check(); err != nil {
+			d.Fail("%v", err)
 		}
 		if n := len(m.Entries); n > 0 {
 			prev := m.Entries[n-1]
 			if prev.Var > e.Var || (prev.Var == e.Var && prev.Version >= e.Version) {
-				return Manifest{}, fmt.Errorf("%w: entries not strictly ordered at %s@%d", ErrBadManifest, e.Var, e.Version)
+				d.Fail("entries not strictly ordered at %s@%d", e.Var, e.Version)
 			}
 		}
 		m.Entries = append(m.Entries, e)
+	}
+	if err := d.Done(); err != nil {
+		return Manifest{}, err
 	}
 	return m, nil
 }

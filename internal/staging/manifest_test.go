@@ -12,11 +12,11 @@ func TestManifestEncodeDecodeRoundTrip(t *testing.T) {
 		{Var: "analysis", Version: 4, Blocks: 64},
 		{Var: "checkpoint", Version: 0, Blocks: 1},
 	}}
-	var buf bytes.Buffer
-	if err := EncodeManifest(&buf, m); err != nil {
+	raw, err := EncodeManifest(m)
+	if err != nil {
 		t.Fatal(err)
 	}
-	got, err := DecodeManifest(&buf)
+	got, err := DecodeManifest(raw)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -38,17 +38,18 @@ func TestManifestEncodeCanonicalizesOrder(t *testing.T) {
 		{Var: "a", Version: 7, Blocks: 1},
 		{Var: "b", Version: 0, Blocks: 2},
 	}}
-	var b1, b2 bytes.Buffer
-	if err := EncodeManifest(&b1, shuffled); err != nil {
+	b1, err := EncodeManifest(shuffled)
+	if err != nil {
 		t.Fatal(err)
 	}
-	if err := EncodeManifest(&b2, sorted); err != nil {
+	b2, err := EncodeManifest(sorted)
+	if err != nil {
 		t.Fatal(err)
 	}
-	if !bytes.Equal(b1.Bytes(), b2.Bytes()) {
+	if !bytes.Equal(b1, b2) {
 		t.Fatal("same entries in different order produced different encodings")
 	}
-	got, err := DecodeManifest(&b1)
+	got, err := DecodeManifest(b1)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -75,8 +76,7 @@ func TestManifestEncodeRejectsInvalid(t *testing.T) {
 		}}},
 	}
 	for _, tc := range cases {
-		var buf bytes.Buffer
-		if err := EncodeManifest(&buf, tc.m); err == nil {
+		if _, err := EncodeManifest(tc.m); err == nil {
 			t.Errorf("%s: encode accepted invalid manifest", tc.name)
 		}
 	}
@@ -84,15 +84,15 @@ func TestManifestEncodeRejectsInvalid(t *testing.T) {
 
 func TestManifestDecodeRejectsHostileInput(t *testing.T) {
 	valid := func() []byte {
-		var buf bytes.Buffer
 		m := Manifest{Entries: []ManifestEntry{
 			{Var: "a", Version: 1, Blocks: 1},
 			{Var: "b", Version: 0, Blocks: 2},
 		}}
-		if err := EncodeManifest(&buf, m); err != nil {
+		raw, err := EncodeManifest(m)
+		if err != nil {
 			t.Fatal(err)
 		}
-		return buf.Bytes()
+		return raw
 	}()
 
 	badMagic := append([]byte(nil), valid...)
@@ -116,9 +116,10 @@ func TestManifestDecodeRejectsHostileInput(t *testing.T) {
 		{"truncated", truncated},
 		{"unordered entries", swapped},
 		{"huge count", hugeCount},
+		{"trailing byte", append(append([]byte(nil), valid...), 0)},
 		{"empty", nil},
 	} {
-		if _, err := DecodeManifest(bytes.NewReader(tc.data)); !errors.Is(err, ErrBadManifest) {
+		if _, err := DecodeManifest(tc.data); !errors.Is(err, ErrBadManifest) {
 			t.Errorf("%s: got %v, want ErrBadManifest", tc.name, err)
 		}
 	}
@@ -130,11 +131,11 @@ func TestManifestDecodeRejectsHostileInput(t *testing.T) {
 // identities (the canonical-form contract).
 func FuzzPoolManifest(f *testing.F) {
 	seed := func(m Manifest) []byte {
-		var buf bytes.Buffer
-		if err := EncodeManifest(&buf, m); err != nil {
+		raw, err := EncodeManifest(m)
+		if err != nil {
 			f.Fatal(err)
 		}
-		return buf.Bytes()
+		return raw
 	}
 	f.Add([]byte{})
 	f.Add(seed(Manifest{}))
@@ -147,20 +148,16 @@ func FuzzPoolManifest(f *testing.F) {
 	f.Add([]byte{0x58, 0x4c, 0x4d, 0x31, 0x00, 0x10, 0x00, 0x01})
 
 	f.Fuzz(func(t *testing.T, data []byte) {
-		m, err := DecodeManifest(bytes.NewReader(data))
+		m, err := DecodeManifest(data)
 		if err != nil {
 			return // rejection is fine; panicking or hanging is not
 		}
-		var buf bytes.Buffer
-		if err := EncodeManifest(&buf, m); err != nil {
+		raw, err := EncodeManifest(m)
+		if err != nil {
 			t.Fatalf("decoded manifest failed to re-encode: %v", err)
 		}
-		m2, err := DecodeManifest(&buf)
-		if err != nil {
-			t.Fatalf("re-encoded manifest failed to decode: %v", err)
-		}
-		if !m.Equal(m2) {
-			t.Fatalf("decode/encode round trip not identity: %v vs %v", m, m2)
+		if !bytes.Equal(raw, data) {
+			t.Fatalf("decode/encode round trip not identity: %x vs %x", raw, data)
 		}
 	})
 }

@@ -395,12 +395,7 @@ func (sp *Space) collect(varName string, version int, region grid.Box) []*Object
 // pass).
 func (sp *Space) Clear() {
 	sp.opMu.Lock()
-	for _, s := range sp.servers {
-		s.mu.Lock()
-		s.objects = make(map[string][]*Object)
-		s.memUsed = 0
-		s.mu.Unlock()
-	}
+	sp.wipeShards()
 	if sp.dur != nil {
 		sp.dur.logClear()
 	}
@@ -408,6 +403,16 @@ func (sp *Space) Clear() {
 	sp.qmu.Lock()
 	sp.usage = nil
 	sp.qmu.Unlock()
+}
+
+// wipeShards empties every shard (caller holds opMu exclusively).
+func (sp *Space) wipeShards() {
+	for _, s := range sp.servers {
+		s.mu.Lock()
+		s.objects = make(map[string][]*Object)
+		s.memUsed = 0
+		s.mu.Unlock()
+	}
 }
 
 // DropBefore evicts every block of varName with version < version,

@@ -2,7 +2,6 @@ package staging
 
 import (
 	"bufio"
-	"bytes"
 	"encoding/binary"
 	"errors"
 	"fmt"
@@ -82,6 +81,34 @@ const (
 	statusBad      = 3
 	statusQuota    = 4
 )
+
+// The framing's little-endian scalars: sequence numbers and byte totals are
+// int64, counts and lengths uint32.
+func writeU32(w io.Writer, v uint32) error {
+	var b [4]byte
+	binary.LittleEndian.PutUint32(b[:], v)
+	_, err := w.Write(b[:])
+	return err
+}
+
+func writeI64(w io.Writer, v int64) error {
+	var b [8]byte
+	binary.LittleEndian.PutUint64(b[:], uint64(v))
+	_, err := w.Write(b[:])
+	return err
+}
+
+func readU32(r io.Reader) (uint32, error) {
+	var b [4]byte
+	_, err := io.ReadFull(r, b[:])
+	return binary.LittleEndian.Uint32(b[:]), err
+}
+
+func readI64(r io.Reader) (int64, error) {
+	var b [8]byte
+	_, err := io.ReadFull(r, b[:])
+	return int64(binary.LittleEndian.Uint64(b[:])), err
+}
 
 // traceExtSize is the wire size of the trace-context extension.
 const traceExtSize = 16
@@ -624,12 +651,12 @@ func (s *Server) handleOne(r *bufio.Reader, w *bufio.Writer, busy *atomic.Bool) 
 	if _, err := io.ReadFull(r, nameBuf); err != nil {
 		return err
 	}
-	var verBuf [4]byte
-	if _, err := io.ReadFull(r, verBuf[:]); err != nil {
+	ver, err := readU32(r)
+	if err != nil {
 		return err
 	}
 	varName := string(nameBuf)
-	version := int(int32(binary.LittleEndian.Uint32(verBuf[:])))
+	version := int(int32(ver))
 
 	var ext traceExt
 	if hdr[0]&opFlagTrace != 0 {
@@ -693,11 +720,10 @@ func srvErrLabel(err error) string {
 func (s *Server) dispatch(op byte, varName string, version int, r *bufio.Reader, w *bufio.Writer) error {
 	switch op {
 	case opPut:
-		var seqBuf [8]byte
-		if _, err := io.ReadFull(r, seqBuf[:]); err != nil {
+		seq, err := readI64(r)
+		if err != nil {
 			return err
 		}
-		seq := int64(binary.LittleEndian.Uint64(seqBuf[:]))
 		d, err := DecodeBlock(r)
 		if err != nil {
 			if errors.Is(err, ErrBadBlock) {
@@ -719,13 +745,11 @@ func (s *Server) dispatch(op byte, varName string, version int, r *bufio.Reader,
 		}
 
 	case opGet:
-		var boxBuf [24]byte
+		var boxBuf [boxWireSize]byte
 		if _, err := io.ReadFull(r, boxBuf[:]); err != nil {
 			return err
 		}
-		geti := func(i int) int { return int(int32(binary.LittleEndian.Uint32(boxBuf[4*i:]))) }
-		region := grid.NewBox(grid.IV(geti(0), geti(1), geti(2)), grid.IV(geti(3), geti(4), geti(5)))
-		blocks, err := s.space.GetBlocks(varName, version, region)
+		blocks, err := s.space.GetBlocks(varName, version, getBox(boxBuf[:]))
 		if errors.Is(err, ErrNotFound) {
 			return w.WriteByte(statusNotFound)
 		}
@@ -735,9 +759,7 @@ func (s *Server) dispatch(op byte, varName string, version int, r *bufio.Reader,
 		if err := w.WriteByte(statusOK); err != nil {
 			return err
 		}
-		var cnt [4]byte
-		binary.LittleEndian.PutUint32(cnt[:], uint32(len(blocks)))
-		if _, err := w.Write(cnt[:]); err != nil {
+		if err := writeU32(w, uint32(len(blocks))); err != nil {
 			return err
 		}
 		for _, b := range blocks {
@@ -752,41 +774,31 @@ func (s *Server) dispatch(op byte, varName string, version int, r *bufio.Reader,
 		if err := w.WriteByte(statusOK); err != nil {
 			return err
 		}
-		var out [8]byte
-		binary.LittleEndian.PutUint64(out[:], uint64(freed))
-		_, err := w.Write(out[:])
-		return err
+		return writeI64(w, freed)
 
 	case opStat:
 		if err := w.WriteByte(statusOK); err != nil {
 			return err
 		}
-		var out [8]byte
-		binary.LittleEndian.PutUint64(out[:], uint64(s.space.MemUsed()))
-		_, err := w.Write(out[:])
-		return err
+		return writeI64(w, s.space.MemUsed())
 
 	case opManifest:
 		m, sizes := s.space.ContentManifestSized()
-		var buf bytes.Buffer
-		if err := EncodeManifest(&buf, m); err != nil {
+		raw, err := EncodeManifest(m)
+		if err != nil {
 			return w.WriteByte(statusBad)
 		}
 		if err := w.WriteByte(statusOK); err != nil {
 			return err
 		}
-		var mlen [4]byte
-		binary.LittleEndian.PutUint32(mlen[:], uint32(buf.Len()))
-		if _, err := w.Write(mlen[:]); err != nil {
+		if err := writeU32(w, uint32(len(raw))); err != nil {
 			return err
 		}
-		if _, err := w.Write(buf.Bytes()); err != nil {
+		if _, err := w.Write(raw); err != nil {
 			return err
 		}
-		var szBuf [8]byte
 		for _, sz := range sizes {
-			binary.LittleEndian.PutUint64(szBuf[:], uint64(sz))
-			if _, err := w.Write(szBuf[:]); err != nil {
+			if err := writeI64(w, sz); err != nil {
 				return err
 			}
 		}
@@ -1081,9 +1093,7 @@ func (c *Client) writeHeader(op byte, varName string, version int) error {
 	if _, err := c.w.WriteString(varName); err != nil {
 		return err
 	}
-	var ver [4]byte
-	binary.LittleEndian.PutUint32(ver[:], uint32(int32(version)))
-	if _, err := c.w.Write(ver[:]); err != nil {
+	if err := writeU32(c.w, uint32(int32(version))); err != nil {
 		return err
 	}
 	if trace != 0 {
@@ -1124,9 +1134,7 @@ func (c *Client) put(varName string, version int, seq int64, d *field.BoxData) e
 	if err := c.writeHeader(opPut, varName, version); err != nil {
 		return err
 	}
-	var seqBuf [8]byte
-	binary.LittleEndian.PutUint64(seqBuf[:], uint64(seq))
-	if _, err := c.w.Write(seqBuf[:]); err != nil {
+	if err := writeI64(c.w, seq); err != nil {
 		return err
 	}
 	if err := EncodeBlock(c.w, d); err != nil {
@@ -1164,10 +1172,8 @@ func (c *Client) getBlocks(varName string, version int, region grid.Box) ([]*fie
 	if err := c.writeHeader(opGet, varName, version); err != nil {
 		return nil, err
 	}
-	var boxBuf [24]byte
-	for i, v := range []int{region.Lo.X, region.Lo.Y, region.Lo.Z, region.Hi.X, region.Hi.Y, region.Hi.Z} {
-		binary.LittleEndian.PutUint32(boxBuf[4*i:], uint32(int32(v)))
-	}
+	var boxBuf [boxWireSize]byte
+	putBox(boxBuf[:], region)
 	if _, err := c.w.Write(boxBuf[:]); err != nil {
 		return nil, err
 	}
@@ -1182,11 +1188,10 @@ func (c *Client) getBlocks(varName string, version int, region grid.Box) ([]*fie
 	default:
 		return nil, fmt.Errorf("%w: get status %d", ErrProtocol, st)
 	}
-	var cnt [4]byte
-	if _, err := io.ReadFull(c.r, cnt[:]); err != nil {
+	n, err := readU32(c.r)
+	if err != nil {
 		return nil, err
 	}
-	n := binary.LittleEndian.Uint32(cnt[:])
 	if n > 1<<20 {
 		return nil, fmt.Errorf("%w: absurd block count %d", ErrProtocol, n)
 	}
@@ -1204,31 +1209,29 @@ func (c *Client) getBlocks(varName string, version int, region grid.Box) ([]*fie
 // DropBefore evicts versions of varName below version, returning bytes
 // freed on the server.
 func (c *Client) DropBefore(varName string, version int) (int64, error) {
-	var freed int64
-	err := c.do(func() error {
-		var err error
-		freed, err = c.dropBefore(varName, version)
-		return err
-	})
-	return freed, err
+	return c.scalar(opDrop, varName, version)
 }
 
-func (c *Client) dropBefore(varName string, version int) (int64, error) {
-	if err := c.writeHeader(opDrop, varName, version); err != nil {
-		return 0, err
-	}
-	st, err := c.readStatus()
-	if err != nil {
-		return 0, err
-	}
-	if st != statusOK {
-		return 0, fmt.Errorf("%w: drop status %d", ErrProtocol, st)
-	}
-	var out [8]byte
-	if _, err := io.ReadFull(c.r, out[:]); err != nil {
-		return 0, err
-	}
-	return int64(binary.LittleEndian.Uint64(out[:])), nil
+// MemUsed reports the server's total stored bytes.
+func (c *Client) MemUsed() (int64, error) { return c.scalar(opStat, "", 0) }
+
+// scalar runs an op whose whole reply is a status and one int64.
+func (c *Client) scalar(op byte, varName string, version int) (out int64, err error) {
+	err = c.do(func() error {
+		if err := c.writeHeader(op, varName, version); err != nil {
+			return err
+		}
+		st, err := c.readStatus()
+		if err != nil {
+			return err
+		}
+		if st != statusOK {
+			return fmt.Errorf("%w: %s status %d", ErrProtocol, opName(op), st)
+		}
+		out, err = readI64(c.r)
+		return err
+	})
+	return out, err
 }
 
 // Manifest fetches the server's advertised content manifest plus each
@@ -1260,11 +1263,10 @@ func (c *Client) manifest() (Manifest, []int64, error) {
 	if st != statusOK {
 		return Manifest{}, nil, fmt.Errorf("%w: manifest status %d", ErrProtocol, st)
 	}
-	var mlen [4]byte
-	if _, err := io.ReadFull(c.r, mlen[:]); err != nil {
+	n, err := readU32(c.r)
+	if err != nil {
 		return Manifest{}, nil, err
 	}
-	n := binary.LittleEndian.Uint32(mlen[:])
 	if n > 64<<20 {
 		return Manifest{}, nil, fmt.Errorf("%w: absurd manifest size %d", ErrProtocol, n)
 	}
@@ -1272,50 +1274,18 @@ func (c *Client) manifest() (Manifest, []int64, error) {
 	if _, err := io.ReadFull(c.r, raw); err != nil {
 		return Manifest{}, nil, err
 	}
-	m, err := DecodeManifest(bytes.NewReader(raw))
+	m, err := DecodeManifest(raw)
 	if err != nil {
 		return Manifest{}, nil, fmt.Errorf("%w: %v", ErrProtocol, err)
 	}
 	sizes := make([]int64, len(m.Entries))
-	var szBuf [8]byte
 	for i := range sizes {
-		if _, err := io.ReadFull(c.r, szBuf[:]); err != nil {
+		if sizes[i], err = readI64(c.r); err != nil {
 			return Manifest{}, nil, err
 		}
-		sz := int64(binary.LittleEndian.Uint64(szBuf[:]))
-		if sz < 0 {
+		if sizes[i] < 0 {
 			return Manifest{}, nil, fmt.Errorf("%w: negative entry size", ErrProtocol)
 		}
-		sizes[i] = sz
 	}
 	return m, sizes, nil
-}
-
-// MemUsed reports the server's total stored bytes.
-func (c *Client) MemUsed() (int64, error) {
-	var used int64
-	err := c.do(func() error {
-		var err error
-		used, err = c.memUsed()
-		return err
-	})
-	return used, err
-}
-
-func (c *Client) memUsed() (int64, error) {
-	if err := c.writeHeader(opStat, "", 0); err != nil {
-		return 0, err
-	}
-	st, err := c.readStatus()
-	if err != nil {
-		return 0, err
-	}
-	if st != statusOK {
-		return 0, fmt.Errorf("%w: stat status %d", ErrProtocol, st)
-	}
-	var out [8]byte
-	if _, err := io.ReadFull(c.r, out[:]); err != nil {
-		return 0, err
-	}
-	return int64(binary.LittleEndian.Uint64(out[:])), nil
 }

@@ -352,9 +352,8 @@ func TestAdmissionBacklogQueues(t *testing.T) {
 		"reason", "backlog_full").Value(); v != 1 {
 		t.Errorf("shed{reason=backlog_full} metric = %v, want 1", v)
 	}
-	if n := sink.count(obs.KindAdmissionShed); n != 1 {
-		t.Errorf("shed events = %d, want 1", n)
-	}
+	// The server counts the shed before it emits the event.
+	waitFor(t, "shed event", func() bool { return sink.count(obs.KindAdmissionShed) == 1 })
 
 	c1.Close()
 	select {

@@ -62,14 +62,16 @@ const (
 	// misfiling another codec's keys.
 	walKeyCodec = 1
 
-	walRecHeader = 1
-	walRecPut    = 2
+	// Record types. Both files open with a recHeader record and carry
+	// blocks as recBlock records (a WAL put, a snapshot object); the rest
+	// of each file's vocabulary is its own.
+	recHeader = 1
+	recBlock  = 2
+
 	walRecClear  = 3
 	walRecDrop   = 4
 	walRecSettle = 5
 
-	snapRecHeader = 1
-	snapRecObject = 2
 	snapRecFooter = 3
 
 	maxWALKey      = 4096
@@ -130,14 +132,11 @@ type durability struct {
 
 // walRec is one decoded WAL (or snapshot object) record.
 type walRec struct {
-	typ         byte
-	key         string
-	version     int
-	seq         int64
-	data        *field.BoxData
-	tenant      string
-	bytesDelta  int64
-	blocksDelta int
+	typ     byte
+	key     string
+	version int
+	seq     int64
+	data    *field.BoxData
 }
 
 // Persist attaches a write-ahead log under dir to the space, first
@@ -224,18 +223,14 @@ func (sp *Space) Persist(dir, serverID string) (*RecoverStats, error) {
 		replay = ws.recs
 	}
 
-	for i := range snapObjs {
-		if err := sp.applyRecovered(&snapObjs[i]); err != nil {
-			return nil, err
+	for _, recs := range [][]walRec{snapObjs, replay} {
+		for i := range recs {
+			if err := sp.applyRecovered(&recs[i]); err != nil {
+				return nil, err
+			}
 		}
 	}
-	stats.SnapshotBlocks = len(snapObjs)
-	for i := range replay {
-		if err := sp.applyRecovered(&replay[i]); err != nil {
-			return nil, err
-		}
-	}
-	stats.WALRecords = len(replay)
+	stats.SnapshotBlocks, stats.WALRecords = len(snapObjs), len(replay)
 	sp.recomputeUsageFromShards()
 	stats.Blocks, stats.Bytes = sp.countLocked()
 
@@ -372,18 +367,13 @@ func (sp *Space) ObserveWAL(reg *obs.Registry) {
 // tenant admission (usage is recomputed from the final object set).
 func (sp *Space) applyRecovered(r *walRec) error {
 	switch r.typ {
-	case walRecPut: // also snapRecObject: the numeric values coincide
+	case recBlock:
 		_, _, err := sp.route(r.data.Box).put(&Object{Var: r.key, Version: r.version, Seq: r.seq, Data: r.data})
 		if err != nil {
 			return fmt.Errorf("staging: replay put %s@%d: %w", r.key, r.version, err)
 		}
 	case walRecClear:
-		for _, s := range sp.servers {
-			s.mu.Lock()
-			s.objects = make(map[string][]*Object)
-			s.memUsed = 0
-			s.mu.Unlock()
-		}
+		sp.wipeShards()
 	case walRecDrop:
 		for _, s := range sp.servers {
 			s.dropBefore(r.key, r.version)
@@ -400,23 +390,17 @@ func (sp *Space) applyRecovered(r *walRec) error {
 // set — the authoritative source after a replay.
 func (sp *Space) recomputeUsageFromShards() {
 	usage := make(map[string]*tenantUsage)
-	for _, s := range sp.servers {
-		s.mu.Lock()
-		for _, objs := range s.objects {
-			for _, o := range objs {
-				if t := TenantOf(o.Var); t != "" {
-					u := usage[t]
-					if u == nil {
-						u = &tenantUsage{}
-						usage[t] = u
-					}
-					u.bytes += o.Data.Bytes()
-					u.blocks++
-				}
+	sp.eachObject(func(o *Object) {
+		if t := TenantOf(o.Var); t != "" {
+			u := usage[t]
+			if u == nil {
+				u = &tenantUsage{}
+				usage[t] = u
 			}
+			u.bytes += o.Data.Bytes()
+			u.blocks++
 		}
-		s.mu.Unlock()
-	}
+	})
 	sp.qmu.Lock()
 	if len(usage) > 0 || sp.usage != nil {
 		sp.usage = usage
@@ -442,22 +426,16 @@ func (sp *Space) ContentManifestSized() (Manifest, []int64) {
 		bytes  int64
 	}
 	sums := make(map[ManifestEntry]*agg)
-	for _, s := range sp.servers {
-		s.mu.Lock()
-		for _, objs := range s.objects {
-			for _, o := range objs {
-				k := ManifestEntry{Var: o.Var, Version: o.Version}
-				a := sums[k]
-				if a == nil {
-					a = &agg{}
-					sums[k] = a
-				}
-				a.blocks++
-				a.bytes += EncodedSize(o.Data)
-			}
+	sp.eachObject(func(o *Object) {
+		k := ManifestEntry{Var: o.Var, Version: o.Version}
+		a := sums[k]
+		if a == nil {
+			a = &agg{}
+			sums[k] = a
 		}
-		s.mu.Unlock()
-	}
+		a.blocks++
+		a.bytes += EncodedSize(o.Data)
+	})
 	var m Manifest
 	for k, a := range sums {
 		k.Blocks = a.blocks
@@ -474,67 +452,121 @@ func (sp *Space) ContentManifestSized() (Manifest, []int64) {
 
 // countLocked totals live objects and bytes (caller holds opMu).
 func (sp *Space) countLocked() (blocks int, size int64) {
+	sp.eachObject(func(o *Object) {
+		blocks++
+		size += o.Data.Bytes()
+	})
+	return blocks, size
+}
+
+// eachObject visits every stored object, shard by shard under each shard's
+// lock, in no particular order.
+func (sp *Space) eachObject(visit func(*Object)) {
 	for _, s := range sp.servers {
 		s.mu.Lock()
 		for _, objs := range s.objects {
-			blocks += len(objs)
 			for _, o := range objs {
-				size += o.Data.Bytes()
+				visit(o)
 			}
 		}
 		s.mu.Unlock()
 	}
-	return blocks, size
 }
 
 // ---- append side ----
 
 // logPut appends one put record (and, for tenant-qualified keys, the quota
-// settlement that followed it) and fsyncs. Called with opMu held shared;
-// appends themselves serialize on the file via the space's durability
-// invariant that mutators hold opMu.
+// settlement that followed it) and fsyncs. Called with opMu held shared:
+// racing puts encode their records in parallel and serialize in append.
 func (d *durability) logPut(key string, version int, seq int64, data *field.BoxData, tenant string, bytesDelta int64, blocksDelta int) error {
-	d.mu.Lock()
-	defer d.mu.Unlock()
-	if d.err != nil {
-		return d.err
+	body, err := appendKeyedBlock(key, version, seq, data)
+	if err != nil {
+		return fmt.Errorf("staging: wal encode block: %w", err)
 	}
-	body := []byte{walRecPut}
-	body = journal.AppendString(body, key)
-	body = binary.BigEndian.AppendUint64(body, uint64(int64(version)))
-	body = binary.BigEndian.AppendUint64(body, uint64(seq))
-	var buf bytes.Buffer
-	if err := EncodeBlock(&buf, data); err != nil {
-		d.err = fmt.Errorf("staging: wal encode block: %w", err)
-		return d.err
+	if tenant == "" {
+		return d.append(body)
 	}
-	body = append(body, buf.Bytes()...)
-	recs := [][]byte{body}
-	if tenant != "" {
-		settle := []byte{walRecSettle}
-		settle = journal.AppendString(settle, tenant)
-		settle = binary.BigEndian.AppendUint64(settle, uint64(bytesDelta))
-		settle = binary.BigEndian.AppendUint64(settle, uint64(int64(blocksDelta)))
-		recs = append(recs, settle)
-	}
-	return d.append(recs...)
+	settle := []byte{walRecSettle}
+	settle = journal.AppendString(settle, tenant)
+	settle = binary.BigEndian.AppendUint64(settle, uint64(bytesDelta))
+	settle = binary.BigEndian.AppendUint64(settle, uint64(int64(blocksDelta)))
+	return d.append(body, settle)
 }
 
-func (d *durability) logClear() error {
-	d.mu.Lock()
-	defer d.mu.Unlock()
-	if d.err != nil {
-		return d.err
+// appendKeyedBlock encodes a recBlock record body — key, version, seq, then
+// the block in wire format — the form of a WAL put and of a snapshot object.
+func appendKeyedBlock(key string, version int, seq int64, data *field.BoxData) ([]byte, error) {
+	b := make([]byte, 0, 1+2+len(key)+8+8+int(EncodedSize(data)))
+	b = append(b, recBlock)
+	b = journal.AppendString(b, key)
+	b = binary.BigEndian.AppendUint64(b, uint64(int64(version)))
+	b = binary.BigEndian.AppendUint64(b, uint64(seq))
+	buf := bytes.NewBuffer(b)
+	if err := EncodeBlock(buf, data); err != nil {
+		return nil, err
 	}
-	return d.append([]byte{walRecClear})
+	return buf.Bytes(), nil
 }
+
+// fileKind describes one of the two durability files. Both open with the
+// same header record — magic, key codec version, server id, epoch — and
+// differ in the magic, in the sentinel their decode errors wrap, and in
+// whether the header also counts the WAL records the file covers.
+type fileKind struct {
+	name    string // in error text
+	magic   uint32
+	bad     error
+	covered bool
+}
+
+var (
+	walFile  = fileKind{"wal", walMagic, ErrBadWAL, false}
+	snapFile = fileKind{"snapshot", snapMagic, ErrBadSnapshot, true}
+)
+
+// header encodes k's header record.
+func (k fileKind) header(serverID string, epoch, covered uint64) []byte {
+	b := []byte{recHeader}
+	b = binary.BigEndian.AppendUint32(b, k.magic)
+	b = binary.BigEndian.AppendUint16(b, walKeyCodec)
+	b = journal.AppendString(b, serverID)
+	b = binary.BigEndian.AppendUint64(b, epoch)
+	if k.covered {
+		b = binary.BigEndian.AppendUint64(b, covered)
+	}
+	return b
+}
+
+// readHeader decodes k's header record and checks that the file belongs to
+// serverID under this key codec (ErrWALMismatch otherwise).
+func (k fileKind) readHeader(body []byte, serverID string) (epoch, covered uint64, err error) {
+	d := journal.NewDec(body, k.bad)
+	if t := d.U8(); d.Err() == nil && t != recHeader {
+		return 0, 0, fmt.Errorf("%w: first record has type %d (want header)", k.bad, t)
+	}
+	if m := d.U32(); d.Err() == nil && m != k.magic {
+		return 0, 0, fmt.Errorf("%w: bad magic", k.bad)
+	}
+	if v := d.U16(); d.Err() == nil && v != walKeyCodec {
+		return 0, 0, fmt.Errorf("%w: key codec version %d (have %d)", ErrWALMismatch, v, walKeyCodec)
+	}
+	id := d.Str(maxWALServerID)
+	epoch = d.U64()
+	if k.covered {
+		covered = d.U64()
+	}
+	if err := d.Done(); err != nil {
+		return 0, 0, err
+	}
+	if id != serverID {
+		return 0, 0, fmt.Errorf("%w: %s written by %q, recovering as %q", ErrWALMismatch, k.name, id, serverID)
+	}
+	return epoch, covered, nil
+}
+
+func (d *durability) logClear() error { return d.append([]byte{walRecClear}) }
 
 func (d *durability) logDrop(varName string, version int) error {
-	d.mu.Lock()
-	defer d.mu.Unlock()
-	if d.err != nil {
-		return d.err
-	}
 	body := []byte{walRecDrop}
 	body = journal.AppendString(body, varName)
 	body = binary.BigEndian.AppendUint64(body, uint64(int64(version)))
@@ -542,9 +574,14 @@ func (d *durability) logDrop(varName string, version int) error {
 }
 
 // append frames and writes the record bodies, fsyncs once, and triggers a
-// compaction when the epoch's record count crosses the threshold. The
-// first failure sticks.
+// compaction when the epoch's record count crosses the threshold. Appends
+// serialize on mu; the first failure sticks.
 func (d *durability) append(bodies ...[]byte) error {
+	d.mu.Lock()
+	defer d.mu.Unlock()
+	if d.err != nil {
+		return d.err
+	}
 	for _, body := range bodies {
 		framed := journal.FrameRecord(body)
 		if _, err := d.f.Write(framed); err != nil {
@@ -600,23 +637,12 @@ func (d *durability) compact() error {
 			_, err = f.Write(journal.FrameRecord(body))
 		}
 	}
-	hdr := []byte{snapRecHeader}
-	hdr = binary.BigEndian.AppendUint32(hdr, snapMagic)
-	hdr = binary.BigEndian.AppendUint16(hdr, walKeyCodec)
-	hdr = journal.AppendString(hdr, d.serverID)
-	hdr = binary.BigEndian.AppendUint64(hdr, d.epoch)
-	hdr = binary.BigEndian.AppendUint64(hdr, covered)
-	write(hdr)
+	write(snapFile.header(d.serverID, d.epoch, covered))
 	for _, o := range objs {
-		body := []byte{snapRecObject}
-		body = journal.AppendString(body, o.Var)
-		body = binary.BigEndian.AppendUint64(body, uint64(int64(o.Version)))
-		body = binary.BigEndian.AppendUint64(body, uint64(o.Seq))
-		var buf bytes.Buffer
+		body, berr := appendKeyedBlock(o.Var, o.Version, o.Seq, o.Data)
 		if err == nil {
-			err = EncodeBlock(&buf, o.Data)
+			err = berr
 		}
-		body = append(body, buf.Bytes()...)
 		write(body)
 	}
 	foot := []byte{snapRecFooter}
@@ -659,13 +685,7 @@ func (d *durability) compact() error {
 // version, block Morton position, then seq.
 func (sp *Space) dumpObjects() []*Object {
 	var out []*Object
-	for _, s := range sp.servers {
-		s.mu.Lock()
-		for _, objs := range s.objects {
-			out = append(out, objs...)
-		}
-		s.mu.Unlock()
-	}
+	sp.eachObject(func(o *Object) { out = append(out, o) })
 	sort.Slice(out, func(i, j int) bool {
 		a, b := out[i], out[j]
 		if a.Var != b.Var {
@@ -693,11 +713,7 @@ func newWALFile(path, serverID string, epoch uint64) (*os.File, error) {
 	if err != nil {
 		return nil, fmt.Errorf("staging: wal create: %w", err)
 	}
-	hdr := []byte{walRecHeader}
-	hdr = binary.BigEndian.AppendUint32(hdr, walMagic)
-	hdr = binary.BigEndian.AppendUint16(hdr, walKeyCodec)
-	hdr = journal.AppendString(hdr, serverID)
-	hdr = binary.BigEndian.AppendUint64(hdr, epoch)
+	hdr := walFile.header(serverID, epoch, 0)
 	if _, err := f.Write(journal.FrameRecord(hdr)); err == nil {
 		err = f.Sync()
 	}
@@ -737,103 +753,58 @@ type walScan struct {
 // fails with ErrWALMismatch.
 func scanWAL(data []byte, serverID string) (*walScan, error) {
 	ws := &walScan{}
-	off := 0
-	for off < len(data) {
-		body, n, ok := journal.NextRecord(data[off:])
-		if !ok {
-			ws.torn = true
-			break
-		}
+	var err error
+	ws.good, ws.torn, err = journal.Records(data, func(body []byte) error {
 		if !ws.haveHeader {
-			epoch, err := decodeWALHeader(body, serverID)
-			if err != nil {
-				return nil, err
-			}
-			ws.haveHeader, ws.epoch = true, epoch
-		} else {
-			rec, err := decodeWALRecord(body)
-			if err != nil {
-				return nil, err
-			}
+			epoch, _, err := walFile.readHeader(body, serverID)
+			ws.haveHeader, ws.epoch = err == nil, epoch
+			return err
+		}
+		rec, err := decodeWALRecord(body)
+		if err == nil {
 			ws.recs = append(ws.recs, rec)
 		}
-		off += n
-	}
-	ws.good = int64(off)
-	if !ws.haveHeader && off < len(data) {
-		ws.torn = true
+		return err
+	})
+	if err != nil {
+		return nil, err
 	}
 	return ws, nil
-}
-
-func decodeWALHeader(body []byte, serverID string) (epoch uint64, err error) {
-	d := journal.NewDec(body, ErrBadWAL)
-	if t := d.U8(); d.Err() == nil && t != walRecHeader {
-		return 0, fmt.Errorf("%w: first record has type %d (want header)", ErrBadWAL, t)
-	}
-	if m := d.U32(); d.Err() == nil && m != walMagic {
-		return 0, fmt.Errorf("%w: bad magic", ErrBadWAL)
-	}
-	if v := d.U16(); d.Err() == nil && v != walKeyCodec {
-		return 0, fmt.Errorf("%w: key codec version %d (have %d)", ErrWALMismatch, v, walKeyCodec)
-	}
-	id := d.Str(maxWALServerID)
-	epoch = d.U64()
-	if err := d.Done(); err != nil {
-		return 0, err
-	}
-	if id != serverID {
-		return 0, fmt.Errorf("%w: wal written by %q, recovering as %q", ErrWALMismatch, id, serverID)
-	}
-	return epoch, nil
 }
 
 func decodeWALRecord(body []byte) (walRec, error) {
 	d := journal.NewDec(body, ErrBadWAL)
 	rec := walRec{typ: d.U8()}
 	switch rec.typ {
-	case walRecPut:
-		var err error
-		rec.key, rec.version, rec.seq, rec.data, err = decodeKeyedBlock(d)
-		if err != nil {
-			return walRec{}, err
-		}
-		return rec, nil
+	case recBlock:
+		return decodeKeyedBlock(d)
 	case walRecClear:
-		if err := d.Done(); err != nil {
-			return walRec{}, err
-		}
-		return rec, nil
 	case walRecDrop:
 		rec.key = d.Str(maxWALKey)
 		rec.version = decodeWALVersion(d)
-		if err := d.Done(); err != nil {
-			return walRec{}, err
+		if rec.key == "" {
+			d.Fail("empty drop var")
 		}
-		if rec.key == "" && d.Err() == nil {
-			return walRec{}, fmt.Errorf("%w: empty drop var", ErrBadWAL)
-		}
-		return rec, nil
 	case walRecSettle:
-		rec.tenant = d.Str(maxTenantLen)
-		rec.bytesDelta = d.I64()
+		// An audit trail: checked, then ignored (see applyRecovered).
+		tenant := d.Str(maxTenantLen)
+		d.I64() // byte delta: any value
 		blocks := d.I64()
-		if err := d.Done(); err != nil {
-			return walRec{}, err
-		}
-		if !ValidTenant(rec.tenant) {
-			return walRec{}, fmt.Errorf("%w: bad settle tenant", ErrBadWAL)
+		if !ValidTenant(tenant) {
+			d.Fail("bad settle tenant")
 		}
 		if blocks < -journal.MaxSmallInt || blocks > journal.MaxSmallInt {
-			return walRec{}, fmt.Errorf("%w: settle block delta %d out of range", ErrBadWAL, blocks)
+			d.Fail("settle block delta %d out of range", blocks)
 		}
-		rec.blocksDelta = int(blocks)
-		return rec, nil
-	case walRecHeader:
-		return walRec{}, fmt.Errorf("%w: duplicate header record", ErrBadWAL)
+	case recHeader:
+		d.Fail("duplicate header record")
 	default:
-		return walRec{}, fmt.Errorf("%w: unknown record type %d", ErrBadWAL, rec.typ)
+		d.Fail("unknown record type %d", rec.typ)
 	}
+	if err := d.Done(); err != nil {
+		return walRec{}, err
+	}
+	return rec, nil
 }
 
 // decodeWALVersion reads a version carried as int64 bits and range-checks
@@ -847,99 +818,77 @@ func decodeWALVersion(d *journal.Dec) int {
 	return int(v)
 }
 
-// decodeKeyedBlock reads the shared tail of put and snapshot-object
-// records: key, version, seq, then the block payload (which must consume
-// the rest of the record exactly).
-func decodeKeyedBlock(d *journal.Dec) (key string, version int, seq int64, data *field.BoxData, err error) {
-	key = d.Str(maxWALKey)
-	version = decodeWALVersion(d)
-	seq = d.I64()
+// decodeKeyedBlock reads the tail of a recBlock record: key, version, seq,
+// then the block payload (which must consume the rest of the record
+// exactly).
+func decodeKeyedBlock(d *journal.Dec) (walRec, error) {
+	rec := walRec{typ: recBlock}
+	rec.key = d.Str(maxWALKey)
+	rec.version = decodeWALVersion(d)
+	rec.seq = d.I64()
 	rest := d.Rest()
-	if err = d.Err(); err != nil {
-		return "", 0, 0, nil, err
+	if err := d.Err(); err != nil {
+		return walRec{}, err
 	}
-	if key == "" {
-		return "", 0, 0, nil, fmt.Errorf("%w: empty key", ErrBadWAL)
+	if rec.key == "" {
+		return walRec{}, fmt.Errorf("%w: empty key", ErrBadWAL)
 	}
 	r := bytes.NewReader(rest)
-	data, err = DecodeBlock(r)
-	if err != nil {
-		return "", 0, 0, nil, fmt.Errorf("%w: block payload: %v", ErrBadWAL, err)
+	var err error
+	if rec.data, err = DecodeBlock(r); err != nil {
+		return walRec{}, fmt.Errorf("%w: block payload: %v", ErrBadWAL, err)
 	}
 	if r.Len() != 0 {
-		return "", 0, 0, nil, fmt.Errorf("%w: %d trailing block bytes", ErrBadWAL, r.Len())
+		return walRec{}, fmt.Errorf("%w: %d trailing block bytes", ErrBadWAL, r.Len())
 	}
-	return key, version, seq, data, nil
+	return rec, nil
 }
 
 // scanSnapshot decodes a snapshot image. Snapshots are complete-or-absent
 // (tmp + rename), so anything short of header + objects + matching footer
 // with no trailing bytes fails closed with ErrBadSnapshot.
 func scanSnapshot(data []byte, serverID string) (epoch, covered uint64, objs []walRec, err error) {
-	off := 0
 	sawHeader, sawFooter := false, false
-	for off < len(data) {
-		body, n, ok := journal.NextRecord(data[off:])
-		if !ok {
-			return 0, 0, nil, fmt.Errorf("%w: torn record at byte %d", ErrBadSnapshot, off)
-		}
+	good, torn, err := journal.Records(data, func(body []byte) (err error) {
 		if sawFooter {
-			return 0, 0, nil, fmt.Errorf("%w: record after footer", ErrBadSnapshot)
+			return fmt.Errorf("%w: record after footer", ErrBadSnapshot)
+		}
+		if !sawHeader {
+			epoch, covered, err = snapFile.readHeader(body, serverID)
+			sawHeader = err == nil
+			return err
 		}
 		d := journal.NewDec(body, ErrBadSnapshot)
-		typ := d.U8()
-		switch {
-		case !sawHeader:
-			if d.Err() == nil && typ != snapRecHeader {
-				return 0, 0, nil, fmt.Errorf("%w: first record has type %d (want header)", ErrBadSnapshot, typ)
-			}
-			if m := d.U32(); d.Err() == nil && m != snapMagic {
-				return 0, 0, nil, fmt.Errorf("%w: bad magic", ErrBadSnapshot)
-			}
-			if v := d.U16(); d.Err() == nil && v != walKeyCodec {
-				return 0, 0, nil, fmt.Errorf("%w: key codec version %d (have %d)", ErrWALMismatch, v, walKeyCodec)
-			}
-			id := d.Str(maxWALServerID)
-			epoch = d.U64()
-			covered = d.U64()
-			if err := d.Done(); err != nil {
-				return 0, 0, nil, err
-			}
-			if id != serverID {
-				return 0, 0, nil, fmt.Errorf("%w: snapshot written by %q, recovering as %q", ErrWALMismatch, id, serverID)
-			}
-			sawHeader = true
-		case typ == snapRecObject:
-			var rec walRec
-			rec.typ = snapRecObject
-			var derr error
-			rec.key, rec.version, rec.seq, rec.data, derr = decodeKeyedBlock(d)
-			if derr != nil {
-				return 0, 0, nil, fmt.Errorf("%w: %v", ErrBadSnapshot, derr)
+		switch typ := d.U8(); typ {
+		case recBlock:
+			rec, err := decodeKeyedBlock(d)
+			if err != nil {
+				return fmt.Errorf("%w: %v", ErrBadSnapshot, err)
 			}
 			objs = append(objs, rec)
-		case typ == snapRecFooter:
+		case snapRecFooter:
 			count := d.U64()
 			if err := d.Done(); err != nil {
-				return 0, 0, nil, err
+				return err
 			}
 			if count != uint64(len(objs)) {
-				return 0, 0, nil, fmt.Errorf("%w: footer counts %d objects, snapshot has %d", ErrBadSnapshot, count, len(objs))
+				return fmt.Errorf("%w: footer counts %d objects, snapshot has %d", ErrBadSnapshot, count, len(objs))
 			}
 			sawFooter = true
 		default:
-			if d.Err() != nil {
-				return 0, 0, nil, d.Err()
-			}
-			return 0, 0, nil, fmt.Errorf("%w: unknown record type %d", ErrBadSnapshot, typ)
+			return fmt.Errorf("%w: unknown record type %d", ErrBadSnapshot, typ)
 		}
-		off += n
+		return nil
+	})
+	switch {
+	case err != nil:
+	case torn:
+		err = fmt.Errorf("%w: torn record at byte %d", ErrBadSnapshot, good)
+	case !sawHeader || !sawFooter:
+		err = fmt.Errorf("%w: incomplete snapshot (header %v, footer %v)", ErrBadSnapshot, sawHeader, sawFooter)
 	}
-	if !sawHeader || !sawFooter {
-		return 0, 0, nil, fmt.Errorf("%w: incomplete snapshot (header %v, footer %v)", ErrBadSnapshot, sawHeader, sawFooter)
-	}
-	if off != len(data) {
-		return 0, 0, nil, fmt.Errorf("%w: %d trailing bytes", ErrBadSnapshot, len(data)-off)
+	if err != nil {
+		return 0, 0, nil, err
 	}
 	return epoch, covered, objs, nil
 }

@@ -8,6 +8,7 @@ import (
 	"strings"
 
 	"crosslayer/internal/core"
+	"crosslayer/internal/obs"
 	"crosslayer/internal/policy"
 )
 
@@ -158,14 +159,14 @@ func (r RunReport) WriteText(w io.Writer) error {
 		r.BytesProduced, r.BytesAnalyzed, r.BytesMoved)
 
 	p("placements:\n")
-	for _, k := range sortedKeys(r.ByPlacement) {
+	for _, k := range obs.SortedKeys(r.ByPlacement) {
 		ps := r.ByPlacement[k]
 		p("  %-12s steps=%-4d sim=%.3fs analysis=%.3fs transfer=%.3fs moved=%d\n",
 			k, ps.Steps, ps.SimSeconds, ps.AnalysisSeconds, ps.TransferSeconds, ps.BytesMoved)
 	}
 	if len(r.ReasonCounts) > 0 {
 		p("placement reasons:\n")
-		for _, k := range sortedKeys(r.ReasonCounts) {
+		for _, k := range obs.SortedKeys(r.ReasonCounts) {
 			p("  %4d  %s\n", r.ReasonCounts[k], k)
 		}
 	}
@@ -173,13 +174,4 @@ func (r RunReport) WriteText(w io.Writer) error {
 	p("staging transport     retries=%d reconnects=%d degraded_steps=%d\n",
 		r.Retries, r.Reconnects, r.Degraded)
 	return nil
-}
-
-func sortedKeys[V any](m map[string]V) []string {
-	keys := make([]string, 0, len(m))
-	for k := range m {
-		keys = append(keys, k)
-	}
-	sort.Strings(keys)
-	return keys
 }

@@ -14,6 +14,7 @@ import (
 	"strconv"
 
 	"crosslayer/internal/core"
+	"crosslayer/internal/obs"
 	"crosslayer/internal/policy"
 )
 
@@ -138,24 +139,12 @@ func WriteJSONL(w io.Writer, steps []core.StepRecord) error {
 // malformed terminated line fails the read. ReadCSV stays strict: CSV
 // artifacts are written whole at run end, never appended across a crash.
 func ReadJSONL(r io.Reader) ([]core.StepRecord, error) {
-	data, err := io.ReadAll(r)
+	objs, err := obs.ReadJSONL[map[string]json.RawMessage](r, "trace: record")
 	if err != nil {
-		return nil, fmt.Errorf("trace: %w", err)
+		return nil, err
 	}
-	lines := bytes.Split(data, []byte("\n"))
 	var out []core.StepRecord
-	for i, line := range lines {
-		line = bytes.TrimSpace(line)
-		if len(line) == 0 {
-			continue
-		}
-		var obj map[string]json.RawMessage
-		if err := json.Unmarshal(line, &obj); err != nil {
-			if i == len(lines)-1 {
-				break // unterminated torn tail from a killed writer
-			}
-			return nil, fmt.Errorf("trace: %w", err)
-		}
+	for _, obj := range objs {
 		var rec core.StepRecord
 		for _, c := range columns {
 			raw, present := obj[c.name]
