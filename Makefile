@@ -3,7 +3,7 @@
 GO ?= go
 FUZZTIME ?= 10s
 
-.PHONY: check build test vet staticcheck race fuzz xbench perf chaos cover loc clean
+.PHONY: check build test vet staticcheck race fuzz xbench perf chaos loadgen-smoke cover loc clean
 
 check: vet staticcheck build race fuzz xbench
 
@@ -74,6 +74,13 @@ CHAOS_OUT ?= chaos-repros
 chaos:
 	$(GO) run ./cmd/xlayer chaos -seeds $(CHAOS_SEEDS) -steps 8 -out $(CHAOS_OUT)
 
+# The multi-tenant load harness in its smoke size: 8 tenant workflows
+# closed-loop against a shared 3-server pool with admission control on. Fails
+# on any cross-tenant manifest leak, audit shortfall or checksum mismatch;
+# the report and the per-tenant step logs are written either way.
+loadgen-smoke:
+	$(GO) run ./cmd/xlayer loadgen -short -log-dir loadgen-logs -out loadgen-report.json
+
 # Coverage summary for the CI artifact: per-function table plus the total.
 cover:
 	$(GO) test ./... -count=1 -coverprofile=coverage.out -covermode=atomic
@@ -87,4 +94,4 @@ loc:
 
 clean:
 	$(GO) clean ./...
-	rm -rf .xbench xbench-trace xbench-quick.txt
+	rm -rf .xbench xbench-trace xbench-quick.txt loadgen-logs loadgen-report.json

@@ -2,33 +2,36 @@ package main
 
 import (
 	"encoding/json"
+	"flag"
 	"fmt"
 	"os"
 
 	"crosslayer"
 )
 
-// chaosOpts carries the flags of `xlayer chaos`.
-type chaosOpts struct {
-	seeds     int    // schedules to explore
-	startSeed int64  // first seed
-	maxSteps  int    // cap on schedule length (0 = generator's choice)
-	outDir    string // repro directory ("" = don't write repros)
-	replay    string // repro file to replay instead of sweeping
-	jsonOut   bool   // print the report as JSON
+// setupChaos is `xlayer chaos`, the deterministic chaos explorer: either a
+// seeded sweep (shrinking any violation to a repro file under -out) or a
+// single-file replay of a previously shrunk repro. Any violation exits
+// nonzero.
+func setupChaos(fs *flag.FlagSet) func([]string) error {
+	o := crosslayer.ChaosOptions{Log: os.Stderr}
+	fs.IntVar(&o.Seeds, "seeds", 25, "seeded fault schedules to explore")
+	fs.Int64Var(&o.StartSeed, "start-seed", 0, "first seed of the sweep")
+	fs.IntVar(&o.MaxSteps, "steps", 0, "cap on every schedule's step count (0 = the generator's choice)")
+	fs.StringVar(&o.OutDir, "out", "", "write shrunk repros into this directory")
+	replay := fs.String("replay", "", "replay this shrunk repro file instead of sweeping")
+	jsonOut := fs.Bool("json", false, "print the sweep report as JSON")
+	return func([]string) error { return runChaos(o, *replay, *jsonOut) }
 }
 
-// runChaos drives the deterministic chaos explorer: either a seeded sweep
-// (shrinking any violation to a repro file under -out) or a single-file
-// replay of a previously shrunk repro. Any violation exits nonzero.
-func runChaos(o chaosOpts) error {
-	if o.replay != "" {
-		rr, err := crosslayer.ReplayChaosRepro(o.replay)
+func runChaos(o crosslayer.ChaosOptions, replay string, jsonOut bool) error {
+	if replay != "" {
+		rr, err := crosslayer.ReplayChaosRepro(replay)
 		if err != nil {
 			return err
 		}
 		fmt.Printf("replayed %s: steps=%d servers=%d replicas=%d concurrency=%d faults=%d\n",
-			o.replay, rr.Schedule.Steps, rr.Schedule.Servers, rr.Schedule.Replicas,
+			replay, rr.Schedule.Steps, rr.Schedule.Servers, rr.Schedule.Replicas,
 			rr.Schedule.Concurrency, rr.Schedule.FaultCount())
 		if len(rr.Violations) == 0 {
 			fmt.Println("no invariant violations — the repro no longer fires")
@@ -43,17 +46,11 @@ func runChaos(o chaosOpts) error {
 		return fmt.Errorf("%d invariant violation(s)", len(rr.Violations))
 	}
 
-	rep, err := crosslayer.ExploreChaos(crosslayer.ChaosOptions{
-		Seeds:     o.seeds,
-		StartSeed: o.startSeed,
-		MaxSteps:  o.maxSteps,
-		OutDir:    o.outDir,
-		Log:       os.Stderr,
-	})
+	rep, err := crosslayer.ExploreChaos(o)
 	if err != nil {
 		return err
 	}
-	if o.jsonOut {
+	if jsonOut {
 		enc := json.NewEncoder(os.Stdout)
 		enc.SetIndent("", "  ")
 		if err := enc.Encode(rep); err != nil {

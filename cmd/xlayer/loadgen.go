@@ -1,6 +1,7 @@
 package main
 
 import (
+	"flag"
 	"fmt"
 	"os"
 	"os/signal"
@@ -12,35 +13,28 @@ import (
 	"crosslayer/internal/staging"
 )
 
-// loadgenOpts mirrors the loadgen-mode flags.
-type loadgenOpts struct {
-	tenants, steps    int
-	servers, replicas int
-	maxConns, backlog int
-	quotaBytes        int64
-	quotaBlocks       int
-	seed              int64
-	logDir, outPath   string
-	short             bool
+// setupLoadgen is `xlayer loadgen`: it drives the multi-tenant load harness
+// (exit 1 on any cross-tenant leak) and writes the xlayer-bench/v1 report
+// when -out is given.
+func setupLoadgen(fs *flag.FlagSet) func([]string) error {
+	o := loadgen.Options{Log: os.Stdout}
+	fs.IntVar(&o.Tenants, "tenants", 8, "concurrent tenant workflows")
+	fs.IntVar(&o.Steps, "steps", 0, "versions each tenant pushes (0 = 6; 3 with -short)")
+	fs.IntVar(&o.Servers, "servers", 3, "shared staging servers")
+	fs.IntVar(&o.Replicas, "replicas", 2, "pool replication factor")
+	fs.IntVar(&o.MaxConns, "max-conns", 4, "per-server admission cap; <0 = unlimited")
+	fs.IntVar(&o.Backlog, "backlog", 2, "per-server bounded accept backlog")
+	fs.Int64Var(&o.QuotaBytes, "quota-bytes", 0, "per-tenant per-server byte quota; 0 = unlimited")
+	fs.IntVar(&o.QuotaBlocks, "quota-blocks", 0, "per-tenant per-server block quota; 0 = unlimited")
+	fs.Int64Var(&o.Seed, "seed", 1, "arrival-jitter and backoff seed")
+	fs.StringVar(&o.LogDir, "log-dir", "", "write one deterministic JSONL log per tenant into this directory")
+	fs.BoolVar(&o.Short, "short", false, "trim the domain and step count — the CI smoke shape")
+	outPath := fs.String("out", "", "write the xlayer-bench/v1 report to this file")
+	return func([]string) error { return runLoadgen(o, *outPath) }
 }
 
-// runLoadgen drives the multi-tenant load harness and writes the
-// xlayer-bench/v1 report when -out is given.
-func runLoadgen(o loadgenOpts) error {
-	rep, err := loadgen.Run(loadgen.Options{
-		Tenants:     o.tenants,
-		Steps:       o.steps,
-		Servers:     o.servers,
-		Replicas:    o.replicas,
-		MaxConns:    o.maxConns,
-		Backlog:     o.backlog,
-		QuotaBytes:  o.quotaBytes,
-		QuotaBlocks: o.quotaBlocks,
-		Seed:        o.seed,
-		LogDir:      o.logDir,
-		Short:       o.short,
-		Log:         os.Stdout,
-	})
+func runLoadgen(o loadgen.Options, outPath string) error {
+	rep, err := loadgen.Run(o)
 	if err != nil {
 		return err
 	}
@@ -53,67 +47,48 @@ func runLoadgen(o loadgenOpts) error {
 			return fmt.Errorf("loadgen: tenant isolation violated (leaks/mismatches/missing = %v)", leaks)
 		}
 	}
-	if o.outPath != "" {
-		if err := writeArtifact(o.outPath, func(f *os.File) error { return rep.Write(f) }); err != nil {
-			return err
-		}
-		fmt.Println("wrote", o.outPath)
-	}
-	return nil
+	return writeArtifact(outPath, rep.Write)
 }
 
-// serveOpts mirrors the serve-mode flags.
-type serveOpts struct {
-	addr              string
-	servers           int
-	maxConns, backlog int
-	domainEdge        int
-	quotaBytes        int64
-	quotaBlocks       int
-	quotaTenants      string
-	dataDir           string
-}
-
-// runServe stands up N staging servers with the configured admission caps
-// and blocks until SIGINT/SIGTERM. Addresses are printed one per line so a
-// remote pool (or another xlayer process) can be pointed at them. With
-// -data-dir each server is durable: it recovers its space from
-// <dir>/server-<i> on start, fsyncs every put before acking, and the
-// shutdown signal drains in-flight handlers and flushes the WALs before
+// setupServe is `xlayer serve`: it stands up N staging servers with the
+// configured admission caps and blocks until SIGINT/SIGTERM. Addresses are
+// printed one per line so a remote pool (or another xlayer process) can be
+// pointed at them. With -data-dir each server is durable: it recovers its
+// space from <dir>/server-<i> on start, fsyncs every put before acking, and
+// the shutdown signal drains in-flight handlers and flushes the WALs before
 // the process exits 0 — a kill -9 instead loses nothing acked.
-func runServe(o serveOpts) error {
-	if o.servers < 1 {
-		o.servers = 1
+func setupServe(fs *flag.FlagSet) func([]string) error {
+	var fo staging.FleetOptions
+	var quota staging.TenantQuota
+	fs.StringVar(&fo.Addr, "addr", "127.0.0.1:0", "listen address; port 0 picks free ports")
+	fs.IntVar(&fo.Servers, "servers", 1, "staging servers to stand up")
+	fs.IntVar(&fo.Server.MaxConns, "max-conns", 4, "per-server admission cap; <0 = unlimited")
+	fs.IntVar(&fo.Server.Backlog, "backlog", 2, "per-server bounded accept backlog")
+	fs.StringVar(&fo.DataDir, "data-dir", "", "durable data directory: each server recovers its space from <dir>/server-<i> on start and fsyncs acked puts")
+	fs.Int64Var(&quota.MaxBytes, "quota-bytes", 0, "per-tenant per-server byte quota; 0 = unlimited")
+	fs.IntVar(&quota.MaxBlocks, "quota-blocks", 0, "per-tenant per-server block quota; 0 = unlimited")
+	quotaTenants := fs.String("quota-tenants", "", "comma-separated tenant ids the quota flags apply to")
+	domainEdge := fs.Int("domain-edge", 32, "cubic domain edge anchoring the space's shard routing")
+	return func([]string) error { return runServe(fo, quota, *quotaTenants, *domainEdge) }
+}
+
+func runServe(fo staging.FleetOptions, quota staging.TenantQuota, quotaTenants string, domainEdge int) error {
+	if domainEdge < 1 {
+		domainEdge = 32
 	}
-	if o.domainEdge < 1 {
-		o.domainEdge = 32
-	}
-	domain := grid.NewBox(grid.IV(0, 0, 0),
-		grid.IV(o.domainEdge-1, o.domainEdge-1, o.domainEdge-1))
-	var tenants []string
-	if o.quotaTenants != "" {
-		for _, t := range strings.Split(o.quotaTenants, ",") {
+	fo.Domain = grid.NewBox(grid.IV(0, 0, 0), grid.IV(domainEdge-1, domainEdge-1, domainEdge-1))
+	fo.Quotas = map[string]staging.TenantQuota{}
+	if quotaTenants != "" {
+		for _, t := range strings.Split(quotaTenants, ",") {
 			t = strings.TrimSpace(t)
 			if !staging.ValidTenant(t) {
 				return fmt.Errorf("serve: %w: %q", staging.ErrBadTenant, t)
 			}
-			tenants = append(tenants, t)
+			fo.Quotas[t] = quota
 		}
 	}
-	if (o.quotaBytes > 0 || o.quotaBlocks > 0) && len(tenants) == 0 {
+	if (quota.MaxBytes > 0 || quota.MaxBlocks > 0) && len(fo.Quotas) == 0 {
 		return fmt.Errorf("serve: -quota-bytes/-quota-blocks need -quota-tenants")
-	}
-
-	fo := staging.FleetOptions{
-		Servers: o.servers,
-		Domain:  domain,
-		Addr:    o.addr,
-		DataDir: o.dataDir,
-		Quotas:  make(map[string]staging.TenantQuota, len(tenants)),
-		Server:  staging.ServerOptions{MaxConns: o.maxConns, Backlog: o.backlog},
-	}
-	for _, t := range tenants {
-		fo.Quotas[t] = staging.TenantQuota{MaxBytes: o.quotaBytes, MaxBlocks: o.quotaBlocks}
 	}
 	fleet, err := staging.NewFleet(fo)
 	if err != nil {
@@ -129,7 +104,7 @@ func runServe(o serveOpts) error {
 		fmt.Println(addr)
 	}
 	fmt.Fprintf(os.Stderr, "serving %d staging server(s); max_conns=%d backlog=%d; ^C to stop\n",
-		o.servers, o.maxConns, o.backlog)
+		len(addrs), fo.Server.MaxConns, fo.Server.Backlog)
 
 	sig := make(chan os.Signal, 1)
 	signal.Notify(sig, os.Interrupt, syscall.SIGTERM)

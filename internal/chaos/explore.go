@@ -6,6 +6,7 @@ import (
 	"io"
 	"os"
 	"path/filepath"
+	"slices"
 
 	"crosslayer/internal/core"
 )
@@ -32,24 +33,8 @@ func Verify(s Schedule) (*RunResult, error) {
 			return nil, err
 		}
 		golden.DiscardData()
-		if !bytes.Equal(first.EventLog, golden.EventLog) {
-			line, a, b := firstDivergence(first.EventLog, golden.EventLog)
-			first.Violations = append(first.Violations, Violation{
-				Invariant: InvResumeDeterminism,
-				Step:      -1,
-				Detail: fmt.Sprintf("resumed event log diverges from the uninterrupted run at line %d: %q vs %q",
-					line, a, b),
-			})
-		}
-		if !bytes.Equal(first.SpanLog, golden.SpanLog) {
-			line, a, b := firstDivergence(first.SpanLog, golden.SpanLog)
-			first.Violations = append(first.Violations, Violation{
-				Invariant: InvResumeDeterminism,
-				Step:      -1,
-				Detail: fmt.Sprintf("resumed span log diverges from the uninterrupted run at line %d: %q vs %q",
-					line, a, b),
-			})
-		}
+		first.diverged(InvResumeDeterminism, "resumed event log diverges from the uninterrupted run", first.EventLog, golden.EventLog)
+		first.diverged(InvResumeDeterminism, "resumed span log diverges from the uninterrupted run", first.SpanLog, golden.SpanLog)
 		if d := firstStepDivergence(first.Steps, golden.Steps); d >= 0 {
 			first.Violations = append(first.Violations, Violation{
 				Invariant: InvResumeDeterminism,
@@ -67,28 +52,28 @@ func Verify(s Schedule) (*RunResult, error) {
 		return nil, err
 	}
 	second.DiscardData()
-	if !bytes.Equal(first.EventLog, second.EventLog) {
-		line, a, b := firstDivergence(first.EventLog, second.EventLog)
-		first.Violations = append(first.Violations, Violation{
-			Invariant: InvReplayDeterminism,
-			Step:      -1,
-			Detail:    fmt.Sprintf("event logs diverge at line %d: %q vs %q", line, a, b),
-		})
-	}
-	if !bytes.Equal(first.SpanLog, second.SpanLog) {
-		line, a, b := firstDivergence(first.SpanLog, second.SpanLog)
-		first.Violations = append(first.Violations, Violation{
-			Invariant: InvReplayDeterminism,
-			Step:      -1,
-			Detail:    fmt.Sprintf("span logs diverge at line %d: %q vs %q", line, a, b),
-		})
-	}
+	first.diverged(InvReplayDeterminism, "event logs diverge", first.EventLog, second.EventLog)
+	first.diverged(InvReplayDeterminism, "span logs diverge", first.SpanLog, second.SpanLog)
 	for _, v := range second.Violations {
-		if !hasViolation(first.Violations, v) {
+		if !slices.Contains(first.Violations, v) {
 			first.Violations = append(first.Violations, v)
 		}
 	}
 	return first, nil
+}
+
+// diverged records a violation of invariant when two runs' logs a and b are
+// not byte-identical, naming the first line that differs.
+func (rr *RunResult) diverged(invariant, what string, a, b []byte) {
+	if bytes.Equal(a, b) {
+		return
+	}
+	line, la, lb := firstDivergence(a, b)
+	rr.Violations = append(rr.Violations, Violation{
+		Invariant: invariant,
+		Step:      -1,
+		Detail:    fmt.Sprintf("%s at line %d: %q vs %q", what, line, la, lb),
+	})
 }
 
 // Replay loads a repro schedule from path and verifies it — the one-call
@@ -105,10 +90,7 @@ func Replay(path string) (*RunResult, error) {
 // (including a length mismatch at the shorter trace's end), or -1 when
 // identical.
 func firstStepDivergence(a, b []core.StepRecord) int {
-	n := len(a)
-	if len(b) < n {
-		n = len(b)
-	}
+	n := min(len(a), len(b))
 	for i := 0; i < n; i++ {
 		if a[i] != b[i] {
 			return i
@@ -120,23 +102,11 @@ func firstStepDivergence(a, b []core.StepRecord) int {
 	return -1
 }
 
-func hasViolation(list []Violation, v Violation) bool {
-	for _, o := range list {
-		if o == v {
-			return true
-		}
-	}
-	return false
-}
-
 // firstDivergence locates the first line where two event logs differ.
 func firstDivergence(a, b []byte) (line int, la, lb string) {
 	as := bytes.Split(a, []byte("\n"))
 	bs := bytes.Split(b, []byte("\n"))
-	n := len(as)
-	if len(bs) < n {
-		n = len(bs)
-	}
+	n := min(len(as), len(bs))
 	for i := 0; i < n; i++ {
 		if !bytes.Equal(as[i], bs[i]) {
 			return i + 1, clip(as[i]), clip(bs[i])
@@ -160,7 +130,9 @@ func clip(b []byte) string {
 	return string(b)
 }
 
-// Options tunes an exploration sweep.
+// Options tunes an exploration sweep. It is also `xlayer chaos`'s flag
+// surface: -seeds, -start-seed, -steps (MaxSteps) and -out (OutDir) bind
+// straight into it.
 type Options struct {
 	// Seeds is how many schedules to generate and verify, derived from
 	// StartSeed, StartSeed+1, … (default 25).
@@ -311,25 +283,7 @@ func Explore(opts Options) (*Report, error) {
 
 // truncateSteps caps a schedule's length, dropping faults beyond the cap.
 func truncateSteps(s Schedule, steps int) Schedule {
-	out := s
+	out := s.keepFaults(func(f steppedFault) bool { return f.fits(steps) })
 	out.Steps = steps
-	out.Kills = nil
-	for _, k := range s.Kills {
-		if k.At < steps {
-			out.Kills = append(out.Kills, k)
-		}
-	}
-	out.Restarts = nil
-	for _, r := range s.Restarts {
-		if r.At < steps {
-			out.Restarts = append(out.Restarts, r)
-		}
-	}
-	if s.Wipe != nil && s.Wipe.At >= steps {
-		out.Wipe = nil
-	}
-	if s.Crash != nil && s.Crash.At > steps-2 {
-		out.Crash = nil
-	}
 	return out
 }

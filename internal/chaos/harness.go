@@ -434,17 +434,14 @@ func (h *harness) drive(logBuf, spanBuf, jbuf *bytes.Buffer, domain grid.Box, ad
 	h.tallies = append(h.tallies, tally)
 	h.reg = reg
 
+	copts := staging.LoopbackClient()
+	copts.MaxRetries = 1 // the pool's circuit breaker is the resilience layer
 	pool, err := staging.NewPool(addrs, domain, staging.PoolOptions{
 		Replicas:    s.Replicas,
 		Concurrency: s.Concurrency,
-		Client: staging.ClientOptions{
-			OpTimeout:   2 * time.Second,
-			MaxRetries:  1,
-			BackoffBase: time.Millisecond,
-			BackoffMax:  10 * time.Millisecond,
-		},
-		Events:  em,
-		Metrics: reg,
+		Client:      copts,
+		Events:      em,
+		Metrics:     reg,
 	})
 	if err != nil {
 		return core.Result{}, err

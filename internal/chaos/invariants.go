@@ -3,6 +3,7 @@ package chaos
 import (
 	"bytes"
 	"fmt"
+	"slices"
 	"strings"
 
 	"crosslayer/internal/core"
@@ -199,7 +200,7 @@ func (h *harness) checkPolicyConformance(step int, rec core.StepRecord) {
 	sample := h.wf.Monitor().At(step)
 
 	// Application layer: the brute-force minimum-feasible-factor oracle.
-	rangeMode := contains(s.Adapt, "application") &&
+	rangeMode := slices.Contains(s.Adapt, "application") &&
 		h.planHas[policy.MechApplication] && len(s.Factors) > 0
 	if rangeMode {
 		want := factorOracle(rec.MaxRankDataBytes, rec.MinMemAvail, s.Factors)
@@ -218,7 +219,7 @@ func (h *harness) checkPolicyConformance(step int, rec core.StepRecord) {
 
 	// Resource layer: the allocation must stay inside [1, cap] where cap
 	// shrinks with the healthy-endpoint fraction (Eq. 10's capacity cap).
-	if contains(s.Adapt, "resource") && h.planHas[policy.MechResource] {
+	if slices.Contains(s.Adapt, "resource") && h.planHas[policy.MechResource] {
 		cores := stagingCores
 		if f := sample.StagingHealthFrac(); f < 1 {
 			cores = int(f * float64(stagingCores))

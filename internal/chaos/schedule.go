@@ -22,6 +22,7 @@ import (
 	"io"
 	"math/rand"
 	"os"
+	"slices"
 
 	"crosslayer/internal/policy"
 )
@@ -186,6 +187,57 @@ func (s Schedule) FaultCount() int {
 	return n
 }
 
+// steppedFault is one fault that fires at a step barrier, as the schedule-
+// wide rules — validation, truncation, the shrinker's cuts — see it.
+type steppedFault struct {
+	kind   string // what validation errors call it
+	server int    // the staging server it hits (unused when driver)
+	driver bool   // hits the workflow driver instead; a step must remain to resume into
+	at     int    // fires after this step completes
+}
+
+// fits reports whether the fault can fire in a run of steps steps.
+func (f steppedFault) fits(steps int) bool {
+	if f.driver {
+		steps--
+	}
+	return f.at >= 0 && f.at < steps
+}
+
+// keepFaults is the one walk over s's stepped faults — kills, the wipe,
+// restarts, the crash, in that order: it returns s with only the faults keep
+// accepts. A new stepped fault kind is one more stanza here.
+func (s Schedule) keepFaults(keep func(steppedFault) bool) Schedule {
+	out := s
+	out.Kills, out.Restarts = nil, nil
+	for _, k := range s.Kills {
+		if keep(steppedFault{kind: "kill", server: k.Server, at: k.At}) {
+			out.Kills = append(out.Kills, k)
+		}
+	}
+	if w := s.Wipe; w != nil && !keep(steppedFault{kind: "wipe", server: w.Server, at: w.At}) {
+		out.Wipe = nil
+	}
+	for _, r := range s.Restarts {
+		if keep(steppedFault{kind: "restart", server: r.Server, at: r.At}) {
+			out.Restarts = append(out.Restarts, r)
+		}
+	}
+	if c := s.Crash; c != nil && !keep(steppedFault{kind: "crash", driver: true, at: c.At}) {
+		out.Crash = nil
+	}
+	return out
+}
+
+// steppedFaults lists s's stepped faults in keepFaults' order.
+func (s Schedule) steppedFaults() (all []steppedFault) {
+	s.keepFaults(func(f steppedFault) bool {
+		all = append(all, f)
+		return true
+	})
+	return all
+}
+
 // DeterministicByContract reports whether the runtime promises a byte-
 // identical event log for repeated runs of s. The deterministic pool path
 // (Concurrency <= 1) promises it for any fault mix; the concurrent path
@@ -225,37 +277,21 @@ func (s Schedule) Validate() error {
 	if s.Concurrency < 0 || s.Concurrency > 64 {
 		return fmt.Errorf("chaos: concurrency %d out of range", s.Concurrency)
 	}
+	for _, f := range s.steppedFaults() {
+		switch {
+		case !f.driver && (f.server < 0 || f.server >= s.Servers):
+			return fmt.Errorf("chaos: %s targets server %d of %d", f.kind, f.server, s.Servers)
+		case f.fits(s.Steps):
+		case f.driver:
+			return fmt.Errorf("chaos: %s at step %d needs 0..%d (a step must remain after the resume)",
+				f.kind, f.at, s.Steps-2)
+		default:
+			return fmt.Errorf("chaos: %s at step %d outside run of %d steps", f.kind, f.at, s.Steps)
+		}
+	}
 	for _, k := range s.Kills {
-		if k.Server < 0 || k.Server >= s.Servers {
-			return fmt.Errorf("chaos: kill targets server %d of %d", k.Server, s.Servers)
-		}
-		if k.At < 0 || k.At >= s.Steps {
-			return fmt.Errorf("chaos: kill at step %d outside run of %d steps", k.At, s.Steps)
-		}
 		if k.Revive != 0 && k.Revive <= k.At {
 			return fmt.Errorf("chaos: revive step %d not after kill step %d", k.Revive, k.At)
-		}
-	}
-	if w := s.Wipe; w != nil {
-		if w.Server < 0 || w.Server >= s.Servers {
-			return fmt.Errorf("chaos: wipe targets server %d of %d", w.Server, s.Servers)
-		}
-		if w.At < 0 || w.At >= s.Steps {
-			return fmt.Errorf("chaos: wipe at step %d outside run of %d steps", w.At, s.Steps)
-		}
-	}
-	for _, r := range s.Restarts {
-		if r.Server < 0 || r.Server >= s.Servers {
-			return fmt.Errorf("chaos: restart targets server %d of %d", r.Server, s.Servers)
-		}
-		if r.At < 0 || r.At >= s.Steps {
-			return fmt.Errorf("chaos: restart at step %d outside run of %d steps", r.At, s.Steps)
-		}
-	}
-	if c := s.Crash; c != nil {
-		if c.At < 0 || c.At > s.Steps-2 {
-			return fmt.Errorf("chaos: crash at step %d needs 0..%d (a step must remain after the resume)",
-				c.At, s.Steps-2)
 		}
 	}
 	switch s.Tenants {
@@ -319,11 +355,11 @@ func Generate(seed int64) Schedule {
 		{"application", "resource"},
 	}
 	s.Adapt = adaptSets[rng.Intn(len(adaptSets))]
-	if contains(s.Adapt, "application") {
+	if slices.Contains(s.Adapt, "application") {
 		factorSets := [][]int{{2, 4}, {2, 4, 8}, {2, 4, 8, 16}}
 		s.Factors = factorSets[rng.Intn(len(factorSets))]
 	}
-	s.Hybrid = contains(s.Adapt, "middleware") && rng.Intn(4) == 0
+	s.Hybrid = slices.Contains(s.Adapt, "middleware") && rng.Intn(4) == 0
 	if rng.Intn(5) == 0 {
 		s.Cooldown = 1 + rng.Intn(3)
 	}
@@ -438,13 +474,4 @@ func LoadFile(path string) (Schedule, error) {
 	}
 	defer f.Close()
 	return ReadSchedule(f)
-}
-
-func contains(list []string, v string) bool {
-	for _, s := range list {
-		if s == v {
-			return true
-		}
-	}
-	return false
 }

@@ -40,7 +40,9 @@ import (
 	"crosslayer/internal/staging"
 )
 
-// Options tunes one load run. Zero values select the defaults noted.
+// Options tunes one load run. Zero values select the defaults noted. It is
+// also `xlayer loadgen`'s flag surface: the command binds one flag to each
+// field but Log, so a field added here is declared there and nowhere else.
 type Options struct {
 	// Tenants is K, the number of concurrent tenant workflows (default 8).
 	Tenants int
@@ -414,12 +416,7 @@ func newTenantPool(o Options, domain grid.Box, addrs []string, tenant string) (*
 	return staging.NewPool(addrs, domain, staging.PoolOptions{
 		Replicas: o.Replicas,
 		Tenant:   tenant,
-		Client: staging.ClientOptions{
-			OpTimeout:   2 * time.Second,
-			MaxRetries:  2,
-			BackoffBase: time.Millisecond,
-			BackoffMax:  10 * time.Millisecond,
-		},
+		Client:   staging.LoopbackClient(),
 	})
 }
 

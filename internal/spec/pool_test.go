@@ -58,6 +58,13 @@ func TestPoolSpecValidation(t *testing.T) {
 			       "staging_kill": {"server": 1, "at_step": 4, "revive_step": 2}}`,
 		},
 		{
+			name: "kill after the run ends",
+			src: `{"application": "polytropic-gas", "domain": [16,16,16], "steps": 3,
+			       "staging_tcp": true, "staging_servers": 3,
+			       "staging_kill": {"server": 1, "at_step": 3}}`,
+			want: ErrKillOutsideRun,
+		},
+		{
 			name: "negative servers",
 			src: `{"application": "polytropic-gas", "domain": [16,16,16],
 			       "staging_servers": -1}`,

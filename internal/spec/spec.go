@@ -194,6 +194,9 @@ var (
 	ErrServersRequireTCP = errors.New("spec: staging_servers > 1 requires staging_tcp")
 	// ErrKillRequiresPool: killing a server needs a pool with survivors.
 	ErrKillRequiresPool = errors.New("spec: staging_kill requires staging_servers > 1")
+	// ErrKillOutsideRun: a kill scheduled at or past the last step barrier
+	// never fires; a request that cannot happen is rejected, not ignored.
+	ErrKillOutsideRun = errors.New("spec: staging_kill at_step outside the run")
 	// ErrConcurrencyRequiresTCP: the concurrent data path overlaps real
 	// transport I/O, which only exists on the TCP staging path.
 	ErrConcurrencyRequiresTCP = errors.New("spec: staging_concurrency > 1 requires staging_tcp")
@@ -379,8 +382,8 @@ func (w *Workflow) validate() error {
 		if k.Server < 0 || k.Server >= w.StagingServers {
 			return fmt.Errorf("spec: staging_kill server %d out of range [0,%d)", k.Server, w.StagingServers)
 		}
-		if k.AtStep < 0 {
-			return fmt.Errorf("spec: staging_kill at_step must be >= 0, got %d", k.AtStep)
+		if k.AtStep < 0 || k.AtStep >= w.StepsOrDefault() {
+			return fmt.Errorf("%w (at_step=%d, steps=%d)", ErrKillOutsideRun, k.AtStep, w.StepsOrDefault())
 		}
 		if k.ReviveStep != 0 && k.ReviveStep <= k.AtStep {
 			return fmt.Errorf("spec: staging_kill revive_step %d must be after at_step %d (0 = never)",
@@ -681,14 +684,7 @@ func (w *Workflow) buildStaging(domain grid.Box, em *obs.Emitter, tr *span.Trace
 	if pooled {
 		fo.Shards = 1
 	}
-	// Tight retry budgets: a dead server should degrade steps, not stall the
-	// run for minutes.
-	copts := staging.ClientOptions{
-		OpTimeout:   2 * time.Second,
-		MaxRetries:  2,
-		BackoffBase: time.Millisecond,
-		BackoffMax:  10 * time.Millisecond,
-	}
+	copts := staging.LoopbackClient()
 	if w.Fault != nil {
 		plan := w.Fault.Plan()
 		fo.Fault = &plan

@@ -6,6 +6,7 @@ import (
 	"net"
 	"os"
 	"path/filepath"
+	"time"
 
 	"crosslayer/internal/faultnet"
 	"crosslayer/internal/grid"
@@ -48,6 +49,19 @@ type Fleet struct {
 	servers []*Server
 	spaces  []*Space
 	gates   []*faultnet.Gate
+}
+
+// LoopbackClient is the client budget for a Fleet's servers: over loopback a
+// healthy round trip is microseconds, so a dead server should degrade steps
+// (or trip a pool breaker), not stall the run for minutes. Callers behind a
+// pool breaker lower MaxRetries to 1.
+func LoopbackClient() ClientOptions {
+	return ClientOptions{
+		OpTimeout:   2 * time.Second,
+		MaxRetries:  2,
+		BackoffBase: time.Millisecond,
+		BackoffMax:  10 * time.Millisecond,
+	}
 }
 
 // NewFleet stands the deployment up. On any error every listener bound and

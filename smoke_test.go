@@ -6,6 +6,7 @@ import (
 	"os"
 	"os/exec"
 	"path/filepath"
+	"regexp"
 	"sort"
 	"strings"
 	"testing"
@@ -219,4 +220,108 @@ func TestXlayerBenchRetiredLoadgenReportKept(t *testing.T) {
 		return
 	}
 	t.Errorf("no loadgen/aggregate entry in %s", raw)
+}
+
+// TestXlayerCommandTable pins the CLI's shape: every command declares its
+// own flags and nothing else, so `xlayer <cmd> -h` lists exactly the flags
+// below, a flag from another command is a parse error (exit 2) instead of
+// being silently dropped, and the top-level usage names every command.
+func TestXlayerCommandTable(t *testing.T) {
+	if testing.Short() {
+		t.Skip("skipping CLI build in -short mode")
+	}
+	bin := buildBin(t, "./cmd/xlayer")
+	xlayer := func(args ...string) (string, int) {
+		t.Helper()
+		out, err := exec.Command(bin, args...).CombinedOutput()
+		if exit, ok := err.(*exec.ExitError); ok {
+			return string(out), exit.ExitCode()
+		} else if err != nil {
+			t.Fatalf("xlayer %v: %v", args, err)
+		}
+		return string(out), 0
+	}
+
+	const experiment = "steps"
+	flags := map[string]string{
+		"fig1": experiment, "fig5": experiment, "fig6": experiment, "fig7": experiment, "fig8": experiment,
+		"fig9": experiment, "fig10": experiment, "fig11": experiment, "table2": experiment, "all": experiment,
+		"run": "app cores csv events fault halt-after journal jsonl metrics-addr objective placement plotfile " +
+			"resume spans staging staging-concurrency staging-data-dir staging-kill staging-replicas " +
+			"staging-servers staging-tcp steps",
+		"runspec": "halt-after",
+		"report":  "csv events jsonl spans",
+		"spans":   "blame chrome critical-path",
+		"chaos":   "json out replay seeds start-seed steps",
+		"loadgen": "backlog log-dir max-conns out quota-blocks quota-bytes replicas seed servers short steps tenants",
+		"serve":   "addr backlog data-dir domain-edge max-conns quota-blocks quota-bytes quota-tenants servers",
+	}
+	declared := regexp.MustCompile(`(?m)^  -(\S+)`)
+	for cmd, want := range flags {
+		out, code := xlayer(cmd, "-h")
+		var got []string
+		for _, m := range declared.FindAllStringSubmatch(out, -1) {
+			got = append(got, m[1])
+		}
+		if code != 0 || strings.Join(got, " ") != want {
+			t.Errorf("%s -h: exit %d, flags %q, want exit 0 and %q", cmd, code, got, want)
+		}
+	}
+
+	listing := regexp.MustCompile(`(?m)^  ((?:\w+, )*\w+) `)
+	for _, args := range [][]string{nil, {"bench"}} {
+		out, code := xlayer(args...)
+		if code != 2 || !strings.Contains(out, "usage: xlayer") {
+			t.Errorf("xlayer %v: exit %d, want 2 with a usage:\n%s", args, code, out)
+		}
+		// The usage lists one command per line, aliases comma-separated, and
+		// nothing the table above does not know.
+		listed := 0
+		for _, m := range listing.FindAllStringSubmatch(out, -1) {
+			for _, name := range strings.Split(m[1], ", ") {
+				if _, ok := flags[name]; !ok {
+					t.Errorf("xlayer %v: usage lists %q, which this test does not cover", args, name)
+				}
+				listed++
+			}
+		}
+		if listed != len(flags) {
+			t.Errorf("xlayer %v: usage lists %d commands, want %d:\n%s", args, listed, len(flags), out)
+		}
+	}
+
+	for _, args := range [][]string{
+		{"run", "-steps", "2", "-servers", "3"}, // meant -staging-servers
+		{"loadgen", "-short", "-tenants", "2", "-app", "gas"},
+		{"fig9", "-steps", "2", "-staging-kill", "x"},
+		{"runspec", "-steps", "5", "docs/example_spec.json"},
+		{"fig5", "-steps", "2", "-tenants", "9"},
+	} {
+		if out, code := xlayer(args...); code != 2 || !strings.Contains(out, "flag provided but not defined") {
+			t.Errorf("xlayer %v: exit %d, want 2 with an undefined-flag error:\n%s", args, code, out)
+		}
+	}
+
+	// One flag name, two commands, two defaults: each -h shows its own.
+	servers := regexp.MustCompile(`(?m)^  -servers int\n.*$`)
+	for cmd, def := range map[string]string{"serve": "(default 1)", "loadgen": "(default 3)"} {
+		out, _ := xlayer(cmd, "-h")
+		if m := servers.FindString(out); !strings.Contains(m, def) {
+			t.Errorf("%s -h: -servers help %q, want %s", cmd, m, def)
+		}
+	}
+
+	// A request that can never fire is an error, not a run that ignores it.
+	journal := filepath.Join(t.TempDir(), "run.xlj")
+	for _, probe := range []struct {
+		args []string
+		want string
+	}{
+		{[]string{"run", "-steps", "3", "-staging-servers", "3", "-staging-kill", "server=1,at=7"}, "staging_kill at_step outside the run"},
+		{[]string{"run", "-steps", "3", "-journal", journal, "-halt-after", "3"}, "would never fire"},
+	} {
+		if out, code := xlayer(probe.args...); code != 1 || !strings.Contains(out, probe.want) {
+			t.Errorf("xlayer %v: exit %d, want 1 naming %q:\n%s", probe.args, code, probe.want, out)
+		}
+	}
 }
