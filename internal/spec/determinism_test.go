@@ -4,6 +4,8 @@ import (
 	"bytes"
 	"flag"
 	"fmt"
+	"io"
+	"net/http"
 	"os"
 	"path/filepath"
 	"strings"
@@ -12,12 +14,12 @@ import (
 
 var updateGolden = flag.Bool("update", false, "rewrite golden files")
 
-// runSpecLog builds and runs one replicated-pool spec with the log named by
-// key ("events" or "spans") wired to path, and returns the log's bytes. With
-// kill set the run is 8 steps long and server 1 crashes after step 3 and
-// rejoins after step 6, so the log covers breaker trips, failover reads and
-// a rejoin repair; otherwise it is 4 healthy steps.
-func runSpecLog(t *testing.T, conc int, kill bool, key, path string) []byte {
+// runSpec builds and runs one replicated-pool spec with the artifact field key
+// set to value, calling beforeClose (when non-nil) after Run and before
+// Close. With kill set the run is 8 steps long and server 1 crashes after
+// step 3 and rejoins after step 6, so it covers breaker trips, failover
+// reads and a rejoin repair; otherwise it is 4 healthy steps.
+func runSpec(t *testing.T, conc int, kill bool, key, value string, beforeClose func(w *Workflow)) {
 	t.Helper()
 	steps, killJSON := 4, ""
 	if kill {
@@ -36,7 +38,7 @@ func runSpecLog(t *testing.T, conc int, kill bool, key, path string) []byte {
 		%s
 		"steps": %d,
 		%q: %q
-	}`, conc, killJSON, steps, key, path)))
+	}`, conc, killJSON, steps, key, value)))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -45,12 +47,22 @@ func runSpecLog(t *testing.T, conc int, kill bool, key, path string) []byte {
 		t.Fatal(err)
 	}
 	res := wf.Run(w.StepsOrDefault())
+	if beforeClose != nil {
+		beforeClose(w)
+	}
 	if err := wf.Close(); err != nil {
 		t.Fatalf("close: %v", err)
 	}
 	if len(res.Steps) != steps {
 		t.Fatalf("ran %d steps, want %d", len(res.Steps), steps)
 	}
+}
+
+// runSpecLog runs runSpec's spec with the log named by key ("events" or
+// "spans") wired to path, and returns the log's bytes.
+func runSpecLog(t *testing.T, conc int, kill bool, key, path string) []byte {
+	t.Helper()
+	runSpec(t, conc, kill, key, path, nil)
 	data, err := os.ReadFile(path)
 	if err != nil {
 		t.Fatal(err)
@@ -85,8 +97,8 @@ func checkGolden(t *testing.T, name string, got []byte) {
 }
 
 // goldenCases are the serialized (concurrency 1) runs whose event and span
-// logs are committed: a healthy pool, and one whose server 1 is killed and
-// rejoins (failover reads, repair).
+// logs and metrics exposition are committed: a healthy pool, and one whose
+// server 1 is killed and rejoins (failover reads, repair).
 var goldenCases = []struct {
 	suffix string
 	kill   bool
@@ -125,6 +137,31 @@ func TestSpecEventLogGolden(t *testing.T) {
 		t.Run(tc.suffix, func(t *testing.T) {
 			got := runSpecLog(t, 1, tc.kill, "events", filepath.Join(t.TempDir(), "events.jsonl"))
 			checkGolden(t, "events_"+tc.suffix+".golden", got)
+		})
+	}
+}
+
+// TestSpecMetricsGolden pins the Prometheus exposition of the golden runs —
+// every series, HELP line and label, as scraped from /metrics after Run and
+// before Close. Concurrency 1 only: with workers the server byte and request
+// counts and the repaired-block count depend on which hedged reads were in
+// flight. Regenerate with `go test ./internal/spec -run TestSpecMetricsGolden
+// -update`.
+func TestSpecMetricsGolden(t *testing.T) {
+	for _, tc := range goldenCases {
+		t.Run(tc.suffix, func(t *testing.T) {
+			var got []byte
+			runSpec(t, 1, tc.kill, "metrics_addr", "127.0.0.1:0", func(w *Workflow) {
+				resp, err := http.Get("http://" + w.BoundMetricsAddr() + "/metrics")
+				if err != nil {
+					t.Fatal(err)
+				}
+				defer resp.Body.Close()
+				if got, err = io.ReadAll(resp.Body); err != nil {
+					t.Fatal(err)
+				}
+			})
+			checkGolden(t, "metrics_"+tc.suffix+".golden", got)
 		})
 	}
 }
