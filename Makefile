@@ -3,7 +3,7 @@
 GO ?= go
 FUZZTIME ?= 10s
 
-.PHONY: check build test vet staticcheck race fuzz xbench perf chaos loadgen-smoke cover loc clean
+.PHONY: check build test vet staticcheck race fuzz xbench perf chaos chaos-nightly loadgen-smoke cover loc clean
 
 check: vet staticcheck build race fuzz xbench
 
@@ -74,6 +74,14 @@ CHAOS_OUT ?= chaos-repros
 chaos:
 	$(GO) run ./cmd/xlayer chaos -seeds $(CHAOS_SEEDS) -steps 8 -out $(CHAOS_OUT)
 
+# The nightly sweep: CHAOS_SEEDS schedules from seed CHAOS_START, each at the
+# step count its seed generates (no -steps), with the JSON report written to
+# chaos-report.json and shrunk repros under CHAOS_OUT. The chaos-nightly
+# workflow passes its rotating seed window in.
+CHAOS_START ?= 0
+chaos-nightly:
+	$(GO) run ./cmd/xlayer chaos -seeds $(CHAOS_SEEDS) -start-seed $(CHAOS_START) -out $(CHAOS_OUT) -json > chaos-report.json
+
 # The multi-tenant load harness in its smoke size: 8 tenant workflows
 # closed-loop against a shared 3-server pool with admission control on. Fails
 # on any cross-tenant manifest leak, audit shortfall or checksum mismatch;
@@ -94,4 +102,4 @@ loc:
 
 clean:
 	$(GO) clean ./...
-	rm -rf .xbench xbench-trace xbench-quick.txt loadgen-logs loadgen-report.json
+	rm -rf .xbench xbench-trace xbench-quick.txt loadgen-logs loadgen-report.json chaos-report.json

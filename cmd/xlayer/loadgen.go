@@ -1,6 +1,7 @@
 package main
 
 import (
+	"errors"
 	"flag"
 	"fmt"
 	"os"
@@ -14,8 +15,8 @@ import (
 )
 
 // setupLoadgen is `xlayer loadgen`: it drives the multi-tenant load harness
-// (exit 1 on any cross-tenant leak) and writes the xlayer-bench/v1 report
-// when -out is given.
+// and writes the xlayer-bench/v1 report when -out is given — before exiting
+// 1 on any cross-tenant leak, so the report of a failed run is kept.
 func setupLoadgen(fs *flag.FlagSet) func([]string) error {
 	o := loadgen.Options{Log: os.Stdout}
 	fs.IntVar(&o.Tenants, "tenants", 8, "concurrent tenant workflows")
@@ -35,19 +36,10 @@ func setupLoadgen(fs *flag.FlagSet) func([]string) error {
 
 func runLoadgen(o loadgen.Options, outPath string) error {
 	rep, err := loadgen.Run(o)
-	if err != nil {
+	if rep == nil {
 		return err
 	}
-	for _, e := range rep.Entries {
-		if e.Name != "loadgen/aggregate" {
-			continue
-		}
-		if leaks := e.Metrics["manifest_leak_total"] + e.Metrics["checksum_mismatch_total"] +
-			e.Metrics["audit_missing_total"]; leaks > 0 {
-			return fmt.Errorf("loadgen: tenant isolation violated (leaks/mismatches/missing = %v)", leaks)
-		}
-	}
-	return writeArtifact(outPath, rep.Write)
+	return errors.Join(writeArtifact(outPath, rep.Write), err)
 }
 
 // setupServe is `xlayer serve`: it stands up N staging servers with the

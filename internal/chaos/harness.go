@@ -4,7 +4,6 @@ import (
 	"bytes"
 	"fmt"
 	"os"
-	"sync"
 	"time"
 
 	"crosslayer/internal/amr"
@@ -92,42 +91,33 @@ func (f *NetFault) plan() faultnet.Plan {
 	}
 }
 
-// tallySink forwards events to the JSONL log while counting the kinds the
-// metrics-consistency invariant cross-checks, and tells the harness when an
+// rejoinSink forwards events to the JSONL log and tells the harness when an
 // endpoint finished its rejoin repair (the durability audit's evidence that
 // the endpoint holds its data again). All emission paths run on the
 // workflow goroutine — inline on the deterministic pool path, at the step
 // barrier's DrainEvents on the concurrent path — so no locking is needed.
-type tallySink struct {
-	inner     obs.Sink
-	downs     int
-	ups       int
-	failovers int
-	repairs   int
-	degrades  int
-	onUp      func(endpoint int)
+type rejoinSink struct {
+	inner obs.Sink
+	onUp  func(endpoint int)
 }
 
-func (t *tallySink) Emit(ev obs.Event) {
-	switch ev.Kind {
-	case obs.KindEndpointDown:
-		t.downs++
-	case obs.KindEndpointUp:
-		t.ups++
-		if t.onUp != nil {
-			t.onUp(ev.Endpoint)
-		}
-	case obs.KindFailoverGet:
-		t.failovers++
-	case obs.KindRepair:
-		t.repairs++
-	case obs.KindStagingDegrade:
-		t.degrades++
+func (t *rejoinSink) Emit(ev obs.Event) {
+	if ev.Kind == obs.KindEndpointUp {
+		t.onUp(ev.Endpoint)
 	}
 	t.inner.Emit(ev)
 }
 
-func (t *tallySink) Close() error { return t.inner.Close() }
+func (t *rejoinSink) Close() error { return t.inner.Close() }
+
+// Flush forwards to the wrapped JSONL sink so the journal's barrier-flush
+// hook can push buffered events to the log before capturing its offset.
+func (t *rejoinSink) Flush() error {
+	if f, ok := t.inner.(interface{ Flush() error }); ok {
+		return f.Flush()
+	}
+	return nil
+}
 
 // tenantStore scopes the workflow's data operations to the workflow tenant
 // while keeping the pool-level span and event faces. TenantView omits those
@@ -145,55 +135,15 @@ func (t tenantStore) SetSpanScope(c span.Ctx) { t.pool.SetSpanScope(c) }
 func (t tenantStore) DrainEvents()            { t.pool.DrainEvents() }
 func (t tenantStore) DrainSpans()             { t.pool.DrainSpans() }
 
-// kindTally counts the staging servers' admission and quota events by kind.
-// Unlike tallySink it needs a lock: server handlers emit concurrently. The
-// counts never feed a byte-compared log — they exist only so the admission
-// reconciliation check can hold the events to the admission counters.
-type kindTally struct {
-	mu     sync.Mutex
-	byKind map[obs.Kind]int
-}
-
-func (t *kindTally) Emit(ev obs.Event) {
-	t.mu.Lock()
-	defer t.mu.Unlock()
-	if t.byKind == nil {
-		t.byKind = make(map[obs.Kind]int)
-	}
-	t.byKind[ev.Kind]++
-}
-
-func (t *kindTally) Close() error { return nil }
-
-func (t *kindTally) count(kind obs.Kind) int {
-	t.mu.Lock()
-	defer t.mu.Unlock()
-	return t.byKind[kind]
-}
-
-// Flush forwards to the wrapped JSONL sink so the journal's barrier-flush
-// hook can push buffered events to the log before capturing its offset.
-func (t *tallySink) Flush() error {
-	if f, ok := t.inner.(interface{ Flush() error }); ok {
-		return f.Flush()
-	}
-	return nil
-}
-
 // harness is the per-run state the invariant checks read. On a crash
-// schedule the run spans two driver "processes"; wf, pool, tally, and reg
-// always point at the current one, tallies accumulates every phase's event
-// counts, and resumeBase is the first step the resumed driver executed (0
-// for uninterrupted runs).
+// schedule the run spans two driver "processes"; wf, pool and reg always
+// point at the current one, and resumeBase is the first step the resumed
+// driver executed (0 for uninterrupted runs).
 type harness struct {
 	s           Schedule
 	wf          *core.Workflow
 	pool        *staging.Pool
 	fleet       *staging.Fleet
-	srvEvents   *kindTally
-	srvEm       *obs.Emitter
-	tally       *tallySink
-	tallies     []*tallySink
 	reg         *obs.Registry
 	resumeBase  int
 	effCooldown int
@@ -285,12 +235,8 @@ func Run(s Schedule) (*RunResult, error) {
 
 	// The staging servers outlive a driver crash — in the deployment shape
 	// they are separate processes a workflow kill cannot touch — so they
-	// are stood up once and shared by both phases. Their metrics registry
-	// models the server processes' own and is never cross-checked against
-	// a driver's event stream.
-	srvReg := obs.NewRegistry()
-	h.srvEvents = &kindTally{}
-	h.srvEm = obs.NewEmitter(h.srvEvents)
+	// are stood up once and shared by both phases. They carry no emitter
+	// and no registry: no invariant reads the server side's counts.
 	fail := func(err error) (*RunResult, error) {
 		if h.fleet != nil {
 			h.fleet.Close()
@@ -316,7 +262,6 @@ func Run(s Schedule) (*RunResult, error) {
 		Domain:   domain,
 		Capacity: s.SqueezeBytes,
 		DataDir:  h.dataRoot,
-		Server:   staging.ServerOptions{Events: h.srvEm, Metrics: srvReg},
 	}
 	if s.Tenants == 2 && s.QuotaBytes > 0 {
 		fo.Quotas = map[string]staging.TenantQuota{probeTenant: {MaxBytes: s.QuotaBytes}}
@@ -375,9 +320,13 @@ func Run(s Schedule) (*RunResult, error) {
 	if err := fleet.Shutdown(); err != nil {
 		return nil, fmt.Errorf("chaos: shutdown: %w", err)
 	}
-	h.checkEndOfRun(res)
-	h.checkAdmission(srvReg)
-	h.checkSpanTree(spanBuf.Bytes())
+	events, err := obs.ReadEvents(bytes.NewReader(logBuf.Bytes()))
+	if err != nil {
+		return nil, fmt.Errorf("chaos: event log: %w", err)
+	}
+	sum := obs.SummarizeEvents(events)
+	h.checkEndOfRun(res, sum)
+	h.checkSpanTree(spanBuf.Bytes(), sum)
 
 	dataDir := ""
 	if h.dataRoot != "" {
@@ -415,23 +364,18 @@ func (h *harness) drive(logBuf, spanBuf, jbuf *bytes.Buffer, domain grid.Box, ad
 		sim = solver.NewAdvectionDiffusion(solver.AdvDiffConfig{AMR: amrCfg})
 	}
 
-	// Every phase gets a fresh emitter, tracer, tally, and registry — a
-	// resumed driver is a new process whose counters start at zero; the
-	// sinks append to the shared in-memory logs. The span-tree invariant
-	// reconstructs the causal tree from the span log and cross-checks it
-	// against the event tallies, and Verify byte-compares both logs across
-	// replays.
-	tally := &tallySink{inner: obs.NewJSONLSink(logBuf)}
-	tally.onUp = func(ep int) {
+	// Every phase gets a fresh emitter, tracer and registry — a resumed
+	// driver is a new process whose counters start at zero; the sinks append
+	// to the shared in-memory logs. The span-tree invariant reconstructs the
+	// causal tree from the span log and cross-checks it against the event
+	// log, and Verify byte-compares both logs across replays.
+	em := obs.NewEmitter(&rejoinSink{inner: obs.NewJSONLSink(logBuf), onUp: func(ep int) {
 		if ep >= 0 && ep < len(h.dataDead) {
 			h.dataDead[ep] = false
 		}
-	}
-	em := obs.NewEmitter(tally)
+	}})
 	reg := obs.NewRegistry()
 	tracer := span.NewTracer(span.NewJSONLSink(spanBuf), traceSeedOf(s))
-	h.tally = tally
-	h.tallies = append(h.tallies, tally)
 	h.reg = reg
 
 	copts := staging.LoopbackClient()
@@ -602,10 +546,13 @@ func (h *harness) afterStep(step int) {
 	h.applyFaults(step)
 	h.updateLossArmed()
 	h.probePut(step)
-	// The probe puts' op spans buffer on the concurrent path; drain them at
-	// this barrier — while the virtual clock is quiescent — instead of
+	// The probe puts' op spans and endpoint events (a probe can trip a
+	// breaker or run a rejoin repair) buffer on the concurrent path; drain
+	// them at this barrier — while the virtual clock is quiescent, and
+	// before the checkpoint a driver crash resumes from — instead of
 	// letting them leak into the next step's drain with a later stamp.
 	h.pool.DrainSpans()
+	h.pool.DrainEvents()
 }
 
 func (h *harness) record(step int) core.StepRecord {
@@ -642,8 +589,7 @@ func (h *harness) applyFaults(step int) {
 // and the restart itself lost nothing — the durability audit stays armed
 // straight through. A discarded dir is real data loss and marks it.
 func (h *harness) restart(r Restart) {
-	stats, err := h.fleet.Restart(r.Server, r.Recover)
-	if err != nil {
+	if _, err := h.fleet.Restart(r.Server, r.Recover); err != nil {
 		if h.faultErr == nil {
 			h.faultErr = fmt.Errorf("chaos: %w", err)
 		}
@@ -652,7 +598,6 @@ func (h *harness) restart(r Restart) {
 	if !r.Recover {
 		h.dataDead[r.Server] = true
 	}
-	h.srvEm.StagingRecovery(r.Server, stats.Blocks, stats.Bytes, stats.TornTail)
 }
 
 // updateLossArmed disarms the durability audit permanently once any

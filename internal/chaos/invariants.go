@@ -48,13 +48,12 @@ const (
 	// placement/bytes-moved consistency rules for the middleware layer.
 	InvPolicyConformance = "policy_conformance"
 
-	// InvMetricsConsistency: the pool and workflow counters must agree
-	// with the event stream — failover_get/repair/endpoint_down event
-	// counts equal their counters, degraded-step counts equal the
-	// staging_degrade events and the trace records — and, on the server
-	// side, the xlayer_staging_admission_* counters (the book AdmissionStats
-	// reads) must equal the admission_shed/quota_rejected events emitted
-	// (nonzero quota counts ride the two-tenant schedules).
+	// InvMetricsConsistency: the event stream and the metrics must agree
+	// with the step trace — one staging_degrade event per staging_failure
+	// step, and xlayer_steps_total equal to the steps this driver executed.
+	// Counters that mirror an event kind are fed by the same call that emits
+	// it (obs.Counts), so they cannot drift from the stream and are not
+	// compared against it.
 	InvMetricsConsistency = "metrics_consistency"
 
 	// InvReplayDeterminism: re-running a schedule yields a byte-identical
@@ -81,8 +80,8 @@ const (
 
 // checkSpanTree reconstructs the causal tree from the run's span log (after
 // the workflow closed, so every buffered span is flushed) and cross-checks
-// it against the event tallies.
-func (h *harness) checkSpanTree(log []byte) {
+// it against the run's event log.
+func (h *harness) checkSpanTree(log []byte, events obs.EventSummary) {
 	spans, err := span.ReadSpans(bytes.NewReader(log))
 	if err != nil {
 		h.violate(InvSpanTree, -1, "span log unreadable: %v", err)
@@ -105,13 +104,7 @@ func (h *harness) checkSpanTree(log []byte) {
 		}
 		failovers += strings.Count(s.Detail, "failover=")
 	}
-	// The span log spans the whole run; on a crash schedule that is two
-	// driver processes, so the event tallies are summed across phases.
-	wantRepairs, wantFailovers := 0, 0
-	for _, t := range h.tallies {
-		wantRepairs += t.repairs
-		wantFailovers += t.failovers
-	}
+	wantRepairs, wantFailovers := events.ByKind[obs.KindRepair], events.ByKind[obs.KindFailoverGet]
 	if repairs != wantRepairs {
 		h.violate(InvSpanTree, -1,
 			"%d pool:repair spans but %d repair events", repairs, wantRepairs)
@@ -272,66 +265,19 @@ func factorOracle(sdata, mem int64, factors []int) int {
 	return largest
 }
 
-// checkEndOfRun cross-checks the metrics registry against the event stream
-// and the trace after the workflow closed (every buffered event flushed).
-// On a crash schedule the registry and tally belong to the resumed driver
-// — a fresh process whose counters start at zero — so the comparison
-// covers the post-resume tail of the step trace only.
-func (h *harness) checkEndOfRun(res core.Result) {
-	counter := func(name string) int {
-		return int(h.reg.Counter(name, "").Value())
+// checkEndOfRun holds the run's event log and the driver's step counter to
+// the step trace after the workflow closed (every buffered event flushed).
+// The log and the trace both cover the whole run; on a crash schedule the
+// registry belongs to the resumed driver — a fresh process whose counters
+// start at zero — so the step counter covers the post-resume tail only.
+func (h *harness) checkEndOfRun(res core.Result, events obs.EventSummary) {
+	if ev, degraded := events.ByKind[obs.KindStagingDegrade], countDegraded(res.Steps); ev != degraded {
+		h.violate(InvMetricsConsistency, -1,
+			"%d staging_degrade events but %d staging_failure steps in the trace", ev, degraded)
 	}
 	tail := res.Steps[min(h.resumeBase, len(res.Steps)):]
-	pairs := []struct {
-		name   string
-		events int
-	}{
-		{"xlayer_staging_pool_failover_gets_total", h.tally.failovers},
-		{"xlayer_staging_pool_repairs_total", h.tally.repairs},
-		{"xlayer_staging_pool_endpoint_down_total", h.tally.downs},
-	}
-	for _, p := range pairs {
-		if c := counter(p.name); c != p.events {
-			h.violate(InvMetricsConsistency, -1,
-				"counter %s=%d but the event stream carries %d", p.name, c, p.events)
-		}
-	}
-	degraded := countDegraded(tail)
-	if h.tally.degrades != degraded {
-		h.violate(InvMetricsConsistency, -1,
-			"%d staging_degrade events but %d staging_failure steps in the trace",
-			h.tally.degrades, degraded)
-	}
-	if c := counter("xlayer_staging_degraded_steps_total"); c != degraded {
-		h.violate(InvMetricsConsistency, -1,
-			"counter xlayer_staging_degraded_steps_total=%d but %d staging_failure steps in the trace",
-			c, degraded)
-	}
-	if c := counter("xlayer_steps_total"); c != len(tail) {
+	if c := int(h.reg.Counter("xlayer_steps_total", "").Value()); c != len(tail) {
 		h.violate(InvMetricsConsistency, -1,
 			"counter xlayer_steps_total=%d but this driver executed %d steps", c, len(tail))
-	}
-}
-
-// checkAdmission reconciles the staging servers' admission book — the
-// xlayer_staging_admission_* counters in their shared registry reg, which is
-// also what Server.AdmissionStats reads — against the events they emitted,
-// after every server has shut down (no handler can still be mid-count). The
-// counter and the emitter are updated independently, so drift between them
-// is a real bookkeeping bug, not a timing artifact.
-func (h *harness) checkAdmission(reg *obs.Registry) {
-	counter := func(name string, labels ...string) int {
-		return int(reg.Counter(name, "", labels...).Value())
-	}
-	shed := counter("xlayer_staging_admission_shed_total", "reason", "max_conns") +
-		counter("xlayer_staging_admission_shed_total", "reason", "backlog_full")
-	if ev := h.srvEvents.count(obs.KindAdmissionShed); ev != shed {
-		h.violate(InvMetricsConsistency, -1,
-			"%d admission_shed events but the shed counters total %d", ev, shed)
-	}
-	quota := counter("xlayer_staging_admission_quota_rejected_total")
-	if ev := h.srvEvents.count(obs.KindQuotaRejected); ev != quota {
-		h.violate(InvMetricsConsistency, -1,
-			"%d quota_rejected events but the quota counter says %d", ev, quota)
 	}
 }

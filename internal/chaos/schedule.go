@@ -160,8 +160,8 @@ type Schedule struct {
 	// per-server byte usage so probe puts start being rejected server-side
 	// with the quota status mid-run. The workflow tenant stays unquoted, so
 	// the determinism and degradation contracts are untouched; what the
-	// dimension buys is the admission/quota reconciliation check running
-	// with nonzero counts under chaos.
+	// dimension buys is probe-tenant quota rejections — the pool's and the
+	// servers' quota paths — under every fault chaos throws.
 	QuotaBytes int64 `json:"quota_bytes,omitempty"`
 }
 

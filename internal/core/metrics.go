@@ -24,8 +24,6 @@ type coreMetrics struct {
 	placeInSitu    *obs.Counter
 	placeInTransit *obs.Counter
 	reductions     *obs.Counter
-	resizes        *obs.Counter
-	degrades       *obs.Counter
 
 	stagingCores   *obs.Gauge
 	stagingMemUsed *obs.Gauge
@@ -69,10 +67,6 @@ func newCoreMetrics(reg *obs.Registry) *coreMetrics {
 		placeInTransit: reg.Counter(placeName, placeHelp, "placement", "in-transit"),
 		reductions: reg.Counter("xlayer_reductions_total",
 			"Steps on which the application layer applied a down-sampling."),
-		resizes: reg.Counter("xlayer_staging_resizes_total",
-			"Staging-pool resizes executed by the resource layer."),
-		degrades: reg.Counter("xlayer_staging_degraded_steps_total",
-			"Steps degraded to in-situ after the staging transport exhausted its retry budget."),
 
 		stagingCores: reg.Gauge("xlayer_staging_cores",
 			"Staging-pool allocation in effect."),

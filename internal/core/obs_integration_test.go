@@ -96,7 +96,7 @@ func TestSeededFaultEventStreamIsByteIdentical(t *testing.T) {
 		t.Fatal(err)
 	}
 	sum := obs.SummarizeEvents(events)
-	if len(sum.Faults) == 0 || sum.Retries == 0 {
+	if len(sum.Faults) == 0 || sum.ByKind[obs.KindStagingRetry] == 0 {
 		t.Fatalf("seeded plan injected no faults into the stream: %+v", sum)
 	}
 	if sum.Steps != 5 || sum.ByKind[obs.KindRunFinished] != 1 {

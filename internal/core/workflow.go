@@ -208,6 +208,7 @@ type Workflow struct {
 
 	events *obs.Emitter
 	met    *coreMetrics
+	counts *obs.Counts // staging_degrade, resource_resize
 	span   obs.StepCtx // the in-flight step's event context
 
 	tracer  *span.Tracer
@@ -274,6 +275,7 @@ func buildWorkflow(cfg Config, sim solver.Simulation, rec *journal.Recovered, op
 	}
 	w.events = c.Obs
 	w.met = newCoreMetrics(c.Metrics)
+	w.counts = obs.NewCounts(c.Metrics, obs.KindStagingDegrade, obs.KindResourceResize)
 	w.journal = c.Journal
 	if w.events != nil {
 		w.events.SetTenant(c.Tenant)
@@ -647,10 +649,7 @@ func (w *Workflow) runAnalysis(rec *StepRecord, blocks []*field.BoxData, sample 
 		}
 		w.pool.Resize(m)
 		if m != prev {
-			w.span.ResourceResize(prev, m)
-			if w.met != nil {
-				w.met.resizes.Inc()
-			}
+			w.span.Record(w.counts, obs.ResourceResize(prev, m))
 		}
 	}
 
@@ -749,13 +748,10 @@ func (w *Workflow) degradeToInSitu(rec *StepRecord, blocks []*field.BoxData, sam
 	rec.Placement = policy.PlaceInSitu
 	rec.PlacementReason = policy.ReasonStagingFailure
 	rec.HybridFrac = 1
-	w.span.StagingDegrade(policy.ReasonStagingFailure, rec.StagingRetries)
+	w.span.Record(w.counts, obs.StagingDegrade(policy.ReasonStagingFailure, rec.StagingRetries))
 	if w.stepCtx.Enabled() {
 		w.stepCtx.Record(span.Op{Name: "staging-degrade", Layer: span.LayerNetworkFault,
 			Detail: fmt.Sprintf("%s retries=%d", policy.ReasonStagingFailure, rec.StagingRetries)})
-	}
-	if w.met != nil {
-		w.met.degrades.Inc()
 	}
 	w.runInSitu(rec, blocks, sample, dataReady)
 }

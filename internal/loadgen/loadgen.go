@@ -171,6 +171,39 @@ type Report struct {
 	Entries []Entry `json:"entries"`
 }
 
+// ErrIsolation is Run's verdict that tenants saw each other: manifest
+// entries outside a tenant's namespace, read-backs whose content failed the
+// tenant's checksum, or blocks the closing manifest audit could not find.
+// Run returns it together with the full report, so the report can still be
+// written.
+type ErrIsolation struct {
+	Leaks, Mismatches, Missing int
+}
+
+func (e ErrIsolation) Error() string {
+	return fmt.Sprintf("loadgen: tenant isolation violated (leaks=%d mismatches=%d missing=%d)",
+		e.Leaks, e.Mismatches, e.Missing)
+}
+
+// isolation reads the verdict off the report's aggregate entry: an
+// ErrIsolation when any of its three counts is nonzero, nil otherwise.
+func (r *Report) isolation() error {
+	for _, e := range r.Entries {
+		if e.Name != "loadgen/aggregate" {
+			continue
+		}
+		iso := ErrIsolation{
+			Leaks:      int(e.Metrics["manifest_leak_total"]),
+			Mismatches: int(e.Metrics["checksum_mismatch_total"]),
+			Missing:    int(e.Metrics["audit_missing_total"]),
+		}
+		if iso.Leaks+iso.Mismatches+iso.Missing > 0 {
+			return iso
+		}
+	}
+	return nil
+}
+
 // Write renders the report as indented JSON.
 func (r *Report) Write(w io.Writer) error {
 	enc := json.NewEncoder(w)
@@ -198,7 +231,9 @@ type tenantResult struct {
 }
 
 // Run drives the full load: stand the shared servers up, launch every
-// tenant's closed loop, join them, and assemble the report.
+// tenant's closed loop, join them, and assemble the report. A run that
+// completes returns its report even when tenant isolation failed; the error
+// is then an ErrIsolation.
 func Run(opts Options) (*Report, error) {
 	o := opts.withDefaults()
 	edge := domainEdge(o.Short)
@@ -325,7 +360,7 @@ func Run(opts Options) (*Report, error) {
 	rep.Entries = append(rep.Entries, agg)
 	o.logf("%-16s %d steps in %.2fs  admitted=%d queued=%d shed=%d quota=%d leaks=%d",
 		agg.Name, totalSteps, wall.Seconds(), admitted, queued, shed, quotaSrv, leaks)
-	return rep, nil
+	return rep, rep.isolation()
 }
 
 // tileDomain cuts the domain into blockEdge³ boxes in x-fastest order.

@@ -2,6 +2,7 @@ package loadgen
 
 import (
 	"bytes"
+	"errors"
 	"os"
 	"path/filepath"
 	"testing"
@@ -158,5 +159,35 @@ func TestReportWriteBytes(t *testing.T) {
 `
 	if got := buf.String(); got != want {
 		t.Errorf("Report.Write =\n%s\nwant\n%s", got, want)
+	}
+}
+
+// TestIsolationVerdict holds the tenant-isolation verdict to the aggregate
+// entry's three counts: any nonzero one is an ErrIsolation carrying all
+// three, and a clean aggregate (or a report without one) is no error.
+func TestIsolationVerdict(t *testing.T) {
+	report := func(leaks, mismatches, missing float64) *Report {
+		return &Report{Schema: Schema, Entries: []Entry{
+			{Name: "loadgen/t00", Metrics: map[string]float64{"manifest_leaks": leaks}},
+			{Name: "loadgen/aggregate", Metrics: map[string]float64{
+				"manifest_leak_total":     leaks,
+				"checksum_mismatch_total": mismatches,
+				"audit_missing_total":     missing,
+			}},
+		}}
+	}
+	var iso ErrIsolation
+	if err := report(1, 0, 2).isolation(); !errors.As(err, &iso) ||
+		iso != (ErrIsolation{Leaks: 1, Mismatches: 0, Missing: 2}) {
+		t.Errorf("leaky report: err = %v, want ErrIsolation{1 0 2}", err)
+	}
+	if err := report(0, 3, 0).isolation(); !errors.As(err, &iso) || iso.Mismatches != 3 {
+		t.Errorf("mismatching report: err = %v, want ErrIsolation with 3 mismatches", err)
+	}
+	if err := report(0, 0, 0).isolation(); err != nil {
+		t.Errorf("clean report: err = %v, want nil", err)
+	}
+	if err := (&Report{Schema: Schema}).isolation(); err != nil {
+		t.Errorf("report without an aggregate: err = %v, want nil", err)
 	}
 }

@@ -74,9 +74,6 @@ const (
 	// endpoint's advertised content manifest: Bytes is the wire bytes the
 	// pool did NOT re-ship because the endpoint already held them.
 	KindRepairDelta Kind = "repair_delta"
-	// KindStagingRecovery marks a durable staging server recovering its
-	// space from its data dir (write-ahead log + snapshot) at restart.
-	KindStagingRecovery Kind = "staging_recovery"
 	// KindCheckpointWrite marks a write-ahead journal checkpoint taken at a
 	// step barrier (journaled runs only).
 	KindCheckpointWrite Kind = "checkpoint_write"
@@ -355,23 +352,6 @@ func (e *Emitter) RunFinished(endToEnd float64) {
 	e.Emit(Event{Kind: KindRunFinished, Step: StepUnset, Seconds: endToEnd})
 }
 
-// StagingRetry records one transport retry attempt (emitted by the staging
-// client mid-operation; the step comes from the open span).
-func (e *Emitter) StagingRetry(attempt int, lastErr string) {
-	if e == nil {
-		return
-	}
-	e.Emit(Event{Kind: KindStagingRetry, Step: StepUnset, Attempt: attempt, Detail: lastErr})
-}
-
-// StagingReconnect records a successful re-dial after a transport failure.
-func (e *Emitter) StagingReconnect() {
-	if e == nil {
-		return
-	}
-	e.Emit(Event{Kind: KindStagingReconnect, Step: StepUnset})
-}
-
 // FaultInjected records a fault-injection firing.
 func (e *Emitter) FaultInjected(fault, detail string) {
 	if e == nil {
@@ -380,82 +360,102 @@ func (e *Emitter) FaultInjected(fault, detail string) {
 	e.Emit(Event{Kind: KindFaultInjected, Step: StepUnset, Reason: fault, Detail: detail})
 }
 
-// EndpointDown records a staging-pool endpoint's circuit breaker opening
-// after consecutive transport failures.
-func (e *Emitter) EndpointDown(endpoint, failures int) {
-	if e == nil {
-		return
-	}
-	e.Emit(Event{
+// StagingRetry emits one transport retry attempt without counting it — the
+// bare emission cost xbench's obs.emit_ns probe measures. The staging client
+// records its retries through Counts.Record.
+func (e *Emitter) StagingRetry(attempt int, lastErr string) {
+	e.Emit(StagingRetry(attempt, lastErr))
+}
+
+// The staging and workflow events below are built as values: the pool
+// buffers them until DrainEvents, and the counted kinds (see counterTable)
+// are recorded through Counts.Record, which counts them with or without an
+// emitter.
+
+// StagingRetry is one retry attempt of a staging transport operation
+// (emitted mid-operation; the step comes from the open span).
+func StagingRetry(attempt int, lastErr string) Event {
+	return Event{Kind: KindStagingRetry, Step: StepUnset, Attempt: attempt, Detail: lastErr}
+}
+
+// StagingReconnect is a successful re-dial after a transport failure.
+func StagingReconnect() Event { return Event{Kind: KindStagingReconnect, Step: StepUnset} }
+
+// EndpointDown is a staging-pool endpoint's circuit breaker opening after
+// consecutive transport failures.
+func EndpointDown(endpoint, failures int) Event {
+	return Event{
 		Kind: KindEndpointDown, Step: StepUnset, Endpoint: endpoint, Attempt: failures,
 		Detail: fmt.Sprintf("endpoint %d down after %d consecutive failures", endpoint, failures),
-	})
+	}
 }
 
-// EndpointUp records a staging-pool endpoint rejoining after a successful
-// probe and repair pass.
-func (e *Emitter) EndpointUp(endpoint int) {
-	if e == nil {
-		return
-	}
-	e.Emit(Event{
+// EndpointUp is a staging-pool endpoint rejoining after a successful probe
+// and repair pass.
+func EndpointUp(endpoint int) Event {
+	return Event{
 		Kind: KindEndpointUp, Step: StepUnset, Endpoint: endpoint,
 		Detail: fmt.Sprintf("endpoint %d healthy", endpoint),
-	})
+	}
 }
 
-// FailoverGet records a shard read served by a replica endpoint because the
+// FailoverGet is a shard read served by a replica endpoint because the
 // shard's primary was down or failing.
-func (e *Emitter) FailoverGet(shard, endpoint int) {
-	if e == nil {
-		return
-	}
-	e.Emit(Event{
+func FailoverGet(shard, endpoint int) Event {
+	return Event{
 		Kind: KindFailoverGet, Step: StepUnset, Endpoint: endpoint,
 		Detail: fmt.Sprintf("shard %d served by replica endpoint %d", shard, endpoint),
-	})
+	}
 }
 
-// Repair records an anti-entropy repair pass re-replicating blocks onto a
+// Repair is an anti-entropy repair pass re-replicating blocks onto a
 // rejoining endpoint.
-func (e *Emitter) Repair(endpoint, blocks int, bytes int64) {
-	if e == nil {
-		return
-	}
-	e.Emit(Event{
+func Repair(endpoint, blocks int, bytes int64) Event {
+	return Event{
 		Kind: KindRepair, Step: StepUnset, Endpoint: endpoint, Bytes: bytes,
 		Detail: fmt.Sprintf("re-replicated %d blocks onto endpoint %d", blocks, endpoint),
-	})
+	}
 }
 
-// RepairDelta records the manifest-diff outcome of a delta rejoin repair:
-// shipped blocks were re-put, skipped blocks were already held by the
-// rejoining endpoint, and avoided is the wire bytes that did not travel.
-func (e *Emitter) RepairDelta(endpoint, shipped, skipped int, avoided int64) {
-	if e == nil {
-		return
-	}
-	e.Emit(Event{
+// RepairDelta is the manifest-diff outcome of a delta rejoin repair: shipped
+// blocks were re-put, skipped blocks were already held by the rejoining
+// endpoint, and avoided is the wire bytes that did not travel.
+func RepairDelta(endpoint, shipped, skipped int, avoided int64) Event {
+	return Event{
 		Kind: KindRepairDelta, Step: StepUnset, Endpoint: endpoint, Bytes: avoided,
 		Detail: fmt.Sprintf("delta repair shipped %d blocks, skipped %d already held", shipped, skipped),
-	})
+	}
 }
 
-// StagingRecovery records a durable staging server restoring its space
-// from disk: the blocks and bytes recovered, and whether the write-ahead
-// log ended in a torn (truncated) tail.
-func (e *Emitter) StagingRecovery(endpoint, blocks int, bytes int64, torn bool) {
-	if e == nil {
-		return
+// AdmissionShed is a staging-server connection refused by admission control,
+// with the refusal reason ("max_conns" when no backlog is configured,
+// "backlog_full" otherwise) and the admission state at refusal.
+func AdmissionShed(reason string, active, backlog int) Event {
+	return Event{
+		Kind: KindAdmissionShed, Step: StepUnset, Reason: reason, Attempt: backlog,
+		Detail: fmt.Sprintf("connection refused: %s (active=%d backlog=%d)", reason, active, backlog),
 	}
-	detail := fmt.Sprintf("recovered %d blocks from data dir", blocks)
-	if torn {
-		detail += " (torn wal tail truncated)"
+}
+
+// QuotaRejected is a staging put rejected server-side by a tenant's byte or
+// block quota.
+func QuotaRejected(tenant, varName string, bytes int64) Event {
+	return Event{
+		Kind: KindQuotaRejected, Step: StepUnset, Tenant: tenant, Bytes: bytes,
+		Detail: fmt.Sprintf("put %q rejected by tenant %q quota", varName, tenant),
 	}
-	e.Emit(Event{
-		Kind: KindStagingRecovery, Step: StepUnset, Endpoint: endpoint, Bytes: bytes,
-		Detail: detail,
-	})
+}
+
+// ResourceResize is a staging-pool resize by the resource layer (recorded
+// through StepCtx.Record, which stamps the step).
+func ResourceResize(prev, cores int) Event {
+	return Event{Kind: KindResourceResize, Step: StepUnset, PrevCores: prev, Cores: cores}
+}
+
+// StagingDegrade is a step's fallback to in-situ execution after the staging
+// transport exhausted its retry budget (recorded through StepCtx.Record).
+func StagingDegrade(reason string, retries int) Event {
+	return Event{Kind: KindStagingDegrade, Step: StepUnset, Reason: reason, Attempt: retries}
 }
 
 // CheckpointWrite records a write-ahead journal checkpoint taken at a
@@ -469,31 +469,6 @@ func (e *Emitter) CheckpointWrite(step, manifestEntries int) {
 	e.Emit(Event{
 		Kind: KindCheckpointWrite, Step: step,
 		Detail: fmt.Sprintf("manifest_entries=%d", manifestEntries),
-	})
-}
-
-// AdmissionShed records a staging-server connection refused by admission
-// control, with the refusal reason ("max_conns" when no backlog is
-// configured, "backlog_full" otherwise) and the admission state at refusal.
-func (e *Emitter) AdmissionShed(reason string, active, backlog int) {
-	if e == nil {
-		return
-	}
-	e.Emit(Event{
-		Kind: KindAdmissionShed, Step: StepUnset, Reason: reason, Attempt: backlog,
-		Detail: fmt.Sprintf("connection refused: %s (active=%d backlog=%d)", reason, active, backlog),
-	})
-}
-
-// QuotaRejected records a staging put rejected server-side by a tenant's
-// byte or block quota.
-func (e *Emitter) QuotaRejected(tenant, varName string, bytes int64) {
-	if e == nil {
-		return
-	}
-	e.Emit(Event{
-		Kind: KindQuotaRejected, Step: StepUnset, Tenant: tenant, Bytes: bytes,
-		Detail: fmt.Sprintf("put %q rejected by tenant %q quota", varName, tenant),
 	})
 }
 
@@ -558,21 +533,11 @@ func (s StepCtx) PlacementChange(from, to, reason string) {
 	})
 }
 
-// ResourceResize records a staging-pool resize.
-func (s StepCtx) ResourceResize(prev, cores int) {
-	if s.e == nil {
-		return
-	}
-	s.e.Emit(Event{Kind: KindResourceResize, Step: s.step, PrevCores: prev, Cores: cores})
-}
-
-// StagingDegrade records this step's fallback to in-situ execution after
-// the staging transport exhausted its retry budget.
-func (s StepCtx) StagingDegrade(reason string, retries int) {
-	if s.e == nil {
-		return
-	}
-	s.e.Emit(Event{Kind: KindStagingDegrade, Step: s.step, Reason: reason, Attempt: retries})
+// Record counts ev with c and emits it inside this span (see Counts.Record);
+// a disabled span still counts.
+func (s StepCtx) Record(c *Counts, ev Event) {
+	ev.Step = s.step
+	c.Record(s.e, ev)
 }
 
 // Finished closes the span with the step's outcome.

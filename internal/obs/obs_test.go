@@ -66,7 +66,6 @@ func TestNilEmitterIsSafe(t *testing.T) {
 	var e *Emitter
 	e.RunStarted("x")
 	e.StagingRetry(1, "y")
-	e.StagingReconnect()
 	e.FaultInjected("corrupt", "z")
 	e.SetVirtualClock(func() float64 { return 1 })
 	sc := e.BeginStep(0)
@@ -75,8 +74,7 @@ func TestNilEmitterIsSafe(t *testing.T) {
 	}
 	sc.PolicyDecision("a", "b", "c", 1, 2, "d")
 	sc.PlacementChange("a", "b", "c")
-	sc.ResourceResize(1, 2)
-	sc.StagingDegrade("r", 3)
+	sc.Record(NewCounts(nil, KindResourceResize), ResourceResize(1, 2))
 	sc.Finished("in-situ", 1, 1, 1, 1, 1)
 	e.RunFinished(1)
 	if err := e.Close(); err != nil {
@@ -89,22 +87,28 @@ func TestNilEmitterIsSafe(t *testing.T) {
 
 // TestEventEmitDisabledZeroAlloc enforces the disabled-path contract on the
 // exact call shapes the workflow hot loop uses: with a nil emitter, step
-// emission must not allocate at all, so experiment timings are unaffected
-// by the observability wiring.
+// emission must not allocate at all — counting included, since the
+// workflow's table rows count whether or not a sink is attached — so
+// experiment timings are unaffected by the observability wiring.
 func TestEventEmitDisabledZeroAlloc(t *testing.T) {
 	var e *Emitter
+	counts := NewCounts(NewRegistry(), KindStagingDegrade, KindResourceResize)
 	allocs := testing.AllocsPerRun(1000, func() {
 		sc := e.BeginStep(7)
 		if sc.Enabled() {
 			sc.PolicyDecision("middleware", "in-transit", "reason", 0, 0, "inputs")
 		}
-		sc.ResourceResize(8, 16)
-		sc.StagingDegrade("staging_failure", 2)
+		sc.Record(counts, ResourceResize(8, 16))
+		sc.Record(counts, StagingDegrade("staging_failure", 2))
 		sc.Finished("in-situ", 1, 0.1, 0.2, 0, 0)
 		e.RunFinished(1)
 	})
 	if allocs != 0 {
 		t.Fatalf("disabled emission path allocates %.1f allocs/op, want 0", allocs)
+	}
+	// AllocsPerRun adds one warm-up call to its 1000.
+	if got := counts.Value(KindStagingDegrade); got != 1001 {
+		t.Fatalf("disabled path counted %v degrades, want 1001", got)
 	}
 }
 
@@ -194,8 +198,9 @@ func TestSummarizeEvents(t *testing.T) {
 	if s.Events != 12 || s.Steps != 2 {
 		t.Errorf("events=%d steps=%d", s.Events, s.Steps)
 	}
-	if s.Retries != 2 || s.Reconnects != 1 || s.Degrades != 1 || s.Resizes != 1 {
-		t.Errorf("transport counts wrong: %+v", s)
+	if k := s.ByKind; k[KindStagingRetry] != 2 || k[KindStagingReconnect] != 1 ||
+		k[KindStagingDegrade] != 1 || k[KindResourceResize] != 1 {
+		t.Errorf("transport counts wrong: %v", k)
 	}
 	if s.Decisions["application"] != 1 || s.Decisions["middleware"] != 1 {
 		t.Errorf("decision counts wrong: %v", s.Decisions)

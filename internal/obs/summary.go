@@ -21,17 +21,6 @@ type EventSummary struct {
 	// Faults counts fault-injection firings by fault kind.
 	Faults map[string]int
 
-	Retries    int
-	Reconnects int
-	Degrades   int
-	Resizes    int
-
-	// Replicated staging-pool health (zero outside pool deployments).
-	EndpointDowns int
-	EndpointUps   int
-	FailoverGets  int
-	Repairs       int
-
 	// EndToEnd is the run_finished event's seconds (0 when absent).
 	EndToEnd float64
 }
@@ -58,22 +47,6 @@ func SummarizeEvents(evs []Event) EventSummary {
 			s.Decisions[ev.Layer]++
 		case KindFaultInjected:
 			s.Faults[ev.Reason]++
-		case KindStagingRetry:
-			s.Retries++
-		case KindStagingReconnect:
-			s.Reconnects++
-		case KindStagingDegrade:
-			s.Degrades++
-		case KindResourceResize:
-			s.Resizes++
-		case KindEndpointDown:
-			s.EndpointDowns++
-		case KindEndpointUp:
-			s.EndpointUps++
-		case KindFailoverGet:
-			s.FailoverGets++
-		case KindRepair:
-			s.Repairs++
 		case KindRunFinished:
 			s.EndToEnd = ev.Seconds
 		}
@@ -103,13 +76,14 @@ func (s EventSummary) WriteText(w io.Writer) error {
 			fmt.Fprintf(w, "  %-44s %d\n", k, s.PlacementChanges[k])
 		}
 	}
-	if s.Retries+s.Reconnects+s.Degrades > 0 {
+	n := s.ByKind
+	if n[KindStagingRetry]+n[KindStagingReconnect]+n[KindStagingDegrade] > 0 {
 		fmt.Fprintf(w, "staging transport: %d retries, %d reconnects, %d degraded steps\n",
-			s.Retries, s.Reconnects, s.Degrades)
+			n[KindStagingRetry], n[KindStagingReconnect], n[KindStagingDegrade])
 	}
-	if s.EndpointDowns+s.EndpointUps+s.FailoverGets+s.Repairs > 0 {
+	if n[KindEndpointDown]+n[KindEndpointUp]+n[KindFailoverGet]+n[KindRepair] > 0 {
 		fmt.Fprintf(w, "staging pool: %d endpoint outages, %d rejoins, %d failover gets, %d repairs\n",
-			s.EndpointDowns, s.EndpointUps, s.FailoverGets, s.Repairs)
+			n[KindEndpointDown], n[KindEndpointUp], n[KindFailoverGet], n[KindRepair])
 	}
 	if len(s.Faults) > 0 {
 		fmt.Fprintln(w, "faults injected:")
@@ -117,8 +91,8 @@ func (s EventSummary) WriteText(w io.Writer) error {
 			fmt.Fprintf(w, "  %-12s %d\n", k, s.Faults[k])
 		}
 	}
-	if s.Resizes > 0 {
-		fmt.Fprintf(w, "staging pool resizes: %d\n", s.Resizes)
+	if n[KindResourceResize] > 0 {
+		fmt.Fprintf(w, "staging pool resizes: %d\n", n[KindResourceResize])
 	}
 	if s.EndToEnd > 0 {
 		fmt.Fprintf(w, "end-to-end (virtual): %.3fs\n", s.EndToEnd)

@@ -191,16 +191,16 @@ func TestPoolCrashFailoverAcceptance(t *testing.T) {
 		t.Fatal(err)
 	}
 	sum := obs.SummarizeEvents(events)
-	if sum.EndpointDowns == 0 {
+	if sum.ByKind[obs.KindEndpointDown] == 0 {
 		t.Error("no endpoint_down event for the crashed server")
 	}
-	if sum.FailoverGets == 0 {
+	if sum.ByKind[obs.KindFailoverGet] == 0 {
 		t.Error("no failover_get event while the primary was dead")
 	}
-	if sum.Repairs == 0 {
+	if sum.ByKind[obs.KindRepair] == 0 {
 		t.Error("no repair event for the rejoined server")
 	}
-	if sum.EndpointUps == 0 {
+	if sum.ByKind[obs.KindEndpointUp] == 0 {
 		t.Error("no endpoint_up event after the revive")
 	}
 

@@ -65,14 +65,10 @@ type Pool struct {
 	tenant   string
 	events   *obs.Emitter
 
-	mFailovers    *obs.Counter
-	mRepairs      *obs.Counter
-	mRepaired     *obs.Counter
-	mDeltaRepairs *obs.Counter
-	mBytesAvoided *obs.Counter
-	mDowns        *obs.Counter
-	mHealthy      *obs.Gauge
-	mSkippedOps   *obs.Counter
+	counts      *obs.Counts // failover_get, repair, repair_delta, endpoint_down
+	mRepaired   *obs.Counter
+	mHealthy    *obs.Gauge
+	mSkippedOps *obs.Counter
 
 	// mu serializes whole operations when jobs run inline (lockOp). A pool
 	// with workers never takes it per operation; Close takes it on both.
@@ -114,7 +110,7 @@ type endpoint struct {
 type poolEvent struct {
 	key  int
 	rank int
-	emit func(*obs.Emitter)
+	ev   obs.Event
 }
 
 const (
@@ -160,7 +156,8 @@ type PoolOptions struct {
 	// it untenanted and hand each workflow a view from Pool.Tenant.
 	Tenant string
 
-	// Events receives endpoint_down/endpoint_up/failover_get/repair events.
+	// Events receives endpoint_down/endpoint_up/failover_get/repair/
+	// repair_delta events.
 	Events *obs.Emitter
 
 	// Metrics, when set, registers the pool's counters and the healthy-
@@ -220,18 +217,9 @@ func NewPool(addrs []string, domain grid.Box, opts PoolOptions) (*Pool, error) {
 		}
 	}
 	reg := opts.Metrics
-	p.mFailovers = reg.Counter("xlayer_staging_pool_failover_gets_total",
-		"Shard reads served by a replica because the primary endpoint was unavailable.")
-	p.mRepairs = reg.Counter("xlayer_staging_pool_repairs_total",
-		"Anti-entropy repair passes run when an endpoint rejoined.")
+	p.counts = obs.NewCounts(reg, obs.KindFailoverGet, obs.KindRepair, obs.KindRepairDelta, obs.KindEndpointDown)
 	p.mRepaired = reg.Counter("xlayer_staging_pool_repaired_blocks_total",
 		"Blocks re-replicated onto rejoining endpoints.")
-	p.mDeltaRepairs = reg.Counter("xlayer_staging_pool_delta_repairs_total",
-		"Repair passes that diffed the endpoint's advertised content manifest.")
-	p.mBytesAvoided = reg.Counter("xlayer_staging_pool_repair_bytes_avoided_total",
-		"Wire bytes delta repair did not re-ship because the endpoint already held them.")
-	p.mDowns = reg.Counter("xlayer_staging_pool_endpoint_down_total",
-		"Circuit-breaker openings across pool endpoints.")
 	p.mSkippedOps = reg.Counter("xlayer_staging_pool_skipped_ops_total",
 		"Operations not offered to an endpoint because its breaker was open.")
 	p.mHealthy = reg.Gauge("xlayer_staging_pool_healthy_endpoints",
@@ -394,19 +382,21 @@ func (p *Pool) unlockOp() {
 	}
 }
 
-// sinkEvent emits an endpoint-level event: as it happens when jobs run
-// inline (preserving byte-identical seeded logs), buffered until DrainEvents
-// when workers run them.
-func (p *Pool) sinkEvent(key, rank int, emit func(*obs.Emitter)) {
+// sinkEvent records an endpoint-level event: counted and emitted as it
+// happens when jobs run inline (preserving byte-identical seeded logs);
+// counted now but emitted at DrainEvents when workers run them, so live
+// metrics never wait for the step barrier.
+func (p *Pool) sinkEvent(key, rank int, ev obs.Event) {
 	if p.inline() {
-		emit(p.events)
+		p.counts.Record(p.events, ev)
 		return
 	}
+	p.counts.Record(nil, ev)
 	if p.events == nil {
 		return
 	}
 	p.stateMu.Lock()
-	p.pending = append(p.pending, poolEvent{key: key, rank: rank, emit: emit})
+	p.pending = append(p.pending, poolEvent{key: key, rank: rank, ev: ev})
 	p.stateMu.Unlock()
 }
 
@@ -431,7 +421,7 @@ func (p *Pool) DrainEvents() {
 		return evs[i].rank < evs[j].rank
 	})
 	for _, ev := range evs {
-		ev.emit(p.events)
+		p.events.Emit(ev.ev)
 	}
 }
 
@@ -697,7 +687,7 @@ func (p *Pool) rejoin(ep *endpoint) {
 	ep.failures = 0
 	p.stateMu.Unlock()
 	p.mHealthy.Add(1)
-	p.sinkEvent(ep.idx, rankUp, func(e *obs.Emitter) { e.EndpointUp(ep.idx) })
+	p.sinkEvent(ep.idx, rankUp, obs.EndpointUp(ep.idx))
 }
 
 // opOK resets ep's consecutive-failure count after a clean round trip.
@@ -721,9 +711,8 @@ func (p *Pool) opFail(ep *endpoint) {
 	}
 	p.stateMu.Unlock()
 	if tripped {
-		p.mDowns.Inc()
 		p.mHealthy.Add(-1)
-		p.sinkEvent(ep.idx, rankDown, func(e *obs.Emitter) { e.EndpointDown(ep.idx, failures) })
+		p.sinkEvent(ep.idx, rankDown, obs.EndpointDown(ep.idx, failures))
 	}
 }
 
@@ -998,7 +987,7 @@ func (p *Pool) getShard(shard int, varName string, version int, region grid.Box)
 		}
 		if primaryFailed && held != nil {
 			served := p.eps[(shard+held.j)%n].idx
-			p.noteFailover(shard, served)
+			p.sinkEvent(shard, rankFailover, obs.FailoverGet(shard, served))
 			rec.markFailover(served)
 			rec.finish(p, nil)
 			return held.blocks, nil
@@ -1012,12 +1001,6 @@ func (p *Pool) getShard(shard int, varName string, version int, region grid.Box)
 	err := shardLostErr(shard, lastErr)
 	rec.finish(p, err)
 	return nil, err
-}
-
-// noteFailover records a shard read served by a replica.
-func (p *Pool) noteFailover(shard, epIdx int) {
-	p.mFailovers.Inc()
-	p.sinkEvent(shard, rankFailover, func(e *obs.Emitter) { e.FailoverGet(shard, epIdx) })
 }
 
 // shardLostErr is the "all replicas of a shard are gone" failure.
@@ -1246,15 +1229,10 @@ func (p *Pool) repair(ep *endpoint) bool {
 			}
 		}
 	}
-	p.mRepairs.Inc()
 	p.mRepaired.Add(float64(blocks))
-	p.sinkEvent(ep.idx, rankRepair, func(e *obs.Emitter) { e.Repair(ep.idx, blocks, bytes) })
+	p.sinkEvent(ep.idx, rankRepair, obs.Repair(ep.idx, blocks, bytes))
 	if held != nil {
-		p.mDeltaRepairs.Inc()
-		p.mBytesAvoided.Add(float64(avoided))
-		p.sinkEvent(ep.idx, rankRepair, func(e *obs.Emitter) {
-			e.RepairDelta(ep.idx, blocks, skippedBlocks, avoided)
-		})
+		p.sinkEvent(ep.idx, rankRepair, obs.RepairDelta(ep.idx, blocks, skippedBlocks, avoided))
 	}
 	// One span per completed pass, mirroring the repair event (the chaos
 	// span-tree invariant counts them against each other). Aborted passes

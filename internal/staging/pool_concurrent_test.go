@@ -191,6 +191,38 @@ func TestConcurrentEventsDrainAtBarrier(t *testing.T) {
 	}
 }
 
+// TestConcurrentFailoverCountedBeforeDrain pins where the worker executor
+// counts: when the event is recorded, not when it is flushed. After a kill
+// the failover counter is already live while the events still sit in the
+// buffer, and the drain then emits exactly as many failover_get events as
+// were counted.
+func TestConcurrentFailoverCountedBeforeDrain(t *testing.T) {
+	sink := obs.NewRingSink(256)
+	rig := newConcRig(t, 3, 2, 4)
+	rig.pool.events = obs.NewEmitter(sink)
+
+	putAllConc(t, rig.pool, 0, spread(), 4)
+	rig.kill(1)
+	if _, err := rig.pool.GetBlocks("rho", 0, dom()); err != nil {
+		t.Fatal(err)
+	}
+	counted := rig.pool.counts.Value(obs.KindFailoverGet)
+	if counted == 0 || sink.Total() != 0 {
+		t.Fatalf("before the drain: %v failovers counted, %d events emitted; want > 0 and 0",
+			counted, sink.Total())
+	}
+	rig.pool.DrainEvents()
+	emitted := 0
+	for _, ev := range sink.Events() {
+		if ev.Kind == obs.KindFailoverGet {
+			emitted++
+		}
+	}
+	if float64(emitted) != counted {
+		t.Errorf("drained %d failover_get events, counted %v", emitted, counted)
+	}
+}
+
 // TestSerialPoolEmitsInline is the deterministic-mode counterpart: with
 // Concurrency <= 1 events reach the sink as they happen, no barrier needed.
 func TestSerialPoolEmitsInline(t *testing.T) {

@@ -202,11 +202,12 @@ type Server struct {
 	backlog chan net.Conn
 	done    chan struct{}
 
-	// The admission book: one counter per tally, registered in
-	// ServerOptions.Metrics when given and live-but-unregistered otherwise,
-	// so update sites never branch. admShed is the series of this server's
-	// one possible shed reason.
-	admAdmitted, admQueued, admShed, quotaRejected *obs.Counter
+	// The admission book, registered in ServerOptions.Metrics when given and
+	// live-but-unregistered otherwise, so update sites never branch: the
+	// admitted/queued counters, and the shed and quota-rejected counts the
+	// event table keeps for admission_shed and quota_rejected.
+	admAdmitted, admQueued *obs.Counter
+	counts                 *obs.Counts
 
 	metrics *serverMetrics // per-request/per-byte instruments; nil without a registry
 	tracer  atomic.Pointer[span.Tracer]
@@ -248,23 +249,15 @@ func (m *serverMetrics) count(op byte) {
 }
 
 // initMetrics binds the server's instruments to opts.Metrics. The admission
-// counters are always live (a nil registry hands out unregistered ones, as
-// Client.initMetrics relies on); everything per request or per byte exists
-// only with a registry.
+// counters are always live (a nil registry hands out unregistered ones);
+// everything per request or per byte exists only with a registry.
 func (s *Server) initMetrics() {
 	reg := s.opts.Metrics
-	const shedName = "xlayer_staging_admission_shed_total"
-	const shedHelp = "Connections refused by admission control, by reason."
 	s.admAdmitted = reg.Counter("xlayer_staging_admission_admitted_total",
 		"Connections admitted for service by the staging server.")
 	s.admQueued = reg.Counter("xlayer_staging_admission_queued_total",
 		"Connections parked in the bounded accept backlog.")
-	s.admShed = reg.Counter(shedName, shedHelp, "reason", "max_conns")
-	if full := reg.Counter(shedName, shedHelp, "reason", "backlog_full"); s.opts.Backlog > 0 {
-		s.admShed = full
-	}
-	s.quotaRejected = reg.Counter("xlayer_staging_admission_quota_rejected_total",
-		"Puts rejected server-side by a tenant byte/block quota.")
+	s.counts = obs.NewCounts(reg, obs.KindAdmissionShed, obs.KindQuotaRejected)
 	if reg == nil {
 		return
 	}
@@ -454,13 +447,14 @@ func (s *Server) Shutdown() error {
 
 // AdmissionStats reports the server's cumulative admission tallies:
 // connections admitted for service, connections that waited in the accept
-// backlog, connections shed, and puts rejected by tenant quota. It reads
-// the admission counters themselves, so it cannot drift from the
-// xlayer_staging_admission_* metrics — and servers handed one shared
-// registry share those series, so each then reports the fleet-wide totals.
+// backlog, connections shed (over both reasons), and puts rejected by
+// tenant quota. It reads the admission counters themselves, so it cannot
+// drift from the xlayer_staging_admission_* metrics — and servers handed
+// one shared registry share those series, so each then reports the
+// fleet-wide totals.
 func (s *Server) AdmissionStats() (admitted, queued, shed, quotaRejected int64) {
 	return int64(s.admAdmitted.Value()), int64(s.admQueued.Value()),
-		int64(s.admShed.Value()), int64(s.quotaRejected.Value())
+		int64(s.counts.Value(obs.KindAdmissionShed)), int64(s.counts.Value(obs.KindQuotaRejected))
 }
 
 // track registers conn for Close-time severing, returning its mid-request
@@ -565,16 +559,15 @@ func (s *Server) drainBacklog() {
 	}
 }
 
-// shed refuses one connection deterministically: close it, count it, and
+// shed refuses one connection deterministically: close it, then count and
 // emit the structured refuse-with-reason event.
 func (s *Server) shed(conn net.Conn) {
 	conn.Close()
-	s.admShed.Inc()
 	reason := "max_conns"
 	if s.opts.Backlog > 0 {
 		reason = "backlog_full"
 	}
-	s.opts.Events.AdmissionShed(reason, len(s.slots), len(s.backlog))
+	s.counts.Record(s.opts.Events, obs.AdmissionShed(reason, len(s.slots), len(s.backlog)))
 }
 
 // releaseSlot frees the handler slot a served connection held.
@@ -681,13 +674,6 @@ func (s *Server) handleOne(r *bufio.Reader, w *bufio.Writer, busy *atomic.Bool) 
 	return s.dispatch(op, varName, version, r, w)
 }
 
-// noteQuotaRejected tallies one quota-rejected put and emits the
-// tenant-attributed event.
-func (s *Server) noteQuotaRejected(varName string, bytes int64) {
-	s.quotaRejected.Inc()
-	s.opts.Events.QuotaRejected(TenantOf(varName), varName, bytes)
-}
-
 // opName renders an op byte for span names.
 func opName(op byte) string {
 	switch op {
@@ -734,7 +720,7 @@ func (s *Server) dispatch(op byte, varName string, version int, r *bufio.Reader,
 		}
 		switch err := s.space.PutSeq(varName, version, seq, d); {
 		case errors.Is(err, ErrQuotaExceeded):
-			s.noteQuotaRejected(varName, d.Bytes())
+			s.counts.Record(s.opts.Events, obs.QuotaRejected(TenantOf(varName), varName, d.Bytes()))
 			return w.WriteByte(statusQuota)
 		case errors.Is(err, ErrNoMemory):
 			return w.WriteByte(statusNoMemory)
@@ -834,7 +820,8 @@ type ClientOptions struct {
 	Events *obs.Emitter
 
 	// Metrics, when set, registers the client's cumulative retry/reconnect
-	// counters (xlayer_staging_client_*) in this registry.
+	// counters (xlayer_staging_client_*) in this registry. They count with
+	// or without Events.
 	Metrics *obs.Registry
 }
 
@@ -880,10 +867,11 @@ type Client struct {
 	traceID  atomic.Uint64
 	parentID atomic.Uint64
 
-	// Registry-backed mirrors of retries/reconnects (live but unregistered
-	// instruments when ClientOptions.Metrics is nil, so no branching).
-	mRetries    *obs.Counter
-	mReconnects *obs.Counter
+	// The table's staging_retry/staging_reconnect counters, shared with
+	// every client on the same registry (live but unregistered when
+	// ClientOptions.Metrics is nil, so no branching); retries/reconnects
+	// above are this client's own.
+	counts *obs.Counts
 
 	mu        sync.Mutex
 	conn      net.Conn
@@ -912,18 +900,9 @@ func Dial(addr string) (*Client, error) {
 // unreachable at construction time (fault-injection runs) and failures
 // should surface as ErrStagingUnavailable per operation instead.
 func NewClient(addr string, opts ClientOptions) *Client {
-	c := &Client{addr: addr, opts: opts.withDefaults(), seqBase: newSeqBase()}
-	c.initMetrics()
-	return c
-}
-
-// initMetrics binds the client's transport counters. With no registry the
-// instruments are live but unregistered, so update sites never branch.
-func (c *Client) initMetrics() {
-	c.mRetries = c.opts.Metrics.Counter("xlayer_staging_client_retries_total",
-		"Transport retry attempts across all staging operations.")
-	c.mReconnects = c.opts.Metrics.Counter("xlayer_staging_client_reconnects_total",
-		"Successful staging re-dials after a transport failure.")
+	opts = opts.withDefaults()
+	return &Client{addr: addr, opts: opts, seqBase: newSeqBase(),
+		counts: obs.NewCounts(opts.Metrics, obs.KindStagingRetry, obs.KindStagingReconnect)}
 }
 
 // DialOptions connects to a staging server with explicit options. The
@@ -931,8 +910,7 @@ func (c *Client) initMetrics() {
 // returned immediately (no retry): a server that was never there is a
 // configuration error, not a transient fault.
 func DialOptions(addr string, opts ClientOptions) (*Client, error) {
-	c := &Client{addr: addr, opts: opts.withDefaults(), seqBase: newSeqBase()}
-	c.initMetrics()
+	c := NewClient(addr, opts)
 	conn, err := c.opts.DialFunc(addr, c.opts.OpTimeout)
 	if err != nil {
 		return nil, err
@@ -1034,10 +1012,7 @@ func (c *Client) do(op func() error) error {
 		}
 		if attempt > 0 {
 			c.retries.Add(1)
-			c.mRetries.Inc()
-			if c.opts.Events != nil {
-				c.opts.Events.StagingRetry(attempt, errDetail(lastErr))
-			}
+			c.counts.Record(c.opts.Events, obs.StagingRetry(attempt, errDetail(lastErr)))
 			backoff := c.opts.BackoffMax
 			if shift := attempt - 1; shift < 20 {
 				if b := c.opts.BackoffBase << shift; b < backoff {
@@ -1059,8 +1034,7 @@ func (c *Client) do(op func() error) error {
 			c.attach(conn)
 			if redial {
 				c.reconnects.Add(1)
-				c.mReconnects.Inc()
-				c.opts.Events.StagingReconnect()
+				c.counts.Record(c.opts.Events, obs.StagingReconnect())
 			}
 		}
 		c.conn.SetDeadline(time.Now().Add(c.opts.OpTimeout))
