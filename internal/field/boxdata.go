@@ -34,6 +34,16 @@ func New(box grid.Box, ncomp int) *BoxData {
 	return &BoxData{Box: box, NComp: ncomp, data: make([]float64, n*int64(ncomp))}
 }
 
+// Wrap returns data over box with ncomp components backed by values, laid out
+// as New lays them out; the block takes ownership of values. It panics unless
+// len(values) is exactly ncomp × box.NumCells().
+func Wrap(box grid.Box, ncomp int, values []float64) *BoxData {
+	if ncomp < 1 || int64(len(values)) != box.NumCells()*int64(ncomp) {
+		panic(fmt.Sprintf("field: %d values for %v × %d components", len(values), box, ncomp))
+	}
+	return &BoxData{Box: box, NComp: ncomp, data: values}
+}
+
 // NumCells returns the number of cells covered per component.
 func (d *BoxData) NumCells() int64 { return d.Box.NumCells() }
 

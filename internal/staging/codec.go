@@ -7,6 +7,7 @@ import (
 	"hash/crc32"
 	"io"
 	"math"
+	"sync"
 
 	"crosslayer/internal/field"
 	"crosslayer/internal/grid"
@@ -43,14 +44,15 @@ var crcTable = crc32.MakeTable(crc32.Castagnoli)
 // headers and get requests both carry boxes in this form.
 const boxWireSize = 24
 
-// putBox packs b into dst[:boxWireSize].
-func putBox(dst []byte, b grid.Box) {
-	for i, v := range []int{b.Lo.X, b.Lo.Y, b.Lo.Z, b.Hi.X, b.Hi.Y, b.Hi.Z} {
-		binary.LittleEndian.PutUint32(dst[4*i:], uint32(int32(v)))
+// appendBox appends b's boxWireSize-byte wire form to dst.
+func appendBox(dst []byte, b grid.Box) []byte {
+	for _, v := range [6]int{b.Lo.X, b.Lo.Y, b.Lo.Z, b.Hi.X, b.Hi.Y, b.Hi.Z} {
+		dst = binary.LittleEndian.AppendUint32(dst, uint32(int32(v)))
 	}
+	return dst
 }
 
-// getBox unpacks src[:boxWireSize]; it inverts putBox.
+// getBox unpacks src[:boxWireSize]; it inverts appendBox.
 func getBox(src []byte) grid.Box {
 	geti := func(i int) int { return int(int32(binary.LittleEndian.Uint32(src[4*i:]))) }
 	return grid.NewBox(grid.IV(geti(0), geti(1), geti(2)), grid.IV(geti(3), geti(4), geti(5)))
@@ -58,42 +60,82 @@ func getBox(src []byte) grid.Box {
 
 // EncodedSize returns the wire size of a block in bytes.
 func EncodedSize(d *field.BoxData) int64 {
-	return 4 + boxWireSize + 4 + d.NumCells()*int64(d.NComp)*8 + 4
+	return blockHeaderSize + d.NumCells()*int64(d.NComp)*8 + 4
 }
+
+// blockHeaderSize is the wire size of magic, box and ncomp.
+const blockHeaderSize = 4 + boxWireSize + 4
+
+// codecChunk is the unit a block streams through: encode writes the wire
+// image this many bytes at a time, and decode reads at most this far past
+// the values it has converted. A multiple of 8, so values never straddle two
+// chunks.
+const codecChunk = 64 << 10
+
+// decodeUpfront bounds what DecodeBlock allocates on the header's word
+// alone: a payload up to this size gets its values allocated once, at their
+// exact size, before any of it arrives; a larger one starts here and doubles
+// as its bytes arrive.
+const decodeUpfront = 256 << 10
+
+// chunkPool holds the codec's chunks; each encode or decode borrows one for
+// its duration, so neither allocates a buffer of its own.
+var chunkPool = sync.Pool{New: func() any { return new([codecChunk]byte) }}
 
 // EncodeBlock writes d to w in wire format.
 func EncodeBlock(w io.Writer, d *field.BoxData) error {
 	if d == nil || d.Box.IsEmpty() {
 		return fmt.Errorf("%w: empty block", ErrBadBlock)
 	}
-	hdr := make([]byte, 4+boxWireSize+4)
-	binary.LittleEndian.PutUint32(hdr[0:], blockMagic)
-	putBox(hdr[4:], d.Box)
-	binary.LittleEndian.PutUint32(hdr[28:], uint32(d.NComp))
-	if _, err := w.Write(hdr); err != nil {
+	chunk := chunkPool.Get().(*[codecChunk]byte)
+	defer chunkPool.Put(chunk)
+	hdr := binary.LittleEndian.AppendUint32(chunk[:0], blockMagic)
+	hdr = binary.LittleEndian.AppendUint32(appendBox(hdr, d.Box), uint32(d.NComp))
+	// n is how much of chunk is filled and payload where its payload bytes
+	// start; every full chunk is checksummed and written as one Write.
+	n, payload, crc := len(hdr), len(hdr), uint32(0)
+	flush := func() error {
+		crc = crc32.Update(crc, crcTable, chunk[payload:n])
+		_, err := w.Write(chunk[:n])
+		n, payload = 0, 0
 		return err
 	}
-	crc := uint32(0)
-	buf := make([]byte, 8*len(d.Comp(0)))
 	for c := 0; c < d.NComp; c++ {
-		comp := d.Comp(c)
-		for i, v := range comp {
-			binary.LittleEndian.PutUint64(buf[8*i:], math.Float64bits(v))
+		for vals := d.Comp(c); len(vals) > 0; {
+			if n == codecChunk {
+				if err := flush(); err != nil {
+					return err
+				}
+			}
+			k := min(len(vals), (codecChunk-n)/8)
+			out := chunk[n : n+8*k]
+			for i, v := range vals[:k] {
+				binary.LittleEndian.PutUint64(out[8*i:], math.Float64bits(v))
+			}
+			n, vals = n+8*k, vals[k:]
 		}
-		crc = crc32.Update(crc, crcTable, buf)
-		if _, err := w.Write(buf); err != nil {
+	}
+	if n == codecChunk { // no room left for the trailer
+		if err := flush(); err != nil {
 			return err
 		}
 	}
-	var trailer [4]byte
-	binary.LittleEndian.PutUint32(trailer[:], crc)
-	_, err := w.Write(trailer[:])
+	crc = crc32.Update(crc, crcTable, chunk[payload:n])
+	binary.LittleEndian.PutUint32(chunk[n:], crc)
+	_, err := w.Write(chunk[:n+4])
 	return err
 }
 
-// DecodeBlock reads one wire-format block from r.
+// DecodeBlock reads one wire-format block from r. It reads the payload a
+// chunk at a time, checksumming each chunk and converting it straight into
+// the block's values. The values are allocated up front only up to
+// decodeUpfront and grow geometrically past it as bytes arrive, so a corrupt
+// header claiming a huge box cannot force an allocation larger than a small
+// multiple of the bytes the stream actually carries.
 func DecodeBlock(r io.Reader) (*field.BoxData, error) {
-	hdr := make([]byte, 4+boxWireSize+4)
+	chunk := chunkPool.Get().(*[codecChunk]byte)
+	defer chunkPool.Put(chunk)
+	hdr := chunk[:blockHeaderSize]
 	if _, err := io.ReadFull(r, hdr); err != nil {
 		return nil, err
 	}
@@ -111,46 +153,31 @@ func DecodeBlock(r io.Reader) (*field.BoxData, error) {
 		nx*ny > maxWireCells || nx*ny*nz > maxWireCells {
 		return nil, fmt.Errorf("%w: box %v ncomp %d", ErrBadBlock, box, ncomp)
 	}
-	// Read the payload in bounded chunks before allocating the block, so a
-	// corrupt header claiming a huge box cannot force an allocation larger
-	// than (a small multiple of) the bytes the stream actually carries.
-	payload, err := readPayload(r, int64(ncomp)*box.NumCells()*8)
-	if err != nil {
-		return nil, err
-	}
-	var trailer [4]byte
-	if _, err := io.ReadFull(r, trailer[:]); err != nil {
-		return nil, err
-	}
-	if crc32.Checksum(payload, crcTable) != binary.LittleEndian.Uint32(trailer[:]) {
-		return nil, fmt.Errorf("%w: payload checksum mismatch", ErrBadBlock)
-	}
-	d := field.New(box, ncomp)
-	cells := int(box.NumCells())
-	for c := 0; c < ncomp; c++ {
-		comp := d.Comp(c)
-		base := c * cells * 8
-		for i := range comp {
-			comp[i] = math.Float64frombits(binary.LittleEndian.Uint64(payload[base+8*i:]))
-		}
-	}
-	return d, nil
-}
-
-// readPayload reads exactly total bytes from r, growing its buffer chunk by
-// chunk: the peak allocation tracks the bytes actually received, not the
-// total a (possibly hostile) header claims.
-func readPayload(r io.Reader, total int64) ([]byte, error) {
-	const chunkSize = 64 << 10
-	out := make([]byte, 0, min(total, chunkSize))
-	chunk := make([]byte, chunkSize)
-	for int64(len(out)) < total {
-		n := min(total-int64(len(out)), chunkSize)
-		m, err := io.ReadFull(r, chunk[:n])
-		out = append(out, chunk[:m]...)
-		if err != nil {
+	total := int(int64(ncomp) * box.NumCells())
+	vals := make([]float64, 0, min(total, decodeUpfront/8))
+	crc := uint32(0)
+	for len(vals) < total {
+		k := min(total-len(vals), codecChunk/8)
+		in := chunk[:8*k]
+		if _, err := io.ReadFull(r, in); err != nil {
 			return nil, err
 		}
+		crc = crc32.Update(crc, crcTable, in)
+		if len(vals)+k > cap(vals) {
+			vals = append(make([]float64, 0, min(total, 2*cap(vals))), vals...)
+		}
+		out := vals[len(vals) : len(vals)+k]
+		for i := range out {
+			out[i] = math.Float64frombits(binary.LittleEndian.Uint64(in[8*i:]))
+		}
+		vals = vals[:len(vals)+k]
 	}
-	return out, nil
+	trailer := chunk[:4]
+	if _, err := io.ReadFull(r, trailer); err != nil {
+		return nil, err
+	}
+	if crc != binary.LittleEndian.Uint32(trailer) {
+		return nil, fmt.Errorf("%w: payload checksum mismatch", ErrBadBlock)
+	}
+	return field.Wrap(box, ncomp, vals), nil
 }

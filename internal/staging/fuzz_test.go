@@ -172,8 +172,10 @@ func FuzzTenantKey(f *testing.F) {
 }
 
 // TestDecodeBoundsAllocationToInput pins the over-allocation defense: a
-// header claiming a near-maximal box followed by a tiny body must fail
-// fast without ballooning memory (the chunked reader stops at EOF).
+// header claiming a near-maximal box followed by a short body must fail
+// without ballooning memory. Before any payload arrives the decoder commits
+// at most decodeUpfront; past that its allocation doubles only as chunks
+// arrive, so it stays within twice the bytes received plus that allowance.
 func TestDecodeBoundsAllocationToInput(t *testing.T) {
 	hostile := make([]byte, 32)
 	binary.LittleEndian.PutUint32(hostile[0:], blockMagic)
@@ -183,18 +185,19 @@ func TestDecodeBoundsAllocationToInput(t *testing.T) {
 	binary.LittleEndian.PutUint32(hostile[20:], 399)
 	binary.LittleEndian.PutUint32(hostile[24:], 399)
 	binary.LittleEndian.PutUint32(hostile[28:], 1)
-	hostile = append(hostile, make([]byte, 100)...) // 100 bytes of "payload"
 
-	var before, after int64
-	before = allocatedBytes()
-	_, err := DecodeBlock(bytes.NewReader(hostile))
-	after = allocatedBytes()
-	if err == nil {
-		t.Fatal("hostile header accepted")
-	}
-	// The decode saw ~132 bytes of input; anything beyond a couple of MB of
-	// growth means the claimed size was allocated up front.
-	if grown := after - before; grown > 8<<20 {
-		t.Errorf("decode of 132-byte input grew heap by %d bytes", grown)
+	for _, body := range []int{0, 100, decodeUpfront + 8, 4 << 20, 4<<20 + codecChunk/2} {
+		in := append(append([]byte(nil), hostile...), make([]byte, body)...)
+		before := allocatedBytes()
+		_, err := DecodeBlock(bytes.NewReader(in))
+		grown := allocatedBytes() - before
+		if err == nil {
+			t.Fatal("hostile header accepted")
+		}
+		// The allowance covers the up-front values, a chunk the pool may have
+		// had to allocate, and the error.
+		if limit := 2*int64(body) + decodeUpfront + codecChunk + 4<<10; grown > limit {
+			t.Errorf("decode of a %d-byte body grew heap by %d bytes, limit %d", body, grown, limit)
+		}
 	}
 }

@@ -83,31 +83,44 @@ const (
 )
 
 // The framing's little-endian scalars: sequence numbers and byte totals are
-// int64, counts and lengths uint32.
-func writeU32(w io.Writer, v uint32) error {
-	var b [4]byte
-	binary.LittleEndian.PutUint32(b[:], v)
-	_, err := w.Write(b[:])
+// int64, counts and lengths uint32. Fixed-size fields are built in the
+// writer's free buffer space and read out of the reader's buffer, so the
+// framing around a block allocates nothing.
+func writeU32(w *bufio.Writer, v uint32) error {
+	_, err := w.Write(binary.LittleEndian.AppendUint32(w.AvailableBuffer(), v))
 	return err
 }
 
-func writeI64(w io.Writer, v int64) error {
-	var b [8]byte
-	binary.LittleEndian.PutUint64(b[:], uint64(v))
-	_, err := w.Write(b[:])
+func writeI64(w *bufio.Writer, v int64) error {
+	_, err := w.Write(binary.LittleEndian.AppendUint64(w.AvailableBuffer(), uint64(v)))
 	return err
 }
 
-func readU32(r io.Reader) (uint32, error) {
-	var b [4]byte
-	_, err := io.ReadFull(r, b[:])
-	return binary.LittleEndian.Uint32(b[:]), err
+// readFixed consumes the next n bytes of r (n at most r's buffer size) and
+// returns them in place; they are valid until the next read from r.
+func readFixed(r *bufio.Reader, n int) ([]byte, error) {
+	b, err := r.Peek(n)
+	if err != nil {
+		return nil, err
+	}
+	r.Discard(n) // cannot fail: Peek has just buffered n bytes
+	return b, nil
 }
 
-func readI64(r io.Reader) (int64, error) {
-	var b [8]byte
-	_, err := io.ReadFull(r, b[:])
-	return int64(binary.LittleEndian.Uint64(b[:])), err
+func readU32(r *bufio.Reader) (uint32, error) {
+	b, err := readFixed(r, 4)
+	if err != nil {
+		return 0, err
+	}
+	return binary.LittleEndian.Uint32(b), nil
+}
+
+func readI64(r *bufio.Reader) (int64, error) {
+	b, err := readFixed(r, 8)
+	if err != nil {
+		return 0, err
+	}
+	return int64(binary.LittleEndian.Uint64(b)), nil
 }
 
 // traceExtSize is the wire size of the trace-context extension.
@@ -624,40 +637,40 @@ func (s *Server) handle(conn net.Conn, busy *atomic.Bool) {
 }
 
 func (s *Server) handleOne(r *bufio.Reader, w *bufio.Writer, busy *atomic.Bool) error {
-	var hdr [3]byte
-	if _, err := io.ReadFull(r, hdr[:]); err != nil {
+	hdr, err := readFixed(r, 3)
+	if err != nil {
 		return err
 	}
 	busy.Store(true)
-	op := hdr[0] &^ opFlagTrace
+	op, traced := hdr[0]&^opFlagTrace, hdr[0]&opFlagTrace != 0
+	varLen := int(binary.LittleEndian.Uint16(hdr[1:]))
 	if s.metrics != nil {
 		s.metrics.count(op)
 	}
 	if s.opts.RequestHook != nil {
 		s.opts.RequestHook(op)
 	}
-	varLen := binary.LittleEndian.Uint16(hdr[1:])
 	if varLen > 256 {
 		return fmt.Errorf("%w: variable name too long", ErrProtocol)
 	}
-	nameBuf := make([]byte, varLen)
-	if _, err := io.ReadFull(r, nameBuf); err != nil {
+	name, err := readFixed(r, varLen)
+	if err != nil {
 		return err
 	}
+	varName := string(name)
 	ver, err := readU32(r)
 	if err != nil {
 		return err
 	}
-	varName := string(nameBuf)
 	version := int(int32(ver))
 
 	var ext traceExt
-	if hdr[0]&opFlagTrace != 0 {
-		var extBuf [traceExtSize]byte
-		if _, err := io.ReadFull(r, extBuf[:]); err != nil {
+	if traced {
+		b, err := readFixed(r, traceExtSize)
+		if err != nil {
 			return err
 		}
-		ext = decodeTraceExt(extBuf)
+		ext = decodeTraceExt([traceExtSize]byte(b))
 	}
 	if tr := s.tracer.Load(); tr != nil && ext.Trace != 0 {
 		t0 := tr.NowNs()
@@ -731,11 +744,11 @@ func (s *Server) dispatch(op byte, varName string, version int, r *bufio.Reader,
 		}
 
 	case opGet:
-		var boxBuf [boxWireSize]byte
-		if _, err := io.ReadFull(r, boxBuf[:]); err != nil {
+		boxBuf, err := readFixed(r, boxWireSize)
+		if err != nil {
 			return err
 		}
-		blocks, err := s.space.GetBlocks(varName, version, getBox(boxBuf[:]))
+		blocks, err := s.space.GetBlocks(varName, version, getBox(boxBuf))
 		if errors.Is(err, ErrNotFound) {
 			return w.WriteByte(statusNotFound)
 		}
@@ -1055,28 +1068,19 @@ func (c *Client) writeHeader(op byte, varName string, version int) error {
 		return fmt.Errorf("%w: variable name too long", ErrProtocol)
 	}
 	trace := c.traceID.Load()
-	var hdr [3]byte
-	hdr[0] = op
 	if trace != 0 {
-		hdr[0] |= opFlagTrace
+		op |= opFlagTrace
 	}
-	binary.LittleEndian.PutUint16(hdr[1:], uint16(len(varName)))
-	if _, err := c.w.Write(hdr[:]); err != nil {
-		return err
-	}
-	if _, err := c.w.WriteString(varName); err != nil {
-		return err
-	}
-	if err := writeU32(c.w, uint32(int32(version))); err != nil {
-		return err
-	}
+	hdr := append(c.w.AvailableBuffer(), op)
+	hdr = binary.LittleEndian.AppendUint16(hdr, uint16(len(varName)))
+	hdr = append(hdr, varName...)
+	hdr = binary.LittleEndian.AppendUint32(hdr, uint32(int32(version)))
 	if trace != 0 {
 		ext := encodeTraceExt(traceExt{Trace: trace, Parent: c.parentID.Load()})
-		if _, err := c.w.Write(ext[:]); err != nil {
-			return err
-		}
+		hdr = append(hdr, ext[:]...)
 	}
-	return nil
+	_, err := c.w.Write(hdr)
+	return err
 }
 
 func (c *Client) readStatus() (byte, error) {
@@ -1146,9 +1150,7 @@ func (c *Client) getBlocks(varName string, version int, region grid.Box) ([]*fie
 	if err := c.writeHeader(opGet, varName, version); err != nil {
 		return nil, err
 	}
-	var boxBuf [boxWireSize]byte
-	putBox(boxBuf[:], region)
-	if _, err := c.w.Write(boxBuf[:]); err != nil {
+	if _, err := c.w.Write(appendBox(c.w.AvailableBuffer(), region)); err != nil {
 		return nil, err
 	}
 	st, err := c.readStatus()
