@@ -60,7 +60,7 @@ func setupServe(fs *flag.FlagSet) func([]string) error {
 	fs.Int64Var(&quota.MaxBytes, "quota-bytes", 0, "per-tenant per-server byte quota; 0 = unlimited")
 	fs.IntVar(&quota.MaxBlocks, "quota-blocks", 0, "per-tenant per-server block quota; 0 = unlimited")
 	quotaTenants := fs.String("quota-tenants", "", "comma-separated tenant ids the quota flags apply to")
-	domainEdge := fs.Int("domain-edge", 32, "cubic domain edge anchoring the space's shard routing")
+	domainEdge := fs.Int("domain-edge", 32, "cubic domain edge the spaces index blocks within")
 	return func([]string) error { return runServe(fo, quota, *quotaTenants, *domainEdge) }
 }
 

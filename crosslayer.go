@@ -201,9 +201,9 @@ func NewStatisticsService(bins int) *analysis.Statistics {
 // — the durable WAL+snapshot store.
 type StagingServerOptions = staging.ServerOptions
 
-// NewStagingSpace creates a DataSpaces-like versioned object store with
-// nservers shards, each with capacityPerServer bytes (0 = unlimited),
-// indexing blocks within domain.
+// NewStagingSpace creates a DataSpaces-like versioned object store indexing
+// blocks within domain, holding up to nservers × capacityPerServer bytes
+// (0 = unlimited).
 func NewStagingSpace(nservers int, capacityPerServer int64, domain grid.Box) *staging.Space {
 	return staging.NewSpace(nservers, capacityPerServer, domain)
 }

@@ -19,8 +19,8 @@ const steps = 8
 func main() {
 	dom := crosslayer.NewBox(crosslayer.IV(0, 0, 0), crosslayer.IV(23, 23, 23))
 
-	// Staging node: 4 server shards behind one TCP endpoint.
-	space := crosslayer.NewStagingSpace(4, 0, dom)
+	// Staging node: one object space behind one TCP endpoint.
+	space := crosslayer.NewStagingSpace(1, 0, dom)
 	srv, err := crosslayer.ServeStagingOptions("127.0.0.1:0", space, crosslayer.StagingServerOptions{})
 	if err != nil {
 		log.Fatal(err)

@@ -267,7 +267,7 @@ func buildWorkflow(cfg Config, sim solver.Simulation, rec *journal.Recovered, op
 	w.store = c.Staging
 	if w.store == nil {
 		// The in-process space exists only when it is the store.
-		w.store = spaceStore{staging.NewSpace(max(1, c.StagingCores/8), 0, sim.Hierarchy().Cfg.Domain)}
+		w.store = spaceStore{staging.NewSpace(1, 0, sim.Hierarchy().Cfg.Domain)}
 	}
 	w.engine = NewEngine(c)
 	if !c.Enable.Resource {

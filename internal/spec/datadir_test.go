@@ -15,7 +15,7 @@ import (
 // -data-dir D` builds (cmd/xlayer/loadgen.go) takes puts and shuts down;
 // the servers a spec with staging_data_dir D stands up must then recover
 // every block — in the pooled shape and, for server 0's share, in the
-// single-client shape with its 4-shard space — without adding a directory.
+// single-client shape — without adding a directory.
 func TestServeDataDirRecoversThroughSpec(t *testing.T) {
 	dir := t.TempDir()
 	domain := grid.NewBox(grid.IV(0, 0, 0), grid.IV(15, 15, 15))

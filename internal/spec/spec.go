@@ -661,10 +661,10 @@ func (w *Workflow) Fingerprint() string {
 func (w *Workflow) ResumedStep() int { return w.resumedStep }
 
 // buildStaging stands up the spec's loopback staging fleet and the client
-// side over it: one server with a 4-shard space behind a resilient Client,
-// or staging_servers single-shard servers behind a replicated Pool. It
-// returns the store, what to close (fleet first, so it closes last), and the
-// after-step hook that executes a scheduled staging_kill.
+// side over it: one server behind a resilient Client, or staging_servers
+// servers behind a replicated Pool. It returns the store, what to close
+// (fleet first, so it closes last), and the after-step hook that executes a
+// scheduled staging_kill.
 //
 // The servers carry no event emitter and the listener-side fault plan no
 // OnFault callback: both fire on server goroutines, and interleaving them
@@ -675,14 +675,10 @@ func (w *Workflow) buildStaging(domain grid.Box, em *obs.Emitter, tr *span.Trace
 	fo := staging.FleetOptions{
 		Servers: w.StagingServers,
 		Domain:  domain,
-		Shards:  4,
 		DataDir: w.StagingDataDir,
 		Server: staging.ServerOptions{
 			MaxConns: w.StagingMaxConns, Backlog: w.StagingAcceptBacklog, Metrics: reg,
 		},
-	}
-	if pooled {
-		fo.Shards = 1
 	}
 	copts := staging.LoopbackClient()
 	if w.Fault != nil {

@@ -17,11 +17,9 @@ import (
 type FleetOptions struct {
 	// Servers is how many servers to stand up (default 1).
 	Servers int
-	// Domain anchors every space's shard routing.
+	// Domain is the global domain every space indexes its blocks within.
 	Domain grid.Box
-	// Shards is the shard count of each server's space (default 1).
-	Shards int
-	// Capacity bounds each shard's memory in bytes (0 = unlimited).
+	// Capacity bounds each server's memory in bytes (0 = unlimited).
 	Capacity int64
 	// Addr is the listen address every server binds (default
 	// "127.0.0.1:0": a free loopback port each).
@@ -72,7 +70,7 @@ func NewFleet(o FleetOptions) (*Fleet, error) {
 	}
 	f := &Fleet{dataDir: o.DataDir}
 	for i := 0; i < max(o.Servers, 1); i++ {
-		space := NewSpace(max(o.Shards, 1), o.Capacity, o.Domain)
+		space := NewSpace(1, o.Capacity, o.Domain)
 		for tenant, q := range o.Quotas {
 			space.SetTenantQuota(tenant, q)
 		}

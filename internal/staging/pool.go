@@ -4,6 +4,7 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"math/bits"
 	"runtime/pprof"
 	"sort"
 	"strconv"
@@ -617,6 +618,34 @@ func (p *Pool) DrainSpans() {
 
 // route picks the primary endpoint index for a block.
 func (p *Pool) route(b grid.Box) int { return routeIndex(p.domain, b, len(p.eps)) }
+
+// routeIndex maps a block to a shard index in [0, n): the Morton code of the
+// box center, scaled over the shard range so contiguous curve segments land
+// on the same shard — the pool's endpoint routing.
+func routeIndex(domain grid.Box, b grid.Box, n int) int {
+	c := b.Center().Sub(domain.Lo).Max(grid.Zero)
+	code := grid.MortonCode(c)
+	// Codes of in-domain points span [0, MortonCode(maxCorner)]; scale that
+	// range over the shards. code*n is computed in 128 bits: Morton codes
+	// use up to 63 bits, so the plain 64-bit product overflows for domains
+	// larger than ~2^20 cells per side and misroutes blocks.
+	maxCode := grid.MortonCode(domain.Size().Sub(grid.Unit).Max(grid.Zero)) + 1
+	idx := int(code % uint64(n))
+	if maxCode > 0 {
+		hi, lo := bits.Mul64(code, uint64(n))
+		if hi >= maxCode {
+			// code >= maxCode (an out-of-domain center); clamp below.
+			idx = n
+		} else {
+			q, _ := bits.Div64(hi, lo, maxCode)
+			idx = int(q)
+		}
+		if idx >= n {
+			idx = n - 1
+		}
+	}
+	return idx
+}
 
 // scoped qualifies varName into the pool's tenant namespace when the pool
 // is tenant-scoped (PoolOptions.Tenant); identity otherwise.

@@ -36,8 +36,8 @@ var ErrBadTenant = errors.New("staging: invalid tenant id")
 // retry it and pool breakers do not trip on it.
 var ErrQuotaExceeded = errors.New("staging: tenant quota exceeded")
 
-// TenantQuota caps what one tenant may hold in a Space, across all its
-// shards. A zero field leaves that dimension unlimited.
+// TenantQuota caps what one tenant may hold in a Space. A zero field leaves
+// that dimension unlimited.
 type TenantQuota struct {
 	MaxBytes  int64
 	MaxBlocks int

@@ -139,6 +139,31 @@ func TestSpaceTenantQuotaBlocksAndReplace(t *testing.T) {
 	if err := sp.Put(key, 2, block(grid.IV(16, 0, 0), 4, 1)); !errors.Is(err, ErrQuotaExceeded) {
 		t.Fatalf("third block err = %v, want ErrQuotaExceeded", err)
 	}
+
+	// At the cap, in either dimension, a put that books nothing new is
+	// admitted: a same-seq replay (a client resending a put whose response
+	// it lost) and an identical repair re-put under the negated seq. A new
+	// block is still refused.
+	blockBytes := block(grid.IV(0, 0, 0), 4, 1).Bytes()
+	for _, q := range []TenantQuota{{MaxBlocks: 1}, {MaxBytes: blockBytes}} {
+		sp := NewSpace(1, 0, dom())
+		sp.SetTenantQuota("t0", q)
+		if err := sp.PutSeq(key, 0, 7, block(grid.IV(0, 0, 0), 4, 1)); err != nil {
+			t.Fatalf("%+v: first block: %v", q, err)
+		}
+		if err := sp.PutSeq(key, 0, 7, block(grid.IV(0, 0, 0), 4, 1)); err != nil {
+			t.Errorf("%+v: same-seq replay at the cap: %v", q, err)
+		}
+		if err := sp.PutSeq(key, 0, -7, block(grid.IV(0, 0, 0), 4, 1)); err != nil {
+			t.Errorf("%+v: identical repair re-put at the cap: %v", q, err)
+		}
+		if bytes, blocks := sp.TenantUsage("t0"); bytes != blockBytes || blocks != 1 {
+			t.Errorf("%+v: usage = %d B %d blocks, want %d B 1 block", q, bytes, blocks, blockBytes)
+		}
+		if err := sp.PutSeq(key, 0, 8, block(grid.IV(8, 0, 0), 4, 1)); !errors.Is(err, ErrQuotaExceeded) {
+			t.Errorf("%+v: new block at the cap err = %v, want ErrQuotaExceeded", q, err)
+		}
+	}
 }
 
 // countingSink tallies events by kind; used to reconcile admission events

@@ -1,6 +1,6 @@
 // Durability layer (DESIGN.md §15): an optional per-space write-ahead log
 // plus periodic snapshot compaction, so a staging server restarted over the
-// same data directory recovers the shard it held at the crash instead of
+// same data directory recovers the store it held at the crash instead of
 // rejoining empty.
 //
 // The WAL reuses the journal package's record framing (recLen | body |
@@ -32,7 +32,6 @@ import (
 	"sync"
 
 	"crosslayer/internal/field"
-	"crosslayer/internal/grid"
 	"crosslayer/internal/journal"
 	"crosslayer/internal/obs"
 )
@@ -231,7 +230,7 @@ func (sp *Space) Persist(dir, serverID string) (*RecoverStats, error) {
 		}
 	}
 	stats.SnapshotBlocks, stats.WALRecords = len(snapObjs), len(replay)
-	sp.recomputeUsageFromShards()
+	sp.recomputeUsage()
 	stats.Blocks, stats.Bytes = sp.countLocked()
 
 	d := &durability{
@@ -363,21 +362,19 @@ func (sp *Space) ObserveWAL(reg *obs.Registry) {
 	}
 }
 
-// applyRecovered replays one recovered record into the shards, bypassing
+// applyRecovered replays one recovered record into the store, bypassing
 // tenant admission (usage is recomputed from the final object set).
 func (sp *Space) applyRecovered(r *walRec) error {
 	switch r.typ {
 	case recBlock:
-		_, _, err := sp.route(r.data.Box).put(&Object{Var: r.key, Version: r.version, Seq: r.seq, Data: r.data})
+		_, _, err := sp.put(&Object{Var: r.key, Version: r.version, Seq: r.seq, Data: r.data}, "")
 		if err != nil {
 			return fmt.Errorf("staging: replay put %s@%d: %w", r.key, r.version, err)
 		}
 	case walRecClear:
-		sp.wipeShards()
+		sp.wipe()
 	case walRecDrop:
-		for _, s := range sp.servers {
-			s.dropBefore(r.key, r.version)
-		}
+		sp.dropBefore(r.key, r.version)
 	case walRecSettle:
 		// Settlements are an audit trail; recovery derives tenant usage
 		// from the recovered objects instead of replaying deltas, so a
@@ -386,9 +383,9 @@ func (sp *Space) applyRecovered(r *walRec) error {
 	return nil
 }
 
-// recomputeUsageFromShards rebuilds per-tenant accounting from the object
-// set — the authoritative source after a replay.
-func (sp *Space) recomputeUsageFromShards() {
+// recomputeUsage rebuilds per-tenant accounting from the object set — the
+// authoritative source after a replay.
+func (sp *Space) recomputeUsage() {
 	usage := make(map[string]*tenantUsage)
 	sp.eachObject(func(o *Object) {
 		if t := TenantOf(o.Var); t != "" {
@@ -401,11 +398,9 @@ func (sp *Space) recomputeUsageFromShards() {
 			u.blocks++
 		}
 	})
-	sp.qmu.Lock()
-	if len(usage) > 0 || sp.usage != nil {
-		sp.usage = usage
-	}
-	sp.qmu.Unlock()
+	sp.mu.Lock()
+	sp.usage = usage
+	sp.mu.Unlock()
 }
 
 // ContentManifest recomputes the space's manifest from the objects it
@@ -459,17 +454,15 @@ func (sp *Space) countLocked() (blocks int, size int64) {
 	return blocks, size
 }
 
-// eachObject visits every stored object, shard by shard under each shard's
-// lock, in no particular order.
+// eachObject visits every stored object under the store lock, in no
+// particular order.
 func (sp *Space) eachObject(visit func(*Object)) {
-	for _, s := range sp.servers {
-		s.mu.Lock()
-		for _, objs := range s.objects {
-			for _, o := range objs {
-				visit(o)
-			}
+	sp.mu.Lock()
+	defer sp.mu.Unlock()
+	for _, objs := range sp.objects {
+		for _, o := range objs {
+			visit(o)
 		}
-		s.mu.Unlock()
 	}
 }
 
@@ -694,8 +687,7 @@ func (sp *Space) dumpObjects() []*Object {
 		if a.Version != b.Version {
 			return a.Version < b.Version
 		}
-		ma := grid.MortonCode(a.Data.Box.Lo.Sub(sp.domain.Lo).Max(grid.Zero))
-		mb := grid.MortonCode(b.Data.Box.Lo.Sub(sp.domain.Lo).Max(grid.Zero))
+		ma, mb := sp.morton(a.Data.Box.Lo), sp.morton(b.Data.Box.Lo)
 		if ma != mb {
 			return ma < mb
 		}
