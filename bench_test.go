@@ -1,6 +1,8 @@
 package crosslayer
 
 import (
+	"bytes"
+	"io"
 	"math/rand"
 	"testing"
 
@@ -435,6 +437,47 @@ func BenchmarkSubcycledStep(b *testing.B) {
 	for i := 0; i < b.N; i++ {
 		st := s.Step()
 		b.ReportMetric(st.Dt*1e4, "coarse-dt-e4")
+	}
+}
+
+// BenchmarkBlockCodec encodes and decodes one block in memory, at the 4 KiB
+// and 160 KiB block shapes the xbench codec probes use: the per-hop payload
+// cost every put, get, WAL append and recovery pays.
+func BenchmarkBlockCodec(b *testing.B) {
+	for _, s := range []struct {
+		name  string
+		n     int
+		ncomp int
+	}{{"8x8x8x1", 8, 1}, {"16x16x16x5", 16, 5}} {
+		d := field.New(grid.BoxFromSize(grid.IV(0, 0, 0), grid.IV(s.n, s.n, s.n)), s.ncomp)
+		for c := 0; c < s.ncomp; c++ {
+			for i, comp := 0, d.Comp(c); i < len(comp); i++ {
+				comp[i] = float64(c*len(comp)+i) * 0.25
+			}
+		}
+		var buf bytes.Buffer
+		if err := staging.EncodeBlock(&buf, d); err != nil {
+			b.Fatal(err)
+		}
+		img := buf.Bytes()
+		b.Run("encode/"+s.name, func(b *testing.B) {
+			b.SetBytes(int64(len(img)))
+			for i := 0; i < b.N; i++ {
+				if err := staging.EncodeBlock(io.Discard, d); err != nil {
+					b.Fatal(err)
+				}
+			}
+		})
+		b.Run("decode/"+s.name, func(b *testing.B) {
+			b.SetBytes(int64(len(img)))
+			r := bytes.NewReader(img)
+			for i := 0; i < b.N; i++ {
+				r.Reset(img)
+				if _, err := staging.DecodeBlock(r); err != nil {
+					b.Fatal(err)
+				}
+			}
+		})
 	}
 }
 

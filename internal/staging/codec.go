@@ -6,8 +6,8 @@ import (
 	"fmt"
 	"hash/crc32"
 	"io"
-	"math"
 	"sync"
+	"unsafe"
 
 	"crosslayer/internal/field"
 	"crosslayer/internal/grid"
@@ -68,7 +68,7 @@ const blockHeaderSize = 4 + boxWireSize + 4
 
 // codecChunk is the unit a block streams through: encode writes the wire
 // image this many bytes at a time, and decode reads at most this far past
-// the values it has converted. A multiple of 8, so values never straddle two
+// the values it has filled. A multiple of 8, so values never straddle two
 // chunks.
 const codecChunk = 64 << 10
 
@@ -82,10 +82,61 @@ const decodeUpfront = 256 << 10
 // its duration, so neither allocates a buffer of its own.
 var chunkPool = sync.Pool{New: func() any { return new([codecChunk]byte) }}
 
-// EncodeBlock writes d to w in wire format.
-func EncodeBlock(w io.Writer, d *field.BoxData) error {
+// checkBlock reports, as ErrBadBlock, a block the wire format cannot carry:
+// nil, empty, or outside checkShape's bounds. EncodeBlock and every put path
+// apply it before they write, store or send anything, so an acknowledged
+// block is always one that recovery can decode.
+func checkBlock(d *field.BoxData) error {
 	if d == nil || d.Box.IsEmpty() {
 		return fmt.Errorf("%w: empty block", ErrBadBlock)
+	}
+	return checkShape(d.Box, d.NComp)
+}
+
+// checkShape reports, as ErrBadBlock, a box and component count outside the
+// wire format's bounds: 1..64 components and at most maxWireCells cells.
+// Each extent is bounded before multiplying: three ~2^31 extents overflow
+// the int64 cell product, so NumCells alone cannot be trusted on wire input.
+func checkShape(box grid.Box, ncomp int) error {
+	sz := box.Size()
+	nx, ny, nz := int64(sz.X), int64(sz.Y), int64(sz.Z)
+	if box.IsEmpty() || ncomp < 1 || ncomp > 64 ||
+		nx > maxWireCells || ny > maxWireCells || nz > maxWireCells ||
+		nx*ny > maxWireCells || nx*ny*nz > maxWireCells {
+		return fmt.Errorf("%w: box %v ncomp %d", ErrBadBlock, box, ncomp)
+	}
+	return nil
+}
+
+// littleEndianHost reports whether this host lays a float64 out in memory
+// as the wire's little-endian word, so that a block's values and their wire
+// bytes are the same bytes.
+var littleEndianHost = binary.NativeEndian.Uint16([]byte{1, 0}) == 1
+
+// valueBytes views vals' memory as bytes, so the codec moves a payload with
+// one copy. The view aliases the block's values, which may be stored data:
+// it never outlives the call that takes it, and it is only copied from or
+// into. No io.Writer or io.Reader ever sees it: writers get the pooled
+// chunk, which io.Writer's contract already forbids them to retain.
+func valueBytes(vals []float64) []byte {
+	return unsafe.Slice((*byte)(unsafe.Pointer(unsafe.SliceData(vals))), 8*len(vals))
+}
+
+// swapWords reverses the byte order of every 8-byte word in b, whose length
+// is a multiple of 8. On a big-endian host it turns native float64 bytes
+// into wire bytes and back.
+func swapWords(b []byte) {
+	for i := 0; i+8 <= len(b); i += 8 {
+		binary.LittleEndian.PutUint64(b[i:], binary.BigEndian.Uint64(b[i:]))
+	}
+}
+
+// EncodeBlock writes d to w in wire format. The values are copied into the
+// pooled chunk as bytes, with no per-value conversion (a big-endian host
+// then swaps each word in the chunk); d itself is never written to.
+func EncodeBlock(w io.Writer, d *field.BoxData) error {
+	if err := checkBlock(d); err != nil {
+		return err
 	}
 	chunk := chunkPool.Get().(*[codecChunk]byte)
 	defer chunkPool.Put(chunk)
@@ -109,8 +160,9 @@ func EncodeBlock(w io.Writer, d *field.BoxData) error {
 			}
 			k := min(len(vals), (codecChunk-n)/8)
 			out := chunk[n : n+8*k]
-			for i, v := range vals[:k] {
-				binary.LittleEndian.PutUint64(out[8*i:], math.Float64bits(v))
+			copy(out, valueBytes(vals[:k]))
+			if !littleEndianHost {
+				swapWords(out)
 			}
 			n, vals = n+8*k, vals[k:]
 		}
@@ -127,11 +179,13 @@ func EncodeBlock(w io.Writer, d *field.BoxData) error {
 }
 
 // DecodeBlock reads one wire-format block from r. It reads the payload a
-// chunk at a time, checksumming each chunk and converting it straight into
-// the block's values. The values are allocated up front only up to
-// decodeUpfront and grow geometrically past it as bytes arrive, so a corrupt
-// header claiming a huge box cannot force an allocation larger than a small
-// multiple of the bytes the stream actually carries.
+// chunk at a time: each chunk is read, checksummed, and only then copied
+// into the block's values in one copy (plus a per-word byte swap on a
+// big-endian host). The values are allocated up front only up to
+// decodeUpfront and grow geometrically past it as bytes arrive, never ahead
+// of them, so a corrupt header claiming a huge box cannot force an
+// allocation larger than a small multiple of the bytes the stream actually
+// carries.
 func DecodeBlock(r io.Reader) (*field.BoxData, error) {
 	chunk := chunkPool.Get().(*[codecChunk]byte)
 	defer chunkPool.Put(chunk)
@@ -144,14 +198,8 @@ func DecodeBlock(r io.Reader) (*field.BoxData, error) {
 	}
 	box := getBox(hdr[4:])
 	ncomp := int(binary.LittleEndian.Uint32(hdr[28:]))
-	// Bound each extent before multiplying: three ~2^31 extents overflow the
-	// int64 cell product, so NumCells alone cannot be trusted on wire input.
-	sz := box.Size()
-	nx, ny, nz := int64(sz.X), int64(sz.Y), int64(sz.Z)
-	if box.IsEmpty() || ncomp < 1 || ncomp > 64 ||
-		nx > maxWireCells || ny > maxWireCells || nz > maxWireCells ||
-		nx*ny > maxWireCells || nx*ny*nz > maxWireCells {
-		return nil, fmt.Errorf("%w: box %v ncomp %d", ErrBadBlock, box, ncomp)
+	if err := checkShape(box, ncomp); err != nil {
+		return nil, err
 	}
 	total := int(int64(ncomp) * box.NumCells())
 	vals := make([]float64, 0, min(total, decodeUpfront/8))
@@ -166,9 +214,10 @@ func DecodeBlock(r io.Reader) (*field.BoxData, error) {
 		if len(vals)+k > cap(vals) {
 			vals = append(make([]float64, 0, min(total, 2*cap(vals))), vals...)
 		}
-		out := vals[len(vals) : len(vals)+k]
-		for i := range out {
-			out[i] = math.Float64frombits(binary.LittleEndian.Uint64(in[8*i:]))
+		out := valueBytes(vals[len(vals) : len(vals)+k])
+		copy(out, in)
+		if !littleEndianHost {
+			swapWords(out)
 		}
 		vals = vals[:len(vals)+k]
 	}

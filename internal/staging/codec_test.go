@@ -3,6 +3,7 @@ package staging
 import (
 	"bytes"
 	"encoding/binary"
+	"errors"
 	"fmt"
 	"hash/crc32"
 	"io"
@@ -259,6 +260,119 @@ func TestCodecMatchesReference(t *testing.T) {
 	for _, bad := range []*field.BoxData{nil, {Box: grid.Box{Lo: grid.IV(1, 1, 1)}, NComp: 1}} {
 		if g, w := EncodeBlock(io.Discard, bad), refEncodeBlock(io.Discard, bad); fmt.Sprint(g) != fmt.Sprint(w) {
 			t.Errorf("encode of an empty block: %v, reference %v", g, w)
+		}
+	}
+}
+
+// TestSwapWordsMatchesBigEndian checks the big-endian host's half of the
+// codec on any host: swapping each word of a little-endian image of
+// codecShapes' bit patterns gives binary.BigEndian's image of the same
+// values, and swapping again gives the original back.
+func TestSwapWordsMatchesBigEndian(t *testing.T) {
+	rng := rand.New(rand.NewSource(34))
+	for _, s := range codecShapes {
+		d := bitsBlock(rng, grid.IV(0, 0, 0), s.size, s.ncomp)
+		var le, be []byte
+		for c := 0; c < d.NComp; c++ {
+			for _, v := range d.Comp(c) {
+				le = binary.LittleEndian.AppendUint64(le, math.Float64bits(v))
+				be = binary.BigEndian.AppendUint64(be, math.Float64bits(v))
+			}
+		}
+		img := append([]byte(nil), le...)
+		swapWords(img)
+		if !bytes.Equal(img, be) {
+			t.Fatalf("%v×%d: swapped words differ from binary.BigEndian", s.size, s.ncomp)
+		}
+		swapWords(img)
+		if !bytes.Equal(img, le) {
+			t.Fatalf("%v×%d: swapping twice does not round-trip", s.size, s.ncomp)
+		}
+	}
+}
+
+// TestEncodeLeavesSourceUntouched pins that encoding reads the block and
+// never writes it: the codec's byte view aliases the block's values, which
+// in a Space are stored data.
+func TestEncodeLeavesSourceUntouched(t *testing.T) {
+	rng := rand.New(rand.NewSource(35))
+	for _, s := range codecShapes {
+		d := bitsBlock(rng, grid.IV(1, 2, 3), s.size, s.ncomp)
+		before := d.Clone()
+		if err := EncodeBlock(io.Discard, d); err != nil {
+			t.Fatal(err)
+		}
+		if !sameBits(d, before) {
+			t.Fatalf("%v×%d: EncodeBlock changed the block it encoded", s.size, s.ncomp)
+		}
+	}
+}
+
+// TestUnwireableBlockIsNeverAcked holds every put path to the wire format's
+// shape bounds: a block with more components than the format carries fails
+// with ErrBadBlock before anything is stored or sent, so a durable space
+// never acknowledges a block its own recovery would refuse, and a pool
+// never blames an endpoint for the caller's block.
+func TestUnwireableBlockIsNeverAcked(t *testing.T) {
+	bad := field.New(grid.BoxFromSize(grid.IV(0, 0, 0), grid.IV(2, 2, 2)), 65)
+	good := block(grid.IV(0, 0, 0), 8, 1)
+	if err := EncodeBlock(io.Discard, bad); !errors.Is(err, ErrBadBlock) {
+		t.Fatalf("encode of a 65-component block = %v, want ErrBadBlock", err)
+	}
+
+	dir := t.TempDir()
+	sp := persistSpace(t, dir)
+	if err := sp.Put("rho", 0, bad); !errors.Is(err, ErrBadBlock) {
+		t.Fatalf("durable Space.Put = %v, want ErrBadBlock", err)
+	}
+	if sp.MemUsed() != 0 {
+		t.Fatalf("rejected put stored %d bytes", sp.MemUsed())
+	}
+	if err := sp.Put("rho", 1, good); err != nil {
+		t.Fatal(err)
+	}
+	if err := sp.ClosePersist(); err != nil {
+		t.Fatal(err)
+	}
+	back, _ := recoverSpace(t, dir)
+	assertSameContent(t, sp, back)
+
+	srvSpace := NewSpace(1, 0, dom())
+	srv, err := ServeOptions("127.0.0.1:0", srvSpace, ServerOptions{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer srv.Close()
+	cl, err := Dial(srv.Addr())
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer cl.Close()
+	for name, put := range map[string]func(string, int, *field.BoxData) error{"Put": cl.Put, "PutRepair": cl.PutRepair} {
+		if err := put("rho", 0, bad); !errors.Is(err, ErrBadBlock) {
+			t.Fatalf("Client.%s = %v, want ErrBadBlock", name, err)
+		}
+	}
+	if retries, reconnects := cl.TransportStats(); retries != 0 || reconnects != 0 {
+		t.Fatalf("rejected puts cost %d retries, %d reconnects", retries, reconnects)
+	}
+	if err := cl.Put("rho", 1, good); err != nil || srvSpace.MemUsed() != good.Bytes() {
+		t.Fatalf("put after the rejections = %v, server holds %d bytes", err, srvSpace.MemUsed())
+	}
+
+	rig := newPoolRig(t, 3, 2)
+	if err := rig.pool.Put("rho", 0, bad); !errors.Is(err, ErrBadBlock) {
+		t.Fatalf("Pool.Put = %v, want ErrBadBlock", err)
+	}
+	if h, n := rig.pool.HealthyEndpoints(); h != n {
+		t.Fatalf("a rejected put left %d of %d endpoints healthy", h, n)
+	}
+	if retries, _ := rig.pool.TransportStats(); retries != 0 {
+		t.Fatalf("a rejected put cost %d retries", retries)
+	}
+	for i, s := range rig.spaces {
+		if s.MemUsed() != 0 {
+			t.Fatalf("server %d holds %d bytes after a rejected put", i, s.MemUsed())
 		}
 	}
 }

@@ -765,8 +765,13 @@ func (p *Pool) suspect(ep *endpoint) bool {
 // Replicas−1 endpoints in ring order get copies under the shard's replica
 // variable. The replica-set writes are submitted together and joined; the
 // put succeeds when at least one endpoint stored the block, and only a block
-// with no surviving replica at all is a failure.
+// with no surviving replica at all is a failure. A block the wire format
+// cannot carry fails with ErrBadBlock before any endpoint sees it, so it
+// never counts against an endpoint's health.
 func (p *Pool) Put(varName string, version int, d *field.BoxData) error {
+	if err := checkBlock(d); err != nil {
+		return err
+	}
 	varName, err := p.scoped(varName)
 	if err != nil {
 		return err

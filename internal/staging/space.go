@@ -112,8 +112,10 @@ func (sp *Space) Put(varName string, version int, d *field.BoxData) error {
 // stays fixed across its retries, making replays after a lost response
 // idempotent. Seq NoSeq always appends (plain Put).
 func (sp *Space) PutSeq(varName string, version int, seq int64, d *field.BoxData) error {
-	if d == nil || d.Box.IsEmpty() {
-		return errors.New("staging: empty block")
+	// A block the wire format cannot carry would be logged and acked, then
+	// refused by recovery: reject it before anything is stored.
+	if err := checkBlock(d); err != nil {
+		return err
 	}
 	tenant := TenantOf(varName)
 	sp.opMu.RLock()

@@ -1094,8 +1094,7 @@ func (c *Client) readStatus() (byte, error) {
 // logical put with a sequence number fixed across its retries, so a replay
 // after a lost response replaces the stored block instead of duplicating it.
 func (c *Client) Put(varName string, version int, d *field.BoxData) error {
-	seq := c.seqBase + c.seq.Add(1)
-	return c.do(func() error { return c.put(varName, version, seq, d) })
+	return c.put(varName, version, c.seqBase+c.seq.Add(1), d)
 }
 
 // PutRepair stores a block restored by the pool's anti-entropy repair. The
@@ -1104,11 +1103,23 @@ func (c *Client) Put(varName string, version int, d *field.BoxData) error {
 // replaces the restored copy instead of duplicating it, while the unique
 // magnitude keeps retries idempotent.
 func (c *Client) PutRepair(varName string, version int, d *field.BoxData) error {
-	seq := -(c.seqBase + c.seq.Add(1))
-	return c.do(func() error { return c.put(varName, version, seq, d) })
+	return c.put(varName, version, -(c.seqBase + c.seq.Add(1)), d)
 }
 
+// put runs one logical put under the retry policy. A block the wire format
+// cannot carry is the caller's error, not the link's: it fails with
+// ErrBadBlock before the request header goes out and is not retried. (A
+// response that fails to decode is ErrBadBlock too, but that is a damaged
+// stream, which do drops and retries.)
 func (c *Client) put(varName string, version int, seq int64, d *field.BoxData) error {
+	if err := checkBlock(d); err != nil {
+		return err
+	}
+	return c.do(func() error { return c.sendPut(varName, version, seq, d) })
+}
+
+// sendPut writes one put request and reads its status.
+func (c *Client) sendPut(varName string, version int, seq int64, d *field.BoxData) error {
 	if err := c.writeHeader(opPut, varName, version); err != nil {
 		return err
 	}
