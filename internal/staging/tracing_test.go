@@ -9,6 +9,7 @@ import (
 	"time"
 
 	"crosslayer/internal/faultnet"
+	"crosslayer/internal/field"
 	"crosslayer/internal/grid"
 	"crosslayer/internal/obs/span"
 )
@@ -318,6 +319,41 @@ func TestPoolSpansTreeShape(t *testing.T) {
 			if spans[i] != again[i] {
 				t.Fatalf("conc=%d: span %d differs across runs:\n%+v\n%+v", conc, i, spans[i], again[i])
 			}
+		}
+	}
+}
+
+// TestPoolSpanDrainOrdersTiedPuts puts two blocks that share a low corner —
+// so the same Morton key — but route to different primaries, in both
+// arrival orders. The concurrent drain must emit the same log either way:
+// the primary breaks the tie, not the goroutine that finished first.
+func TestPoolSpanDrainOrdersTiedPuts(t *testing.T) {
+	small := block(grid.IV(0, 0, 0), 2, 1)
+	long := field.New(grid.BoxFromSize(grid.IV(0, 0, 0), grid.IV(200, 2, 2)), 1)
+	runOnce := func(blocks ...*field.BoxData) []span.Span {
+		sink := &span.MemSink{}
+		scope := span.NewTracer(sink, "tied-puts").Begin(span.Ctx{}, "ship", span.LayerStagingExec, 0)
+		rig := newPoolRigConc(t, 3, 2, 4)
+		if a, b := rig.pool.route(small.Box), rig.pool.route(long.Box); a == b {
+			t.Fatalf("both blocks route to endpoint %d", a)
+		}
+		rig.pool.SetSpanScope(scope)
+		for _, b := range blocks {
+			if err := rig.pool.Put("rho", 0, b); err != nil {
+				t.Fatal(err)
+			}
+		}
+		rig.pool.DrainSpans()
+		scope.End()
+		return sink.Spans()
+	}
+	ab, ba := runOnce(small, long), runOnce(long, small)
+	if len(ab) != len(ba) {
+		t.Fatalf("span counts differ: %d vs %d", len(ab), len(ba))
+	}
+	for i := range ab {
+		if ab[i] != ba[i] {
+			t.Fatalf("span %d depends on put order:\n%+v\n%+v", i, ab[i], ba[i])
 		}
 	}
 }
