@@ -119,22 +119,6 @@ func (t *rejoinSink) Flush() error {
 	return nil
 }
 
-// tenantStore scopes the workflow's data operations to the workflow tenant
-// while keeping the pool-level span and event faces. TenantView omits those
-// faces on purpose — a tenant of an arbitrarily shared pool does not own
-// the pool's drain points — but the chaos harness is a single-driver shape:
-// the one workflow's step barrier is exactly where the shared pool's
-// buffered events and spans must drain, or the op spans lose their phase
-// parents and the concurrent path loses its deterministic drain order.
-type tenantStore struct {
-	*staging.TenantView
-	pool *staging.Pool
-}
-
-func (t tenantStore) SetSpanScope(c span.Ctx) { t.pool.SetSpanScope(c) }
-func (t tenantStore) DrainEvents()            { t.pool.DrainEvents() }
-func (t tenantStore) DrainSpans()             { t.pool.DrainSpans() }
-
 // harness is the per-run state the invariant checks read. On a crash
 // schedule the run spans two driver "processes"; wf, pool and reg always
 // point at the current one, and resumeBase is the first step the resumed
@@ -151,10 +135,8 @@ type harness struct {
 	planHas     map[policy.Mechanism]bool
 
 	// probe is where probePut writes: the pool itself, or the probe
-	// tenant's view of it on two-tenant schedules.
-	probe interface {
-		Put(varName string, version int, d *field.BoxData) error
-	}
+	// tenant's handle on it on two-tenant schedules.
+	probe *staging.Pool
 
 	// dataDead marks endpoints whose backing state is known lost (killed)
 	// and not yet restored by a rejoin repair. Wipes deliberately do NOT
@@ -390,22 +372,20 @@ func (h *harness) drive(logBuf, spanBuf, jbuf *bytes.Buffer, domain grid.Box, ad
 	if err != nil {
 		return core.Result{}, err
 	}
-	h.pool = pool
-	h.probe = pool
-	var store core.StagingStore = pool
-	wfTen := ""
+	// On the two-tenant shape the workflow and the probes each get a
+	// tenant handle on the pool; the workflow's step barrier drains the
+	// shared pool through its handle.
+	h.pool, h.probe = pool, pool
+	store, wfTen := pool, ""
 	if s.Tenants == 2 {
-		wfView, err := pool.Tenant(wfTenant)
+		wfTen = wfTenant
+		if store, err = pool.Tenant(wfTenant); err == nil {
+			h.probe, err = pool.Tenant(probeTenant)
+		}
 		if err != nil {
 			pool.Close()
-			return core.Result{}, fmt.Errorf("chaos: tenant view: %w", err)
+			return core.Result{}, fmt.Errorf("chaos: tenant handle: %w", err)
 		}
-		probeView, err := pool.Tenant(probeTenant)
-		if err != nil {
-			pool.Close()
-			return core.Result{}, fmt.Errorf("chaos: tenant view: %w", err)
-		}
-		store, h.probe, wfTen = tenantStore{wfView, pool}, probeView, wfTenant
 	}
 
 	// The write-ahead journal rides every run, crash or not, so the
@@ -624,7 +604,7 @@ func (h *harness) updateLossArmed() {
 }
 
 // probePut stores this step's tracer blocks — through the probe tenant's
-// view on two-tenant schedules. Failures are tolerated: a full outage, a
+// handle on two-tenant schedules. Failures are tolerated: a full outage, a
 // memory squeeze, or the probe tenant's quota legitimately rejects puts,
 // and the pool records only successful puts in the manifest the audit
 // checks.

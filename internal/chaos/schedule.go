@@ -150,10 +150,10 @@ type Schedule struct {
 	Restarts []Restart `json:"restarts,omitempty"`
 
 	// Tenants, when 2, runs the multi-tenant shape: the workflow's staging
-	// traffic is scoped to tenant "t0" through a TenantView of the shared
-	// pool while the harness's durability probes write as tenant "t1" — two
-	// namespaces sharing every server under whatever faults the schedule
-	// throws. 0 (and 1) keep the historical single-tenant shape.
+	// traffic is scoped to tenant "t0" through a tenant handle on the shared
+	// pool (Pool.Tenant) while the harness's durability probes write as
+	// tenant "t1" through another — two namespaces sharing every server, and
+	// one pool, under whatever faults the schedule throws. 0 (and 1) keep the historical single-tenant shape.
 	Tenants int `json:"tenants,omitempty"`
 
 	// QuotaBytes, when > 0 (requires Tenants == 2), caps the probe tenant's

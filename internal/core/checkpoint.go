@@ -43,7 +43,8 @@ func (w *Workflow) writeCheckpoint(rec StepRecord) {
 	}
 	var manifestBytes []byte
 	entries := 0
-	if man, ok := manifestOf(w.store); ok {
+	if w.pooled != nil {
+		man := w.pooled.Manifest()
 		entries = len(man.Entries)
 		var err error
 		if manifestBytes, err = staging.EncodeManifest(man); err != nil {
@@ -197,23 +198,22 @@ func (w *Workflow) resume(rec *journal.Recovered, opts ResumeOptions) error {
 		w.runSpanSeq = cp.RunSpanSeq
 		w.runCtx = w.tracer.Adopt("run", span.LayerRun, span.StepUnset, cp.RunSpanSeq, 0)
 		w.tracer.SetAmbient(w.runCtx)
-		setSpanScopeOf(w.store, w.runCtx)
+		w.setSpanScope(w.runCtx)
 	}
 
 	// Re-arm the staging store's content manifest and audit the survivors:
 	// the resumed pool must keep covering pre-crash data in rejoin repair
 	// and durability checks.
 	if len(cp.Manifest) > 0 {
-		m, ok := w.store.(manifester)
-		if !ok {
+		if w.pooled == nil {
 			return fmt.Errorf("core: journal carries a staging manifest but the store tracks none")
 		}
 		man, err := staging.DecodeManifest(cp.Manifest)
 		if err != nil {
 			return fmt.Errorf("core: checkpoint manifest: %w", err)
 		}
-		m.RestoreManifest(man)
-		w.resumeAuditMissing = m.Audit(man)
+		w.pooled.RestoreManifest(man)
+		w.resumeAuditMissing = w.pooled.Audit(man)
 	}
 	if w.met != nil {
 		w.met.journalResumes.Inc()

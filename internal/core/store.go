@@ -26,38 +26,6 @@ type transportStats interface {
 	TransportStats() (retries, reconnects int64)
 }
 
-// endpointHealth is the optional health face of a StagingStore: a
-// replicated staging pool reports how many of its endpoints are in
-// rotation. The workflow scales the monitored staging capacity by this
-// fraction, so the resource and middleware layers adapt to lost servers
-// instead of planning against capacity that no longer exists.
-type endpointHealth interface {
-	HealthyEndpoints() (healthy, total int)
-}
-
-// eventDrainer is the optional event face of a StagingStore: a concurrent
-// staging pool buffers its endpoint-level events while operations are in
-// flight and flushes them, deterministically ordered, when the workflow
-// calls DrainEvents at the step barrier.
-type eventDrainer interface {
-	DrainEvents()
-}
-
-// spaceStore adapts the in-process Space to the StagingStore interface.
-type spaceStore struct{ sp *staging.Space }
-
-func (s spaceStore) Put(varName string, version int, d *field.BoxData) error {
-	return s.sp.Put(varName, version, d)
-}
-
-func (s spaceStore) GetBlocks(varName string, version int, region grid.Box) ([]*field.BoxData, error) {
-	return s.sp.GetBlocks(varName, version, region)
-}
-
-func (s spaceStore) DropBefore(varName string, version int) (int64, error) {
-	return s.sp.DropBefore(varName, version), nil
-}
-
 // transportStatsOf reads the store's counters when it has any.
 func transportStatsOf(store StagingStore) (retries, reconnects int64) {
 	if ts, ok := store.(transportStats); ok {
@@ -66,66 +34,30 @@ func transportStatsOf(store StagingStore) (retries, reconnects int64) {
 	return 0, 0
 }
 
-// drainEventsOf flushes the store's buffered events when it has any.
-func drainEventsOf(store StagingStore) {
-	if d, ok := store.(eventDrainer); ok {
-		d.DrainEvents()
-	}
-}
-
-// endpointHealthOf reads the store's endpoint health; (0, 0) means the
-// store does not track endpoints (in-process space, single client).
-func endpointHealthOf(store StagingStore) (healthy, total int) {
-	if eh, ok := store.(endpointHealth); ok {
-		return eh.HealthyEndpoints()
-	}
-	return 0, 0
-}
-
-// manifester is the optional durability face of a StagingStore: a
-// replicated staging pool snapshots its content manifest (journaled at
-// every step barrier), re-arms it on resume, and audits the survivors
-// against it. Stores without one (the in-process space, a single client)
-// checkpoint an empty manifest and skip the resume audit.
-type manifester interface {
+// replicated is the contract of a replicated staging store — a
+// staging.Pool handle, or a store wrapping one — which buildWorkflow
+// asserts once. The workflow scales the monitored staging capacity by the
+// pool's healthy-endpoint fraction, so the resource and middleware layers
+// adapt to lost servers; parents pool-op spans under the phase span it
+// installs; flushes the events and spans a concurrent pool buffers, in
+// deterministic order, at each step barrier; and journals the pool's content
+// manifest at every barrier, re-arming and auditing it on resume. Stores
+// without it (the in-process space, a single client) track no endpoints,
+// buffer nothing, and checkpoint an empty manifest.
+type replicated interface {
+	StagingStore
+	HealthyEndpoints() (healthy, total int)
+	SetSpanScope(span.Ctx)
+	DrainEvents()
+	DrainSpans()
 	Manifest() staging.Manifest
 	RestoreManifest(staging.Manifest)
 	Audit(m staging.Manifest) (missing int)
 }
 
-// manifestOf snapshots the store's content manifest; ok is false when the
-// store does not track one.
-func manifestOf(store StagingStore) (staging.Manifest, bool) {
-	if m, ok := store.(manifester); ok {
-		return m.Manifest(), true
-	}
-	return staging.Manifest{}, false
-}
-
-// spanScoped is the optional tracing face of a StagingStore: a staging pool
-// parents its per-op spans under the phase span the workflow installs and
-// stamps the trace context onto the wire for traced servers.
-type spanScoped interface {
-	SetSpanScope(span.Ctx)
-}
-
-// spanDrainer flushes pool-op spans buffered by a concurrent data path,
-// deterministically ordered; the workflow calls it at each step barrier
-// while the step's phase spans are still open.
-type spanDrainer interface {
-	DrainSpans()
-}
-
-// setSpanScopeOf installs the phase span on stores that trace.
-func setSpanScopeOf(store StagingStore, c span.Ctx) {
-	if s, ok := store.(spanScoped); ok {
-		s.SetSpanScope(c)
-	}
-}
-
-// drainSpansOf flushes the store's buffered spans when it has any.
-func drainSpansOf(store StagingStore) {
-	if d, ok := store.(spanDrainer); ok {
-		d.DrainSpans()
+// setSpanScope points a replicated store's op spans at c.
+func (w *Workflow) setSpanScope(c span.Ctx) {
+	if w.pooled != nil {
+		w.pooled.SetSpanScope(c)
 	}
 }

@@ -87,7 +87,8 @@ type Config struct {
 	// operation returns staging.ErrStagingUnavailable the step degrades
 	// gracefully to in-situ execution (placement_reason=staging_failure)
 	// and the engine holds placement in-situ for StagingFailureCooldown
-	// steps. Nil keeps the in-process space.
+	// steps. A staging.Pool handle, or a store wrapping one, is also driven
+	// as a replicated store (see replicated). Nil keeps the in-process space.
 	Staging StagingStore
 
 	// StagingFailureCooldown is how many extra steps placement stays
@@ -135,11 +136,12 @@ type Config struct {
 	Metrics *obs.Registry
 
 	// Tenant names the namespace this workflow's staging traffic runs in
-	// when its store is tenant-scoped (a staging.Pool with
-	// PoolOptions.Tenant, or a staging.TenantView of a shared pool). The
-	// engine stamps it into every emitted event so shared-pool runs
-	// attribute their streams by tenant; it does not itself qualify
-	// variable names — the store does. Empty = single-tenant (the
+	// when its store is a tenant handle on a pool (PoolOptions.Tenant or
+	// Pool.Tenant). The engine stamps it into every emitted event so
+	// shared-pool runs attribute their streams by tenant; the handle, not
+	// the engine, qualifies variable names. A handle's drains and span scope
+	// act on the whole pool, so workflows sharing one pool concurrently
+	// should run it inline and untraced. Empty = single-tenant (the
 	// historical behavior, with byte-identical logs).
 	Tenant string
 
@@ -193,6 +195,7 @@ type Workflow struct {
 	sim    solver.Simulation
 	svc    analysis.Service
 	store  StagingStore // where in-transit data goes (space or remote client)
+	pooled replicated   // store as a replicated pool; nil for any other store
 	mon    *monitor.Monitor
 	engine *Engine
 
@@ -267,8 +270,9 @@ func buildWorkflow(cfg Config, sim solver.Simulation, rec *journal.Recovered, op
 	w.store = c.Staging
 	if w.store == nil {
 		// The in-process space exists only when it is the store.
-		w.store = spaceStore{staging.NewSpace(1, 0, sim.Hierarchy().Cfg.Domain)}
+		w.store = staging.NewSpace(1, 0, sim.Hierarchy().Cfg.Domain)
 	}
+	w.pooled, _ = w.store.(replicated)
 	w.engine = NewEngine(c)
 	if !c.Enable.Resource {
 		w.pool.Resize(c.StagingCores) // static allocation keeps the full pool
@@ -309,7 +313,7 @@ func buildWorkflow(cfg Config, sim solver.Simulation, rec *journal.Recovered, op
 		w.runCtx = w.tracer.Begin(span.Ctx{}, "run", span.LayerRun, span.StepUnset)
 		w.runSpanSeq = w.tracer.Seq()
 		w.tracer.SetAmbient(w.runCtx)
-		setSpanScopeOf(w.store, w.runCtx)
+		w.setSpanScope(w.runCtx)
 	}
 	return w, nil
 }
@@ -327,7 +331,9 @@ func (w *Workflow) Close() error {
 	// the closers release the tracer's sink, so the log always holds a
 	// complete tree.
 	if w.runCtx.Enabled() {
-		drainSpansOf(w.store)
+		if w.pooled != nil {
+			w.pooled.DrainSpans()
+		}
 		w.runCtx.End()
 		w.runCtx = span.Ctx{}
 	}
@@ -463,7 +469,10 @@ func (w *Workflow) Step() StepRecord {
 	}
 	coresPerRank := float64(w.cfg.SimCores) / float64(h.Cfg.NRanks)
 	maxRankData := int64(float64(w.scale(maxRankCells*8)) / coresPerRank)
-	healthy, totalEps := endpointHealthOf(w.store)
+	var healthy, totalEps int // 0 of 0: the store tracks no endpoints
+	if w.pooled != nil {
+		healthy, totalEps = w.pooled.HealthyEndpoints()
+	}
 	sample := monitor.Sample{
 		Step:                    w.step,
 		SimSeconds:              simSecs,
@@ -499,12 +508,14 @@ func (w *Workflow) Step() StepRecord {
 	// land inside their parent's interval; the pool then re-parents under
 	// the run span for any out-of-step work (probe puts, rejoin repair).
 	barrier := w.tracer.Begin(w.stepCtx, "barrier", span.LayerBarrier, w.step)
-	drainEventsOf(w.store)
-	drainSpansOf(w.store)
+	if w.pooled != nil {
+		w.pooled.DrainEvents()
+		w.pooled.DrainSpans()
+	}
 	if w.shipCtx.Enabled() {
 		w.shipCtx.End()
 		w.shipCtx = span.Ctx{}
-		setSpanScopeOf(w.store, w.runCtx)
+		w.setSpanScope(w.runCtx)
 	}
 	barrier.End()
 
@@ -820,7 +831,7 @@ func (w *Workflow) beginShipPhase() {
 		return
 	}
 	w.shipCtx = w.tracer.Begin(w.stepCtx, "ship", span.LayerStagingExec, w.step)
-	setSpanScopeOf(w.store, w.shipCtx)
+	w.setSpanScope(w.shipCtx)
 }
 
 // beginShip starts shipping one version's blocks into the staging store.

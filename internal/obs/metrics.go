@@ -31,6 +31,14 @@ func (c *Counter) Add(v float64) {
 	atomicAddFloat(&c.bits, v)
 }
 
+// Retract takes back v that was counted ahead of the event it tallies — the
+// unwritten tail of a write counted before the write came up short.
+func (c *Counter) Retract(v float64) {
+	if v > 0 {
+		atomicAddFloat(&c.bits, -v)
+	}
+}
+
 // Value returns the current count.
 func (c *Counter) Value() float64 { return math.Float64frombits(c.bits.Load()) }
 

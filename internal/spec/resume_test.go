@@ -15,7 +15,7 @@ import (
 // resumeSpec renders one journaled-run spec with per-test artifact paths.
 // Concurrency 1 keeps the Deterministic contract, which is what the
 // byte-identity assertions below rely on.
-func resumeSpec(dir string, steps int, resume bool) string {
+func resumeSpec(dir string, steps int, resume bool, tenant string) string {
 	return fmt.Sprintf(`{
 		"application": "advection-diffusion",
 		"domain": [16, 16, 16],
@@ -24,12 +24,13 @@ func resumeSpec(dir string, steps int, resume bool) string {
 		"staging_tcp": true,
 		"staging_servers": 3,
 		"staging_replicas": 2,
+		"tenant": %q,
 		"steps": %d,
 		"events": %q,
 		"spans": %q,
 		"journal": %q,
 		"resume": %t
-	}`, steps,
+	}`, tenant, steps,
 		filepath.Join(dir, "events.jsonl"),
 		filepath.Join(dir, "spans.jsonl"),
 		filepath.Join(dir, "run.journal"),
@@ -101,12 +102,18 @@ func runResume(t *testing.T, specJSON string, totalSteps int) {
 // TestSpecResumeByteIdentical is the tentpole acceptance check at the spec
 // level: a seeded concurrency-1 run killed after any step barrier and
 // resumed must produce event and span logs byte-identical to the same run
-// left uninterrupted.
+// left uninterrupted — untenanted, and in tenant "t0"'s namespace, where the
+// resume re-arms a tenant handle's manifest.
 func TestSpecResumeByteIdentical(t *testing.T) {
+	checkResumeByteIdentical(t, "")
+	t.Run("tenant=t0", func(t *testing.T) { checkResumeByteIdentical(t, "t0") })
+}
+
+func checkResumeByteIdentical(t *testing.T, tenant string) {
 	const steps = 5
 
 	goldenDir := t.TempDir()
-	runSteps(t, resumeSpec(goldenDir, steps, false), steps, true)
+	runSteps(t, resumeSpec(goldenDir, steps, false, tenant), steps, true)
 	goldenEvents, err := os.ReadFile(filepath.Join(goldenDir, "events.jsonl"))
 	if err != nil {
 		t.Fatal(err)
@@ -123,8 +130,8 @@ func TestSpecResumeByteIdentical(t *testing.T) {
 		kill := kill
 		t.Run(fmt.Sprintf("killAfterStep%d", kill-1), func(t *testing.T) {
 			dir := t.TempDir()
-			runSteps(t, resumeSpec(dir, steps, false), kill, false)
-			runResume(t, resumeSpec(dir, steps, true), steps)
+			runSteps(t, resumeSpec(dir, steps, false, tenant), kill, false)
+			runResume(t, resumeSpec(dir, steps, true, tenant), steps)
 
 			events, err := os.ReadFile(filepath.Join(dir, "events.jsonl"))
 			if err != nil {
@@ -221,7 +228,7 @@ func TestSpecResumeValidation(t *testing.T) {
 func TestSpecResumeTornJournalTail(t *testing.T) {
 	const steps = 4
 	dir := t.TempDir()
-	runSteps(t, resumeSpec(dir, steps, false), 3, false)
+	runSteps(t, resumeSpec(dir, steps, false, ""), 3, false)
 
 	journalPath := filepath.Join(dir, "run.journal")
 	data, err := os.ReadFile(journalPath)
@@ -239,7 +246,7 @@ func TestSpecResumeTornJournalTail(t *testing.T) {
 	if err := os.WriteFile(journalPath, data[:len(data)-5], 0o644); err != nil {
 		t.Fatal(err)
 	}
-	w, err := Parse(strings.NewReader(resumeSpec(dir, steps, true)))
+	w, err := Parse(strings.NewReader(resumeSpec(dir, steps, true, "")))
 	if err != nil {
 		t.Fatal(err)
 	}

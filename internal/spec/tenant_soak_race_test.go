@@ -23,7 +23,7 @@ import (
 
 // tenantSoakPool stands up a shared 3-server / 2-replica staging pool, every
 // link behind a seeded faultnet latency plan, and returns it untenanted so
-// the test hands out per-tenant views.
+// the test hands out per-tenant handles.
 func tenantSoakPool(t *testing.T) *staging.Pool {
 	t.Helper()
 	domain := grid.NewBox(grid.IV(0, 0, 0), grid.IV(15, 15, 15))
@@ -110,16 +110,16 @@ func TestMultiTenantSharedPoolSoak(t *testing.T) {
 	)
 
 	// Solo baselines: each tenant alone on a pool of its own (same server
-	// shape, same fault plan, same seed), still through a tenant view.
+	// shape, same fault plan, same seed), still through a tenant handle.
 	solo := make([][]byte, tenants)
 	for i := 0; i < tenants; i++ {
 		tenant := fmt.Sprintf("t%d", i)
 		pool := tenantSoakPool(t)
-		view, err := pool.Tenant(tenant)
+		handle, err := pool.Tenant(tenant)
 		if err != nil {
 			t.Fatal(err)
 		}
-		log, err := runTenantWorkflow(tenant, view, steps)
+		log, err := runTenantWorkflow(tenant, handle, steps)
 		if err != nil {
 			t.Fatalf("solo %s: %v", tenant, err)
 		}
@@ -128,21 +128,21 @@ func TestMultiTenantSharedPoolSoak(t *testing.T) {
 
 	// Shared run: all 8 tenants concurrently over ONE pool.
 	pool := tenantSoakPool(t)
-	views := make([]*staging.TenantView, tenants)
+	handles := make([]*staging.Pool, tenants)
 	logs := make([][]byte, tenants)
 	errs := make([]error, tenants)
 	var wg sync.WaitGroup
 	for i := 0; i < tenants; i++ {
 		tenant := fmt.Sprintf("t%d", i)
-		view, err := pool.Tenant(tenant)
+		handle, err := pool.Tenant(tenant)
 		if err != nil {
 			t.Fatal(err)
 		}
-		views[i] = view
+		handles[i] = handle
 		wg.Add(1)
 		go func(i int, tenant string) {
 			defer wg.Done()
-			logs[i], errs[i] = runTenantWorkflow(tenant, views[i], steps)
+			logs[i], errs[i] = runTenantWorkflow(tenant, handles[i], steps)
 		}(i, tenant)
 	}
 	wg.Wait()
@@ -159,12 +159,12 @@ func TestMultiTenantSharedPoolSoak(t *testing.T) {
 			t.Errorf("%s: shared-pool event log differs from solo run", tenant)
 		}
 		// Every block this tenant's workflow recorded live must still be on
-		// the shared servers, readable through the tenant's own view.
-		if missing := views[i].AuditManifest(); missing != 0 {
+		// the shared servers, readable through the tenant's own handle.
+		if missing := handles[i].AuditManifest(); missing != 0 {
 			t.Errorf("%s: manifest audit missing %d blocks", tenant, missing)
 		}
-		// And the view's manifest must be exactly its own namespace.
-		for _, e := range views[i].Manifest().Entries {
+		// And the handle's manifest must be exactly its own namespace.
+		for _, e := range handles[i].Manifest().Entries {
 			if staging.TenantOf(e.Var) != tenant {
 				t.Errorf("%s: foreign manifest entry %q", tenant, e.Var)
 			}
@@ -173,10 +173,10 @@ func TestMultiTenantSharedPoolSoak(t *testing.T) {
 
 	// The pool-wide manifest is exactly the disjoint union of the tenants'.
 	total := 0
-	for _, v := range views {
-		total += len(v.Manifest().Entries)
+	for _, h := range handles {
+		total += len(h.Manifest().Entries)
 	}
 	if got := len(pool.Manifest().Entries); got != total {
-		t.Errorf("pool manifest has %d entries, tenant views account for %d", got, total)
+		t.Errorf("pool manifest has %d entries, tenant handles account for %d", got, total)
 	}
 }

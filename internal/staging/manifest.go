@@ -52,12 +52,16 @@ func sortEntries(entries []ManifestEntry) {
 	})
 }
 
-// Manifest snapshots the pool's live map, canonically sorted.
+// Manifest snapshots the live map, canonically sorted: the handle's
+// namespace of it on a tenant handle, all of it otherwise.
 func (p *Pool) Manifest() Manifest {
 	p.stateMu.Lock()
 	defer p.stateMu.Unlock()
 	var m Manifest
 	for varName, vs := range p.live {
+		if !p.owns(varName) {
+			continue
+		}
 		for ver, blocks := range vs {
 			m.Entries = append(m.Entries, ManifestEntry{Var: varName, Version: ver, Blocks: blocks})
 		}
@@ -73,11 +77,16 @@ func (p *Pool) Manifest() Manifest {
 // a manifest over state the resumed run already re-recorded never shrinks
 // the audit's expectations. The data itself is not moved: the servers (or
 // their surviving replicas) still hold it, and the existing seq-tagged
-// idempotent puts make any overlapping re-puts harmless.
+// idempotent puts make any overlapping re-puts harmless. A tenant handle
+// skips entries outside its namespace rather than smuggle them across the
+// boundary.
 func (p *Pool) RestoreManifest(m Manifest) {
 	p.stateMu.Lock()
 	defer p.stateMu.Unlock()
 	for _, e := range m.Entries {
+		if !p.owns(e.Var) {
+			continue
+		}
 		vs := p.live[e.Var]
 		if vs == nil {
 			vs = make(map[int]int)
@@ -190,6 +199,7 @@ func DecodeManifest(data []byte) (Manifest, error) {
 // variables directly, bypassing breaker state — a down endpoint is simply
 // unreadable) and counts the shortfall against the recorded block count.
 // It returns the total number of missing blocks; zero means no data loss.
+// A tenant handle audits only the entries in its namespace.
 //
 // Box identity is the audit unit, so the count is meaningful when each box
 // is put once per version (see ManifestEntry.Blocks). Audit is a test and
@@ -198,6 +208,9 @@ func DecodeManifest(data []byte) (Manifest, error) {
 func (p *Pool) Audit(m Manifest) (missing int) {
 	n := len(p.eps)
 	for _, e := range m.Entries {
+		if !p.owns(e.Var) {
+			continue
+		}
 		seen := make(map[string]struct{})
 		for shard := 0; shard < n; shard++ {
 			for j := 0; j < p.replicas; j++ {
@@ -222,7 +235,7 @@ func (p *Pool) Audit(m Manifest) (missing int) {
 	return missing
 }
 
-// AuditManifest audits the pool against its own current manifest.
+// AuditManifest audits the pool against the handle's current manifest.
 func (p *Pool) AuditManifest() (missing int) {
 	return p.Audit(p.Manifest())
 }

@@ -56,8 +56,8 @@ func TestWALAndSnapshotBytesPinned(t *testing.T) {
 	must(sp.PutSeq("t0/u", 1, 3, rampBlock(grid.IV(0, 8, 0), 4, 2, 4)))  // idempotent retry replaces
 	must(sp.PutSeq("rho", 2, -9, rampBlock(grid.IV(16, 0, 0), 4, 1, 5))) // repair-tagged seq
 	must(sp.Put("rho", 2, rampBlock(grid.IV(24, 0, 0), 4, 1, 6)))        // NoSeq
-	if freed := sp.DropBefore("rho", 1); freed == 0 {
-		t.Fatal("DropBefore freed nothing")
+	if freed, err := sp.DropBefore("rho", 1); err != nil || freed == 0 {
+		t.Fatalf("DropBefore = %d, %v", freed, err)
 	}
 	sp.Clear()
 	must(sp.PutSeq("rho", 3, 10, rampBlock(grid.IV(32, 32, 32), 4, 2, 7))) // what the snapshot holds

@@ -318,15 +318,20 @@ func (sp *Space) wipe() {
 
 // DropBefore evicts every block of varName with version < version,
 // returning the bytes freed. The workflow calls this once a version has
-// been fully analyzed.
-func (sp *Space) DropBefore(varName string, version int) int64 {
+// been fully analyzed. On a persisted space the drop is logged before it
+// is acknowledged: a WAL that already failed refuses the drop before
+// anything is evicted, so a retry cannot find nothing to log and succeed.
+func (sp *Space) DropBefore(varName string, version int) (int64, error) {
 	sp.opMu.Lock()
 	defer sp.opMu.Unlock()
+	if sp.dur != nil && sp.dur.err != nil {
+		return 0, sp.dur.err
+	}
 	freed, blocks := sp.dropBefore(varName, version)
 	if sp.dur != nil && blocks > 0 {
-		sp.dur.logDrop(varName, version)
+		return freed, sp.dur.logDrop(varName, version)
 	}
-	return freed
+	return freed, nil
 }
 
 // dropBefore is DropBefore's store half: it evicts the blocks and books

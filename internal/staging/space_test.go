@@ -108,7 +108,7 @@ func TestDropBeforeFreesMemory(t *testing.T) {
 		sp.Put("rho", v, block(grid.IV(32, 32, 32), 4, 1))
 	}
 	used := sp.MemUsed()
-	freed := sp.DropBefore("rho", 2)
+	freed, _ := sp.DropBefore("rho", 2)
 	if freed != used*2/3 {
 		t.Errorf("freed %d, want %d", freed, used*2/3)
 	}

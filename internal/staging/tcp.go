@@ -319,9 +319,13 @@ func (c *countingConn) Read(b []byte) (int, error) {
 	return n, err
 }
 
+// Write counts b before writing it: the peer can read the bytes, and a
+// scrape it sends next can arrive, before Write returns. The unwritten tail
+// of a short write is taken back.
 func (c *countingConn) Write(b []byte) (int, error) {
+	c.out.Add(float64(len(b)))
 	n, err := c.Conn.Write(b)
-	c.out.Add(float64(n))
+	c.out.Retract(float64(len(b) - n))
 	return n, err
 }
 
@@ -769,7 +773,10 @@ func (s *Server) dispatch(op byte, varName string, version int, r *bufio.Reader,
 		return nil
 
 	case opDrop:
-		freed := s.space.DropBefore(varName, version)
+		freed, err := s.space.DropBefore(varName, version)
+		if err != nil {
+			return w.WriteByte(statusBad)
+		}
 		if err := w.WriteByte(statusOK); err != nil {
 			return err
 		}

@@ -3,6 +3,7 @@ package staging
 import (
 	"bytes"
 	"errors"
+	"io"
 	"math"
 	"math/rand"
 	"net"
@@ -11,6 +12,7 @@ import (
 
 	"crosslayer/internal/field"
 	"crosslayer/internal/grid"
+	"crosslayer/internal/obs"
 )
 
 func TestCodecRoundTrip(t *testing.T) {
@@ -280,5 +282,35 @@ func TestCodecSpecialFloats(t *testing.T) {
 	}
 	if math.Signbit(got.Comp(0)[1]) != true || got.Comp(0)[1] != 0 {
 		t.Error("-0.0 not preserved bit-exactly")
+	}
+}
+
+// TestCountingConnCountsBeforeDelivery reads a server-side write from the
+// peer's end of a pipe and checks the bytes-out counter right away: a client
+// that has read its reply and scrapes /metrics next must see the reply
+// counted. A short write takes its unwritten tail back.
+func TestCountingConnCountsBeforeDelivery(t *testing.T) {
+	srv, cli := net.Pipe()
+	c := &countingConn{Conn: srv, in: &obs.Counter{}, out: &obs.Counter{}}
+	done := make(chan error, 1)
+	go func() {
+		_, err := c.Write(make([]byte, 9))
+		done <- err
+	}()
+	if _, err := io.ReadFull(cli, make([]byte, 9)); err != nil {
+		t.Fatal(err)
+	}
+	if got := c.out.Value(); got != 9 {
+		t.Fatalf("bytes out = %v once the peer read the reply, want 9", got)
+	}
+	if err := <-done; err != nil {
+		t.Fatal(err)
+	}
+	cli.Close()
+	if n, err := c.Write(make([]byte, 5)); err == nil || n != 0 {
+		t.Fatalf("write to a closed pipe = %d, %v", n, err)
+	}
+	if got := c.out.Value(); got != 9 {
+		t.Fatalf("bytes out = %v after a failed write, want 9", got)
 	}
 }

@@ -4,9 +4,6 @@ import (
 	"errors"
 	"fmt"
 	"strings"
-
-	"crosslayer/internal/field"
-	"crosslayer/internal/grid"
 )
 
 // Multi-tenant namespaces. A tenant id is prefixed into the wire codec's
@@ -99,109 +96,22 @@ func TenantOf(key string) string {
 	return tenant
 }
 
-// FilterTenant returns the manifest entries belonging to tenant, keeping
-// their qualified variable names. The per-tenant audit of a shared pool
-// runs over this view: Pool.Audit(m.FilterTenant(t)) checks exactly the
-// blocks tenant t recorded, nothing across the namespace boundary.
-func (m Manifest) FilterTenant(tenant string) Manifest {
-	var out Manifest
-	for _, e := range m.Entries {
-		if TenantOf(e.Var) == tenant {
-			out.Entries = append(out.Entries, e)
-		}
-	}
-	return out
-}
-
-// TenantView is one tenant's handle on a shared Pool: every operation is
-// qualified into the tenant's namespace before it reaches the wire, so N
-// concurrently running workflows can share one pool without colliding.
-// It satisfies the workflow's StagingStore contract plus the health,
-// transport-stats, and manifest faces; the event/span drain faces are
-// deliberately absent — those are pool-level and owned by whoever stood
-// the shared pool up, not by any single tenant's step barrier.
-type TenantView struct {
-	p      *Pool
-	tenant string
-}
-
-// Tenant returns a view of the pool scoped to the given tenant id. The
-// pool itself must be untenanted (PoolOptions.Tenant unset): stacking a
-// view on an already-qualified pool would double-prefix every key.
-func (p *Pool) Tenant(id string) (*TenantView, error) {
+// Tenant returns a handle on the same pool scoped to the given tenant id
+// (see Pool): operations through it run in the tenant's namespace, over the
+// pool every other handle shares. The receiver must be untenanted: stacking
+// a tenant on an already-qualified handle would double-prefix every key.
+func (p *Pool) Tenant(id string) (*Pool, error) {
 	if !ValidTenant(id) {
 		return nil, fmt.Errorf("%w: %q", ErrBadTenant, id)
 	}
 	if p.tenant != "" {
 		return nil, fmt.Errorf("staging: pool is already scoped to tenant %q", p.tenant)
 	}
-	return &TenantView{p: p, tenant: id}, nil
+	return &Pool{poolCore: p.poolCore, tenant: id}, nil
 }
 
-// TenantID returns the tenant this view is scoped to.
-func (v *TenantView) TenantID() string { return v.tenant }
-
-func (v *TenantView) qualify(varName string) (string, error) {
-	return TenantVar(v.tenant, varName)
+// owns reports whether a qualified variable name lies in the handle's
+// namespace; an untenanted handle owns the whole pool.
+func (p *Pool) owns(varName string) bool {
+	return p.tenant == "" || TenantOf(varName) == p.tenant
 }
-
-// Put stores a block under the tenant's namespace.
-func (v *TenantView) Put(varName string, version int, d *field.BoxData) error {
-	name, err := v.qualify(varName)
-	if err != nil {
-		return err
-	}
-	return v.p.Put(name, version, d)
-}
-
-// GetBlocks reads the tenant's blocks; other tenants' data is unreachable
-// by construction.
-func (v *TenantView) GetBlocks(varName string, version int, region grid.Box) ([]*field.BoxData, error) {
-	name, err := v.qualify(varName)
-	if err != nil {
-		return nil, err
-	}
-	return v.p.GetBlocks(name, version, region)
-}
-
-// DropBefore evicts the tenant's old versions.
-func (v *TenantView) DropBefore(varName string, version int) (int64, error) {
-	name, err := v.qualify(varName)
-	if err != nil {
-		return 0, err
-	}
-	return v.p.DropBefore(name, version)
-}
-
-// HealthyEndpoints reports the shared pool's endpoint health.
-func (v *TenantView) HealthyEndpoints() (healthy, total int) { return v.p.HealthyEndpoints() }
-
-// TransportStats reports the shared pool's cumulative transport counters.
-func (v *TenantView) TransportStats() (retries, reconnects int64) { return v.p.TransportStats() }
-
-// Manifest snapshots the tenant's slice of the shared pool's live map.
-func (v *TenantView) Manifest() Manifest {
-	return v.p.Manifest().FilterTenant(v.tenant)
-}
-
-// RestoreManifest re-arms the tenant's entries in the shared pool's live
-// map; entries outside the tenant's namespace are rejected rather than
-// silently smuggled across the boundary.
-func (v *TenantView) RestoreManifest(m Manifest) {
-	var own Manifest
-	for _, e := range m.Entries {
-		if TenantOf(e.Var) == v.tenant {
-			own.Entries = append(own.Entries, e)
-		}
-	}
-	v.p.RestoreManifest(own)
-}
-
-// Audit checks the given manifest against the shared pool, restricted to
-// the tenant's namespace.
-func (v *TenantView) Audit(m Manifest) (missing int) {
-	return v.p.Audit(m.FilterTenant(v.tenant))
-}
-
-// AuditManifest audits the tenant's current manifest.
-func (v *TenantView) AuditManifest() (missing int) { return v.p.Audit(v.Manifest()) }

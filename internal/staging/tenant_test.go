@@ -78,6 +78,50 @@ func TestTenantOfUntenanted(t *testing.T) {
 	}
 }
 
+// TestTenantHandleKeepsToItsNamespace checks the namespace rule on both ways
+// of getting a tenant handle — PoolOptions.Tenant and Pool.Tenant: a
+// restored manifest keeps none of another namespace's entries, and an audit
+// skips them, while the untenanted handle still sees the whole pool.
+func TestTenantHandleKeepsToItsNamespace(t *testing.T) {
+	rig := newPoolRig(t, 3, 2)
+	var addrs []string
+	for _, g := range rig.gates {
+		addrs = append(addrs, g.Addr().String())
+	}
+	optsPool, err := NewPool(addrs, dom(), PoolOptions{Replicas: 2, Tenant: "t0"})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer optsPool.Close()
+	handle, err := rig.pool.Tenant("t0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := handle.Tenant("t1"); err == nil {
+		t.Fatal("a tenant handle scoped itself to a second tenant")
+	}
+	foreign := []ManifestEntry{{Var: "rho", Version: 0, Blocks: 1}, {Var: "t1/rho", Version: 0, Blocks: 3}}
+	for name, p := range map[string]*Pool{"PoolOptions.Tenant": optsPool, "Pool.Tenant": handle} {
+		if err := p.Put("rho", 0, block(grid.IV(0, 0, 0), 4, 1)); err != nil {
+			t.Fatal(err)
+		}
+		own := Manifest{Entries: []ManifestEntry{{Var: "t0/rho", Version: 0, Blocks: 1}}}
+		if got := p.Manifest(); !got.Equal(own) {
+			t.Fatalf("%s: manifest %v, want %v", name, got, own)
+		}
+		p.RestoreManifest(Manifest{Entries: append(append([]ManifestEntry(nil), foreign...), own.Entries...)})
+		if got := p.Manifest(); !got.Equal(own) {
+			t.Errorf("%s: manifest after restoring foreign entries %v, want %v", name, got, own)
+		}
+		if missing := p.Audit(Manifest{Entries: foreign}); missing != 0 {
+			t.Errorf("%s: audit of foreign entries reported %d missing, want them skipped", name, missing)
+		}
+		if missing := rig.pool.Audit(Manifest{Entries: foreign}); missing != 4 {
+			t.Errorf("%s: untenanted audit of unstored entries reported %d missing, want 4", name, missing)
+		}
+	}
+}
+
 func TestSpaceTenantQuota(t *testing.T) {
 	sp := NewSpace(2, 0, dom())
 	blockBytes := block(grid.IV(0, 0, 0), 4, 1).Bytes()
@@ -107,8 +151,8 @@ func TestSpaceTenantQuota(t *testing.T) {
 	}
 
 	// Eviction returns headroom: dropping versions < 2 frees two blocks.
-	if freed := sp.DropBefore(key, 2); freed != 2*blockBytes {
-		t.Fatalf("DropBefore freed %d bytes, want %d", freed, 2*blockBytes)
+	if freed, err := sp.DropBefore(key, 2); err != nil || freed != 2*blockBytes {
+		t.Fatalf("DropBefore = %d, %v; want %d bytes", freed, err, 2*blockBytes)
 	}
 	bytes, blocks = sp.TenantUsage("t0")
 	if bytes != blockBytes || blocks != 1 {

@@ -2,9 +2,11 @@ package staging
 
 import (
 	"errors"
+	"net"
 	"os"
 	"path/filepath"
 	"testing"
+	"time"
 
 	"crosslayer/internal/grid"
 )
@@ -157,8 +159,8 @@ func TestWALClearAndDropReplay(t *testing.T) {
 	sp.PutSeq("rho", 0, 2, block(grid.IV(0, 0, 0), 8, 2))
 	sp.PutSeq("rho", 1, 3, block(grid.IV(0, 0, 0), 8, 3))
 	sp.PutSeq("rho", 2, 4, block(grid.IV(0, 0, 0), 8, 4))
-	if freed := sp.DropBefore("rho", 2); freed == 0 {
-		t.Fatal("DropBefore freed nothing")
+	if freed, err := sp.DropBefore("rho", 2); err != nil || freed == 0 {
+		t.Fatalf("DropBefore = %d, %v", freed, err)
 	}
 	sp.CrashPersist()
 
@@ -320,4 +322,36 @@ func TestClosePersistThenRecover(t *testing.T) {
 		t.Fatalf("recovered %d blocks, want 1", st.Blocks)
 	}
 	assertSameContent(t, sp, got)
+}
+
+// TestDurableServerRefusesUnloggedDrop breaks a durable server's WAL file
+// under it and drops over the wire: the client must get an error, never an
+// acknowledgement, and a space recovered from the same dir still holds the
+// block the unlogged drop removed from memory.
+func TestDurableServerRefusesUnloggedDrop(t *testing.T) {
+	dir := t.TempDir()
+	sp := persistSpace(t, dir)
+	ln, err := net.Listen("tcp", "127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	serveOn(t, ln, sp)
+	cl, err := DialOptions(ln.Addr().String(), ClientOptions{OpTimeout: 2 * time.Second, MaxRetries: 2})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer cl.Close()
+	if err := cl.Put("rho", 0, block(grid.IV(0, 0, 0), 2, 1)); err != nil {
+		t.Fatal(err)
+	}
+	sp.opMu.Lock()
+	sp.dur.f.Close()
+	sp.opMu.Unlock()
+	if freed, err := cl.DropBefore("rho", 1); err == nil {
+		t.Fatalf("drop the WAL could not log was acknowledged (freed %d)", freed)
+	}
+	got, _ := recoverSpace(t, dir)
+	if _, err := got.GetBlocks("rho", 0, dom()); err != nil {
+		t.Fatalf("recovered space lost the block: %v", err)
+	}
 }
