@@ -92,6 +92,52 @@ func TestWALAndSnapshotBytesPinned(t *testing.T) {
 	assertSameContent(t, sp, got)
 }
 
+// TestWALAndSnapshotMultiChunkBytesPinned pins WAL and snapshot records
+// whose blocks span several of the codec's 64 KiB chunks, which the small
+// blocks above never do.
+func TestWALAndSnapshotMultiChunkBytesPinned(t *testing.T) {
+	dir := t.TempDir()
+	sp := persistSpace(t, dir)
+	must := func(err error) {
+		t.Helper()
+		if err != nil {
+			t.Fatal(err)
+		}
+	}
+	must(sp.PutSeq("t0/u", 1, 1, rampBlock(grid.IV(0, 0, 0), 16, 5, 1))) // 160 KiB tenant put + settle
+	must(sp.PutSeq("rho", 2, 2, rampBlock(grid.IV(16, 0, 0), 24, 1, 2))) // 108 KiB plain put
+	must(sp.PutSeq("rho", 1, 3, rampBlock(grid.IV(0, 16, 0), 4, 1, 3)))  // what the drop frees
+	if freed, err := sp.DropBefore("rho", 2); err != nil || freed == 0 {
+		t.Fatalf("DropBefore = %d, %v", freed, err)
+	}
+	read := func(name string) []byte {
+		t.Helper()
+		b, err := os.ReadFile(filepath.Join(dir, name))
+		must(err)
+		return b
+	}
+	epoch0 := read(walFileName)
+	must(sp.CompactWAL())
+	must(sp.PutSeq("rho", 3, 4, rampBlock(grid.IV(32, 32, 32), 16, 5, 4))) // lands in the rotated WAL
+	must(sp.ClosePersist())
+
+	for _, pin := range []struct{ name, got, want string }{
+		{"wal.xsw before compaction", imageSum(epoch0), "275221:221ce2ea694d7530"},
+		{"snapshot.xss", imageSum(read(snapFileName)), "274617:fac29aaef1062acc"},
+		{"wal.xsw after compaction", imageSum(read(walFileName)), "163933:d76e22eae611ede3"},
+	} {
+		if pin.got != pin.want {
+			t.Errorf("%s moved: %s, pinned %s", pin.name, pin.got, pin.want)
+		}
+	}
+
+	got, st := recoverSpace(t, dir)
+	if st.SnapshotBlocks != 2 || st.WALRecords != 1 || st.TornTail {
+		t.Fatalf("recovery stats = %+v", st)
+	}
+	assertSameContent(t, sp, got)
+}
+
 // recordingConn is a net.Conn that keeps what is written to it and answers
 // reads from a scripted reply.
 type recordingConn struct {
