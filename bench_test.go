@@ -307,7 +307,37 @@ func BenchmarkStagingPutGet(b *testing.B) {
 		if _, err := sp.Get("v", i, d.Box); err != nil {
 			b.Fatal(err)
 		}
-		sp.DropBefore("v", i+1)
+		if _, err := sp.DropBefore("v", i+1); err != nil {
+			b.Fatal(err)
+		}
+	}
+}
+
+// BenchmarkDurablePut times a put on a persisted Space: the WAL record is
+// framed, written and fsynced before the put returns. Each put replaces
+// the last (same var, version and seq), so the store holds one block and
+// every 512th put also compacts it into a snapshot.
+func BenchmarkDurablePut(b *testing.B) {
+	dom := grid.NewBox(grid.IV(0, 0, 0), grid.IV(63, 63, 63))
+	for _, s := range []struct {
+		name     string
+		n, ncomp int
+	}{{"4k", 8, 1}, {"160k", 16, 5}} {
+		b.Run(s.name, func(b *testing.B) {
+			sp := staging.NewSpace(1, 0, dom)
+			if _, err := sp.Persist(b.TempDir(), "s0"); err != nil {
+				b.Fatal(err)
+			}
+			defer sp.ClosePersist()
+			d := field.New(grid.BoxFromSize(grid.IV(0, 0, 0), grid.IV(s.n, s.n, s.n)), s.ncomp)
+			b.SetBytes(d.Bytes())
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				if err := sp.PutSeq("v", 0, 1, d); err != nil {
+					b.Fatal(err)
+				}
+			}
+		})
 	}
 }
 

@@ -222,6 +222,45 @@ func TestSpecResumeValidation(t *testing.T) {
 	}
 }
 
+// TestSpecResumeRefusesShortLog covers a log that lost its unsynced tail:
+// the events log of a halted run is cut to one byte short of the offset its
+// last checkpoint recorded, and the resume must be refused with the typed
+// error, leaving the file as it found it rather than padding it with zero
+// bytes.
+func TestSpecResumeRefusesShortLog(t *testing.T) {
+	dir := t.TempDir()
+	spec := func(resume bool) string {
+		return fmt.Sprintf(`{"application": "advection-diffusion", "domain": [16,16,16],
+			"steps": 4, "events": %q, "journal": %q, "resume": %t}`,
+			filepath.Join(dir, "events.jsonl"), filepath.Join(dir, "run.journal"), resume)
+	}
+	runSteps(t, spec(false), 2, false)
+	rec, err := journal.Recover(filepath.Join(dir, "run.journal"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	off := rec.Last().EventsOffset
+	eventsPath := filepath.Join(dir, "events.jsonl")
+	if err := os.Truncate(eventsPath, off-1); err != nil {
+		t.Fatal(err)
+	}
+	before, err := os.ReadFile(eventsPath)
+	if err != nil {
+		t.Fatal(err)
+	}
+
+	w, err := Parse(strings.NewReader(spec(true)))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, _, err := w.Build(); !errors.Is(err, ErrLogShorterThanCheckpoint) {
+		t.Fatalf("Build err = %v, want %v", err, ErrLogShorterThanCheckpoint)
+	}
+	if after, err := os.ReadFile(eventsPath); err != nil || !bytes.Equal(after, before) {
+		t.Fatalf("refused resume changed the events log: %d bytes, was %d (%v)", len(after), len(before), err)
+	}
+}
+
 // TestSpecResumeTornJournalTail pins the torn-tail recovery path end to
 // end: a journal cut mid-record resumes from the last complete checkpoint,
 // and the truncated bytes are discarded from the file.
