@@ -24,7 +24,7 @@ func setupLoadgen(fs *flag.FlagSet) func([]string) error {
 	fs.IntVar(&o.Servers, "servers", 3, "shared staging servers")
 	fs.IntVar(&o.Replicas, "replicas", 2, "pool replication factor")
 	fs.IntVar(&o.MaxConns, "max-conns", 4, "per-server admission cap; <0 = unlimited")
-	fs.IntVar(&o.Backlog, "backlog", 2, "per-server bounded accept backlog")
+	fs.IntVar(&o.Backlog, "backlog", 3, "per-server bounded accept backlog")
 	fs.Int64Var(&o.QuotaBytes, "quota-bytes", 0, "per-tenant per-server byte quota; 0 = unlimited")
 	fs.IntVar(&o.QuotaBlocks, "quota-blocks", 0, "per-tenant per-server block quota; 0 = unlimited")
 	fs.Int64Var(&o.Seed, "seed", 1, "arrival-jitter and backoff seed")
@@ -55,7 +55,7 @@ func setupServe(fs *flag.FlagSet) func([]string) error {
 	fs.StringVar(&fo.Addr, "addr", "127.0.0.1:0", "listen address; port 0 picks free ports")
 	fs.IntVar(&fo.Servers, "servers", 1, "staging servers to stand up")
 	fs.IntVar(&fo.Server.MaxConns, "max-conns", 4, "per-server admission cap; <0 = unlimited")
-	fs.IntVar(&fo.Server.Backlog, "backlog", 2, "per-server bounded accept backlog")
+	fs.IntVar(&fo.Server.Backlog, "backlog", 3, "per-server bounded accept backlog")
 	fs.StringVar(&fo.DataDir, "data-dir", "", "durable data directory: each server recovers its space from <dir>/server-<i> on start and fsyncs acked puts")
 	fs.Int64Var(&quota.MaxBytes, "quota-bytes", 0, "per-tenant per-server byte quota; 0 = unlimited")
 	fs.IntVar(&quota.MaxBlocks, "quota-blocks", 0, "per-tenant per-server block quota; 0 = unlimited")

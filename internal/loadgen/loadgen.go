@@ -56,7 +56,9 @@ type Options struct {
 	Replicas int
 	// MaxConns is each server's admission cap (default 4; <0 = unlimited).
 	MaxConns int
-	// Backlog is each server's bounded accept backlog (default 2).
+	// Backlog is each server's bounded accept backlog: how many connections
+	// may wait for a slot (0 = none; xlayer loadgen's -backlog defaults to
+	// 3).
 	Backlog int
 	// QuotaBytes / QuotaBlocks, when > 0, are applied per tenant on every
 	// server's space. Quota hits void the per-tenant log byte-identity

@@ -117,9 +117,10 @@ type Workflow struct {
 	// concurrently (admission control; 0 = unlimited, the historical
 	// behavior). Requires staging_tcp.
 	StagingMaxConns int `json:"staging_max_conns,omitempty"`
-	// StagingAcceptBacklog bounds each server's accept backlog: connections
-	// arriving with all MaxConns slots busy park here, and further arrivals
-	// are shed deterministically. Only meaningful with staging_max_conns.
+	// StagingAcceptBacklog bounds each server's accept backlog: up to this
+	// many connections arriving with all MaxConns slots busy wait for a
+	// slot, and further arrivals are shed deterministically. Only
+	// meaningful with staging_max_conns.
 	StagingAcceptBacklog int `json:"staging_accept_backlog,omitempty"`
 	// StagingDataDir makes every staging server durable: server i keeps a
 	// write-ahead log and periodic snapshots under <dir>/server-<i>, every

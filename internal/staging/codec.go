@@ -11,6 +11,7 @@ import (
 
 	"crosslayer/internal/field"
 	"crosslayer/internal/grid"
+	"crosslayer/internal/journal"
 )
 
 // Wire format for one block (all integers little-endian):
@@ -33,9 +34,13 @@ const blockMagic uint32 = 0x584c4244 // "XLBD"
 // ErrBadBlock reports a malformed serialized block.
 var ErrBadBlock = errors.New("staging: malformed serialized block")
 
-// maxWireCells bounds decoded allocations (defense against corrupt or
-// hostile streams): 64M cells ≈ 512 MB for one component.
-const maxWireCells = int64(64) << 20
+// maxBlockValues bounds a block's values, over all its components, so that
+// the block's WAL record — type byte, a key of up to maxWALKey bytes,
+// version, seq and the wire block — fits journal.MaxRecordBody: a block the
+// log could not frame is refused before it is stored, logged or sent. The
+// same bound caps what a corrupt or hostile header can claim (≈ 32 MiB of
+// payload; a 160³ single-component box fits).
+const maxBlockValues = (journal.MaxRecordBody - (1 + 2 + maxWALKey + 8 + 8 + blockHeaderSize + 4)) / 8
 
 // crcTable is the Castagnoli polynomial table the payload checksum uses.
 var crcTable = crc32.MakeTable(crc32.Castagnoli)
@@ -94,15 +99,15 @@ func checkBlock(d *field.BoxData) error {
 }
 
 // checkShape reports, as ErrBadBlock, a box and component count outside the
-// wire format's bounds: 1..64 components and at most maxWireCells cells.
+// wire format's bounds: 1..64 components and at most maxBlockValues values.
 // Each extent is bounded before multiplying: three ~2^31 extents overflow
 // the int64 cell product, so NumCells alone cannot be trusted on wire input.
 func checkShape(box grid.Box, ncomp int) error {
 	sz := box.Size()
 	nx, ny, nz := int64(sz.X), int64(sz.Y), int64(sz.Z)
 	if box.IsEmpty() || ncomp < 1 || ncomp > 64 ||
-		nx > maxWireCells || ny > maxWireCells || nz > maxWireCells ||
-		nx*ny > maxWireCells || nx*ny*nz > maxWireCells {
+		nx > maxBlockValues || ny > maxBlockValues || nz > maxBlockValues ||
+		nx*ny > maxBlockValues || nx*ny*nz*int64(ncomp) > maxBlockValues {
 		return fmt.Errorf("%w: box %v ncomp %d", ErrBadBlock, box, ncomp)
 	}
 	return nil

@@ -9,6 +9,7 @@ import (
 	"io"
 	"math"
 	"math/rand"
+	"strings"
 	"testing"
 	"testing/iotest"
 
@@ -60,12 +61,8 @@ func refDecodeBlock(r io.Reader) (*field.BoxData, error) {
 	}
 	box := getBox(hdr[4:])
 	ncomp := int(binary.LittleEndian.Uint32(hdr[28:]))
-	sz := box.Size()
-	nx, ny, nz := int64(sz.X), int64(sz.Y), int64(sz.Z)
-	if box.IsEmpty() || ncomp < 1 || ncomp > 64 ||
-		nx > maxWireCells || ny > maxWireCells || nz > maxWireCells ||
-		nx*ny > maxWireCells || nx*ny*nz > maxWireCells {
-		return nil, fmt.Errorf("%w: box %v ncomp %d", ErrBadBlock, box, ncomp)
+	if err := checkShape(box, ncomp); err != nil {
+		return nil, err
 	}
 	total := int64(ncomp) * box.NumCells() * 8
 	const chunkSize = 64 << 10
@@ -309,32 +306,52 @@ func TestEncodeLeavesSourceUntouched(t *testing.T) {
 }
 
 // TestUnwireableBlockIsNeverAcked holds every put path to the wire format's
-// shape bounds: a block with more components than the format carries fails
-// with ErrBadBlock before anything is stored or sent, so a durable space
-// never acknowledges a block its own recovery would refuse, and a pool
-// never blames an endpoint for the caller's block.
+// shape bounds: a block with more components than the format carries, or
+// more values than a WAL record can hold (128³×2), fails with ErrBadBlock
+// before anything is stored or sent, so a durable space never acknowledges
+// a block its own recovery would refuse, and a pool never blames an
+// endpoint for the caller's block. The largest block the bound admits,
+// under the longest key a durable space admits, is logged and recovered.
 func TestUnwireableBlockIsNeverAcked(t *testing.T) {
-	bad := field.New(grid.BoxFromSize(grid.IV(0, 0, 0), grid.IV(2, 2, 2)), 65)
+	bads := map[string]*field.BoxData{
+		"65-component": field.New(grid.BoxFromSize(grid.IV(0, 0, 0), grid.IV(2, 2, 2)), 65),
+		"128³×2":       field.New(grid.BoxFromSize(grid.IV(0, 0, 0), grid.IV(128, 128, 128)), 2),
+	}
 	good := block(grid.IV(0, 0, 0), 8, 1)
-	if err := EncodeBlock(io.Discard, bad); !errors.Is(err, ErrBadBlock) {
-		t.Fatalf("encode of a 65-component block = %v, want ErrBadBlock", err)
+	for name, bad := range bads {
+		if err := EncodeBlock(io.Discard, bad); !errors.Is(err, ErrBadBlock) {
+			t.Fatalf("encode of a %s block = %v, want ErrBadBlock", name, err)
+		}
 	}
 
 	dir := t.TempDir()
 	sp := persistSpace(t, dir)
-	if err := sp.Put("rho", 0, bad); !errors.Is(err, ErrBadBlock) {
-		t.Fatalf("durable Space.Put = %v, want ErrBadBlock", err)
-	}
-	if sp.MemUsed() != 0 {
-		t.Fatalf("rejected put stored %d bytes", sp.MemUsed())
-	}
 	if err := sp.Put("rho", 1, good); err != nil {
 		t.Fatal(err)
+	}
+	for name, bad := range bads {
+		if err := sp.Put("rho", 0, bad); !errors.Is(err, ErrBadBlock) {
+			t.Fatalf("durable Space.Put of a %s block = %v, want ErrBadBlock", name, err)
+		}
+	}
+	longKey := strings.Repeat("k", maxWALKey)
+	if err := sp.Put(longKey+"k", 0, good); !errors.Is(err, ErrBadBlock) {
+		t.Fatalf("durable Space.Put under a %d-byte key = %v, want ErrBadBlock", maxWALKey+1, err)
+	}
+	if sp.MemUsed() != good.Bytes() {
+		t.Fatalf("rejected puts stored %d bytes", sp.MemUsed()-good.Bytes())
+	}
+	largest := field.New(grid.BoxFromSize(grid.IV(0, 0, 0), grid.IV(1, 1, maxBlockValues)), 1)
+	if err := sp.Put(longKey, 2, largest); err != nil {
+		t.Fatalf("durable Space.Put of the largest admitted block: %v", err)
 	}
 	if err := sp.ClosePersist(); err != nil {
 		t.Fatal(err)
 	}
-	back, _ := recoverSpace(t, dir)
+	back, st := recoverSpace(t, dir)
+	if st.TornTail || st.Blocks != 2 {
+		t.Fatalf("recovered %d blocks (torn tail %v), want 2 and none", st.Blocks, st.TornTail)
+	}
 	assertSameContent(t, sp, back)
 
 	srvSpace := NewSpace(1, 0, dom())
@@ -349,8 +366,10 @@ func TestUnwireableBlockIsNeverAcked(t *testing.T) {
 	}
 	defer cl.Close()
 	for name, put := range map[string]func(string, int, *field.BoxData) error{"Put": cl.Put, "PutRepair": cl.PutRepair} {
-		if err := put("rho", 0, bad); !errors.Is(err, ErrBadBlock) {
-			t.Fatalf("Client.%s = %v, want ErrBadBlock", name, err)
+		for bname, bad := range bads {
+			if err := put("rho", 0, bad); !errors.Is(err, ErrBadBlock) {
+				t.Fatalf("Client.%s of a %s block = %v, want ErrBadBlock", name, bname, err)
+			}
 		}
 	}
 	if retries, reconnects := cl.TransportStats(); retries != 0 || reconnects != 0 {
@@ -361,8 +380,10 @@ func TestUnwireableBlockIsNeverAcked(t *testing.T) {
 	}
 
 	rig := newPoolRig(t, 3, 2)
-	if err := rig.pool.Put("rho", 0, bad); !errors.Is(err, ErrBadBlock) {
-		t.Fatalf("Pool.Put = %v, want ErrBadBlock", err)
+	for name, bad := range bads {
+		if err := rig.pool.Put("rho", 0, bad); !errors.Is(err, ErrBadBlock) {
+			t.Fatalf("Pool.Put of a %s block = %v, want ErrBadBlock", name, err)
+		}
 	}
 	if h, n := rig.pool.HealthyEndpoints(); h != n {
 		t.Fatalf("a rejected put left %d of %d endpoints healthy", h, n)

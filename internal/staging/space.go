@@ -112,14 +112,18 @@ func (sp *Space) Put(varName string, version int, d *field.BoxData) error {
 // stays fixed across its retries, making replays after a lost response
 // idempotent. Seq NoSeq always appends (plain Put).
 func (sp *Space) PutSeq(varName string, version int, seq int64, d *field.BoxData) error {
-	// A block the wire format cannot carry would be logged and acked, then
-	// refused by recovery: reject it before anything is stored.
+	// A block the wire format cannot carry, or a key too long for the log,
+	// would be logged and acked, then refused by recovery: reject it before
+	// anything is stored.
 	if err := checkBlock(d); err != nil {
 		return err
 	}
 	tenant := TenantOf(varName)
 	sp.opMu.RLock()
 	defer sp.opMu.RUnlock()
+	if sp.dur != nil && len(varName) > maxWALKey {
+		return fmt.Errorf("%w: key of %d bytes, the log holds at most %d", ErrBadBlock, len(varName), maxWALKey)
+	}
 	delta, added, err := sp.put(&Object{Var: varName, Version: version, Seq: seq, Data: d}, tenant)
 	if err != nil || sp.dur == nil {
 		return err

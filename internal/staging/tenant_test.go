@@ -5,6 +5,7 @@ import (
 	"fmt"
 	"math/rand"
 	"net"
+	"os"
 	"strings"
 	"sync"
 	"testing"
@@ -376,9 +377,9 @@ func testAdmissionConnFlood(t *testing.T, reg *obs.Registry) {
 	}
 }
 
-// TestAdmissionBacklogQueues pins the backlog path: a connection beyond
-// MaxConns parks in the bounded backlog and is admitted when a slot frees;
-// one beyond the backlog is shed with reason backlog_full.
+// TestAdmissionBacklogQueues pins the backlog path: with every slot held,
+// exactly Backlog connections wait, the next one is shed with reason
+// backlog_full, and the waiting one is admitted when a slot frees.
 func TestAdmissionBacklogQueues(t *testing.T) {
 	srv, sink, reg := startAdmissionServer(t, 1, 1)
 
@@ -386,7 +387,7 @@ func TestAdmissionBacklogQueues(t *testing.T) {
 	if _, err := c1.MemUsed(); err != nil {
 		t.Fatal(err)
 	}
-	// c2 parks: its op blocks until c1 releases the slot.
+	// c2 waits: its op blocks until c1 releases the slot.
 	c2 := noRetryClient(t, srv.Addr())
 	res := make(chan error, 1)
 	go func() {
@@ -397,26 +398,19 @@ func TestAdmissionBacklogQueues(t *testing.T) {
 		_, queued, _, _ := srv.AdmissionStats()
 		return queued == 1
 	})
-	// Give the dispatcher time to pull c2 out of the backlog buffer (it
-	// holds one connection in hand while waiting for a slot), then fill the
-	// buffer itself with c3.
-	time.Sleep(50 * time.Millisecond)
+	// Slot and backlog both full: the next connection is shed as
+	// backlog_full.
 	c3 := noRetryClient(t, srv.Addr())
-	go func() { _, _ = c3.MemUsed() }()
-	waitFor(t, "second conn queued", func() bool {
-		_, queued, _, _ := srv.AdmissionStats()
-		return queued == 2
-	})
-	// Slot, dispatcher hand, and backlog all full: the next connection is
-	// shed as backlog_full.
-	c4 := noRetryClient(t, srv.Addr())
-	if _, err := c4.MemUsed(); err == nil {
+	if _, err := c3.MemUsed(); err == nil {
 		t.Fatal("conn admitted past slot + backlog")
 	}
 	waitFor(t, "overflow shed", func() bool {
 		_, _, shed, _ := srv.AdmissionStats()
 		return shed == 1
 	})
+	if admitted, queued, _, _ := srv.AdmissionStats(); admitted != 1 || queued != 1 {
+		t.Errorf("AdmissionStats admitted, queued = %d, %d; want 1, 1", admitted, queued)
+	}
 	if v := reg.Counter("xlayer_staging_admission_shed_total", "",
 		"reason", "backlog_full").Value(); v != 1 {
 		t.Errorf("shed{reason=backlog_full} metric = %v, want 1", v)
@@ -432,6 +426,90 @@ func TestAdmissionBacklogQueues(t *testing.T) {
 		}
 	case <-time.After(5 * time.Second):
 		t.Fatal("queued conn never admitted after slot freed")
+	}
+}
+
+// TestAdmissionWaiterClosedAtStop holds the one slot with a request parked
+// in the request hook while a second connection waits for it, then stops
+// the server: the waiter must be closed unserved at once — not after the
+// slot frees — and never counted as admitted, and the stop must return
+// once the held request is let go. Close severs the held request;
+// Shutdown lets it finish.
+func TestAdmissionWaiterClosedAtStop(t *testing.T) {
+	for _, graceful := range []bool{false, true} {
+		name := map[bool]string{false: "Close", true: "Shutdown"}[graceful]
+		t.Run(name, func(t *testing.T) {
+			entered, release := make(chan struct{}), make(chan struct{})
+			var once sync.Once
+			ln, err := net.Listen("tcp", "127.0.0.1:0")
+			if err != nil {
+				t.Fatal(err)
+			}
+			srv, err := NewServer(ln, NewSpace(1, 0, dom()), ServerOptions{
+				MaxConns: 1, Backlog: 1,
+				RequestHook: func(byte) {
+					once.Do(func() { close(entered) })
+					<-release
+				},
+			})
+			if err != nil {
+				t.Fatal(err)
+			}
+			t.Cleanup(func() { srv.Close() })
+			var releaseOnce sync.Once
+			letGo := func() { releaseOnce.Do(func() { close(release) }) }
+			t.Cleanup(letGo)
+
+			holder := noRetryClient(t, srv.Addr())
+			held := make(chan error, 1)
+			go func() {
+				_, err := holder.MemUsed()
+				held <- err
+			}()
+			<-entered
+			waiter, err := net.Dial("tcp", srv.Addr())
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer waiter.Close()
+			waitFor(t, "conn queued", func() bool {
+				_, queued, _, _ := srv.AdmissionStats()
+				return queued == 1
+			})
+
+			stopped := make(chan error, 1)
+			go func() {
+				if graceful {
+					stopped <- srv.Shutdown()
+				} else {
+					stopped <- srv.Close()
+				}
+			}()
+			// The slot is still held: only the stop itself can release the
+			// waiter.
+			waiter.SetReadDeadline(time.Now().Add(5 * time.Second))
+			if _, err := waiter.Read(make([]byte, 1)); errors.Is(err, os.ErrDeadlineExceeded) {
+				t.Fatal("waiting conn still open while the server stops")
+			} else if err == nil {
+				t.Fatal("waiting conn was served")
+			}
+
+			letGo()
+			select {
+			case err := <-stopped:
+				if err != nil {
+					t.Fatalf("%s: %v", name, err)
+				}
+			case <-time.After(5 * time.Second):
+				t.Fatalf("%s did not return", name)
+			}
+			if err := <-held; graceful && err != nil {
+				t.Errorf("held request failed under Shutdown: %v", err)
+			}
+			if admitted, queued, _, _ := srv.AdmissionStats(); admitted != 1 || queued != 1 {
+				t.Errorf("AdmissionStats admitted, queued = %d, %d; want 1, 1", admitted, queued)
+			}
+		})
 	}
 }
 
