@@ -149,18 +149,10 @@ var internalKeep = map[string]string{
 // identifier, so it under-reports (any same-named identifier counts); what
 // it does flag is referenced only by tests, or by nothing.
 func TestInternalExportsAreReferenced(t *testing.T) {
-	fset := token.NewFileSet()
 	uses := map[string]int{}
 	type fn struct{ name, ident, path string }
 	var declared []fn
-	err := filepath.WalkDir(".", func(path string, d fs.DirEntry, err error) error {
-		if err != nil || d.IsDir() || !strings.HasSuffix(path, ".go") || strings.HasSuffix(path, "_test.go") {
-			return err
-		}
-		f, err := parser.ParseFile(fset, path, nil, parser.SkipObjectResolution)
-		if err != nil {
-			return err
-		}
+	walkNonTestGo(t, func(path string, f *ast.File) {
 		own := map[*ast.Ident]bool{}
 		for _, decl := range f.Decls {
 			d, ok := decl.(*ast.FuncDecl)
@@ -168,7 +160,7 @@ func TestInternalExportsAreReferenced(t *testing.T) {
 				continue
 			}
 			own[d.Name] = true
-			if !d.Name.IsExported() || !strings.HasPrefix(filepath.ToSlash(path), "internal/") {
+			if !d.Name.IsExported() || !strings.HasPrefix(path, "internal/") {
 				continue
 			}
 			name := d.Name.Name
@@ -191,11 +183,7 @@ func TestInternalExportsAreReferenced(t *testing.T) {
 			}
 			return true
 		})
-		return nil
 	})
-	if err != nil {
-		t.Fatal(err)
-	}
 
 	var unused []string
 	seen := map[string]bool{}
@@ -216,6 +204,132 @@ func TestInternalExportsAreReferenced(t *testing.T) {
 	for name := range internalKeep {
 		if !seen[name] {
 			t.Errorf("internalKeep lists %s, which is gone or now referenced; drop the entry", name)
+		}
+	}
+}
+
+// walkNonTestGo parses every non-test Go file in the repo — the root module,
+// examples/ and benchmarks/ — and hands each to visit with its slash path.
+func walkNonTestGo(t *testing.T, visit func(path string, f *ast.File)) {
+	t.Helper()
+	fset := token.NewFileSet()
+	err := filepath.WalkDir(".", func(path string, d fs.DirEntry, err error) error {
+		if err != nil || d.IsDir() || !strings.HasSuffix(path, ".go") || strings.HasSuffix(path, "_test.go") {
+			return err
+		}
+		f, err := parser.ParseFile(fset, path, nil, parser.SkipObjectResolution)
+		if err != nil {
+			return err
+		}
+		visit(filepath.ToSlash(path), f)
+		return nil
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+}
+
+// optionKeep lists the exported option fields under internal/ that no
+// non-test file outside their own sets, and that stay anyway, each with the
+// reason. Every other such field must be set by some caller, or become the
+// constant its default always was.
+var optionKeep = map[string]string{
+	"amr.Config.FillRatio":              "the odd-domain kernel and amr reference tests cluster at 0.95 to get many small patches",
+	"staging.ServerOptions.RequestHook": "fault hook the shutdown and admission tests park a request in",
+	"solver.AdvDiffConfig.Velocity":     "the diffusion and upwind-branch tests need a zero and a reversed velocity",
+	"solver.AdvDiffConfig.Diffusion":    "the diffusion test needs a larger coefficient to see the peak decay",
+}
+
+// TestOptionFieldsAreSet applies the simplicity rule for options to
+// internal/: an exported field of an exported *Options or *Config struct is
+// an option, and an option with one value in use should be a constant. A
+// field passes when some non-test file other than the one declaring it sets
+// it — as a composite-literal key, an assignment target, or a &x.F flag
+// binding — or when it sits on optionKeep with a reason. It matches by bare
+// field name, so it under-reports (a same-named field set elsewhere counts,
+// and so does a caller that sets only the default value).
+func TestOptionFieldsAreSet(t *testing.T) {
+	type option struct{ name, field, path string }
+	var declared []option
+	setIn := map[string]map[string]bool{} // field name -> files that set it
+	set := func(id *ast.Ident, path string) {
+		if setIn[id.Name] == nil {
+			setIn[id.Name] = map[string]bool{}
+		}
+		setIn[id.Name][path] = true
+	}
+	walkNonTestGo(t, func(path string, f *ast.File) {
+		if strings.HasPrefix(path, "internal/") {
+			for _, decl := range f.Decls {
+				gd, ok := decl.(*ast.GenDecl)
+				if !ok || gd.Tok != token.TYPE {
+					continue
+				}
+				for _, spec := range gd.Specs {
+					ts := spec.(*ast.TypeSpec)
+					st, ok := ts.Type.(*ast.StructType)
+					if !ok || !ts.Name.IsExported() ||
+						!(strings.HasSuffix(ts.Name.Name, "Options") || strings.HasSuffix(ts.Name.Name, "Config")) {
+						continue
+					}
+					for _, fld := range st.Fields.List {
+						for _, n := range fld.Names {
+							if n.IsExported() {
+								name := f.Name.Name + "." + ts.Name.Name + "." + n.Name
+								declared = append(declared, option{name, n.Name, path})
+							}
+						}
+					}
+				}
+			}
+		}
+		ast.Inspect(f, func(n ast.Node) bool {
+			switch n := n.(type) {
+			case *ast.KeyValueExpr:
+				if id, ok := n.Key.(*ast.Ident); ok {
+					set(id, path)
+				}
+			case *ast.AssignStmt:
+				for _, lhs := range n.Lhs {
+					if sel, ok := lhs.(*ast.SelectorExpr); ok {
+						set(sel.Sel, path)
+					}
+				}
+			case *ast.UnaryExpr:
+				if sel, ok := n.X.(*ast.SelectorExpr); ok && n.Op == token.AND {
+					set(sel.Sel, path)
+				}
+			}
+			return true
+		})
+	})
+	if len(declared) == 0 {
+		t.Fatal("found no option fields under internal/")
+	}
+
+	var unset []string
+	seen := map[string]bool{}
+	for _, o := range declared {
+		callers := len(setIn[o.field])
+		if setIn[o.field][o.path] {
+			callers--
+		}
+		if callers > 0 {
+			continue
+		}
+		seen[o.name] = true
+		if optionKeep[o.name] == "" {
+			unset = append(unset, o.name+" ("+o.path+")")
+		}
+	}
+	sort.Strings(unset)
+	if len(unset) > 0 {
+		t.Errorf("%d option fields under internal/ are set by no non-test caller; make each the constant it always was or add it to optionKeep with a reason:\n  %s",
+			len(unset), strings.Join(unset, "\n  "))
+	}
+	for name := range optionKeep {
+		if !seen[name] {
+			t.Errorf("optionKeep lists %s, which is gone or now set by a caller; drop the entry", name)
 		}
 	}
 }

@@ -57,7 +57,6 @@ type Config struct {
 	MaxBoxSize int      // patches are chopped to at most this many cells per side
 	NRanks     int      // virtual ranks for load balancing
 	FillRatio  float64  // clustering efficiency target (default 0.70)
-	BufferSize int      // cells of buffer grown around tags before clustering
 	Periodic   bool     // periodic domain boundaries (else outflow/extrapolation)
 }
 
@@ -74,9 +73,6 @@ func (c *Config) withDefaults() Config {
 	}
 	if out.FillRatio == 0 {
 		out.FillRatio = 0.70
-	}
-	if out.BufferSize == 0 {
-		out.BufferSize = 1
 	}
 	return out
 }

@@ -121,19 +121,16 @@ func (h *Hierarchy) Regrid(li int, tags []grid.IntVect) {
 		return
 	}
 
-	// Buffer tags so features cannot escape the refined region between
-	// regrids, then cluster.
-	buffered := tags
-	if h.Cfg.BufferSize > 0 {
-		seen := make(map[grid.IntVect]bool, len(tags)*4)
-		for _, t := range tags {
-			b := grid.BoxFromSize(t, grid.Unit).Grow(h.Cfg.BufferSize).Intersect(coarse.Domain)
-			b.ForEach(func(q grid.IntVect) { seen[q] = true })
-		}
-		buffered = make([]grid.IntVect, 0, len(seen))
-		for q := range seen {
-			buffered = append(buffered, q)
-		}
+	// Buffer tags by one cell so features cannot escape the refined region
+	// between regrids, then cluster.
+	seen := make(map[grid.IntVect]bool, len(tags)*4)
+	for _, t := range tags {
+		b := grid.BoxFromSize(t, grid.Unit).Grow(1).Intersect(coarse.Domain)
+		b.ForEach(func(q grid.IntVect) { seen[q] = true })
+	}
+	buffered := make([]grid.IntVect, 0, len(seen))
+	for q := range seen {
+		buffered = append(buffered, q)
 	}
 	boxes := Cluster(buffered, h.Cfg.FillRatio, 2)
 

@@ -149,10 +149,6 @@ type Options struct {
 	// violating seed.
 	OutDir string
 
-	// ShrinkBudget bounds the verification runs the shrinker spends per
-	// violating schedule (default 48).
-	ShrinkBudget int
-
 	// Log receives one progress line per schedule (nil = silent).
 	Log io.Writer
 }
@@ -185,6 +181,10 @@ type Report struct {
 	Failures          []Failure `json:"failures,omitempty"`
 }
 
+// shrinkBudget bounds the verification runs Explore's shrinker spends per
+// violating schedule.
+const shrinkBudget = 48
+
 // Explore generates opts.Seeds seeded schedules, verifies every invariant
 // on each, and shrinks every violating schedule to a minimal repro
 // (written to opts.OutDir when set). A run error — the harness itself
@@ -192,9 +192,6 @@ type Report struct {
 func Explore(opts Options) (*Report, error) {
 	if opts.Seeds <= 0 {
 		opts.Seeds = 25
-	}
-	if opts.ShrinkBudget <= 0 {
-		opts.ShrinkBudget = 48
 	}
 	logf := func(format string, args ...any) {
 		if opts.Log != nil {
@@ -241,7 +238,7 @@ func Explore(opts Options) (*Report, error) {
 			continue
 		}
 		logf("seed %-4d VIOLATION %s — shrinking", seed, rr.Violations[0])
-		shrunk, sv, err := Shrink(s, rr.Violations, opts.ShrinkBudget)
+		shrunk, sv, err := Shrink(s, rr.Violations, shrinkBudget)
 		if err != nil {
 			return nil, fmt.Errorf("chaos: seed %d shrink: %w", seed, err)
 		}

@@ -434,7 +434,7 @@ func (h *harness) drive(logBuf, spanBuf, jbuf *bytes.Buffer, domain grid.Box, ad
 
 	var wf *core.Workflow
 	if rec != nil {
-		wf, err = core.ResumeWorkflow(cfg, sim, rec, core.ResumeOptions{})
+		wf, err = core.ResumeWorkflow(cfg, sim, rec)
 	} else {
 		wf, err = core.NewWorkflow(cfg, sim)
 	}

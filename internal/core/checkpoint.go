@@ -116,15 +116,6 @@ func (w *Workflow) NextStep() int { return w.step }
 // legitimately induced).
 func (w *Workflow) ResumeAuditMissing() int { return w.resumeAuditMissing }
 
-// ResumeOptions controls how a resumed workflow re-enters its run.
-type ResumeOptions struct {
-	// AnnounceResume emits a resume event as the resumed process's first
-	// event. Leave it false when the resumed run appends to the original
-	// event log: the combined log must stay byte-identical to an
-	// uninterrupted run, and an uninterrupted run carries no resume event.
-	AnnounceResume bool
-}
-
 // ResumeWorkflow rebuilds a workflow from a recovered journal and the same
 // configuration and (fresh) simulation the original run was built with. The
 // simulation is fast-forwarded by silently re-running the solver through
@@ -133,18 +124,18 @@ type ResumeOptions struct {
 // clocks, monitor estimates, run accumulators, observability cursors, the
 // staging pool's content manifest) is restored from the last checkpoint.
 // The next Step() executes step k+1.
-func ResumeWorkflow(cfg Config, sim solver.Simulation, rec *journal.Recovered, opts ResumeOptions) (*Workflow, error) {
+func ResumeWorkflow(cfg Config, sim solver.Simulation, rec *journal.Recovered) (*Workflow, error) {
 	if rec == nil || rec.Last() == nil {
 		return nil, journal.ErrJournalTornBeyondBarrier
 	}
-	return buildWorkflow(cfg, sim, rec, opts)
+	return buildWorkflow(cfg, sim, rec)
 }
 
 // resume applies a recovered journal to a freshly constructed workflow —
 // the tail half of buildWorkflow's resume path. The workflow has its
 // defaulted config, engine, monitor, timelines, and store wired, but has
 // not emitted anything and has not opened the run span.
-func (w *Workflow) resume(rec *journal.Recovered, opts ResumeOptions) error {
+func (w *Workflow) resume(rec *journal.Recovered) error {
 	cp := rec.Last()
 
 	// Fast-forward the pure solver through steps 0..k. No costs are booked
@@ -190,9 +181,6 @@ func (w *Workflow) resume(rec *journal.Recovered, opts ResumeOptions) error {
 	// emitting a second run_started banner or opening a second root.
 	w.events.ResumeSeq(cp.EventSeq)
 	w.events.ResumeStep(cp.Step)
-	if opts.AnnounceResume {
-		w.events.Resumed(w.step, fmt.Sprintf("resumed from checkpoint step=%d", cp.Step))
-	}
 	if w.tracer != nil {
 		w.tracer.ResumeSeq(cp.SpanSeq)
 		w.runSpanSeq = cp.RunSpanSeq

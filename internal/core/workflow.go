@@ -36,6 +36,11 @@ func AdaptationsOf(on map[policy.Mechanism]bool) Adaptations {
 	}
 }
 
+// MemOverhead multiplies raw field bytes into resident simulation memory
+// (solver scratch, ghost copies, metadata). The figure harnesses calibrate
+// their model scale against the same factor.
+const MemOverhead = 3.0
+
 // Config assembles a workflow.
 type Config struct {
 	Machine      sysmodel.Machine
@@ -65,15 +70,6 @@ type Config struct {
 	// imbalance) are real while the magnitudes match the target machine.
 	// Default 1.
 	CellScale float64
-
-	// MemOverhead multiplies raw field bytes into resident simulation
-	// memory (solver scratch, ghost copies, metadata). Default 3.
-	MemOverhead float64
-
-	// AnalysisEvery runs analysis only every k-th step (temporal
-	// resolution, our extension of the paper's "temporal adaptation"
-	// mechanism). Default 1 = every step.
-	AnalysisEvery int
 
 	// EnableHybrid allows the middleware layer to split one step's
 	// analysis between in-situ and in-transit (§3's third placement
@@ -164,17 +160,11 @@ func (c *Config) withDefaults() Config {
 	if out.CellScale == 0 {
 		out.CellScale = 1
 	}
-	if out.MemOverhead == 0 {
-		out.MemOverhead = 3
-	}
 	if len(out.Isovalues) == 0 {
 		out.Isovalues = []float64{1.23, 4.18} // the paper's Fig. 6 isovalues
 	}
 	if out.Analysis == nil {
 		out.Analysis = analysis.NewIsosurface(out.Isovalues...)
-	}
-	if out.AnalysisEvery == 0 {
-		out.AnalysisEvery = 1
 	}
 	if out.StagingFailureCooldown == 0 {
 		out.StagingFailureCooldown = 2
@@ -237,14 +227,14 @@ type Workflow struct {
 
 // NewWorkflow validates cfg and builds the runtime around sim.
 func NewWorkflow(cfg Config, sim solver.Simulation) (*Workflow, error) {
-	return buildWorkflow(cfg, sim, nil, ResumeOptions{})
+	return buildWorkflow(cfg, sim, nil)
 }
 
 // buildWorkflow is the shared constructor behind NewWorkflow and
 // ResumeWorkflow: a non-nil rec switches the observability bring-up from
 // "open a fresh run" (run_started banner, new run root span) to "rejoin the
 // journaled one" (continue cursors, re-adopt the open root span).
-func buildWorkflow(cfg Config, sim solver.Simulation, rec *journal.Recovered, opts ResumeOptions) (*Workflow, error) {
+func buildWorkflow(cfg Config, sim solver.Simulation, rec *journal.Recovered) (*Workflow, error) {
 	c := cfg.withDefaults()
 	if sim == nil {
 		return nil, fmt.Errorf("core: nil simulation")
@@ -300,7 +290,7 @@ func buildWorkflow(cfg Config, sim solver.Simulation, rec *journal.Recovered, op
 		})
 	}
 	if rec != nil {
-		if err := w.resume(rec, opts); err != nil {
+		if err := w.resume(rec); err != nil {
 			return nil, err
 		}
 		return w, nil
@@ -415,7 +405,7 @@ func (w *Workflow) memSample(h *amr.Hierarchy) (used, avail []int64) {
 	// for SimCores/NRanks model cores, so its per-core share divides out.
 	coresPerRank := float64(w.cfg.SimCores) / float64(len(perRank))
 	for i, b := range perRank {
-		u := int64(float64(w.scale(b)) * w.cfg.MemOverhead / coresPerRank)
+		u := int64(float64(w.scale(b)) * MemOverhead / coresPerRank)
 		used[i] = u
 		a := memPerCore - u
 		if a < 0 {
@@ -496,10 +486,7 @@ func (w *Workflow) Step() StepRecord {
 	rec.MaxRankDataBytes = sample.MaxRankDataBytes
 
 	// --- 3. adaptation engine decides; 4. decisions execute ---
-	analyze := w.step%c.AnalysisEvery == 0
-	if analyze {
-		w.runAnalysis(&rec, blocks, sample, simEnd)
-	}
+	w.runAnalysis(&rec, blocks, sample, simEnd)
 
 	// Step barrier: every transfer has joined, so flush endpoint events and
 	// pool-op spans a concurrent staging pool buffered during the step.
@@ -535,17 +522,15 @@ func (w *Workflow) Step() StepRecord {
 	w.result.Steps = append(w.result.Steps, rec)
 	w.result.SimSecondsTotal += simSecs
 	w.result.BytesMovedTotal += rec.BytesMoved
-	if analyze {
-		if rec.Placement == policy.PlaceInSitu {
-			w.result.InSituSteps++
-		} else {
-			w.result.InTransitSteps++
-		}
-		if w.span.Enabled() && w.placementKnown && rec.Placement != w.lastPlacement {
-			w.span.PlacementChange(w.lastPlacement.String(), rec.Placement.String(), rec.PlacementReason)
-		}
-		w.lastPlacement, w.placementKnown = rec.Placement, true
+	if rec.Placement == policy.PlaceInSitu {
+		w.result.InSituSteps++
+	} else {
+		w.result.InTransitSteps++
 	}
+	if w.span.Enabled() && w.placementKnown && rec.Placement != w.lastPlacement {
+		w.span.PlacementChange(w.lastPlacement.String(), rec.Placement.String(), rec.PlacementReason)
+	}
+	w.lastPlacement, w.placementKnown = rec.Placement, true
 	if m := w.met; m != nil {
 		m.steps.Inc()
 		m.simSeconds.Observe(simSecs)
@@ -557,30 +542,24 @@ func (w *Workflow) Step() StepRecord {
 		if totalEps > 0 {
 			m.stagingHealthy.Set(float64(healthy))
 		}
-		if analyze {
-			m.analysisSeconds.Observe(rec.AnalysisSeconds)
-			m.bytesAnalyzed.Add(float64(rec.BytesAnalyzed))
-			if rec.Placement == policy.PlaceInSitu {
-				m.placeInSitu.Inc()
-			} else {
-				m.placeInTransit.Inc()
-			}
-			if rec.Factor > 1 {
-				m.reductions.Inc()
-			}
-			if rec.BytesMoved > 0 {
-				m.transferSeconds.Observe(rec.TransferSeconds)
-				m.bytesMovedStep.Observe(float64(rec.BytesMoved))
-				m.bytesMoved.Add(float64(rec.BytesMoved))
-			}
+		m.analysisSeconds.Observe(rec.AnalysisSeconds)
+		m.bytesAnalyzed.Add(float64(rec.BytesAnalyzed))
+		if rec.Placement == policy.PlaceInSitu {
+			m.placeInSitu.Inc()
+		} else {
+			m.placeInTransit.Inc()
+		}
+		if rec.Factor > 1 {
+			m.reductions.Inc()
+		}
+		if rec.BytesMoved > 0 {
+			m.transferSeconds.Observe(rec.TransferSeconds)
+			m.bytesMovedStep.Observe(float64(rec.BytesMoved))
+			m.bytesMoved.Add(float64(rec.BytesMoved))
 		}
 	}
 	if w.span.Enabled() {
-		placement := ""
-		if analyze {
-			placement = rec.Placement.String()
-		}
-		w.span.Finished(placement, rec.Factor, simSecs,
+		w.span.Finished(rec.Placement.String(), rec.Factor, simSecs,
 			rec.AnalysisSeconds, rec.TransferSeconds, rec.BytesMoved)
 	}
 	if w.stepCtx.Enabled() {

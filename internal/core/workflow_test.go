@@ -301,21 +301,6 @@ func TestMinDataMovementObjectiveStaysInSitu(t *testing.T) {
 	}
 }
 
-func TestAnalysisEverySkipsSteps(t *testing.T) {
-	cfg := baseCfg()
-	cfg.AnalysisEvery = 3
-	cfg.StaticPlacement = policy.PlaceInSitu
-	w, err := NewWorkflow(cfg, smallGas(0))
-	if err != nil {
-		t.Fatal(err)
-	}
-	res := w.Run(7)
-	analyzed := res.InSituSteps + res.InTransitSteps
-	if analyzed != 3 { // steps 0, 3, 6
-		t.Errorf("analyzed %d steps, want 3", analyzed)
-	}
-}
-
 func TestVirtualClocksMonotone(t *testing.T) {
 	cfg := baseCfg()
 	cfg.Enable = Adaptations{Application: false, Middleware: true, Resource: true}

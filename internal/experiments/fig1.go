@@ -3,6 +3,8 @@ package experiments
 import (
 	"fmt"
 	"io"
+
+	"crosslayer/internal/core"
 )
 
 // Fig1Step is one time step of the peak-memory profile.
@@ -46,7 +48,6 @@ func Fig1PeakMemory(steps, ranks int, targetPeakMB float64) *Fig1Result {
 		targetPeakMB = 380
 	}
 	sim := newGasSim(ranks, steps/3) // secondary blast keeps growth erratic
-	const memOverhead = 3.0
 
 	raw := make([][]int64, 0, steps)
 	for i := 0; i < steps; i++ {
@@ -63,7 +64,7 @@ func Fig1PeakMemory(steps, ranks int, targetPeakMB float64) *Fig1Result {
 			}
 		}
 	}
-	scale := targetPeakMB * (1 << 20) / (float64(peak) * memOverhead)
+	scale := targetPeakMB * (1 << 20) / (float64(peak) * core.MemOverhead)
 
 	res := &Fig1Result{TargetPeakMB: targetPeakMB, ScaleUsed: scale, RanksSimulated: ranks}
 	prevPeak := 0.0
@@ -79,7 +80,7 @@ func Fig1PeakMemory(steps, ranks int, targetPeakMB float64) *Fig1Result {
 			}
 			sum += b
 		}
-		toMB := func(v int64) float64 { return float64(v) * memOverhead * scale / (1 << 20) }
+		toMB := func(v int64) float64 { return float64(v) * core.MemOverhead * scale / (1 << 20) }
 		st := Fig1Step{
 			Step:   i,
 			MinMB:  toMB(min),

@@ -62,10 +62,9 @@ func Fig5AppAdaptation(steps int) *Fig5Result {
 			}
 		}
 	}
-	const memOverhead = 3.0
 	cap := float64(machine.MemPerCore())
-	a := float64(rawMaxBytes) * memOverhead // used bytes per scale unit
-	b := float64(rawMaxCells)               // analysis bytes per scale unit
+	a := float64(rawMaxBytes) * core.MemOverhead // used bytes per scale unit
+	b := float64(rawMaxCells)                    // analysis bytes per scale unit
 	minFactor := 2.0
 	// Choose scale so that at the peak, the minimum-factor footprint
 	// exceeds availability by 50% — the constraint must bind late in the
@@ -81,7 +80,6 @@ func Fig5AppAdaptation(steps int) *Fig5Result {
 		Hints:           hints,
 		StaticPlacement: policy.PlaceInSitu,
 		CellScale:       scale,
-		MemOverhead:     memOverhead,
 	}
 	res := runWorkflow(cfg, newGasSim(ranks, steps/3), steps)
 

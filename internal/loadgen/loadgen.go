@@ -501,7 +501,7 @@ func runSteps(o Options, pool *staging.Pool, domain grid.Box, boxes []grid.Box, 
 				res.mismatches++
 			}
 		}
-		rec.Checksum = expectedChecksum(boxes, res.idx, v)
+		rec.Checksum = expectedChecksum(domain, boxes, res.idx, v)
 		if _, err := pool.DropBefore(varName, v); err != nil {
 			return fmt.Errorf("step %d drop: %w", v, err)
 		}
@@ -565,14 +565,12 @@ func checksum(blocks []*field.BoxData) string {
 
 // expectedChecksum recomputes what a clean read of (tenant, step) must
 // hash to — the cross-tenant isolation check: foreign bytes cannot match.
-func expectedChecksum(boxes []grid.Box, idx, v int) string {
+func expectedChecksum(domain grid.Box, boxes []grid.Box, idx, v int) string {
 	blocks := make([]*field.BoxData, 0, len(boxes))
 	for bi, box := range boxes {
 		blocks = append(blocks, payload(box, idx, v, bi))
 	}
-	sort.Slice(blocks, func(i, j int) bool {
-		return grid.MortonCode(blocks[i].Box.Lo) < grid.MortonCode(blocks[j].Box.Lo)
-	})
+	staging.SortBlocks(domain, blocks)
 	return checksum(blocks)
 }
 

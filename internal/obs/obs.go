@@ -77,11 +77,6 @@ const (
 	// KindCheckpointWrite marks a write-ahead journal checkpoint taken at a
 	// step barrier (journaled runs only).
 	KindCheckpointWrite Kind = "checkpoint_write"
-	// KindResume marks a run resuming from a journal checkpoint into a
-	// fresh event log. It is deliberately absent when the resumed run
-	// appends to the original log — an in-stream marker would break the
-	// byte-identity the resume determinism contract promises.
-	KindResume Kind = "resume"
 	// KindAdmissionShed marks a staging-server connection refused by
 	// admission control: MaxConns reached and the accept backlog full.
 	KindAdmissionShed Kind = "admission_shed"
@@ -470,16 +465,6 @@ func (e *Emitter) CheckpointWrite(step, manifestEntries int) {
 		Kind: KindCheckpointWrite, Step: step,
 		Detail: fmt.Sprintf("manifest_entries=%d", manifestEntries),
 	})
-}
-
-// Resumed records a run resuming from a journal checkpoint into a fresh
-// event log (see KindResume for why it never appears mid-stream in a
-// continued log).
-func (e *Emitter) Resumed(step int, detail string) {
-	if e == nil {
-		return
-	}
-	e.Emit(Event{Kind: KindResume, Step: step, Detail: detail})
 }
 
 // BeginStep opens a step span: a step_started event is emitted and every

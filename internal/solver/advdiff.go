@@ -8,13 +8,17 @@ import (
 	"crosslayer/internal/grid"
 )
 
+// Advection-diffusion constants, typed for the reason given at gasGamma.
+const (
+	advDiffCFL        float64 = 0.5  // CFL number
+	advDiffGradThresh float64 = 0.02 // tagging threshold
+)
+
 // AdvDiffConfig configures the Advection-Diffusion simulation.
 type AdvDiffConfig struct {
 	AMR            amr.Config // NComp is forced to 1
 	Velocity       [3]float64 // constant advection velocity (default {1, 0.5, 0.25})
 	Diffusion      float64    // diffusion coefficient ν (default 0.005)
-	CFL            float64    // CFL number (default 0.5)
-	GradThresh     float64    // tagging threshold (default 0.02)
 	RegridInterval int        // steps between regrids (default 4)
 
 	// Subcycle enables Berger–Oliger refined time stepping: the fine level
@@ -22,11 +26,6 @@ type AdvDiffConfig struct {
 	// interpolated in time between the coarse level's old and new states.
 	// One refinement level is supported (MaxLevel ≤ 1).
 	Subcycle bool
-
-	// Initial condition: a compact Gaussian pulse. Centre defaults to the
-	// lower-quadrant point (¼, ¼, ¼) of the domain so the pulse traverses
-	// the box and keeps the refined region moving.
-	PulseWidth float64 // in base-level cells (default 1/10 of min extent)
 }
 
 func (c *AdvDiffConfig) withDefaults() AdvDiffConfig {
@@ -37,17 +36,8 @@ func (c *AdvDiffConfig) withDefaults() AdvDiffConfig {
 	if out.Diffusion == 0 {
 		out.Diffusion = 0.005
 	}
-	if out.CFL == 0 {
-		out.CFL = 0.5
-	}
-	if out.GradThresh == 0 {
-		out.GradThresh = 0.02
-	}
 	if out.RegridInterval == 0 {
 		out.RegridInterval = 4
-	}
-	if out.PulseWidth == 0 {
-		out.PulseWidth = float64(out.AMR.Domain.Size().MinComp()) / 10
 	}
 	out.AMR.NComp = 1
 	return out
@@ -81,7 +71,7 @@ func NewAdvectionDiffusion(cfg AdvDiffConfig) *AdvectionDiffusion {
 	}
 	s.initLevel(0)
 	for li := 0; li < c.AMR.MaxLevel; li++ {
-		tags := s.h.TagCells(li, 0, c.GradThresh)
+		tags := s.h.TagCells(li, 0, advDiffGradThresh)
 		if len(tags) == 0 {
 			break
 		}
@@ -98,6 +88,10 @@ func NewAdvectionDiffusion(cfg AdvDiffConfig) *AdvectionDiffusion {
 	return s
 }
 
+// initLevel applies the initial condition to level li: a compact Gaussian
+// pulse of width 1/10 of the domain's smallest extent, centred on the
+// lower-quadrant point (¼, ¼, ¼) so the pulse traverses the box and keeps
+// the refined region moving.
 func (s *AdvectionDiffusion) initLevel(li int) {
 	l := s.h.Level(li)
 	scale := 1
@@ -108,7 +102,7 @@ func (s *AdvectionDiffusion) initLevel(li int) {
 	cx := float64(sz.X) * 0.25 * float64(scale)
 	cy := float64(sz.Y) * 0.25 * float64(scale)
 	cz := float64(sz.Z) * 0.25 * float64(scale)
-	width := s.cfg.PulseWidth * float64(scale)
+	width := float64(sz.MinComp()) / 10 * float64(scale)
 	for _, p := range l.Patches {
 		p.Box.ForEach(func(q grid.IntVect) {
 			dx := float64(q.X) + 0.5 - cx
@@ -140,7 +134,7 @@ func (s *AdvectionDiffusion) AnalysisComp() int { return 0 }
 func (s *AdvectionDiffusion) stableDt(dx float64) float64 {
 	sumV := math.Abs(s.cfg.Velocity[0]) + math.Abs(s.cfg.Velocity[1]) + math.Abs(s.cfg.Velocity[2])
 	denom := sumV/dx + 6*s.cfg.Diffusion/(dx*dx)
-	return s.cfg.CFL / math.Max(denom, 1e-12)
+	return advDiffCFL / math.Max(denom, 1e-12)
 }
 
 // Step implements Simulation.
@@ -178,7 +172,7 @@ func (s *AdvectionDiffusion) Step() StepStats {
 	regridded := false
 	if s.step > 0 && s.step%s.cfg.RegridInterval == 0 {
 		for li := 0; li < s.cfg.AMR.MaxLevel && li <= s.h.FinestLevel(); li++ {
-			tags := s.h.TagCells(li, 0, s.cfg.GradThresh)
+			tags := s.h.TagCells(li, 0, advDiffGradThresh)
 			s.h.Regrid(li, tags)
 		}
 		regridded = true

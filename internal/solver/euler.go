@@ -18,54 +18,36 @@ const (
 	NumComp = 5
 )
 
+// Gas constants. They are typed so that expressions such as gasGamma-1
+// round exactly as the same arithmetic on float64 variables does: an
+// untyped 1.4-1 folds to 0.4, one ulp away, and would move the pinned
+// state sums.
+const (
+	gasGamma      float64 = 1.4  // ratio of specific heats
+	gasCFL        float64 = 0.4  // CFL number
+	gasGradThresh float64 = 0.05 // density-gradient tagging threshold
+
+	// Blast-wave initial condition: ambient gas with an over-pressured
+	// sphere at the domain center (radius 1/8 of the smallest extent), the
+	// classic driver of an expanding shock that AMR chases.
+	gasAmbientRho float64 = 1.0
+	gasAmbientP   float64 = 0.1
+	gasBlastRho   float64 = 2.0 // density inside the blast sphere
+	gasBlastP     float64 = 10.0
+)
+
 // GasConfig configures the Polytropic Gas simulation.
 type GasConfig struct {
 	AMR            amr.Config // Domain, ranks, levels, ... (NComp is forced to 5)
-	Gamma          float64    // ratio of specific heats (default 1.4)
-	CFL            float64    // CFL number (default 0.4)
-	GradThresh     float64    // density-gradient tagging threshold (default 0.05)
 	RegridInterval int        // steps between regrids (default 4)
 	Reflux         bool       // Berger–Colella refluxing at coarse-fine interfaces
-
-	// Blast-wave initial condition: ambient gas with an over-pressured
-	// sphere at the domain center, the classic driver of an expanding
-	// shock that AMR chases.
-	AmbientRho    float64 // default 1.0
-	AmbientP      float64 // default 0.1
-	BlastRho      float64 // density inside the blast sphere (default 2.0)
-	BlastP        float64 // default 10.0
-	BlastRadius   float64 // in cells at the base level (default 1/8 of min extent)
-	SecondaryStep int     // if >0, inject a second blast at this step (stresses regridding)
+	SecondaryStep  int        // if >0, inject a second blast at this step (stresses regridding)
 }
 
 func (c *GasConfig) withDefaults() GasConfig {
 	out := *c
-	if out.Gamma == 0 {
-		out.Gamma = 1.4
-	}
-	if out.CFL == 0 {
-		out.CFL = 0.4
-	}
-	if out.GradThresh == 0 {
-		out.GradThresh = 0.05
-	}
 	if out.RegridInterval == 0 {
 		out.RegridInterval = 4
-	}
-	if out.AmbientRho == 0 {
-		out.AmbientRho = 1.0
-	}
-	if out.AmbientP == 0 {
-		out.AmbientP = 0.1
-	}
-	if out.BlastRho == 0 {
-		out.BlastRho = 2.0
-	}
-	if out.BlastP == 0 {
-		out.BlastP = 10.0
-	}
-	if out.BlastRadius == 0 {
-		out.BlastRadius = float64(out.AMR.Domain.Size().MinComp()) / 8
 	}
 	out.AMR.NComp = NumComp
 	return out
@@ -117,7 +99,7 @@ func NewPolytropicGas(cfg GasConfig) *PolytropicGas {
 // tagThresh scales the tagging threshold with level (finer levels tag on
 // smaller undivided differences).
 func (s *PolytropicGas) tagThresh(li int) float64 {
-	return s.cfg.GradThresh / float64(int(1)<<uint(li))
+	return gasGradThresh / float64(int(1)<<uint(li))
 }
 
 // initLevel applies the initial condition to level li.
@@ -131,16 +113,16 @@ func (s *PolytropicGas) initLevel(li int) {
 	cx := (float64(ctr.X) + 0.5) * float64(scale)
 	cy := (float64(ctr.Y) + 0.5) * float64(scale)
 	cz := (float64(ctr.Z) + 0.5) * float64(scale)
-	radius := s.cfg.BlastRadius * float64(scale)
-	g1 := s.cfg.Gamma - 1
+	radius := float64(s.cfg.AMR.Domain.Size().MinComp()) / 8 * float64(scale)
+	g1 := gasGamma - 1
 	for _, p := range l.Patches {
 		p.Box.ForEach(func(q grid.IntVect) {
 			dx := float64(q.X) + 0.5 - cx
 			dy := float64(q.Y) + 0.5 - cy
 			dz := float64(q.Z) + 0.5 - cz
-			rho, pr := s.cfg.AmbientRho, s.cfg.AmbientP
+			rho, pr := gasAmbientRho, gasAmbientP
 			if math.Sqrt(dx*dx+dy*dy+dz*dz) < radius {
-				rho, pr = s.cfg.BlastRho, s.cfg.BlastP
+				rho, pr = gasBlastRho, gasBlastP
 			}
 			p.Data.Set(q, CompRho, rho)
 			p.Data.Set(q, CompMx, 0)
@@ -155,7 +137,7 @@ func (s *PolytropicGas) initLevel(li int) {
 // fresh refinement mid-run (used to reproduce the erratic data-volume
 // growth of the paper's Fig. 1 profile).
 func (s *PolytropicGas) injectBlast() {
-	g1 := s.cfg.Gamma - 1
+	g1 := gasGamma - 1
 	for li, l := range s.h.Levels {
 		scale := 1
 		for i := 0; i < li; i++ {
@@ -165,14 +147,14 @@ func (s *PolytropicGas) injectBlast() {
 		cx := (float64(sz.X)*0.25 + 0.5) * float64(scale)
 		cy := (float64(sz.Y)*0.25 + 0.5) * float64(scale)
 		cz := (float64(sz.Z)*0.25 + 0.5) * float64(scale)
-		radius := s.cfg.BlastRadius * float64(scale) * 0.75
+		radius := float64(sz.MinComp()) / 8 * float64(scale) * 0.75
 		for _, p := range l.Patches {
 			p.Box.ForEach(func(q grid.IntVect) {
 				dx := float64(q.X) + 0.5 - cx
 				dy := float64(q.Y) + 0.5 - cy
 				dz := float64(q.Z) + 0.5 - cz
 				if math.Sqrt(dx*dx+dy*dy+dz*dz) < radius {
-					p.Data.Set(q, CompE, p.Data.Get(q, CompE)+s.cfg.BlastP/g1)
+					p.Data.Set(q, CompE, p.Data.Get(q, CompE)+gasBlastP/g1)
 				}
 			})
 		}
@@ -210,7 +192,7 @@ func comps(d *field.BoxData) (u [NumComp][]float64) {
 func (s *PolytropicGas) flux(pm prim, d int) [NumComp]float64 {
 	vel := [3]float64{pm.u, pm.v, pm.w}
 	vn := vel[d]
-	e := pm.p/(s.cfg.Gamma-1) + 0.5*pm.rho*(pm.u*pm.u+pm.v*pm.v+pm.w*pm.w)
+	e := pm.p/(gasGamma-1) + 0.5*pm.rho*(pm.u*pm.u+pm.v*pm.v+pm.w*pm.w)
 	var f [NumComp]float64
 	f[CompRho] = pm.rho * vn
 	f[CompMx] = pm.rho * pm.u * vn
@@ -222,7 +204,7 @@ func (s *PolytropicGas) flux(pm prim, d int) [NumComp]float64 {
 }
 
 func (s *PolytropicGas) sound(pm prim) float64 {
-	return math.Sqrt(s.cfg.Gamma * pm.p / pm.rho)
+	return math.Sqrt(gasGamma * pm.p / pm.rho)
 }
 
 // hll computes the HLL approximate Riemann flux between left and right
@@ -252,7 +234,7 @@ func (s *PolytropicGas) hll(left, right prim, d int) [NumComp]float64 {
 }
 
 func (s *PolytropicGas) conserved(pm prim) [NumComp]float64 {
-	e := pm.p/(s.cfg.Gamma-1) + 0.5*pm.rho*(pm.u*pm.u+pm.v*pm.v+pm.w*pm.w)
+	e := pm.p/(gasGamma-1) + 0.5*pm.rho*(pm.u*pm.u+pm.v*pm.v+pm.w*pm.w)
 	return [NumComp]float64{pm.rho, pm.rho * pm.u, pm.rho * pm.v, pm.rho * pm.w, e}
 }
 
@@ -297,7 +279,7 @@ func (s *PolytropicGas) Step() StepStats {
 	for i := 0; i < finest; i++ {
 		dxFine /= float64(s.h.Cfg.RefRatio)
 	}
-	dt := s.cfg.CFL * dxFine / s.maxWaveSpeed()
+	dt := gasCFL * dxFine / s.maxWaveSpeed()
 
 	// Flux registers (one per fine level) capture coarse and fine fluxes at
 	// the coarse-fine boundaries during the sweeps, then correct the
@@ -473,7 +455,7 @@ func (s *PolytropicGas) primFromConserved(u [NumComp]float64) prim {
 		rho = 1e-12
 	}
 	vx, vy, vz := u[CompMx]/rho, u[CompMy]/rho, u[CompMz]/rho
-	pr := (s.cfg.Gamma - 1) * (u[CompE] - 0.5*rho*(vx*vx+vy*vy+vz*vz))
+	pr := (gasGamma - 1) * (u[CompE] - 0.5*rho*(vx*vx+vy*vy+vz*vz))
 	if pr < 1e-12 {
 		pr = 1e-12
 	}
@@ -482,7 +464,7 @@ func (s *PolytropicGas) primFromConserved(u [NumComp]float64) prim {
 
 // floorState enforces positive density and pressure after an update.
 func (s *PolytropicGas) floorState(d *field.BoxData) {
-	g1 := s.cfg.Gamma - 1
+	g1 := gasGamma - 1
 	u := comps(d)
 	for i, rho := range u[CompRho] {
 		if rho < 1e-10 {

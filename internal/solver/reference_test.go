@@ -25,7 +25,7 @@ func refToPrim(s *PolytropicGas, d *field.BoxData, q grid.IntVect) prim {
 	v := d.Get(q, CompMy) / rho
 	w := d.Get(q, CompMz) / rho
 	e := d.Get(q, CompE)
-	pr := (s.cfg.Gamma - 1) * (e - 0.5*rho*(u*u+v*v+w*w))
+	pr := (gasGamma - 1) * (e - 0.5*rho*(u*u+v*v+w*w))
 	if pr < 1e-12 {
 		pr = 1e-12
 	}
@@ -50,7 +50,7 @@ func refMaxWaveSpeed(s *PolytropicGas) float64 {
 }
 
 func refFloorState(s *PolytropicGas, d *field.BoxData) {
-	g1 := s.cfg.Gamma - 1
+	g1 := gasGamma - 1
 	d.Box.ForEach(func(q grid.IntVect) {
 		rho := d.Get(q, CompRho)
 		if rho < 1e-10 {
@@ -132,7 +132,7 @@ func refGasStep(s *PolytropicGas) StepStats {
 	for i := 0; i < finest; i++ {
 		dxFine /= float64(s.h.Cfg.RefRatio)
 	}
-	dt := s.cfg.CFL * dxFine / refMaxWaveSpeed(s)
+	dt := gasCFL * dxFine / refMaxWaveSpeed(s)
 
 	regs := make([]*amr.FluxRegister, finest+2)
 	if s.cfg.Reflux {
@@ -247,7 +247,7 @@ func refAdvDiffStep(s *AdvectionDiffusion) StepStats {
 	regridded := false
 	if s.step > 0 && s.step%s.cfg.RegridInterval == 0 {
 		for li := 0; li < s.cfg.AMR.MaxLevel && li <= s.h.FinestLevel(); li++ {
-			s.h.Regrid(li, s.h.TagCells(li, 0, s.cfg.GradThresh))
+			s.h.Regrid(li, s.h.TagCells(li, 0, advDiffGradThresh))
 		}
 		regridded = true
 	}

@@ -540,7 +540,7 @@ func (w *Workflow) Build() (_ *core.Workflow, _ solver.Simulation, err error) {
 		// The resumed run appends to the original logs, so no resume event
 		// is announced: the combined stream must stay byte-identical to an
 		// uninterrupted run's.
-		wf, err = core.ResumeWorkflow(cfg, sim, recovered, core.ResumeOptions{})
+		wf, err = core.ResumeWorkflow(cfg, sim, recovered)
 		if err == nil {
 			w.resumedStep = wf.NextStep()
 		}

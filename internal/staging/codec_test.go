@@ -312,6 +312,9 @@ func TestEncodeLeavesSourceUntouched(t *testing.T) {
 // a block its own recovery would refuse, and a pool never blames an
 // endpoint for the caller's block. The largest block the bound admits,
 // under the longest key a durable space admits, is logged and recovered.
+// A variable name longer than the wire carries is the caller's error too:
+// client and pool refuse it on every op with no retry, and the pool checks
+// the longest name it would derive — a tenant-qualified replica name.
 func TestUnwireableBlockIsNeverAcked(t *testing.T) {
 	bads := map[string]*field.BoxData{
 		"65-component": field.New(grid.BoxFromSize(grid.IV(0, 0, 0), grid.IV(2, 2, 2)), 65),
@@ -372,6 +375,16 @@ func TestUnwireableBlockIsNeverAcked(t *testing.T) {
 			}
 		}
 	}
+	longName := strings.Repeat("v", maxVarName+1)
+	if err := cl.Put(longName, 0, good); !errors.Is(err, ErrBadBlock) {
+		t.Fatalf("Client.Put under a %d-byte name = %v, want ErrBadBlock", len(longName), err)
+	}
+	if _, err := cl.GetBlocks(longName, 0, dom()); !errors.Is(err, ErrBadBlock) {
+		t.Fatalf("Client.GetBlocks under a %d-byte name = %v, want ErrBadBlock", len(longName), err)
+	}
+	if _, err := cl.DropBefore(longName, 1); !errors.Is(err, ErrBadBlock) {
+		t.Fatalf("Client.DropBefore under a %d-byte name = %v, want ErrBadBlock", len(longName), err)
+	}
 	if retries, reconnects := cl.TransportStats(); retries != 0 || reconnects != 0 {
 		t.Fatalf("rejected puts cost %d retries, %d reconnects", retries, reconnects)
 	}
@@ -385,6 +398,33 @@ func TestUnwireableBlockIsNeverAcked(t *testing.T) {
 			t.Fatalf("Pool.Put of a %s block = %v, want ErrBadBlock", name, err)
 		}
 	}
+	// The highest shard's replica variable appends "#r2": a name that fits
+	// the wire alone may not fit it as a replica, on whichever shard the
+	// block lands; under a tenant the qualified name must fit.
+	fits := strings.Repeat("v", maxVarName-len("#r2"))
+	tenant, err := rig.pool.Tenant("t0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, bn := range []struct {
+		what string
+		pool *Pool
+		name string
+	}{
+		{"a too long name", rig.pool, longName},
+		{"a name too long as a replica", rig.pool, fits + "v"},
+		{"a name too long once tenant-qualified", tenant, fits[len("t0/"):] + "v"},
+	} {
+		if err := bn.pool.Put(bn.name, 0, good); !errors.Is(err, ErrBadBlock) {
+			t.Fatalf("Pool.Put under %s = %v, want ErrBadBlock", bn.what, err)
+		}
+		if _, err := bn.pool.GetBlocks(bn.name, 0, dom()); !errors.Is(err, ErrBadBlock) {
+			t.Fatalf("Pool.GetBlocks under %s = %v, want ErrBadBlock", bn.what, err)
+		}
+		if _, err := bn.pool.DropBefore(bn.name, 1); !errors.Is(err, ErrBadBlock) {
+			t.Fatalf("Pool.DropBefore under %s = %v, want ErrBadBlock", bn.what, err)
+		}
+	}
 	if h, n := rig.pool.HealthyEndpoints(); h != n {
 		t.Fatalf("a rejected put left %d of %d endpoints healthy", h, n)
 	}
@@ -394,6 +434,14 @@ func TestUnwireableBlockIsNeverAcked(t *testing.T) {
 	for i, s := range rig.spaces {
 		if s.MemUsed() != 0 {
 			t.Fatalf("server %d holds %d bytes after a rejected put", i, s.MemUsed())
+		}
+	}
+	for _, pn := range []struct {
+		pool *Pool
+		name string
+	}{{rig.pool, fits}, {tenant, fits[len("t0/"):]}} {
+		if err := pn.pool.Put(pn.name, 0, good); err != nil {
+			t.Fatalf("Pool.Put under the longest admitted %d-byte name: %v", len(pn.name), err)
 		}
 	}
 }

@@ -23,9 +23,7 @@ func fleetPool(t *testing.T, fo FleetOptions) (*Fleet, *Pool, *obs.RingSink) {
 	t.Cleanup(func() { fleet.Close() })
 	sink := obs.NewRingSink(256)
 	pool, err := NewPool(fleet.Addrs(), dom(), PoolOptions{
-		Replicas:         2,
-		FailureThreshold: 1,
-		ProbeEvery:       1,
+		Replicas: 2,
 		Client: ClientOptions{
 			OpTimeout:   2 * time.Second,
 			MaxRetries:  -1, // fail fast; the breaker is the resilience layer
@@ -37,6 +35,7 @@ func fleetPool(t *testing.T, fo FleetOptions) (*Fleet, *Pool, *obs.RingSink) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	pool.thresh, pool.probeEvn = 1, 1 // trip and probe on every operation
 	t.Cleanup(func() { pool.Close() })
 	return fleet, pool, sink
 }

@@ -6,6 +6,7 @@ import (
 	"fmt"
 	"sort"
 
+	"crosslayer/internal/grid"
 	"crosslayer/internal/journal"
 )
 
@@ -55,19 +56,25 @@ func sortEntries(entries []ManifestEntry) {
 // Manifest snapshots the live map, canonically sorted: the handle's
 // namespace of it on a tenant handle, all of it otherwise.
 func (p *Pool) Manifest() Manifest {
-	p.stateMu.Lock()
-	defer p.stateMu.Unlock()
-	var m Manifest
-	for varName, vs := range p.live {
-		if !p.owns(varName) {
+	return Manifest{Entries: p.liveEntries(p.owns)}
+}
+
+// liveEntries snapshots the live map as canonically sorted entries, keeping
+// the variables owns accepts; a nil owns keeps the whole pool.
+func (c *poolCore) liveEntries(owns func(varName string) bool) []ManifestEntry {
+	c.stateMu.Lock()
+	defer c.stateMu.Unlock()
+	var entries []ManifestEntry
+	for varName, vs := range c.live {
+		if owns != nil && !owns(varName) {
 			continue
 		}
 		for ver, blocks := range vs {
-			m.Entries = append(m.Entries, ManifestEntry{Var: varName, Version: ver, Blocks: blocks})
+			entries = append(entries, ManifestEntry{Var: varName, Version: ver, Blocks: blocks})
 		}
 	}
-	sortEntries(m.Entries)
-	return m
+	sortEntries(entries)
+	return entries
 }
 
 // RestoreManifest re-arms the pool's live map from a journaled manifest —
@@ -102,7 +109,7 @@ func (p *Pool) RestoreManifest(m Manifest) {
 //
 //	magic   uint32  "XLM1"
 //	count   uint32  number of entries, <= manifestMaxEntries
-//	entry*: varLen  uint16  1..manifestMaxVar
+//	entry*: varLen  uint16  1..maxVarName
 //	        var     []byte
 //	        version int32   >= 0
 //	        blocks  int32   >= 1
@@ -113,7 +120,6 @@ func (p *Pool) RestoreManifest(m Manifest) {
 const (
 	manifestMagic      = 0x584c4d31 // "XLM1"
 	manifestMaxEntries = 1 << 20
-	manifestMaxVar     = 256
 )
 
 // ErrBadManifest tags every decode failure.
@@ -122,7 +128,7 @@ var ErrBadManifest = errors.New("staging: bad manifest")
 // check bounds one entry to the value space the wire format carries.
 func (e ManifestEntry) check() error {
 	switch {
-	case len(e.Var) == 0 || len(e.Var) > manifestMaxVar:
+	case len(e.Var) == 0 || len(e.Var) > maxVarName:
 		return fmt.Errorf("var %q has bad length", e.Var)
 	case e.Version < 0 || e.Version > journal.MaxSmallInt:
 		return fmt.Errorf("version %d out of range", e.Version)
@@ -175,7 +181,7 @@ func DecodeManifest(data []byte) (Manifest, error) {
 	}
 	var m Manifest
 	for i := uint32(0); i < count && d.Err() == nil; i++ {
-		e := ManifestEntry{Var: d.Str(manifestMaxVar), Version: d.SmallInt(), Blocks: d.SmallInt()}
+		e := ManifestEntry{Var: d.Str(maxVarName), Version: d.SmallInt(), Blocks: d.SmallInt()}
 		if err := e.check(); err != nil {
 			d.Fail("%v", err)
 		}
@@ -211,20 +217,20 @@ func (p *Pool) Audit(m Manifest) (missing int) {
 		if !p.owns(e.Var) {
 			continue
 		}
-		seen := make(map[string]struct{})
+		type blockID struct {
+			box   grid.Box
+			ncomp int
+		}
+		seen := make(map[blockID]struct{})
 		for shard := 0; shard < n; shard++ {
 			for j := 0; j < p.replicas; j++ {
 				ep := p.eps[(shard+j)%n]
-				name := e.Var
-				if j > 0 {
-					name = replicaVar(e.Var, shard)
-				}
-				blocks, err := ep.client.GetBlocks(name, e.Version, allRegion)
+				blocks, err := ep.client.GetBlocks(replicaName(e.Var, shard, j), e.Version, allRegion)
 				if err != nil {
 					continue // unreachable endpoint or empty replica: not a source
 				}
 				for _, b := range blocks {
-					seen[fmt.Sprintf("%v-%v-%d", b.Box.Lo, b.Box.Hi, b.NComp)] = struct{}{}
+					seen[blockID{b.Box, b.NComp}] = struct{}{}
 				}
 			}
 		}

@@ -59,7 +59,7 @@ func TestManifestEncodeCanonicalizesOrder(t *testing.T) {
 }
 
 func TestManifestEncodeRejectsInvalid(t *testing.T) {
-	long := make([]byte, manifestMaxVar+1)
+	long := make([]byte, maxVarName+1)
 	for i := range long {
 		long[i] = 'x'
 	}

@@ -24,10 +24,10 @@ import (
 // server crash leaves every block with a surviving copy as long as K > 1.
 //
 // The pool tracks per-endpoint health with a consecutive-failure circuit
-// breaker: an endpoint that fails FailureThreshold operations in a row is
+// breaker: an endpoint that fails failureThreshold operations in a row is
 // taken out of rotation (endpoint_down), and while it is down reads of its
 // shard fail over to replicas (failover_get) and writes land only on the
-// survivors. Every ProbeEvery skipped operations the breaker half-opens and
+// survivors. Every probeEvery skipped operations the breaker half-opens and
 // probes the endpoint with a cheap stat round trip; when the probe succeeds
 // the pool runs an anti-entropy repair pass — re-replicating every live
 // (variable, version) the endpoint should hold from surviving peers — and
@@ -76,8 +76,9 @@ type Pool struct {
 type poolCore struct {
 	domain   grid.Box
 	replicas int
-	thresh   int
-	probeEvn int
+	thresh   int // failureThreshold; tests lower it to trip on one failure
+	probeEvn int // probeEvery; tests lower it to probe on every operation
+	nameRoom int // longest qualified name whose every replica name fits the wire
 	conc     int
 	events   *obs.Emitter
 
@@ -136,21 +137,18 @@ const (
 	rankUp
 )
 
+// An endpoint's breaker opens after failureThreshold consecutive failed
+// operations; while down, the endpoint sits out probeEvery operations
+// between half-open probes. Probe cadence counts operations, not wall time,
+// so seeded runs probe at reproducible points.
+const failureThreshold, probeEvery = 2, 2
+
 // PoolOptions tunes the pool. The zero value selects the defaults noted on
 // each field.
 type PoolOptions struct {
 	// Replicas is how many endpoints hold each block, primary included
 	// (default 1 = no replication; capped at the endpoint count).
 	Replicas int
-
-	// FailureThreshold is how many consecutive failed operations open an
-	// endpoint's circuit breaker (default 2).
-	FailureThreshold int
-
-	// ProbeEvery is how many operations a down endpoint sits out between
-	// half-open probes (default 2). Probe cadence counts operations, not
-	// wall time, so seeded runs probe at reproducible points.
-	ProbeEvery int
 
 	// Concurrency selects the executor. <= 1 (default) runs every
 	// endpoint job inline on the caller's goroutine, one operation at a
@@ -195,12 +193,6 @@ func NewPool(addrs []string, domain grid.Box, opts PoolOptions) (*Pool, error) {
 	if opts.Replicas > len(addrs) {
 		return nil, fmt.Errorf("staging: %d replicas exceed %d endpoints", opts.Replicas, len(addrs))
 	}
-	if opts.FailureThreshold < 1 {
-		opts.FailureThreshold = 2
-	}
-	if opts.ProbeEvery < 1 {
-		opts.ProbeEvery = 2
-	}
 	if opts.Concurrency < 1 {
 		opts.Concurrency = 1
 	}
@@ -210,11 +202,16 @@ func NewPool(addrs []string, domain grid.Box, opts PoolOptions) (*Pool, error) {
 	copts := opts.Client
 	copts.Events = nil // see PoolOptions.Client
 	copts.Metrics = opts.Metrics
+	nameRoom := maxVarName
+	if opts.Replicas > 1 {
+		nameRoom -= len(replicaVar("", len(addrs)-1)) // the highest shard's suffix
+	}
 	p := &Pool{tenant: opts.Tenant, poolCore: &poolCore{
 		domain:   domain,
 		replicas: opts.Replicas,
-		thresh:   opts.FailureThreshold,
-		probeEvn: opts.ProbeEvery,
+		thresh:   failureThreshold,
+		probeEvn: probeEvery,
+		nameRoom: nameRoom,
 		conc:     opts.Concurrency,
 		events:   opts.Events,
 		live:     make(map[string]map[int]int),
@@ -507,7 +504,7 @@ func (p *Pool) newOpRec(kind int, key1 uint64, key2 int64, name, detail string) 
 // blockKey is a put's deterministic sort key: the block's Morton code, the
 // same bucketing the router and the assembly sort use.
 func (p *Pool) blockKey(b grid.Box) uint64 {
-	return uint64(grid.MortonCode(b.Lo.Sub(p.domain.Lo).Max(grid.Zero)))
+	return mortonKey(p.domain, b.Lo)
 }
 
 // nowNs is a wall stamp for queue/exec measurement: zero (free) unless the
@@ -665,12 +662,21 @@ func routeIndex(domain grid.Box, b grid.Box, n int) int {
 }
 
 // scoped qualifies varName into the handle's tenant namespace when it is
-// tenant-scoped; identity otherwise.
+// tenant-scoped (identity otherwise) and checks that every name the pool
+// derives from it fits the wire. A name that does not fit fails with
+// ErrBadBlock before any endpoint sees it, so it never counts against an
+// endpoint's health.
 func (p *Pool) scoped(varName string) (string, error) {
-	if p.tenant == "" {
-		return varName, nil
+	if p.tenant != "" {
+		var err error
+		if varName, err = TenantVar(p.tenant, varName); err != nil {
+			return "", err
+		}
 	}
-	return TenantVar(p.tenant, varName)
+	if len(varName) > p.nameRoom {
+		return "", fmt.Errorf("%w: variable name of %d bytes, the pool's replica names carry at most %d", ErrBadBlock, len(varName), p.nameRoom)
+	}
+	return varName, nil
 }
 
 // gateDecision is the breaker's answer for one offered operation.
@@ -701,7 +707,7 @@ func (p *Pool) gate(ep *endpoint) gateDecision {
 }
 
 // usable reports whether ep may serve an operation right now. A down
-// endpoint sits out ProbeEvery operations, then half-opens: a cheap stat
+// endpoint sits out probeEvery operations, then half-opens: a cheap stat
 // round trip probes the transport, and on success the anti-entropy repair
 // pass runs before the endpoint returns to rotation — a rejoining server
 // is never offered reads it cannot answer.
@@ -782,9 +788,9 @@ func (p *Pool) suspect(ep *endpoint) bool {
 // Replicas−1 endpoints in ring order get copies under the shard's replica
 // variable. The replica-set writes are submitted together and joined; the
 // put succeeds when at least one endpoint stored the block, and only a block
-// with no surviving replica at all is a failure. A block the wire format
-// cannot carry fails with ErrBadBlock before any endpoint sees it, so it
-// never counts against an endpoint's health.
+// with no surviving replica at all is a failure. A block or name the wire
+// format cannot carry fails with ErrBadBlock before any endpoint sees it,
+// so it never counts against an endpoint's health.
 func (p *Pool) Put(varName string, version int, d *field.BoxData) error {
 	if err := checkBlock(d); err != nil {
 		return err
@@ -951,10 +957,7 @@ func (p *Pool) GetBlocks(varName string, version int, region grid.Box) ([]*field
 		return nil, ErrNotFound
 	}
 	// Deterministic assembly order regardless of which endpoints answered.
-	sort.Slice(out, func(i, j int) bool {
-		return grid.MortonCode(out[i].Box.Lo.Sub(p.domain.Lo).Max(grid.Zero)) <
-			grid.MortonCode(out[j].Box.Lo.Sub(p.domain.Lo).Max(grid.Zero))
-	})
+	SortBlocks(p.domain, out)
 	return out, nil
 }
 
@@ -1160,25 +1163,6 @@ func (p *Pool) dropLive(varName string, version int) {
 	}
 }
 
-// liveSnapshot copies the live manifest: variables sorted, versions sorted
-// ascending per variable.
-func (p *Pool) liveSnapshot() (vars []string, versions map[string][]int) {
-	p.stateMu.Lock()
-	defer p.stateMu.Unlock()
-	versions = make(map[string][]int, len(p.live))
-	for v, vs := range p.live {
-		vars = append(vars, v)
-		list := make([]int, 0, len(vs))
-		for ver := range vs {
-			list = append(list, ver)
-		}
-		sort.Ints(list)
-		versions[v] = list
-	}
-	sort.Strings(vars)
-	return vars, versions
-}
-
 // repair is the anti-entropy pass run when a down endpoint's probe
 // succeeds, before it rejoins rotation: for every live (variable, version)
 // in the pool's manifest, the blocks the endpoint should hold — its own
@@ -1200,7 +1184,7 @@ func (p *Pool) repair(ep *endpoint) bool {
 	rec := p.newOpRec(opRankRepair, uint64(ep.idx), 0, "pool:repair", "")
 	t0 := rec.nowNs()
 	n := len(p.eps)
-	vars, versionsOf := p.liveSnapshot()
+	live := p.liveEntries(nil) // the whole pool, whichever handle probed
 
 	// Shards this endpoint participates in: its own (as primary) and its
 	// ring predecessors' (as replica holder).
@@ -1240,11 +1224,14 @@ func (p *Pool) repair(ep *endpoint) bool {
 
 	blocks, bytes := 0, int64(0)
 	skippedBlocks, avoided := 0, int64(0)
-	for _, varName := range vars {
-		versions := versionsOf[varName]
-		if len(versions) == 0 {
-			continue
+	for len(live) > 0 {
+		varName := live[0].Var
+		k := 1
+		for k < len(live) && live[k].Var == varName {
+			k++
 		}
+		versions := live[:k]
+		live = live[k:]
 		for _, r := range roles {
 			name := r.name(varName)
 			// Merge, never wipe: the endpoint may hold blocks that exist
@@ -1254,10 +1241,11 @@ func (p *Pool) repair(ep *endpoint) bool {
 			// dropped. Restored blocks are re-put with repair-tagged
 			// sequence numbers; the server discards a restored copy it
 			// already holds, so repairing an intact store is a no-op.
-			if _, err := ep.client.DropBefore(name, versions[0]); err != nil {
+			if _, err := ep.client.DropBefore(name, versions[0].Version); err != nil {
 				return false
 			}
-			for _, ver := range versions {
+			for _, e := range versions {
+				ver := e.Version
 				fetched, ok := p.fetchShard(r.shard, ep, varName, ver)
 				if !ok {
 					return false

@@ -30,10 +30,8 @@ func newConcRig(t *testing.T, n, replicas, conc int) *poolRig {
 		addrs = append(addrs, ln.Addr().String())
 	}
 	p, err := NewPool(addrs, dom(), PoolOptions{
-		Replicas:         replicas,
-		Concurrency:      conc,
-		FailureThreshold: 1,
-		ProbeEvery:       1,
+		Replicas:    replicas,
+		Concurrency: conc,
 		Client: ClientOptions{
 			OpTimeout:   2 * time.Second,
 			MaxRetries:  -1,
@@ -44,6 +42,7 @@ func newConcRig(t *testing.T, n, replicas, conc int) *poolRig {
 	if err != nil {
 		t.Fatal(err)
 	}
+	p.thresh, p.probeEvn = 1, 1 // trip and probe on every operation
 	t.Cleanup(func() { p.Close() })
 	rig.pool = p
 	return rig

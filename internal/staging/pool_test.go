@@ -37,9 +37,7 @@ func newPoolRig(t *testing.T, n, replicas int) *poolRig {
 		addrs = append(addrs, ln.Addr().String())
 	}
 	p, err := NewPool(addrs, dom(), PoolOptions{
-		Replicas:         replicas,
-		FailureThreshold: 1,
-		ProbeEvery:       1,
+		Replicas: replicas,
 		Client: ClientOptions{
 			OpTimeout:   2 * time.Second,
 			MaxRetries:  -1, // fail fast; the breaker is the resilience layer
@@ -50,6 +48,7 @@ func newPoolRig(t *testing.T, n, replicas int) *poolRig {
 	if err != nil {
 		t.Fatal(err)
 	}
+	p.thresh, p.probeEvn = 1, 1 // trip and probe on every operation
 	t.Cleanup(func() { p.Close() })
 	rig.pool = p
 	return rig

@@ -54,10 +54,8 @@ func TestConcurrentPoolFaultSoak(t *testing.T) {
 		addrs = append(addrs, ln.Addr().String())
 	}
 	pool, err := NewPool(addrs, dom(), PoolOptions{
-		Replicas:         replicas,
-		Concurrency:      conc,
-		FailureThreshold: 1,
-		ProbeEvery:       1,
+		Replicas:    replicas,
+		Concurrency: conc,
 		Client: ClientOptions{
 			OpTimeout:   5 * time.Second,
 			MaxRetries:  3, // absorb the plan's connection drops
@@ -68,6 +66,7 @@ func TestConcurrentPoolFaultSoak(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	pool.thresh, pool.probeEvn = 1, 1 // trip and probe on every operation
 	t.Cleanup(func() { pool.Close() })
 
 	blocks := spread()

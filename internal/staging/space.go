@@ -286,15 +286,22 @@ func (sp *Space) GetBlocks(varName string, version int, region grid.Box) ([]*fie
 	if len(out) == 0 {
 		return nil, ErrNotFound
 	}
-	slices.SortStableFunc(out, func(a, b *field.BoxData) int {
-		return cmp.Compare(sp.morton(a.Box.Lo), sp.morton(b.Box.Lo))
-	})
+	SortBlocks(sp.domain, out)
 	return out, nil
 }
 
-// morton is the Morton code of p relative to the domain's low corner.
-func (sp *Space) morton(p grid.IntVect) uint64 {
-	return grid.MortonCode(p.Sub(sp.domain.Lo).Max(grid.Zero))
+// SortBlocks puts blocks in the staging block order — the order Space and
+// Pool GetBlocks return: by the Morton code of each block's Lo corner
+// relative to domain, blocks sharing a code keeping their relative order.
+func SortBlocks(domain grid.Box, blocks []*field.BoxData) {
+	slices.SortStableFunc(blocks, func(a, b *field.BoxData) int {
+		return cmp.Compare(mortonKey(domain, a.Box.Lo), mortonKey(domain, b.Box.Lo))
+	})
+}
+
+// mortonKey is the Morton code of p relative to domain's low corner.
+func mortonKey(domain grid.Box, p grid.IntVect) uint64 {
+	return grid.MortonCode(p.Sub(domain.Lo).Max(grid.Zero))
 }
 
 // Clear discards every stored object — the data-loss half of a modeled

@@ -80,6 +80,8 @@ const (
 	statusNoMemory = 2
 	statusBad      = 3
 	statusQuota    = 4
+
+	maxVarName = 256 // longest variable name a request or an XLM1 manifest carries
 )
 
 // The framing's little-endian scalars: sequence numbers and byte totals are
@@ -600,7 +602,7 @@ func (s *Server) handleOne(r *bufio.Reader, w *bufio.Writer, busy *atomic.Bool) 
 	if s.opts.RequestHook != nil {
 		s.opts.RequestHook(op)
 	}
-	if varLen > 256 {
+	if varLen > maxVarName {
 		return fmt.Errorf("%w: variable name too long", ErrProtocol)
 	}
 	name, err := readFixed(r, varLen)
@@ -946,12 +948,17 @@ func errDetail(err error) string {
 	return "transport error"
 }
 
-// do runs op under the retry policy: each attempt gets a fresh per-op
-// deadline; any transport or protocol error drops the connection, backs
-// off, re-dials and replays. Application-level results (nil, ErrNotFound,
-// ErrNoMemory, ErrQuotaExceeded) end the loop immediately. When the budget is exhausted the
-// last error is wrapped in ErrStagingUnavailable.
-func (c *Client) do(op func() error) error {
+// do runs op, a request on varName, under the retry policy: each attempt
+// gets a fresh per-op deadline; any transport or protocol error drops the
+// connection, backs off, re-dials and replays. Application-level results
+// (nil, ErrNotFound, ErrNoMemory, ErrQuotaExceeded) end the loop
+// immediately. When the budget is exhausted the last error is wrapped in
+// ErrStagingUnavailable. A name longer than the wire carries is the
+// caller's error, not the link's: it fails with ErrBadBlock, unsent.
+func (c *Client) do(varName string, op func() error) error {
+	if len(varName) > maxVarName {
+		return fmt.Errorf("%w: variable name of %d bytes, the wire carries at most %d", ErrBadBlock, len(varName), maxVarName)
+	}
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	var lastErr error
@@ -999,10 +1006,8 @@ func (c *Client) do(op func() error) error {
 	return fmt.Errorf("%w: %d attempts failed, last: %v", ErrStagingUnavailable, c.opts.MaxRetries+1, lastErr)
 }
 
+// writeHeader frames a request header; do has checked that varName fits.
 func (c *Client) writeHeader(op byte, varName string, version int) error {
-	if len(varName) > 256 {
-		return fmt.Errorf("%w: variable name too long", ErrProtocol)
-	}
 	trace := c.traceID.Load()
 	if trace != 0 {
 		op |= opFlagTrace
@@ -1042,8 +1047,8 @@ func (c *Client) PutRepair(varName string, version int, d *field.BoxData) error 
 	return c.put(varName, version, -(c.seqBase + c.seq.Add(1)), d)
 }
 
-// put runs one logical put under the retry policy. A block the wire format
-// cannot carry is the caller's error, not the link's: it fails with
+// put runs one logical put under the retry policy. A block or name the wire
+// format cannot carry is the caller's error, not the link's: it fails with
 // ErrBadBlock before the request header goes out and is not retried. (A
 // response that fails to decode is ErrBadBlock too, but that is a damaged
 // stream, which do drops and retries.)
@@ -1051,7 +1056,7 @@ func (c *Client) put(varName string, version int, seq int64, d *field.BoxData) e
 	if err := checkBlock(d); err != nil {
 		return err
 	}
-	return c.do(func() error { return c.sendPut(varName, version, seq, d) })
+	return c.do(varName, func() error { return c.sendPut(varName, version, seq, d) })
 }
 
 // sendPut writes one put request and reads its status.
@@ -1085,7 +1090,7 @@ func (c *Client) sendPut(varName string, version int, seq int64, d *field.BoxDat
 // region.
 func (c *Client) GetBlocks(varName string, version int, region grid.Box) ([]*field.BoxData, error) {
 	var out []*field.BoxData
-	err := c.do(func() error {
+	err := c.do(varName, func() error {
 		var err error
 		out, err = c.getBlocks(varName, version, region)
 		return err
@@ -1140,7 +1145,7 @@ func (c *Client) MemUsed() (int64, error) { return c.scalar(opStat, "", 0) }
 
 // scalar runs an op whose whole reply is a status and one int64.
 func (c *Client) scalar(op byte, varName string, version int) (out int64, err error) {
-	err = c.do(func() error {
+	err = c.do(varName, func() error {
 		if err := c.writeHeader(op, varName, version); err != nil {
 			return err
 		}
@@ -1167,7 +1172,7 @@ func (c *Client) scalar(op byte, varName string, version int) (out int64, err er
 func (c *Client) Manifest() (Manifest, []int64, error) {
 	var m Manifest
 	var sizes []int64
-	err := c.do(func() error {
+	err := c.do("", func() error {
 		var err error
 		m, sizes, err = c.manifest()
 		return err

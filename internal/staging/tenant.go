@@ -20,7 +20,7 @@ import (
 const tenantSep = "/"
 
 // maxTenantLen bounds tenant ids so a qualified key plus the pool's
-// replica suffix stays well inside the wire codec's 256-byte name limit.
+// replica suffix stays well inside the wire's name bound (maxVarName).
 const maxTenantLen = 64
 
 // ErrBadTenant reports a tenant id outside the accepted charset

@@ -123,6 +123,41 @@ func TestTenantHandleKeepsToItsNamespace(t *testing.T) {
 	}
 }
 
+// TestTenantHandleRepairCoversWholePool: a rejoin repair runs from whichever
+// handle's operation probes the endpoint, and restores every tenant's data,
+// not only the probing handle's namespace.
+func TestTenantHandleRepairCoversWholePool(t *testing.T) {
+	rig := newPoolRig(t, 3, 2)
+	t0, err := rig.pool.Tenant("t0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	t1, err := rig.pool.Tenant("t1")
+	if err != nil {
+		t.Fatal(err)
+	}
+	putAll(t, t0, 0, spread())
+	putAll(t, t1, 0, spread())
+	want0, _ := rig.spaces[1].TenantUsage("t0")
+	want1, _ := rig.spaces[1].TenantUsage("t1")
+	rig.kill(1)
+	if _, err := t0.GetBlocks("rho", 0, dom()); err != nil { // trips the breaker
+		t.Fatal(err)
+	}
+	rig.gates[1].Revive()
+	if _, err := t0.GetBlocks("rho", 0, dom()); err != nil { // probes, repairs, rejoins
+		t.Fatal(err)
+	}
+	if healthy, _ := rig.pool.HealthyEndpoints(); healthy != 3 {
+		t.Fatalf("healthy = %d, want 3 after rejoin", healthy)
+	}
+	got0, _ := rig.spaces[1].TenantUsage("t0")
+	got1, _ := rig.spaces[1].TenantUsage("t1")
+	if want0 == 0 || got0 != want0 || got1 != want1 {
+		t.Fatalf("repaired server holds t0 %d B, t1 %d B; want %d B, %d B", got0, got1, want0, want1)
+	}
+}
+
 func TestSpaceTenantQuota(t *testing.T) {
 	sp := NewSpace(2, 0, dom())
 	blockBytes := block(grid.IV(0, 0, 0), 4, 1).Bytes()

@@ -703,7 +703,7 @@ func (sp *Space) dumpObjects() []*Object {
 		if a.Version != b.Version {
 			return a.Version < b.Version
 		}
-		ma, mb := sp.morton(a.Data.Box.Lo), sp.morton(b.Data.Box.Lo)
+		ma, mb := mortonKey(sp.domain, a.Data.Box.Lo), mortonKey(sp.domain, b.Data.Box.Lo)
 		if ma != mb {
 			return ma < mb
 		}
