@@ -236,6 +236,7 @@ func walkNonTestGo(t *testing.T, visit func(path string, f *ast.File)) {
 var optionKeep = map[string]string{
 	"amr.Config.FillRatio":              "the odd-domain kernel and amr reference tests cluster at 0.95 to get many small patches",
 	"staging.ServerOptions.RequestHook": "fault hook the shutdown and admission tests park a request in",
+	"staging.ClientOptions.DialFunc":    "the net.Pipe seam the staging pin and tracing tests dial through",
 	"solver.AdvDiffConfig.Velocity":     "the diffusion and upwind-branch tests need a zero and a reversed velocity",
 	"solver.AdvDiffConfig.Diffusion":    "the diffusion test needs a larger coefficient to see the peak decay",
 }

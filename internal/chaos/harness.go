@@ -479,7 +479,8 @@ func (h *harness) drive(logBuf, spanBuf, jbuf *bytes.Buffer, domain grid.Box, ad
 	return res, nil
 }
 
-// effectiveCooldown mirrors core.Config.withDefaults.
+// effectiveCooldown mirrors the cooldown core applies: unset is 2, and a
+// negative one disables it.
 func effectiveCooldown(c int) int {
 	if c == 0 {
 		return 2

@@ -242,9 +242,11 @@ func (s Schedule) steppedFaults() (all []steppedFault) {
 // identical event log for repeated runs of s. The deterministic pool path
 // (Concurrency <= 1) promises it for any fault mix; the concurrent path
 // promises it only while no transport-visible fault can fire, because
-// hedged reads make the presence of failover events timing-dependent once
-// an endpoint is mid-failure. The replay-determinism invariant is enforced
-// exactly where the contract holds.
+// concurrent operations reach an endpoint's queue in arrival order: which
+// one crosses a connection's byte budget or meets a dead server, and so
+// which later ones find the breaker already open and fail over, depends on
+// timing once an endpoint is failing. The replay-determinism invariant is
+// enforced exactly where the contract holds.
 func (s Schedule) DeterministicByContract() bool {
 	if s.Concurrency <= 1 {
 		return true

@@ -185,7 +185,6 @@ func (w *Workflow) resume(rec *journal.Recovered) error {
 		w.tracer.ResumeSeq(cp.SpanSeq)
 		w.runSpanSeq = cp.RunSpanSeq
 		w.runCtx = w.tracer.Adopt("run", span.LayerRun, span.StepUnset, cp.RunSpanSeq, 0)
-		w.tracer.SetAmbient(w.runCtx)
 		w.setSpanScope(w.runCtx)
 	}
 

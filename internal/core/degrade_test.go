@@ -1,53 +1,65 @@
 package core
 
 import (
-	"net"
 	"testing"
 	"time"
 
 	"crosslayer/internal/faultnet"
+	"crosslayer/internal/obs"
 	"crosslayer/internal/policy"
 	"crosslayer/internal/staging"
 )
 
-// tcpWorkflow builds a workflow whose in-transit path goes through a real
-// loopback TCP staging server, wrapped in the given fault plan. The client
-// has a tight retry budget so failing steps degrade in milliseconds.
-func tcpWorkflow(t *testing.T, plan faultnet.Plan, cooldown int) *Workflow {
+// tcpWorkflow builds a workflow whose in-transit path goes through a
+// one-endpoint staging pool over a loopback fleet whose listener carries the
+// given fault plan; em and reg (either may be nil) receive the workflow's,
+// pool's and server's events and metrics. The client has a tight retry
+// budget so failing steps degrade in milliseconds.
+func tcpWorkflow(t *testing.T, plan faultnet.Plan, cooldown int, em *obs.Emitter, reg *obs.Registry) (*Workflow, *staging.Pool) {
 	t.Helper()
 	cfg := baseCfg()
 	cfg.StaticPlacement = policy.PlaceInTransit
 	cfg.StagingFailureCooldown = cooldown
+	cfg.Obs = em
+	cfg.Metrics = reg
 
 	sim := smallGas(1)
-	space := staging.NewSpace(2, 0, sim.Hierarchy().Cfg.Domain)
-	ln, err := net.Listen("tcp", "127.0.0.1:0")
+	domain := sim.Hierarchy().Cfg.Domain
+	fleet, err := staging.NewFleet(staging.FleetOptions{
+		Domain: domain, Fault: &plan, Server: staging.ServerOptions{Metrics: reg},
+	})
 	if err != nil {
 		t.Fatal(err)
 	}
-	srv, err := staging.NewServer(faultnet.Listen(ln, plan), space, staging.ServerOptions{})
+	pool, err := staging.NewPool(fleet.Addrs(), domain, staging.PoolOptions{
+		Client: staging.ClientOptions{
+			OpTimeout:   time.Second,
+			MaxRetries:  2,
+			BackoffBase: time.Millisecond,
+			BackoffMax:  5 * time.Millisecond,
+		},
+		Events:  em,
+		Metrics: reg,
+	})
 	if err != nil {
+		fleet.Close()
 		t.Fatal(err)
 	}
-	opts := staging.ClientOptions{
-		OpTimeout:   time.Second,
-		MaxRetries:  2,
-		BackoffBase: time.Millisecond,
-		BackoffMax:  5 * time.Millisecond,
-	}
-	client := staging.NewClient(ln.Addr().String(), opts)
-	cfg.Staging = client
+	cfg.Staging = pool
 
 	w, err := NewWorkflow(cfg, sim)
 	if err != nil {
-		srv.Close()
-		client.Close()
+		pool.Close()
+		fleet.Close()
 		t.Fatal(err)
 	}
-	w.AddCloser(client)
-	w.AddCloser(srv)
+	w.AddCloser(pool)
+	w.AddCloser(fleet)
+	if em != nil {
+		w.AddCloser(em) // closed first: flushes the event stream
+	}
 	t.Cleanup(func() { w.Close() })
-	return w
+	return w, pool
 }
 
 // TestDegradeToInSituOnDeadStaging is the end-to-end failure scenario the
@@ -55,7 +67,7 @@ func tcpWorkflow(t *testing.T, plan faultnet.Plan, cooldown int) *Workflow {
 // the staging server refuses every connection. Steps must complete in-situ
 // — no hang, no error — with the failure visible in the trace fields.
 func TestDegradeToInSituOnDeadStaging(t *testing.T) {
-	w := tcpWorkflow(t, faultnet.Plan{Seed: 1, RefuseAccepts: -1}, 2)
+	w, _ := tcpWorkflow(t, faultnet.Plan{Seed: 1, RefuseAccepts: -1}, 2, nil, nil)
 
 	done := make(chan Result, 1)
 	go func() { done <- w.Run(4) }()
@@ -108,7 +120,7 @@ func TestDegradeToInSituOnDeadStaging(t *testing.T) {
 // makes fault-injection regressions debuggable.
 func TestDegradedRunIsDeterministic(t *testing.T) {
 	run := func() []StepRecord {
-		w := tcpWorkflow(t, faultnet.Plan{Seed: 42, RefuseAccepts: -1}, 1)
+		w, _ := tcpWorkflow(t, faultnet.Plan{Seed: 42, RefuseAccepts: -1}, 1, nil, nil)
 		return w.Run(5).Steps
 	}
 	a, b := run(), run()
@@ -126,7 +138,7 @@ func TestDegradedRunIsDeterministic(t *testing.T) {
 // workflow must reach the same modeled outcome as the in-process space —
 // the transport is an implementation detail of the staging layer.
 func TestHealthyTCPStagingMatchesInProcess(t *testing.T) {
-	tcp := tcpWorkflow(t, faultnet.Plan{}, 0)
+	tcp, _ := tcpWorkflow(t, faultnet.Plan{}, 0, nil, nil)
 	tcpRes := tcp.Run(3)
 
 	cfg := baseCfg()

@@ -41,7 +41,10 @@ func (e *Engine) PlanIncludes(m policy.Mechanism) bool { return e.plan[m] }
 // the next step's data, so the engine stops offering it work instead of
 // paying the retry tax every step.
 func (e *Engine) ReportStagingFailure(step int) {
-	e.stagingDownUntil = step + 1 + e.cfg.StagingFailureCooldown
+	// A negative cooldown stays negative through withDefaults, which
+	// NewWorkflow and NewEngine both apply: clamped there, the second pass
+	// would read the clamped 0 as unset and restore the default.
+	e.stagingDownUntil = step + 1 + max(e.cfg.StagingFailureCooldown, 0)
 }
 
 // StagingSuspect reports whether step falls inside the cooldown window of a

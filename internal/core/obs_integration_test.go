@@ -2,76 +2,32 @@ package core
 
 import (
 	"bytes"
-	"net"
 	"strings"
 	"testing"
-	"time"
 
 	"crosslayer/internal/faultnet"
 	"crosslayer/internal/obs"
-	"crosslayer/internal/policy"
 	"crosslayer/internal/staging"
 )
 
-// eventTCPWorkflow builds a TCP-staged workflow that streams its events as
-// JSONL into buf. The fault plan is applied to the client's dialer only:
-// dial-side faults fire synchronously under the workflow's op loop, which
-// is what makes the emitted stream reproducible (server-side listener
-// faults fire on server goroutines and would interleave arbitrarily).
-func eventTCPWorkflow(t *testing.T, plan faultnet.Plan, buf *bytes.Buffer, reg *obs.Registry) (*Workflow, *staging.Client) {
+// eventTCPWorkflow builds tcpWorkflow's one-endpoint pool workflow with a
+// failure cooldown of one step, streaming its events as JSONL into buf.
+func eventTCPWorkflow(t *testing.T, plan faultnet.Plan, buf *bytes.Buffer, reg *obs.Registry) (*Workflow, *staging.Pool) {
 	t.Helper()
-	em := obs.NewEmitter(obs.NewJSONLSink(buf))
-
-	cfg := baseCfg()
-	cfg.StaticPlacement = policy.PlaceInTransit
-	cfg.StagingFailureCooldown = 1
-	cfg.Obs = em
-	cfg.Metrics = reg
-
-	sim := smallGas(1)
-	space := staging.NewSpace(2, 0, sim.Hierarchy().Cfg.Domain)
-	ln, err := net.Listen("tcp", "127.0.0.1:0")
-	if err != nil {
-		t.Fatal(err)
-	}
-	srv, err := staging.NewServer(ln, space, staging.ServerOptions{Metrics: reg})
-	if err != nil {
-		t.Fatal(err)
-	}
-
-	dialPlan := plan
-	dialPlan.OnFault = em.FaultInjected
-	client := staging.NewClient(ln.Addr().String(), staging.ClientOptions{
-		OpTimeout:   time.Second,
-		MaxRetries:  2,
-		BackoffBase: time.Millisecond,
-		BackoffMax:  5 * time.Millisecond,
-		DialFunc:    dialPlan.Dialer(),
-		Events:      em,
-		Metrics:     reg,
-	})
-	cfg.Staging = client
-
-	w, err := NewWorkflow(cfg, sim)
-	if err != nil {
-		srv.Close()
-		client.Close()
-		t.Fatal(err)
-	}
-	w.AddCloser(client)
-	w.AddCloser(srv)
-	w.AddCloser(em) // closed first: flushes the JSONL stream
-	return w, client
+	return tcpWorkflow(t, plan, 1, obs.NewEmitter(obs.NewJSONLSink(buf)), reg)
 }
 
 // TestSeededFaultEventStreamIsByteIdentical is the determinism golden test:
-// two runs under the same seeded client-side fault plan must emit the exact
-// same event bytes, because timestamps are model time and every fault fires
-// synchronously in the workflow goroutine.
+// two runs under the same seeded listener fault plan must emit the exact
+// same event bytes, because timestamps are model time, the pool's breaker
+// events fire inline in the workflow goroutine, and the plan's faults depend
+// only on the accept order and the bytes moved. The plan refuses the first
+// six connections — the breaker opens, a probe rejoins the endpoint, steps
+// degrade — and then drops each connection after 192 KiB.
 func TestSeededFaultEventStreamIsByteIdentical(t *testing.T) {
 	run := func() []byte {
 		var buf bytes.Buffer
-		w, _ := eventTCPWorkflow(t, faultnet.Plan{Seed: 11, DropAfterBytes: 192 << 10}, &buf, nil)
+		w, _ := eventTCPWorkflow(t, faultnet.Plan{Seed: 11, RefuseAccepts: 6, DropAfterBytes: 192 << 10}, &buf, nil)
 		w.Run(5)
 		if err := w.Close(); err != nil {
 			t.Fatal(err)
@@ -96,8 +52,10 @@ func TestSeededFaultEventStreamIsByteIdentical(t *testing.T) {
 		t.Fatal(err)
 	}
 	sum := obs.SummarizeEvents(events)
-	if len(sum.Faults) == 0 || sum.ByKind[obs.KindStagingRetry] == 0 {
-		t.Fatalf("seeded plan injected no faults into the stream: %+v", sum)
+	for _, k := range []obs.Kind{obs.KindEndpointDown, obs.KindEndpointUp, obs.KindStagingDegrade} {
+		if sum.ByKind[k] == 0 {
+			t.Fatalf("seeded plan left no %s in the stream: %+v", k, sum.ByKind)
+		}
 	}
 	if sum.Steps != 5 || sum.ByKind[obs.KindRunFinished] != 1 {
 		t.Fatalf("stream incomplete: %+v", sum)
@@ -109,15 +67,15 @@ func TestSeededFaultEventStreamIsByteIdentical(t *testing.T) {
 	}
 }
 
-// TestClientTransportMetricsMatchStats: the staging client's metrics
-// counters must agree with its TransportStats, and the server must expose
-// request/byte counters after a run.
+// TestClientTransportMetricsMatchStats: the staging clients' metrics
+// counters must agree with the pool's TransportStats, and the server must
+// expose request/byte counters after a run.
 func TestClientTransportMetricsMatchStats(t *testing.T) {
 	reg := obs.NewRegistry()
 	var buf bytes.Buffer
-	w, client := eventTCPWorkflow(t, faultnet.Plan{Seed: 3, DropAfterBytes: 192 << 10}, &buf, reg)
+	w, pool := eventTCPWorkflow(t, faultnet.Plan{Seed: 3, DropAfterBytes: 192 << 10}, &buf, reg)
 	w.Run(4)
-	retries, reconnects := client.TransportStats()
+	retries, reconnects := pool.TransportStats()
 	if err := w.Close(); err != nil {
 		t.Fatal(err)
 	}

@@ -78,13 +78,13 @@ type Config struct {
 	EnableHybrid bool
 
 	// Staging optionally routes in-transit data through an external
-	// staging transport (typically a staging.Client over TCP) instead of
-	// the workflow's in-process Space. A remote transport can fail; when an
-	// operation returns staging.ErrStagingUnavailable the step degrades
+	// staging transport — a staging.Pool over TCP servers, or a store
+	// wrapping one, driven as a replicated store (see replicated) — instead
+	// of the workflow's in-process Space. A remote transport can fail; when
+	// an operation returns staging.ErrStagingUnavailable the step degrades
 	// gracefully to in-situ execution (placement_reason=staging_failure)
 	// and the engine holds placement in-situ for StagingFailureCooldown
-	// steps. A staging.Pool handle, or a store wrapping one, is also driven
-	// as a replicated store (see replicated). Nil keeps the in-process space.
+	// steps. Nil keeps the in-process space.
 	Staging StagingStore
 
 	// StagingFailureCooldown is how many extra steps placement stays
@@ -169,9 +169,6 @@ func (c *Config) withDefaults() Config {
 	if out.StagingFailureCooldown == 0 {
 		out.StagingFailureCooldown = 2
 	}
-	if out.StagingFailureCooldown < 0 {
-		out.StagingFailureCooldown = 0
-	}
 	if out.StagingConcurrency == 0 {
 		out.StagingConcurrency = 1
 	}
@@ -184,7 +181,7 @@ type Workflow struct {
 	cfg    Config
 	sim    solver.Simulation
 	svc    analysis.Service
-	store  StagingStore // where in-transit data goes (space or remote client)
+	store  StagingStore // where in-transit data goes (space or pool)
 	pooled replicated   // store as a replicated pool; nil for any other store
 	mon    *monitor.Monitor
 	engine *Engine
@@ -302,7 +299,6 @@ func buildWorkflow(cfg Config, sim solver.Simulation, rec *journal.Recovered) (*
 	if w.tracer != nil {
 		w.runCtx = w.tracer.Begin(span.Ctx{}, "run", span.LayerRun, span.StepUnset)
 		w.runSpanSeq = w.tracer.Seq()
-		w.tracer.SetAmbient(w.runCtx)
 		w.setSpanScope(w.runCtx)
 	}
 	return w, nil
@@ -423,7 +419,6 @@ func (w *Workflow) Step() StepRecord {
 	h := w.sim.Hierarchy()
 	w.span = w.events.BeginStep(w.step)
 	w.stepCtx = w.tracer.Begin(w.runCtx, "step", span.LayerStep, w.step)
-	w.tracer.SetAmbient(w.stepCtx)
 
 	// --- 1. simulation advances (real compute), cost modeled ---
 	solve := w.tracer.Begin(w.stepCtx, "solve", span.LayerSolver, w.step)
@@ -564,9 +559,6 @@ func (w *Workflow) Step() StepRecord {
 	}
 	if w.stepCtx.Enabled() {
 		w.stepCtx.End()
-		// Faults injected between steps (AfterStep crash schedules) attach
-		// to the run span until the next step opens.
-		w.tracer.SetAmbient(w.runCtx)
 		w.stepCtx = span.Ctx{}
 	}
 	w.step++
@@ -816,7 +808,9 @@ func (w *Workflow) beginShipPhase() {
 // beginShip starts shipping one version's blocks into the staging store.
 func (w *Workflow) beginShip(version int, blocks []*field.BoxData) *shipment {
 	s := &shipment{version: version}
-	s.retries0, s.reconnects0 = transportStatsOf(w.store)
+	if w.pooled != nil {
+		s.retries0, s.reconnects0 = w.pooled.TransportStats()
+	}
 	conc := w.cfg.StagingConcurrency
 	if conc <= 1 || len(blocks) < 2 {
 		s.settled = true
@@ -872,7 +866,7 @@ func (s *shipment) wait() error {
 }
 
 // runInTransit ships blocks into the staging store (real put — over TCP
-// when Config.Staging is a remote client), pays the asynchronous send on
+// when Config.Staging is a pool), pays the asynchronous send on
 // the simulation side, then runs analysis on the staging pool. A non-nil
 // ship is a transfer already started by the caller (the hybrid overlap
 // path); nil starts one here. It reports false when the transport failed:
@@ -905,9 +899,11 @@ func (w *Workflow) runInTransit(rec *StepRecord, blocks []*field.BoxData, dataRe
 	if err == nil {
 		got, err = w.fetchStaged(version)
 	}
-	retries1, reconnects1 := transportStatsOf(w.store)
-	rec.StagingRetries += int(retries1 - ship.retries0)
-	rec.StagingReconnects += int(reconnects1 - ship.reconnects0)
+	if w.pooled != nil {
+		retries1, reconnects1 := w.pooled.TransportStats()
+		rec.StagingRetries += int(retries1 - ship.retries0)
+		rec.StagingReconnects += int(reconnects1 - ship.reconnects0)
+	}
 	if err != nil {
 		// Best-effort cleanup of a partially written version; if the
 		// service is down this fails too, and eviction happens on the next

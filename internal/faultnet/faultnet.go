@@ -20,8 +20,8 @@
 //   - CorruptRate: a Write flips one byte (a corrupted payload; exercises
 //     the codec's defenses and the client's reconnect-on-desync).
 //
-// Wrap a listener with Listen for server-side faults, or dial through
-// (*Plan).Dialer for client-side injection.
+// Wrap a listener with Listen: every connection it accepts carries the
+// plan's faults.
 package faultnet
 
 import (
@@ -61,15 +61,6 @@ type Plan struct {
 	// CorruptRate is the per-Write probability of flipping one byte of the
 	// buffer before it is sent (0 = disabled).
 	CorruptRate float64
-
-	// OnFault, when set, is invoked synchronously every time a discrete
-	// fault fires — kind is "refuse", "drop", "truncate" or "corrupt" —
-	// with a human-readable detail. It is the observability hook the event
-	// stream attaches to. Latency is continuous rather than discrete and
-	// does not report. The callback runs on whichever goroutine drove the
-	// faulted I/O, so it must be safe for concurrent use; it is ignored by
-	// String/ParsePlan and the zero-plan check.
-	OnFault func(kind, detail string)
 }
 
 // Validate checks rate bounds.
@@ -194,9 +185,6 @@ func (l *Listener) Accept() (net.Conn, error) {
 		l.mu.Unlock()
 		if refuse {
 			conn.Close()
-			if l.plan.OnFault != nil {
-				l.plan.OnFault("refuse", fmt.Sprintf("accept #%d refused", n))
-			}
 			continue
 		}
 		return Wrap(conn, l.plan, connSeed), nil
@@ -208,25 +196,6 @@ func (l *Listener) Close() error { return l.inner.Close() }
 
 // Addr returns the inner listener's address.
 func (l *Listener) Addr() net.Addr { return l.inner.Addr() }
-
-// Dialer dials through the plan: every connection it opens carries the
-// plan's per-connection faults (client-side injection, for peers whose
-// server cannot be wrapped).
-func (p Plan) Dialer() func(addr string, timeout time.Duration) (net.Conn, error) {
-	var mu sync.Mutex
-	dialed := 0
-	return func(addr string, timeout time.Duration) (net.Conn, error) {
-		conn, err := net.DialTimeout("tcp", addr, timeout)
-		if err != nil {
-			return nil, err
-		}
-		mu.Lock()
-		n := dialed
-		dialed++
-		mu.Unlock()
-		return Wrap(conn, p, p.Seed+int64(n)*0x9e3779b9), nil
-	}
-}
 
 // Conn applies per-connection faults to an inner net.Conn.
 type Conn struct {
@@ -246,16 +215,13 @@ func Wrap(conn net.Conn, plan Plan, seed int64) *Conn {
 	return &Conn{Conn: conn, plan: plan, rng: rand.New(rand.NewSource(seed))}
 }
 
-// sever closes the connection and makes every later operation fail; the
-// plan's OnFault hook fires once, on the transition.
-func (c *Conn) sever(kind, reason string) error {
+// sever closes the connection and makes every later operation fail with
+// an error naming reason.
+func (c *Conn) sever(reason string) error {
 	if !c.severed {
 		c.severed = true
 		c.severErr = fmt.Errorf("faultnet: connection severed (%s)", reason)
 		c.Conn.Close()
-		if c.plan.OnFault != nil {
-			c.plan.OnFault(kind, reason)
-		}
 	}
 	return c.severErr
 }
@@ -291,7 +257,7 @@ func (c *Conn) Read(b []byte) (int, error) {
 		return 0, err
 	}
 	if allowed == 0 && len(b) > 0 {
-		err := c.sever("drop", "byte budget exhausted")
+		err := c.sever("byte budget exhausted")
 		c.mu.Unlock()
 		return 0, err
 	}
@@ -304,7 +270,7 @@ func (c *Conn) Read(b []byte) (int, error) {
 	c.moved += int64(n)
 	if err == nil && c.plan.DropAfterBytes > 0 && c.moved >= c.plan.DropAfterBytes {
 		// Deliver what arrived under the budget; the next operation fails.
-		c.sever("drop", "byte budget exhausted")
+		c.sever("byte budget exhausted")
 	}
 	return n, err
 }
@@ -321,7 +287,7 @@ func (c *Conn) Write(b []byte) (int, error) {
 		return 0, err
 	}
 	if allowed == 0 && len(b) > 0 {
-		err := c.sever("drop", "byte budget exhausted")
+		err := c.sever("byte budget exhausted")
 		c.mu.Unlock()
 		return 0, err
 	}
@@ -337,9 +303,6 @@ func (c *Conn) Write(b []byte) (int, error) {
 		i := c.rng.Intn(len(cp))
 		cp[i] ^= 0xff
 		buf = cp
-		if c.plan.OnFault != nil {
-			c.plan.OnFault("corrupt", fmt.Sprintf("flipped byte %d of a %d-byte write", i, len(cp)))
-		}
 	}
 	c.mu.Unlock()
 
@@ -352,10 +315,10 @@ func (c *Conn) Write(b []byte) (int, error) {
 		return n, err
 	}
 	if truncate {
-		return n, c.sever("truncate", "write truncated")
+		return n, c.sever("write truncated")
 	}
 	if c.plan.DropAfterBytes > 0 && c.moved >= c.plan.DropAfterBytes {
-		return n, c.sever("drop", "byte budget exhausted")
+		return n, c.sever("byte budget exhausted")
 	}
 	if n < len(b) {
 		// The fault layer shortened the write without severing; report the

@@ -4,18 +4,10 @@ import (
 	"errors"
 	"io"
 	"net"
-	"reflect"
+	"strings"
 	"testing"
 	"time"
 )
-
-// plansEqual compares the declarative fields of two plans; the OnFault
-// callback makes Plan non-comparable and is excluded from round-trips by
-// design.
-func plansEqual(a, b Plan) bool {
-	a.OnFault, b.OnFault = nil, nil
-	return reflect.DeepEqual(a, b)
-}
 
 // pipeServer starts a TCP listener wrapped with the plan whose accepted
 // connections are echoed by a trivial server goroutine.
@@ -49,11 +41,11 @@ func TestParsePlanRoundTrip(t *testing.T) {
 	}
 	want := Plan{Seed: 42, RefuseAccepts: -1, DropAfterBytes: 4096,
 		Latency: 2 * time.Millisecond, TruncateRate: 0.1, CorruptRate: 0.01}
-	if !plansEqual(p, want) {
+	if p != want {
 		t.Fatalf("parsed %+v, want %+v", p, want)
 	}
 	back, err := ParsePlan(p.String())
-	if err != nil || !plansEqual(back, p) {
+	if err != nil || back != p {
 		t.Fatalf("String round trip: %+v, %v", back, err)
 	}
 }
@@ -222,8 +214,8 @@ func TestTruncateSeversAfterPrefix(t *testing.T) {
 	if n >= 64 {
 		t.Fatalf("truncate=1 delivered all %d bytes", n)
 	}
-	if err := <-errc; err == nil {
-		t.Fatal("truncated write reported success")
+	if err := <-errc; err == nil || !strings.Contains(err.Error(), "write truncated") {
+		t.Fatalf("truncated write: err = %v, want the truncation sever", err)
 	}
 	// The connection is severed: further writes fail immediately.
 	if _, err := fc.Write([]byte{0}); err == nil {
@@ -248,7 +240,9 @@ func TestLatencyInjected(t *testing.T) {
 	}
 }
 
-func TestDialerWrapsClientSide(t *testing.T) {
+// TestWrapAppliesClientSide: a wrapped dialed connection carries the plan's
+// faults on the client side of the link.
+func TestWrapAppliesClientSide(t *testing.T) {
 	inner, err := net.Listen("tcp", "127.0.0.1:0")
 	if err != nil {
 		t.Fatal(err)
@@ -263,16 +257,18 @@ func TestDialerWrapsClientSide(t *testing.T) {
 			go func() { defer conn.Close(); io.Copy(conn, conn) }()
 		}
 	}()
-	dial := Plan{DropAfterBytes: 4}.Dialer()
-	conn, err := dial(inner.Addr().String(), time.Second)
+	raw, err := net.DialTimeout("tcp", inner.Addr().String(), time.Second)
 	if err != nil {
 		t.Fatal(err)
 	}
+	conn := Wrap(raw, Plan{DropAfterBytes: 4}, 0)
 	defer conn.Close()
-	if _, err := conn.Write(make([]byte, 16)); err == nil {
-		if _, err := io.ReadFull(conn, make([]byte, 16)); err == nil {
-			t.Fatal("16-byte round trip crossed a 4-byte client-side budget")
-		}
+	n, err := conn.Write(make([]byte, 16))
+	if n != 4 || err == nil || !strings.Contains(err.Error(), "byte budget exhausted") {
+		t.Fatalf("16-byte write through a 4-byte budget: %d bytes, err = %v", n, err)
+	}
+	if _, err := io.ReadFull(conn, make([]byte, 4)); err == nil {
+		t.Fatal("read on a connection severed client-side succeeded")
 	}
 }
 

@@ -55,9 +55,6 @@ const (
 	// KindStagingDegrade marks a step that fell back to in-situ execution
 	// after the transport exhausted its retry budget.
 	KindStagingDegrade Kind = "staging_degrade"
-	// KindFaultInjected records a fault-injection firing (refuse, drop,
-	// truncate, corrupt).
-	KindFaultInjected Kind = "fault_injected"
 	// KindEndpointDown marks a staging-pool endpoint whose circuit breaker
 	// opened after consecutive transport failures.
 	KindEndpointDown Kind = "endpoint_down"
@@ -345,14 +342,6 @@ func (e *Emitter) RunFinished(endToEnd float64) {
 		return
 	}
 	e.Emit(Event{Kind: KindRunFinished, Step: StepUnset, Seconds: endToEnd})
-}
-
-// FaultInjected records a fault-injection firing.
-func (e *Emitter) FaultInjected(fault, detail string) {
-	if e == nil {
-		return
-	}
-	e.Emit(Event{Kind: KindFaultInjected, Step: StepUnset, Reason: fault, Detail: detail})
 }
 
 // StagingRetry emits one transport retry attempt without counting it — the

@@ -66,7 +66,6 @@ func TestNilEmitterIsSafe(t *testing.T) {
 	var e *Emitter
 	e.RunStarted("x")
 	e.StagingRetry(1, "y")
-	e.FaultInjected("corrupt", "z")
 	e.SetVirtualClock(func() float64 { return 1 })
 	sc := e.BeginStep(0)
 	if sc.Enabled() {
@@ -191,7 +190,7 @@ func TestSummarizeEvents(t *testing.T) {
 		{Kind: KindStagingDegrade, Step: 0, Reason: "staging_failure"},
 		{Kind: KindPlacementChange, Step: 1, Reason: "staging_suspect"},
 		{Kind: KindResourceResize, Step: 1, PrevCores: 8, Cores: 4},
-		{Kind: KindFaultInjected, Step: 1, Reason: "corrupt"},
+		{Kind: KindEndpointDown, Step: 1},
 		{Kind: KindRunFinished, Step: -1, Seconds: 12.5},
 	}
 	s := SummarizeEvents(evs)
@@ -205,8 +204,8 @@ func TestSummarizeEvents(t *testing.T) {
 	if s.Decisions["application"] != 1 || s.Decisions["middleware"] != 1 {
 		t.Errorf("decision counts wrong: %v", s.Decisions)
 	}
-	if s.PlacementChanges["staging_suspect"] != 1 || s.Faults["corrupt"] != 1 {
-		t.Errorf("reason counts wrong: %v %v", s.PlacementChanges, s.Faults)
+	if s.PlacementChanges["staging_suspect"] != 1 {
+		t.Errorf("reason counts wrong: %v", s.PlacementChanges)
 	}
 	if s.EndToEnd != 12.5 {
 		t.Errorf("end-to-end = %g", s.EndToEnd)
@@ -216,7 +215,7 @@ func TestSummarizeEvents(t *testing.T) {
 	if err := s.WriteText(&buf); err != nil {
 		t.Fatal(err)
 	}
-	for _, want := range []string{"12 events", "2 retries", "staging_suspect", "corrupt"} {
+	for _, want := range []string{"12 events", "2 retries", "staging_suspect", "1 endpoint outages"} {
 		if !strings.Contains(buf.String(), want) {
 			t.Errorf("summary text missing %q:\n%s", want, buf.String())
 		}

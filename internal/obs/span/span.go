@@ -160,14 +160,13 @@ func FormatID(id uint64) string { return fmt.Sprintf("%016x", id) }
 // on one goroutine, so emission order — and with it every derived ID — is
 // reproducible.
 type Tracer struct {
-	mu      sync.Mutex
-	sink    Sink
-	clock   func() float64 // virtual model time; nil = 0
-	wall    bool           // measure wall-clock queue/exec durations
-	seq     uint64         // op-seq: emission ordinal feeding ID derivation
-	trace   uint64
-	hex     string
-	ambient Ctx // parent for spans with no explicit site (injected faults)
+	mu    sync.Mutex
+	sink  Sink
+	clock func() float64 // virtual model time; nil = 0
+	wall  bool           // measure wall-clock queue/exec durations
+	seq   uint64         // op-seq: emission ordinal feeding ID derivation
+	trace uint64
+	hex   string
 }
 
 // NewTracer builds a tracer over sink with the trace ID derived from seed
@@ -464,34 +463,6 @@ func (t *Tracer) RecordRemote(trace, parent uint64, op Op) {
 		Err:      op.Err,
 		Detail:   op.Detail,
 	})
-}
-
-// SetAmbient installs the context faults and other site-less emissions
-// parent to — the workflow points it at the current step span. Ambient
-// changes only at step barriers, so concurrent readers see a stable value
-// during a step.
-func (t *Tracer) SetAmbient(c Ctx) {
-	if t == nil {
-		return
-	}
-	t.mu.Lock()
-	t.ambient = c
-	t.mu.Unlock()
-}
-
-// Fault records an injected fault as a zero-width network-fault span under
-// the ambient context (dropped when no ambient is set).
-func (t *Tracer) Fault(fault, detail string) {
-	if t == nil {
-		return
-	}
-	t.mu.Lock()
-	amb := t.ambient
-	t.mu.Unlock()
-	if amb.t == nil {
-		return
-	}
-	amb.Record(Op{Name: "fault:" + fault, Layer: LayerNetworkFault, Detail: detail})
 }
 
 // ReadSpans parses a JSONL span log written by NewJSONLSink; a torn final

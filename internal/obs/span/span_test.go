@@ -58,8 +58,6 @@ func TestNilTracerIsInert(t *testing.T) {
 	if trace, parent := c.WireIDs(); trace != 0 || parent != 0 {
 		t.Fatal("zero ctx has wire IDs")
 	}
-	tr.SetAmbient(c)
-	tr.Fault("refused", "detail")
 	tr.RecordRemote(1, 2, Op{Name: "srv:put"})
 	tr.SetVirtualClock(nil)
 	if tr.NowNs() != 0 || tr.WallEnabled() {

@@ -18,8 +18,6 @@ type EventSummary struct {
 	PlacementChanges map[string]int
 	// Decisions counts policy decisions by layer.
 	Decisions map[string]int
-	// Faults counts fault-injection firings by fault kind.
-	Faults map[string]int
 
 	// EndToEnd is the run_finished event's seconds (0 when absent).
 	EndToEnd float64
@@ -31,7 +29,6 @@ func SummarizeEvents(evs []Event) EventSummary {
 		ByKind:           make(map[Kind]int),
 		PlacementChanges: make(map[string]int),
 		Decisions:        make(map[string]int),
-		Faults:           make(map[string]int),
 	}
 	maxStep := -1
 	for _, ev := range evs {
@@ -45,8 +42,6 @@ func SummarizeEvents(evs []Event) EventSummary {
 			s.PlacementChanges[ev.Reason]++
 		case KindPolicyDecision:
 			s.Decisions[ev.Layer]++
-		case KindFaultInjected:
-			s.Faults[ev.Reason]++
 		case KindRunFinished:
 			s.EndToEnd = ev.Seconds
 		}
@@ -84,12 +79,6 @@ func (s EventSummary) WriteText(w io.Writer) error {
 	if n[KindEndpointDown]+n[KindEndpointUp]+n[KindFailoverGet]+n[KindRepair] > 0 {
 		fmt.Fprintf(w, "staging pool: %d endpoint outages, %d rejoins, %d failover gets, %d repairs\n",
 			n[KindEndpointDown], n[KindEndpointUp], n[KindFailoverGet], n[KindRepair])
-	}
-	if len(s.Faults) > 0 {
-		fmt.Fprintln(w, "faults injected:")
-		for _, k := range SortedKeys(s.Faults) {
-			fmt.Fprintf(w, "  %-12s %d\n", k, s.Faults[k])
-		}
 	}
 	if n[KindResourceResize] > 0 {
 		fmt.Fprintf(w, "staging pool resizes: %d\n", n[KindResourceResize])

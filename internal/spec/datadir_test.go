@@ -14,8 +14,8 @@ import (
 // data-dir layout. A fleet built with the options `xlayer serve -servers 2
 // -data-dir D` builds (cmd/xlayer/loadgen.go) takes puts and shuts down;
 // the servers a spec with staging_data_dir D stands up must then recover
-// every block — in the pooled shape and, for server 0's share, in the
-// single-client shape — without adding a directory.
+// every block — over two servers and, for server 0's share, over one —
+// without adding a directory.
 func TestServeDataDirRecoversThroughSpec(t *testing.T) {
 	dir := t.TempDir()
 	domain := grid.NewBox(grid.IV(0, 0, 0), grid.IV(15, 15, 15))
@@ -59,7 +59,7 @@ func TestServeDataDirRecoversThroughSpec(t *testing.T) {
 	}
 	read := func() []*field.BoxData {
 		t.Helper()
-		store, closers, _, err := w.buildStaging(domain, nil, nil, nil)
+		store, closers, _, err := w.buildStaging(domain, nil, nil)
 		if err != nil {
 			t.Fatalf("spec servers over the served dir: %v", err)
 		}
@@ -84,7 +84,7 @@ func TestServeDataDirRecoversThroughSpec(t *testing.T) {
 	}
 	w.StagingServers, w.StagingReplicas = 1, 1
 	if got := read(); len(got) == 0 {
-		t.Error("single-client shape recovered nothing from server-0")
+		t.Error("one-server shape recovered nothing from server-0")
 	}
 
 	entries, err := os.ReadDir(dir)

@@ -96,15 +96,21 @@ func checkGolden(t *testing.T, name string, got []byte) {
 	}
 }
 
+// goldenCase is one committed run: its golden-file suffix, its staging
+// concurrency, and whether server 1 is killed and rejoins (failover reads,
+// repair).
+type goldenCase struct {
+	suffix string
+	conc   int
+	kill   bool
+}
+
 // goldenCases are the serialized (concurrency 1) runs whose event and span
 // logs and metrics exposition are committed: a healthy pool, and one whose
-// server 1 is killed and rejoins (failover reads, repair).
-var goldenCases = []struct {
-	suffix string
-	kill   bool
-}{
-	{"conc1", false},
-	{"conc1_kill", true},
+// server 1 is killed and rejoins.
+var goldenCases = []goldenCase{
+	{"conc1", 1, false},
+	{"conc1_kill", 1, true},
 }
 
 // TestSpecEventLogDeterministic pins the determinism contract of the
@@ -135,7 +141,7 @@ func TestSpecEventLogDeterministic(t *testing.T) {
 func TestSpecEventLogGolden(t *testing.T) {
 	for _, tc := range goldenCases {
 		t.Run(tc.suffix, func(t *testing.T) {
-			got := runSpecLog(t, 1, tc.kill, "events", filepath.Join(t.TempDir(), "events.jsonl"))
+			got := runSpecLog(t, tc.conc, tc.kill, "events", filepath.Join(t.TempDir(), "events.jsonl"))
 			checkGolden(t, "events_"+tc.suffix+".golden", got)
 		})
 	}
@@ -143,15 +149,18 @@ func TestSpecEventLogGolden(t *testing.T) {
 
 // TestSpecMetricsGolden pins the Prometheus exposition of the golden runs —
 // every series, HELP line and label, as scraped from /metrics after Run and
-// before Close. Concurrency 1 only: with workers the server byte and request
-// counts and the repaired-block count depend on which hedged reads were in
-// flight. Regenerate with `go test ./internal/spec -run TestSpecMetricsGolden
-// -update`.
+// before Close — and of the healthy run on two workers (conc2), whose
+// replicas are read only after a primary failed, so a fault-free run sends
+// the servers the same requests whatever the arrival order. The kill run is
+// pinned at concurrency 1 only: with workers, which operations find server
+// 1's breaker open depends on arrival order. Regenerate with `go test
+// ./internal/spec -run TestSpecMetricsGolden -update`.
 func TestSpecMetricsGolden(t *testing.T) {
-	for _, tc := range goldenCases {
+	cases := append([]goldenCase{{"conc2", 2, false}}, goldenCases...)
+	for _, tc := range cases {
 		t.Run(tc.suffix, func(t *testing.T) {
 			var got []byte
-			runSpec(t, 1, tc.kill, "metrics_addr", "127.0.0.1:0", func(w *Workflow) {
+			runSpec(t, tc.conc, tc.kill, "metrics_addr", "127.0.0.1:0", func(w *Workflow) {
 				resp, err := http.Get("http://" + w.BoundMetricsAddr() + "/metrics")
 				if err != nil {
 					t.Fatal(err)

@@ -9,6 +9,8 @@ import (
 	"strings"
 	"testing"
 
+	"crosslayer/internal/field"
+	"crosslayer/internal/grid"
 	"crosslayer/internal/obs"
 	"crosslayer/internal/policy"
 )
@@ -82,6 +84,18 @@ func TestPoolSpecValidation(t *testing.T) {
 			       "staging_servers": 1, "staging_replicas": 1}`,
 			ok: true,
 		},
+		{
+			name: "tenant without staging_tcp",
+			src: `{"application": "polytropic-gas", "domain": [16,16,16],
+			       "tenant": "t0"}`,
+			want: ErrTenantRequiresPool,
+		},
+		{
+			name: "one-server tenant",
+			src: `{"application": "polytropic-gas", "domain": [16,16,16],
+			       "staging_tcp": true, "tenant": "t0"}`,
+			ok: true,
+		},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
@@ -99,6 +113,36 @@ func TestPoolSpecValidation(t *testing.T) {
 				t.Fatalf("err = %v, want errors.Is(%v)", err, tc.want)
 			}
 		})
+	}
+}
+
+// TestStagingTCPBuildsPool: every staging_tcp spec stages through a
+// replicated pool with one endpoint per server, a one-server spec included.
+func TestStagingTCPBuildsPool(t *testing.T) {
+	domain := grid.NewBox(grid.IV(0, 0, 0), grid.IV(15, 15, 15))
+	for _, servers := range []int{1, 3} {
+		w := &Workflow{Application: "polytropic-gas", Domain: [3]int{16, 16, 16},
+			StagingTCP: true, StagingServers: servers}
+		if err := w.validate(); err != nil {
+			t.Fatal(err)
+		}
+		pool, closers, _, err := w.buildStaging(domain, nil, nil)
+		if err != nil {
+			t.Fatalf("%d servers: %v", servers, err)
+		}
+		_, total := pool.HealthyEndpoints()
+		replicas := pool.Replicas()
+		b := field.New(grid.BoxFromSize(grid.IV(0, 0, 0), grid.IV(8, 8, 8)), 1)
+		err = pool.Put("rho", 0, b)
+		for i := len(closers) - 1; i >= 0; i-- {
+			closers[i].Close()
+		}
+		if total != servers || replicas != 1 {
+			t.Errorf("%d servers: pool of %d endpoints, %d replicas; want %d and 1", servers, total, replicas, servers)
+		}
+		if err != nil {
+			t.Errorf("%d servers: put through the pool: %v", servers, err)
+		}
 	}
 }
 

@@ -39,7 +39,7 @@ func TestSpecSpanLogDeterministic(t *testing.T) {
 func TestSpecSpanLogGolden(t *testing.T) {
 	for _, tc := range goldenCases {
 		t.Run(tc.suffix, func(t *testing.T) {
-			got := runSpecLog(t, 1, tc.kill, "spans", filepath.Join(t.TempDir(), "spans.jsonl"))
+			got := runSpecLog(t, tc.conc, tc.kill, "spans", filepath.Join(t.TempDir(), "spans.jsonl"))
 			checkGolden(t, "spans_"+tc.suffix+".golden", got)
 		})
 	}

@@ -202,8 +202,8 @@ var (
 	// transport I/O, which only exists on the TCP staging path.
 	ErrConcurrencyRequiresTCP = errors.New("spec: staging_concurrency > 1 requires staging_tcp")
 	// ErrTenantRequiresPool: tenant namespaces are qualified by the
-	// replicated pool client, which only exists on the pooled TCP path.
-	ErrTenantRequiresPool = errors.New("spec: tenant requires staging_servers > 1")
+	// replicated pool client, which only exists on the TCP staging path.
+	ErrTenantRequiresPool = errors.New("spec: tenant requires staging_tcp")
 	// ErrMaxConnsRequireTCP: admission control guards real listeners, which
 	// only exist on the TCP staging path.
 	ErrMaxConnsRequireTCP = errors.New("spec: staging_max_conns requires staging_tcp")
@@ -359,8 +359,8 @@ func (w *Workflow) validate() error {
 			w.StagingReplicas, max(w.StagingServers, 1))
 	}
 	if w.Tenant != "" {
-		if w.StagingServers < 2 {
-			return fmt.Errorf("%w (got staging_servers=%d)", ErrTenantRequiresPool, w.StagingServers)
+		if !w.StagingTCP {
+			return ErrTenantRequiresPool
 		}
 		if !staging.ValidTenant(w.Tenant) {
 			return fmt.Errorf("spec: %w: %q", staging.ErrBadTenant, w.Tenant)
@@ -527,7 +527,7 @@ func (w *Workflow) Build() (_ *core.Workflow, _ solver.Simulation, err error) {
 		closers = append(closers, ms)
 	}
 	if w.StagingTCP {
-		store, cs, after, err := w.buildStaging(amrCfg.Domain, emitter, tracer, reg)
+		store, cs, after, err := w.buildStaging(amrCfg.Domain, emitter, reg)
 		if err != nil {
 			return nil, nil, err
 		}
@@ -669,18 +669,17 @@ func (w *Workflow) Fingerprint() string {
 // checkpointed step + 1), or 0 for a fresh build.
 func (w *Workflow) ResumedStep() int { return w.resumedStep }
 
-// buildStaging stands up the spec's loopback staging fleet and the client
-// side over it: one server behind a resilient Client, or staging_servers
-// servers behind a replicated Pool. It returns the store, what to close
-// (fleet first, so it closes last), and the after-step hook that executes a
-// scheduled staging_kill.
+// buildStaging stands up the spec's loopback staging fleet and a replicated
+// Pool over it — one endpoint per server, so a one-server spec is a pool of
+// one. It returns the pool, what to close (fleet first, so it closes last),
+// and the after-step hook that executes a scheduled staging_kill.
 //
-// The servers carry no event emitter and the listener-side fault plan no
-// OnFault callback: both fire on server goroutines, and interleaving them
-// into the event stream would break its run-to-run byte stability. Sheds
-// surface through metrics and Server.AdmissionStats.
-func (w *Workflow) buildStaging(domain grid.Box, em *obs.Emitter, tr *span.Tracer, reg *obs.Registry) (core.StagingStore, []io.Closer, func(step int), error) {
-	pooled := w.StagingServers > 1
+// The servers carry no event emitter and the listener-side fault plan
+// reports nothing: both act on server goroutines, and interleaving them
+// into the event stream would break its run-to-run byte stability. Faults
+// surface as the pool's endpoint_down and the workflow's staging_degrade;
+// sheds through metrics and Server.AdmissionStats.
+func (w *Workflow) buildStaging(domain grid.Box, em *obs.Emitter, reg *obs.Registry) (*staging.Pool, []io.Closer, func(step int), error) {
 	fo := staging.FleetOptions{
 		Servers: w.StagingServers,
 		Domain:  domain,
@@ -689,43 +688,18 @@ func (w *Workflow) buildStaging(domain grid.Box, em *obs.Emitter, tr *span.Trace
 			MaxConns: w.StagingMaxConns, Backlog: w.StagingAcceptBacklog, Metrics: reg,
 		},
 	}
-	copts := staging.LoopbackClient()
 	if w.Fault != nil {
 		plan := w.Fault.Plan()
 		fo.Fault = &plan
-		if !pooled {
-			// Dial through the same fault plan so client-side connection faults
-			// (e.g. drop-after budgets) also apply to reconnect attempts.
-			// Dial-side faults happen synchronously under the workflow's op
-			// loop, so the fault_injected events they emit are deterministic.
-			dialPlan := plan
-			if em != nil || tr != nil {
-				dialPlan.OnFault = func(fault, detail string) {
-					em.FaultInjected(fault, detail)
-					tr.Fault(fault, detail) // both nil-safe; spans the fault under the current step
-				}
-			}
-			copts.DialFunc = dialPlan.Dialer()
-		}
 	}
 	fleet, err := staging.NewFleet(fo)
 	if err != nil {
 		return nil, nil, nil, fmt.Errorf("spec: %w", err)
 	}
-	if !pooled {
-		copts.Events, copts.Metrics = em, reg
-		client, err := staging.DialOptions(fleet.Addrs()[0], copts)
-		if err != nil {
-			// A refuse-accepts plan rejects the very first dial; the resilient
-			// client retries from inside its op loop, so start it unconnected
-			// rather than failing the build.
-			client = staging.NewClient(fleet.Addrs()[0], copts)
-		}
-		return client, []io.Closer{fleet, client}, nil, nil
-	}
-	// One retry per op: the pool's circuit breaker is the resilience layer
-	// here, so a dead endpoint should trip it quickly instead of burning a
-	// deep per-op retry budget.
+	// One retry per op: the pool's circuit breaker is the resilience layer,
+	// so a dead endpoint should trip it quickly instead of burning a deep
+	// per-op retry budget.
+	copts := staging.LoopbackClient()
 	copts.MaxRetries = 1
 	pool, err := staging.NewPool(fleet.Addrs(), domain, staging.PoolOptions{
 		Replicas:    max(w.StagingReplicas, 1),

@@ -162,16 +162,22 @@ func TestStagingTCPSpecRuns(t *testing.T) {
 	}
 }
 
+// TestStagingTCPFaultSpecDegrades: against a one-server pool whose listener
+// refuses every connection, every step degrades to in-situ, and the event
+// log names the cause — the pool's breaker opens on the dead endpoint
+// (endpoint_down) — before a degraded step reports it.
 func TestStagingTCPFaultSpecDegrades(t *testing.T) {
-	w, err := Parse(strings.NewReader(`{
+	events := filepath.Join(t.TempDir(), "events.jsonl")
+	w, err := Parse(strings.NewReader(fmt.Sprintf(`{
 		"application": "advection-diffusion",
 		"domain": [16, 16, 16],
 		"placement": "intransit",
 		"staging_tcp": true,
 		"fault": {"seed": 7, "refuse_accepts": -1},
 		"staging_failure_cooldown": -1,
-		"steps": 2
-	}`))
+		"events": %q,
+		"steps": 3
+	}`, events)))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -179,19 +185,40 @@ func TestStagingTCPFaultSpecDegrades(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	defer wf.Close()
-	res := wf.Run(2)
-	degraded := 0
+	res := wf.Run(3)
+	if err := wf.Close(); err != nil {
+		t.Fatal(err)
+	}
 	for _, s := range res.Steps {
-		if s.PlacementReason == policy.ReasonStagingFailure {
-			degraded++
-			if s.StagingRetries == 0 {
-				t.Errorf("step %d degraded with zero retries", s.Step)
-			}
+		if s.PlacementReason != policy.ReasonStagingFailure {
+			t.Errorf("step %d reason = %q against a refuse-all server, want %q",
+				s.Step, s.PlacementReason, policy.ReasonStagingFailure)
 		}
 	}
-	if degraded == 0 {
-		t.Fatal("no step degraded against a refuse-all staging server")
+	if res.Steps[0].StagingRetries == 0 {
+		t.Error("step 0 degraded with zero retries")
+	}
+	f, err := os.Open(events)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer f.Close()
+	evs, err := obs.ReadEvents(f)
+	if err != nil {
+		t.Fatal(err)
+	}
+	down, degradedAfter := false, 0
+	for _, ev := range evs {
+		switch {
+		case ev.Kind == obs.KindEndpointDown:
+			down = true
+		case ev.Kind == obs.KindStagingDegrade && down:
+			degradedAfter++
+		}
+	}
+	if !down || degradedAfter == 0 {
+		t.Fatalf("event log shows no endpoint_down followed by a degraded step (down=%t, degraded after=%d)",
+			down, degradedAfter)
 	}
 }
 

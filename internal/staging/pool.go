@@ -51,9 +51,9 @@ import (
 //     schedule the emitted sequence is reproducible byte for byte.
 //   - Workers (Concurrency > 1): each endpoint gets a worker goroutine
 //     draining its own job queue over its one reused connection; a put's
-//     replica writes and a read's shards run in parallel, a suspect
-//     primary's read is hedged with the first replica, and the number of
-//     executing endpoint operations is bounded by Concurrency.
+//     replica writes and a read's shards run in parallel, and the number of
+//     executing endpoint operations is bounded by Concurrency. A shard's
+//     replicas are still read one after another, as inline.
 //     Endpoint-level events and op spans are buffered and must be flushed
 //     with DrainEvents/DrainSpans at a quiet point (the workflow's step
 //     barrier), where they are put in a deterministic order before sinking.
@@ -157,10 +157,10 @@ type PoolOptions struct {
 	// with workers buffer endpoint events until DrainEvents.
 	Concurrency int
 
-	// Client configures each endpoint's TCP client. Events is ignored: the
-	// pool emits its own endpoint-level events with stable details instead
-	// of per-endpoint transport noise, keeping seeded event logs
-	// byte-identical (raw racy error strings would not be).
+	// Client configures each endpoint's TCP client. The clients emit no
+	// events: the pool emits its own endpoint-level events with stable
+	// details instead of per-endpoint transport noise, keeping seeded event
+	// logs byte-identical (raw racy error strings would not be).
 	Client ClientOptions
 
 	// Tenant, when set, scopes the returned handle to one tenant namespace,
@@ -200,7 +200,6 @@ func NewPool(addrs []string, domain grid.Box, opts PoolOptions) (*Pool, error) {
 		return nil, fmt.Errorf("%w: %q", ErrBadTenant, opts.Tenant)
 	}
 	copts := opts.Client
-	copts.Events = nil // see PoolOptions.Client
 	copts.Metrics = opts.Metrics
 	nameRoom := maxVarName
 	if opts.Replicas > 1 {
@@ -579,8 +578,7 @@ func (r *opRec) finish(p *Pool, err error) {
 }
 
 // emit writes the op span and its RPC children, RPCs ordered by replica
-// index regardless of completion order. The lock guards against a hedged
-// read still in flight when its op already settled.
+// index regardless of completion order.
 func (r *opRec) emit() {
 	r.mu.Lock()
 	defer r.mu.Unlock()
@@ -775,15 +773,6 @@ func (p *Pool) isDown(ep *endpoint) bool {
 	return ep.down
 }
 
-// suspect reports whether ep is down or mid-failure-streak — the hedging
-// trigger for shard reads: a suspect primary is likely to time out, so the
-// first replica is asked concurrently.
-func (p *Pool) suspect(ep *endpoint) bool {
-	p.stateMu.Lock()
-	defer p.stateMu.Unlock()
-	return ep.down || ep.failures > 0
-}
-
 // Put stores a block: the primary endpoint gets it under varName, the next
 // Replicas−1 endpoints in ring order get copies under the shard's replica
 // variable. The replica-set writes are submitted together and joined; the
@@ -961,99 +950,60 @@ func (p *Pool) GetBlocks(varName string, version int, region grid.Box) ([]*field
 	return out, nil
 }
 
-// getShard reads one shard's blocks. The primary is always asked; when it is
-// suspect (down or mid-failure-streak) once its read has been submitted, the
-// first replica is asked too — on worker queues that hedges a likely primary
-// timeout, inline (where the primary's read has already returned by then) it
-// is the plain fall-through to the next replica. The primary's answer is
-// authoritative whenever it arrives: a put succeeds with any one replica-set
-// write, so the replica variable can legitimately be missing blocks whose
-// replica-side writes failed, and returning a replica's clean-but-partial
-// answer over a healthy primary's would drop them. A replica's clean answer
-// — blocks or NotFound — is therefore held and used only once the primary
-// has failed or been skipped. Remaining replicas are tried one at a time
-// only after the submitted reads all failed.
+// getShard reads one shard's blocks, asking the shard's replicas one at a
+// time in ring order on either executor: a replica is asked only once the
+// one before it failed or was skipped. The primary's answer is
+// authoritative: a put succeeds with any one replica-set write, so the
+// replica variable can legitimately be missing blocks whose replica-side
+// writes failed, and a replica's clean-but-partial answer must never stand
+// in for a healthy primary's. The first clean answer — blocks or NotFound —
+// ends the read; one served by a replica is a failover.
 func (p *Pool) getShard(shard int, varName string, version int, region grid.Box) ([]*field.BoxData, error) {
 	rec := p.newOpRec(opRankGet, uint64(shard), int64(version), "pool:get",
 		fmt.Sprintf("var=%s version=%d shard=%d", varName, version, shard))
-	n := len(p.eps)
 	type shardAns struct {
-		j       int
 		blocks  []*field.BoxData // nil for a clean NotFound
 		err     error
 		skipped bool // breaker open: not an answer
 	}
-	ch := make(chan shardAns, p.replicas)
-	read := func(j int) {
-		ep := p.eps[(shard+j)%n]
+	ch := make(chan shardAns, 1)
+	var lastErr error
+	for j := 0; j < p.replicas; j++ {
+		ep := p.eps[(shard+j)%len(p.eps)]
 		name := replicaName(varName, shard, j)
 		enq := rec.nowNs()
 		p.submit(ep, func() {
 			q0 := rec.nowNs()
 			if !p.usable(ep) {
-				ch <- shardAns{j: j, skipped: true}
+				ch <- shardAns{skipped: true}
 				return
 			}
 			e0 := rec.nowNs()
 			blocks, err := ep.client.GetBlocks(name, version, region)
-			switch {
-			case err == nil:
-				p.opOK(ep)
-				rec.rpc(j, ep.idx, "rpc:get", q0-enq, e0, "")
-				ch <- shardAns{j: j, blocks: blocks}
-			case errors.Is(err, ErrNotFound):
-				p.opOK(ep)
-				rec.rpc(j, ep.idx, "rpc:get", q0-enq, e0, "")
-				ch <- shardAns{j: j}
-			default:
+			if err != nil && !errors.Is(err, ErrNotFound) {
 				p.opFail(ep)
 				rec.rpc(j, ep.idx, "rpc:get", q0-enq, e0, errDetail(err))
-				ch <- shardAns{j: j, err: err}
+				ch <- shardAns{err: err}
+				return
 			}
+			p.opOK(ep)
+			rec.rpc(j, ep.idx, "rpc:get", q0-enq, e0, "")
+			ch <- shardAns{blocks: blocks}
 		})
-	}
-	read(0)
-	pending := 1
-	next := 1
-	if p.replicas > 1 && p.suspect(p.eps[shard]) {
-		read(1)
-		pending++
-		next++
-	}
-	var lastErr error
-	primaryFailed := false
-	var held *shardAns // a replica's clean answer, used once the primary has failed
-	for pending > 0 {
 		a := <-ch
-		pending--
-		switch {
-		case a.err != nil:
+		if a.skipped {
+			continue
+		}
+		if a.err != nil {
 			lastErr = a.err
-			if a.j == 0 {
-				primaryFailed = true
-			}
-		case a.skipped:
-			if a.j == 0 {
-				primaryFailed = true
-			}
-		case a.j == 0:
-			rec.finish(p, nil)
-			return a.blocks, nil
-		default:
-			held = &a
+			continue
 		}
-		if primaryFailed && held != nil {
-			served := p.eps[(shard+held.j)%n].idx
-			p.sinkEvent(shard, rankFailover, obs.FailoverGet(shard, served))
-			rec.markFailover(served)
-			rec.finish(p, nil)
-			return held.blocks, nil
+		if j > 0 {
+			p.sinkEvent(shard, rankFailover, obs.FailoverGet(shard, ep.idx))
+			rec.markFailover(ep.idx)
 		}
-		if pending == 0 && next < p.replicas {
-			read(next)
-			next++
-			pending++
-		}
+		rec.finish(p, nil)
+		return a.blocks, nil
 	}
 	err := shardLostErr(shard, lastErr)
 	rec.finish(p, err)

@@ -130,8 +130,9 @@ func TestConcurrentPoolMatchesSerial(t *testing.T) {
 	}
 }
 
-// TestConcurrentFailover exercises the hedged-read and replicated-put paths
-// with a dead endpoint under the parallel pool.
+// TestConcurrentFailover exercises failover reads — a shard's replica asked
+// once its primary failed or was skipped — and replicated puts with a dead
+// endpoint under the parallel pool.
 func TestConcurrentFailover(t *testing.T) {
 	rig := newConcRig(t, 3, 2, 8)
 	blocks := spread()
@@ -139,7 +140,7 @@ func TestConcurrentFailover(t *testing.T) {
 	rig.kill(1)
 	got, err := rig.pool.GetBlocks("rho", 0, dom())
 	if err != nil {
-		t.Fatalf("hedged get with one dead server: %v", err)
+		t.Fatalf("failover get with one dead server: %v", err)
 	}
 	if len(got) != len(blocks) {
 		t.Fatalf("got %d blocks, want %d", len(got), len(blocks))

@@ -82,8 +82,9 @@ func TestConcurrentPoolFaultSoak(t *testing.T) {
 		}
 
 		// conc writer goroutines ship this version while readers replay
-		// earlier, fully settled versions through the hedged path (reading
-		// the in-flight version would legitimately return a partial set).
+		// earlier, fully settled versions, failing over to replicas while
+		// server 1 is down (reading the in-flight version would
+		// legitimately return a partial set).
 		var wg sync.WaitGroup
 		sem := make(chan struct{}, conc)
 		errs := make(chan error, len(blocks)+2)

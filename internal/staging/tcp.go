@@ -764,15 +764,8 @@ type ClientOptions struct {
 	// it to interpose a faultnet wrapper (default net.DialTimeout over tcp).
 	DialFunc func(addr string, timeout time.Duration) (net.Conn, error)
 
-	// Events, when set, receives a structured event per transport retry and
-	// reconnect. Client operations run synchronously on the caller's
-	// goroutine, so with a deterministic fault plan the emitted sequence is
-	// reproducible.
-	Events *obs.Emitter
-
 	// Metrics, when set, registers the client's cumulative retry/reconnect
-	// counters (xlayer_staging_client_*) in this registry. They count with
-	// or without Events.
+	// counters (xlayer_staging_client_*) in this registry.
 	Metrics *obs.Registry
 }
 
@@ -968,7 +961,7 @@ func (c *Client) do(varName string, op func() error) error {
 		}
 		if attempt > 0 {
 			c.retries.Add(1)
-			c.counts.Record(c.opts.Events, obs.StagingRetry(attempt, errDetail(lastErr)))
+			c.counts.Record(nil, obs.StagingRetry(attempt, errDetail(lastErr)))
 			backoff := c.opts.BackoffMax
 			if shift := attempt - 1; shift < 20 {
 				if b := c.opts.BackoffBase << shift; b < backoff {
@@ -990,7 +983,7 @@ func (c *Client) do(varName string, op func() error) error {
 			c.attach(conn)
 			if redial {
 				c.reconnects.Add(1)
-				c.counts.Record(c.opts.Events, obs.StagingReconnect())
+				c.counts.Record(nil, obs.StagingReconnect())
 			}
 		}
 		c.conn.SetDeadline(time.Now().Add(c.opts.OpTimeout))
