@@ -247,6 +247,7 @@ func BenchmarkMarchingCubes(b *testing.B) {
 		dx, dy, dz := float64(q.X)-c, float64(q.Y)-c, float64(q.Z)-c
 		d.Set(q, 0, dx*dx+dy*dy+dz*dz)
 	})
+	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		m := viz.ExtractBlock(d, 0, 100, viz.Vec3{}, 1)
@@ -343,14 +344,15 @@ func BenchmarkDurablePut(b *testing.B) {
 
 // BenchmarkGhostFill fills the two-cell ghost shell of one five-component
 // patch: on a clamped base level (same-level copies and extrapolation), on
-// a periodic one (image copies), and on a fine level (coarse gather and
-// piecewise-constant fill).
+// a periodic one (image copies), on a fine level (coarse gather and
+// piecewise-constant fill), and on an interior fine patch of a periodic
+// domain, whose ghost box no periodic image reaches.
 func BenchmarkGhostFill(b *testing.B) {
 	for _, bc := range []struct {
 		name     string
 		periodic bool
 		level    int
-	}{{"base", false, 0}, {"periodic", true, 0}, {"level1", false, 1}} {
+	}{{"base", false, 0}, {"periodic", true, 0}, {"level1", false, 1}, {"periodic-level1", true, 1}} {
 		b.Run(bc.name, func(b *testing.B) {
 			h := amr.NewHierarchy(amr.Config{
 				Domain:     grid.NewBox(grid.IV(0, 0, 0), grid.IV(31, 31, 31)),

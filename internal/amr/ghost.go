@@ -76,7 +76,10 @@ func (h *Hierarchy) fillGhost(s *GhostScratch, li int, p *Patch, ng, c0, nc int,
 	}
 
 	// (1b) periodic images: copy each patch shifted by all non-zero
-	// combinations of the domain extent.
+	// combinations of the domain extent. Every image under a shift lies in
+	// the shifted domain, so a shift whose domain misses the ghost box
+	// copies nothing and is skipped: an interior patch makes no image pass,
+	// a face patch one, a corner patch seven.
 	if h.Cfg.Periodic {
 		ext := l.Domain.Size()
 		for sz := -1; sz <= 1; sz++ {
@@ -85,8 +88,12 @@ func (h *Hierarchy) fillGhost(s *GhostScratch, li int, p *Patch, ng, c0, nc int,
 					if sx == 0 && sy == 0 && sz == 0 {
 						continue
 					}
+					shift := grid.IV(sx*ext.X, sy*ext.Y, sz*ext.Z)
+					if !gb.Intersects(l.Domain.Shift(shift)) {
+						continue
+					}
 					for _, sp := range l.Patches {
-						copyRows(sp, grid.IV(sx*ext.X, sy*ext.Y, sz*ext.Z))
+						copyRows(sp, shift)
 					}
 				}
 			}

@@ -145,7 +145,10 @@ func randomize(h *Hierarchy, rng *rand.Rand) {
 // refHierarchy builds a non-cubic domain (so a stride mix-up cannot cancel)
 // with, when fine is set, an L-shaped refined region: the coarse cell in
 // the notch touches two coarse–fine faces and the fine level has several
-// patches of different shapes, some abutting, some not.
+// patches of different shapes, some abutting, some not. On a periodic
+// domain the base patches all touch the domain boundary (the corner ones
+// keep seven image shifts at ng=2) while most fine patches lie so far
+// inside that every shift is pruned.
 func refHierarchy(t *testing.T, periodic, fine bool, ncomp int) *Hierarchy {
 	t.Helper()
 	maxLevel := 0
@@ -189,8 +192,29 @@ func equalBits(a, b *field.BoxData) error {
 	return nil
 }
 
+// imageShifts counts the periodic shifts whose shifted domain meets gb:
+// the image passes the ghost fill makes for a patch with ghost box gb.
+func imageShifts(l *Level, gb grid.Box) int {
+	ext, n := l.Domain.Size(), 0
+	for sz := -1; sz <= 1; sz++ {
+		for sy := -1; sy <= 1; sy++ {
+			for sx := -1; sx <= 1; sx++ {
+				shift := grid.IV(sx*ext.X, sy*ext.Y, sz*ext.Z)
+				if shift != grid.Zero && gb.Intersects(l.Domain.Shift(shift)) {
+					n++
+				}
+			}
+		}
+	}
+	return n
+}
+
 func TestFillGhostMatchesReference(t *testing.T) {
 	rng := rand.New(rand.NewSource(7))
+	// passes counts the periodic ng=2 fills by image passes made: the
+	// fills must include an interior patch (every shift pruned) and a
+	// patch spanning a domain corner (seven shifts kept).
+	passes := map[int]int{}
 	for _, periodic := range []bool{false, true} {
 		for _, fine := range []bool{false, true} {
 			h := refHierarchy(t, periodic, fine, 3)
@@ -201,6 +225,9 @@ func TestFillGhostMatchesReference(t *testing.T) {
 					// differ, so each fill reshapes what the last one left.
 					var scratch GhostScratch
 					for pi, p := range l.Patches {
+						if periodic && ng == 2 {
+							passes[imageShifts(l, p.Box.Grow(ng))]++
+						}
 						want := refFillGhost(h, li, p, ng, nil)
 						name := fmt.Sprintf("periodic=%v level=%d ng=%d patch=%d", periodic, li, ng, pi)
 						if err := equalBits(h.FillGhost(li, p, ng), want); err != nil {
@@ -213,6 +240,9 @@ func TestFillGhostMatchesReference(t *testing.T) {
 				}
 			}
 		}
+	}
+	if passes[0] == 0 || passes[7] == 0 {
+		t.Errorf("periodic ng=2 fills by image passes made: %v; want an interior patch (0) and a corner patch (7)", passes)
 	}
 }
 

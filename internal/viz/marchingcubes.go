@@ -88,38 +88,56 @@ var tets = [6][4]int{
 // physical space).
 func ExtractBlock(d *field.BoxData, c int, iso float64, origin Vec3, dx float64) *Mesh {
 	m := &Mesh{}
+	extractInto(m, d, c, iso, origin, dx)
+	return m
+}
+
+// extractInto appends ExtractBlock's triangles to m. Cubes are visited in
+// Box.ForEach order by their low corner; a cube's corner values are read
+// through fixed strides of the component slice, and its corner positions
+// are computed only when the cube is not entirely on one side of iso.
+func extractInto(m *Mesh, d *field.BoxData, c int, iso float64, origin Vec3, dx float64) {
 	b := d.Box
-	if b.Size().MinComp() < 2 {
-		return m // no complete cube fits
+	sz := b.Size()
+	if sz.MinComp() < 2 {
+		return // no complete cube fits
 	}
-	// Iterate cubes whose low corner is q; corners q..q+1 must be in-box.
-	cubeBox := grid.NewBox(b.Lo, b.Hi.Sub(grid.Unit))
+	v := d.Comp(c)
+	var off [8]int
+	for i, k := range corner {
+		off[i] = (k.Z*sz.Y+k.Y)*sz.X + k.X
+	}
 	var vals [8]float64
 	var pos [8]Vec3
-	cubeBox.ForEach(func(q grid.IntVect) {
-		inside := 0
-		for i, off := range corner {
-			p := q.Add(off)
-			vals[i] = d.Get(p, c)
-			pos[i] = Vec3{
-				origin.X + (float64(p.X)+0.5)*dx,
-				origin.Y + (float64(p.Y)+0.5)*dx,
-				origin.Z + (float64(p.Z)+0.5)*dx,
+	for z := b.Lo.Z; z < b.Hi.Z; z++ {
+		for y := b.Lo.Y; y < b.Hi.Y; y++ {
+			o := b.Offset(grid.IV(b.Lo.X, y, z))
+			for x := b.Lo.X; x < b.Hi.X; x, o = x+1, o+1 {
+				inside := 0
+				for i, k := range off {
+					vals[i] = v[o+k]
+					if vals[i] >= iso {
+						inside++
+					}
+				}
+				if inside == 0 || inside == 8 {
+					continue // fast reject: cube entirely on one side
+				}
+				for i, k := range corner {
+					pos[i] = Vec3{
+						origin.X + (float64(x+k.X)+0.5)*dx,
+						origin.Y + (float64(y+k.Y)+0.5)*dx,
+						origin.Z + (float64(z+k.Z)+0.5)*dx,
+					}
+				}
+				for _, tet := range tets {
+					marchTet(m, iso,
+						vals[tet[0]], vals[tet[1]], vals[tet[2]], vals[tet[3]],
+						pos[tet[0]], pos[tet[1]], pos[tet[2]], pos[tet[3]])
+				}
 			}
-			if vals[i] >= iso {
-				inside++
-			}
 		}
-		if inside == 0 || inside == 8 {
-			return // fast reject: cube entirely on one side
-		}
-		for _, tet := range tets {
-			marchTet(m, iso,
-				vals[tet[0]], vals[tet[1]], vals[tet[2]], vals[tet[3]],
-				pos[tet[0]], pos[tet[1]], pos[tet[2]], pos[tet[3]])
-		}
-	})
-	return m
+	}
 }
 
 // interp returns the iso-crossing point on the edge between (pa,va) and

@@ -1,7 +1,10 @@
 package viz
 
 import (
+	"fmt"
+	"hash/fnv"
 	"math"
+	"math/rand"
 	"testing"
 
 	"crosslayer/internal/amr"
@@ -182,5 +185,172 @@ func TestServiceTwoIsovaluesSweepTwice(t *testing.T) {
 	_, st1 := one.ExtractBlocks([]*field.BoxData{d}, 0, 1)
 	if st.Triangles <= st1.Triangles {
 		t.Error("two isovalues should produce more triangles than one")
+	}
+}
+
+// refExtractBlock is the per-cube body ExtractBlock shipped before it read
+// corner values through strides and built positions only for cubes that
+// cross iso, kept as an oracle: the kernel must reproduce it bit for bit.
+func refExtractBlock(d *field.BoxData, c int, iso float64, origin Vec3, dx float64) *Mesh {
+	m := &Mesh{}
+	b := d.Box
+	if b.Size().MinComp() < 2 {
+		return m // no complete cube fits
+	}
+	// Iterate cubes whose low corner is q; corners q..q+1 must be in-box.
+	cubeBox := grid.NewBox(b.Lo, b.Hi.Sub(grid.Unit))
+	var vals [8]float64
+	var pos [8]Vec3
+	cubeBox.ForEach(func(q grid.IntVect) {
+		inside := 0
+		for i, off := range corner {
+			p := q.Add(off)
+			vals[i] = d.Get(p, c)
+			pos[i] = Vec3{
+				origin.X + (float64(p.X)+0.5)*dx,
+				origin.Y + (float64(p.Y)+0.5)*dx,
+				origin.Z + (float64(p.Z)+0.5)*dx,
+			}
+			if vals[i] >= iso {
+				inside++
+			}
+		}
+		if inside == 0 || inside == 8 {
+			return // fast reject: cube entirely on one side
+		}
+		for _, tet := range tets {
+			marchTet(m, iso,
+				vals[tet[0]], vals[tet[1]], vals[tet[2]], vals[tet[3]],
+				pos[tet[0]], pos[tet[1]], pos[tet[2]], pos[tet[3]])
+		}
+	})
+	return m
+}
+
+// sameTriangles compares two meshes vertex by vertex on the float bits.
+func sameTriangles(got, want *Mesh) error {
+	if len(got.Triangles) != len(want.Triangles) {
+		return fmt.Errorf("%d triangles, reference %d", len(got.Triangles), len(want.Triangles))
+	}
+	for i, g := range got.Triangles {
+		w := want.Triangles[i]
+		gv, wv := [3]Vec3{g.A, g.B, g.C}, [3]Vec3{w.A, w.B, w.C}
+		for j := range gv {
+			for k, pair := range [3][2]float64{{gv[j].X, wv[j].X}, {gv[j].Y, wv[j].Y}, {gv[j].Z, wv[j].Z}} {
+				if math.Float64bits(pair[0]) != math.Float64bits(pair[1]) {
+					return fmt.Errorf("triangle %d vertex %d axis %d: %v, reference %v", i, j, k, pair[0], pair[1])
+				}
+			}
+		}
+	}
+	return nil
+}
+
+// meshChecksum is the FNV-1a hash of every vertex coordinate's bits, in
+// triangle order.
+func meshChecksum(m *Mesh) uint64 {
+	h := fnv.New64a()
+	var buf [8]byte
+	for _, t := range m.Triangles {
+		for _, v := range [3]Vec3{t.A, t.B, t.C} {
+			for _, f := range [3]float64{v.X, v.Y, v.Z} {
+				u := math.Float64bits(f)
+				for i := range buf {
+					buf[i] = byte(u >> (8 * i))
+				}
+				h.Write(buf[:])
+			}
+		}
+	}
+	return h.Sum64()
+}
+
+// extractCase is one seeded block for the reference comparison. Values are
+// small integers, so iso = 2 equals many samples and the >= tie decides
+// which side a corner is on.
+type extractCase struct {
+	name   string
+	lo     grid.IntVect
+	size   grid.IntVect
+	ncomp  int
+	c      int
+	iso    float64
+	origin Vec3
+	dx     float64
+}
+
+var extractCases = []extractCase{
+	{"origin-box", grid.IV(0, 0, 0), grid.IV(9, 7, 6), 1, 0, 1.5, Vec3{}, 1},
+	{"shifted-box", grid.IV(3, -2, 5), grid.IV(8, 6, 7), 1, 0, 2, Vec3{}, 0.5},
+	{"comp2-of-3", grid.IV(-4, 1, 2), grid.IV(7, 9, 5), 3, 2, 1.5, Vec3{0.25, -1.5, 3}, 0.125},
+	{"tie-iso", grid.IV(1, 2, 3), grid.IV(6, 6, 6), 2, 1, 2, Vec3{-2, 0.75, 1}, 0.3},
+	{"2-thick-z", grid.IV(5, 0, -1), grid.IV(7, 6, 2), 1, 0, 2, Vec3{1, 1, 1}, 1},
+	{"2-thick-x", grid.IV(0, 3, 0), grid.IV(2, 5, 9), 2, 0, 1.5, Vec3{}, 0.25},
+	{"1-thick-y", grid.IV(0, 0, 0), grid.IV(6, 1, 6), 1, 0, 2, Vec3{}, 1},
+	{"1-thick-x", grid.IV(2, 2, 2), grid.IV(1, 5, 5), 1, 0, 1.5, Vec3{}, 1},
+}
+
+// seededBlock fills a block of the case's shape with integers in [0, 4].
+func (ec extractCase) seededBlock(rng *rand.Rand) *field.BoxData {
+	d := field.New(grid.BoxFromSize(ec.lo, ec.size), ec.ncomp)
+	for c := 0; c < ec.ncomp; c++ {
+		s := d.Comp(c)
+		for i := range s {
+			s[i] = float64(rng.Intn(5))
+		}
+	}
+	return d
+}
+
+func TestExtractBlockMatchesReference(t *testing.T) {
+	rng := rand.New(rand.NewSource(17))
+	for _, ec := range extractCases {
+		d := ec.seededBlock(rng)
+		want := refExtractBlock(d, ec.c, ec.iso, ec.origin, ec.dx)
+		if err := sameTriangles(ExtractBlock(d, ec.c, ec.iso, ec.origin, ec.dx), want); err != nil {
+			t.Errorf("%s: %v", ec.name, err)
+		}
+		if ec.size.MinComp() >= 2 && want.Count() == 0 {
+			t.Errorf("%s: the reference extracted nothing; the case tests nothing", ec.name)
+		}
+	}
+	// A smooth field at a non-sample iso, and the same field at iso equal
+	// to one of its samples.
+	d := sphereField(16)
+	for _, iso := range []float64{5, d.Get(grid.IV(3, 7, 7), 0)} {
+		if err := sameTriangles(ExtractBlock(d, 0, iso, Vec3{0.5, 0.5, 0.5}, 0.1), refExtractBlock(d, 0, iso, Vec3{0.5, 0.5, 0.5}, 0.1)); err != nil {
+			t.Errorf("sphere iso=%v: %v", iso, err)
+		}
+	}
+}
+
+// TestServiceMatchesPerBlockAppend holds ExtractBlocks, which extracts into
+// one mesh, to the per-block reference meshes appended block by block and
+// isovalue by isovalue, and pins the result's vertex checksum.
+func TestServiceMatchesPerBlockAppend(t *testing.T) {
+	rng := rand.New(rand.NewSource(19))
+	var blocks []*field.BoxData
+	for _, ec := range extractCases {
+		if ec.ncomp == 1 {
+			blocks = append(blocks, ec.seededBlock(rng))
+		}
+	}
+	svc := NewService(1.5, 2, 3)
+	got, st := svc.ExtractBlocks(blocks, 0, 0.25)
+	want := &Mesh{}
+	for _, b := range blocks {
+		for _, iso := range svc.Isovalues {
+			want.Append(refExtractBlock(b, 0, iso, Vec3{}, 0.25))
+		}
+	}
+	if err := sameTriangles(got, want); err != nil {
+		t.Fatal(err)
+	}
+	if math.Float64bits(st.Area) != math.Float64bits(want.Area()) || st.Triangles != want.Count() {
+		t.Errorf("stats %d triangles area %v, reference %d area %v", st.Triangles, st.Area, want.Count(), want.Area())
+	}
+	const pinned = 0x7893ba23831b871
+	if sum := meshChecksum(got); sum != pinned {
+		t.Errorf("vertex checksum %#x over %d triangles, pinned %#x", sum, got.Count(), uint64(pinned))
 	}
 }
