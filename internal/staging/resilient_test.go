@@ -8,6 +8,7 @@ import (
 
 	"crosslayer/internal/faultnet"
 	"crosslayer/internal/grid"
+	"crosslayer/internal/obs"
 )
 
 // fastOpts keeps failure tests quick: tight deadlines, short backoff.
@@ -73,6 +74,36 @@ func TestClientUnavailableWhenServerRefusesEverything(t *testing.T) {
 	retries, _ := cl.TransportStats()
 	if retries != 2 {
 		t.Fatalf("retries = %d, want exactly MaxRetries = 2", retries)
+	}
+}
+
+func TestRefusedRedialsAreNotReconnects(t *testing.T) {
+	// Every accepted connection is closed at once, so every re-dial
+	// succeeds at the TCP level and then carries no reply: none of them
+	// reconnected the client to a server, on either counter.
+	srv := faultServer(t, faultnet.Plan{RefuseAccepts: -1})
+	for _, eager := range []bool{true, false} {
+		reg := obs.NewRegistry()
+		opts := fastOpts()
+		opts.Metrics = reg
+		cl := NewClient(srv.Addr(), opts)
+		if eager {
+			var err error
+			if cl, err = DialOptions(srv.Addr(), opts); err != nil {
+				t.Fatal(err)
+			}
+		}
+		for i := 0; i < 3; i++ {
+			if err := cl.Put("rho", i, block(grid.IV(0, 0, 0), 4, 1)); !errors.Is(err, ErrStagingUnavailable) {
+				t.Fatalf("eager=%v: Put err = %v, want ErrStagingUnavailable", eager, err)
+			}
+		}
+		retries, reconnects := cl.TransportStats()
+		counted := reg.Counter("xlayer_staging_client_reconnects_total", "").Value()
+		if retries != 6 || reconnects != 0 || counted != 0 {
+			t.Errorf("eager=%v: %d retries, %d reconnects, counter %g; want 6, 0, 0", eager, retries, reconnects, counted)
+		}
+		cl.Close()
 	}
 }
 

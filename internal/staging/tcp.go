@@ -802,7 +802,7 @@ type Client struct {
 	opts ClientOptions
 
 	retries    atomic.Int64 // retry attempts across all operations
-	reconnects atomic.Int64 // successful re-dials after a failure
+	reconnects atomic.Int64 // re-dials after a failure that carried a reply
 	seq        atomic.Int64 // last logical-put sequence number issued
 	seqBase    int64        // this client's slice of the process seq space
 
@@ -970,27 +970,30 @@ func (c *Client) do(varName string, op func() error) error {
 			}
 			time.Sleep(backoff)
 		}
+		// Only a dial after an established connection was lost is a
+		// re-dial (a lazily-built client's first dial is its initial
+		// connection), and it counts as a reconnect once the new connection
+		// has carried a reply: a server that accepts and at once closes was
+		// not reconnected to.
+		redial := false
 		if c.conn == nil {
 			conn, err := c.opts.DialFunc(c.addr, c.opts.OpTimeout)
 			if err != nil {
 				lastErr = err
 				continue
 			}
-			// A lazily-built client's first successful dial is an initial
-			// connection, not a re-dial: only count a reconnect when a
-			// previously established connection was lost.
-			redial := c.connected
+			redial = c.connected
 			c.attach(conn)
-			if redial {
-				c.reconnects.Add(1)
-				c.counts.Record(nil, obs.StagingReconnect())
-			}
 		}
 		c.conn.SetDeadline(time.Now().Add(c.opts.OpTimeout))
 		err := op()
 		if err == nil || errors.Is(err, ErrNotFound) || errors.Is(err, ErrNoMemory) ||
 			errors.Is(err, ErrQuotaExceeded) {
 			c.conn.SetDeadline(time.Time{})
+			if redial {
+				c.reconnects.Add(1)
+				c.counts.Record(nil, obs.StagingReconnect())
+			}
 			return err
 		}
 		lastErr = err
