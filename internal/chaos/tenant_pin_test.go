@@ -34,7 +34,7 @@ func TestTwoTenantRunsPinned(t *testing.T) {
 			},
 			events: "4734:100d526651796f55",
 			spans:  "57553:f72fbdf6a4c82b43",
-			recs:   "4406:c824f42e8de0233e",
+			recs:   "4406:07bde421758e2ca7",
 		},
 		{
 			s: Schedule{
