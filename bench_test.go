@@ -247,14 +247,27 @@ func BenchmarkMarchingCubes(b *testing.B) {
 		dx, dy, dz := float64(q.X)-c, float64(q.Y)-c, float64(q.Z)-c
 		d.Set(q, 0, dx*dx+dy*dy+dz*dz)
 	})
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		m := viz.ExtractBlock(d, 0, 100, viz.Vec3{}, 1)
-		if m.Count() == 0 {
-			b.Fatal("no surface")
+	// mesh builds the triangle soup; stats is the analysis step's path,
+	// which counts and measures the same triangles and keeps none.
+	b.Run("mesh", func(b *testing.B) {
+		b.ReportAllocs()
+		for i := 0; i < b.N; i++ {
+			m := viz.ExtractBlock(d, 0, 100, viz.Vec3{}, 1)
+			if m.Count() == 0 {
+				b.Fatal("no surface")
+			}
 		}
-	}
+	})
+	b.Run("stats", func(b *testing.B) {
+		svc := viz.NewService(100)
+		blocks := []*field.BoxData{d}
+		b.ReportAllocs()
+		for i := 0; i < b.N; i++ {
+			if svc.Measure(blocks, 0, 1).Triangles == 0 {
+				b.Fatal("no surface")
+			}
+		}
+	})
 }
 
 func BenchmarkDownsampleStrided(b *testing.B) {

@@ -126,6 +126,7 @@ var internalKeep = map[string]string{
 	"EntropyPlan.ApplyPlan":          "applies a decided plan; reduce's tests check plan and result separately",
 	"MemCost":                        "the paper's Mem_data_reduce (Eq. 2) by name",
 	"Mesh.Append":                    "per-block meshes appended with it are the reference ExtractBlocks is compared against",
+	"Service.ExtractBlocks":          "mesh-building form of Service.Measure; the one-pass statistics are tested against its mesh",
 	"FluxRegister.NumFaces":          "observation hook for the register-rebuild tests",
 	"Engine.PlanIncludes":            "observation hook for the root-leaf plan tests",
 	"NewSubset":                      "the third analysis.Service; core's workflow test plugs it in through Config.Analysis",

@@ -56,7 +56,7 @@ func (s *Isosurface) SweepsPerCell() float64 { return float64(len(s.svc.Isovalue
 
 // Analyze implements Service.
 func (s *Isosurface) Analyze(blocks []*field.BoxData, comp int, dx float64) Report {
-	_, st := s.svc.ExtractBlocks(blocks, comp, dx)
+	st := s.svc.Measure(blocks, comp, dx)
 	return Report{
 		CellsSwept:  st.CellsSwept,
 		OutputBytes: st.MeshBytes,
@@ -65,13 +65,6 @@ func (s *Isosurface) Analyze(blocks []*field.BoxData, comp int, dx float64) Repo
 			"area":      st.Area,
 		},
 	}
-}
-
-// Mesh exposes the last extraction's geometry when callers need it; the
-// Service interface itself stays product-agnostic.
-func (s *Isosurface) Mesh(blocks []*field.BoxData, comp int, dx float64) *viz.Mesh {
-	m, _ := s.svc.ExtractBlocks(blocks, comp, dx)
-	return m
 }
 
 // Statistics is the descriptive-statistics service: global min/max, mean,

@@ -7,14 +7,18 @@ import (
 
 	"crosslayer/internal/field"
 	"crosslayer/internal/grid"
+	"crosslayer/internal/viz"
 )
 
-func sphereBlocks() []*field.BoxData {
-	d := field.New(grid.BoxFromSize(grid.IV(0, 0, 0), grid.IV(16, 16, 16)), 1)
-	c := 7.5
+// sphereBlock is one n³ block of the distance from its center in units of
+// n/16 cells, so the sphere at a given isovalue spans the same share of
+// the block at every n.
+func sphereBlock(n int) []*field.BoxData {
+	d := field.New(grid.BoxFromSize(grid.IV(0, 0, 0), grid.IV(n, n, n)), 1)
+	c := float64(n-1) / 2
 	d.Box.ForEach(func(q grid.IntVect) {
 		dx, dy, dz := float64(q.X)-c, float64(q.Y)-c, float64(q.Z)-c
-		d.Set(q, 0, math.Sqrt(dx*dx+dy*dy+dz*dz))
+		d.Set(q, 0, math.Sqrt(dx*dx+dy*dy+dz*dz)*16/float64(n))
 	})
 	return []*field.BoxData{d}
 }
@@ -27,7 +31,7 @@ func TestIsosurfaceService(t *testing.T) {
 	if s.SweepsPerCell() != 2 {
 		t.Errorf("SweepsPerCell = %v", s.SweepsPerCell())
 	}
-	blocks := sphereBlocks()
+	blocks := sphereBlock(16)
 	rep := s.Analyze(blocks, 0, 1)
 	if rep.Metrics["triangles"] <= 0 {
 		t.Fatal("no triangles")
@@ -35,11 +39,25 @@ func TestIsosurfaceService(t *testing.T) {
 	if rep.CellsSwept != blocks[0].NumCells()*2 {
 		t.Errorf("CellsSwept = %d", rep.CellsSwept)
 	}
-	if rep.OutputBytes <= 0 {
-		t.Error("no output bytes")
+	m, st := viz.NewService(4.0, 6.0).ExtractBlocks(blocks, 0, 1)
+	if rep.Metrics["triangles"] != float64(m.Count()) || rep.OutputBytes != m.Bytes() ||
+		math.Float64bits(rep.Metrics["area"]) != math.Float64bits(m.Area()) || rep.CellsSwept != st.CellsSwept {
+		t.Errorf("Analyze %+v; the extracted mesh has %d triangles, %d bytes, area %v over %d cells",
+			rep, m.Count(), m.Bytes(), m.Area(), st.CellsSwept)
 	}
-	if m := s.Mesh(blocks, 0, 1); m.Count() != int(rep.Metrics["triangles"]) {
-		t.Error("Mesh disagrees with Analyze")
+}
+
+// TestIsosurfaceAnalyzeAllocsFlat holds Analyze to allocations that do not
+// grow with the surface: it keeps no triangles, so a sphere block of 32³,
+// with four times the triangles, costs the same few allocations (the
+// Metrics map) as one of 16³.
+func TestIsosurfaceAnalyzeAllocsFlat(t *testing.T) {
+	s := NewIsosurface(4.0, 6.0)
+	small, large := sphereBlock(16), sphereBlock(32)
+	a16 := testing.AllocsPerRun(20, func() { s.Analyze(small, 0, 1) })
+	a32 := testing.AllocsPerRun(20, func() { s.Analyze(large, 0, 1) })
+	if a16 != a32 || a32 > 4 {
+		t.Errorf("Analyze allocates %v times on a 16³ sphere and %v on a 32³ one; want the same few", a16, a32)
 	}
 }
 

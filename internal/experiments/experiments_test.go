@@ -2,7 +2,9 @@ package experiments
 
 import (
 	"bytes"
+	"os"
 	"strings"
+	"sync"
 	"testing"
 )
 
@@ -90,8 +92,44 @@ func TestFig5Shape(t *testing.T) {
 	}
 }
 
+// fig6 is Fig 6 at the parameters `xlayer fig6` and `xlayer all` run it
+// with, computed once for the tests that read it.
+var fig6 = sync.OnceValue(func() *Fig6Result { return Fig6EntropyReduction(0) })
+
+// TestFig6MatchesPublished holds Fig 6's printed output, triangle counts
+// included, byte for byte to its section of docs/run_all.txt.
+func TestFig6MatchesPublished(t *testing.T) {
+	doc, err := os.ReadFile("../../docs/run_all.txt")
+	if err != nil {
+		t.Fatal(err)
+	}
+	_, want, ok := strings.Cut(string(doc), "=== Fig 6 ===\n")
+	if !ok {
+		t.Fatal("docs/run_all.txt has no Fig 6 section")
+	}
+	want, _, _ = strings.Cut(want, "\n\n=== ")
+	want += "\n"
+	var buf bytes.Buffer
+	fig6().Print(&buf)
+	got := buf.String()
+	if got == want {
+		return
+	}
+	gl, wl := strings.Split(got, "\n"), strings.Split(want, "\n")
+	for i := range gl {
+		if i >= len(wl) || gl[i] != wl[i] {
+			w := "(end of section)"
+			if i < len(wl) {
+				w = wl[i]
+			}
+			t.Fatalf("line %d:\n  got  %s\n  want %s", i+1, gl[i], w)
+		}
+	}
+	t.Fatalf("output ends at line %d; the published section has %d lines", len(gl), len(wl))
+}
+
 func TestFig6Shape(t *testing.T) {
-	r := Fig6EntropyReduction(16)
+	r := fig6()
 	if len(r.Blocks) == 0 {
 		t.Fatal("no finest-level blocks")
 	}
@@ -113,11 +151,6 @@ func TestFig6Shape(t *testing.T) {
 		if b.Entropy >= r.Threshold && b.Factor != 1 {
 			t.Errorf("high-entropy block %s was reduced", b.Box)
 		}
-	}
-	var buf bytes.Buffer
-	r.Print(&buf)
-	if !strings.Contains(buf.String(), "entropy range") {
-		t.Error("Print output incomplete")
 	}
 }
 

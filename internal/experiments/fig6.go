@@ -108,8 +108,8 @@ func Fig6EntropyReduction(steps int) *Fig6Result {
 		res.TotalFull += b.Bytes()
 		res.TotalRed += red.Bytes()
 
-		_, stFull := svc.ExtractBlocks([]*field.BoxData{b}, 0, 1)
-		_, stRed := svc.ExtractBlocks([]*field.BoxData{red}, 0, float64(factor))
+		stFull := svc.Measure([]*field.BoxData{b}, 0, 1)
+		stRed := svc.Measure([]*field.BoxData{red}, 0, float64(factor))
 		rms := 0.0
 		if factor > 1 {
 			up := field.Upsample(red, factor, b.Box)

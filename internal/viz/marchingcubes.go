@@ -65,9 +65,30 @@ func (m *Mesh) Append(other *Mesh) {
 	m.Triangles = append(m.Triangles, other.Triangles...)
 }
 
-// Bytes estimates the in-memory size of the mesh payload (3 vertices ×
-// 3 coordinates × 8 bytes per triangle).
-func (m *Mesh) Bytes() int64 { return int64(len(m.Triangles)) * 9 * 8 }
+// triangleBytes is one triangle's payload: 3 vertices × 3 coordinates ×
+// 8 bytes.
+const triangleBytes = 9 * 8
+
+// Bytes estimates the in-memory size of the mesh payload.
+func (m *Mesh) Bytes() int64 { return int64(len(m.Triangles)) * triangleBytes }
+
+// sink receives every triangle the extractor emits. It counts the triangle
+// and adds its area to a running sum in emission order — the additions
+// Mesh.Area makes, in the same order — and keeps the triangle only when
+// mesh is set.
+type sink struct {
+	mesh *Mesh
+	n    int
+	area float64
+}
+
+func (s *sink) add(t Triangle) {
+	s.n++
+	s.area += t.Area()
+	if s.mesh != nil {
+		s.mesh.Triangles = append(s.mesh.Triangles, t)
+	}
+}
 
 // cube corner offsets, standard ordering.
 var corner = [8]grid.IntVect{
@@ -88,15 +109,15 @@ var tets = [6][4]int{
 // physical space).
 func ExtractBlock(d *field.BoxData, c int, iso float64, origin Vec3, dx float64) *Mesh {
 	m := &Mesh{}
-	extractInto(m, d, c, iso, origin, dx)
+	extractInto(&sink{mesh: m}, d, c, iso, origin, dx)
 	return m
 }
 
-// extractInto appends ExtractBlock's triangles to m. Cubes are visited in
+// extractInto writes ExtractBlock's triangles to s. Cubes are visited in
 // Box.ForEach order by their low corner; a cube's corner values are read
 // through fixed strides of the component slice, and its corner positions
 // are computed only when the cube is not entirely on one side of iso.
-func extractInto(m *Mesh, d *field.BoxData, c int, iso float64, origin Vec3, dx float64) {
+func extractInto(s *sink, d *field.BoxData, c int, iso float64, origin Vec3, dx float64) {
 	b := d.Box
 	sz := b.Size()
 	if sz.MinComp() < 2 {
@@ -131,7 +152,7 @@ func extractInto(m *Mesh, d *field.BoxData, c int, iso float64, origin Vec3, dx 
 					}
 				}
 				for _, tet := range tets {
-					marchTet(m, iso,
+					marchTet(s, iso,
 						vals[tet[0]], vals[tet[1]], vals[tet[2]], vals[tet[3]],
 						pos[tet[0]], pos[tet[1]], pos[tet[2]], pos[tet[3]])
 				}
@@ -156,8 +177,9 @@ func interp(iso float64, pa, pb Vec3, va, vb float64) Vec3 {
 	return Vec3{pa.X + t*(pb.X-pa.X), pa.Y + t*(pb.Y-pa.Y), pa.Z + t*(pb.Z-pa.Z)}
 }
 
-// marchTet emits the triangles of the isosurface crossing one tetrahedron.
-func marchTet(m *Mesh, iso float64, v0, v1, v2, v3 float64, p0, p1, p2, p3 Vec3) {
+// marchTet emits the triangles of the isosurface crossing one tetrahedron
+// to s.
+func marchTet(s *sink, iso float64, v0, v1, v2, v3 float64, p0, p1, p2, p3 Vec3) {
 	var code int
 	if v0 >= iso {
 		code |= 1
@@ -179,21 +201,24 @@ func marchTet(m *Mesh, iso float64, v0, v1, v2, v3 float64, p0, p1, p2, p3 Vec3)
 	case 0x0, 0xF:
 		// entirely outside or inside
 	case 0x1, 0xE: // vertex 0 separated
-		m.Triangles = append(m.Triangles, Triangle{edge(0, 1), edge(0, 2), edge(0, 3)})
+		s.add(Triangle{edge(0, 1), edge(0, 2), edge(0, 3)})
 	case 0x2, 0xD: // vertex 1 separated
-		m.Triangles = append(m.Triangles, Triangle{edge(1, 0), edge(1, 3), edge(1, 2)})
+		s.add(Triangle{edge(1, 0), edge(1, 3), edge(1, 2)})
 	case 0x4, 0xB: // vertex 2 separated
-		m.Triangles = append(m.Triangles, Triangle{edge(2, 0), edge(2, 1), edge(2, 3)})
+		s.add(Triangle{edge(2, 0), edge(2, 1), edge(2, 3)})
 	case 0x8, 0x7: // vertex 3 separated
-		m.Triangles = append(m.Triangles, Triangle{edge(3, 0), edge(3, 2), edge(3, 1)})
+		s.add(Triangle{edge(3, 0), edge(3, 2), edge(3, 1)})
 	case 0x3, 0xC: // vertices {0,1} vs {2,3}
 		a, b, c, d := edge(0, 2), edge(0, 3), edge(1, 3), edge(1, 2)
-		m.Triangles = append(m.Triangles, Triangle{a, b, c}, Triangle{a, c, d})
+		s.add(Triangle{a, b, c})
+		s.add(Triangle{a, c, d})
 	case 0x5, 0xA: // vertices {0,2} vs {1,3}
 		a, b, c, d := edge(0, 1), edge(2, 1), edge(2, 3), edge(0, 3)
-		m.Triangles = append(m.Triangles, Triangle{a, b, c}, Triangle{a, c, d})
+		s.add(Triangle{a, b, c})
+		s.add(Triangle{a, c, d})
 	case 0x6, 0x9: // vertices {1,2} vs {0,3}
 		a, b, c, d := edge(1, 0), edge(1, 3), edge(2, 3), edge(2, 0)
-		m.Triangles = append(m.Triangles, Triangle{a, b, c}, Triangle{a, c, d})
+		s.add(Triangle{a, b, c})
+		s.add(Triangle{a, c, d})
 	}
 }

@@ -161,16 +161,13 @@ func TestServiceExtractHierarchy(t *testing.T) {
 			p.Data.Set(q, 0, math.Sqrt(dx*dx+dy*dy+dz*dz))
 		})
 	}
-	svc := NewService(5.0)
+	svc := NewService(3.0, 5.0)
 	mesh, st := svc.ExtractHierarchy(h, 0, 1.0/16)
-	if mesh.Count() == 0 || st.Triangles != mesh.Count() {
-		t.Fatalf("hierarchy extraction: %d triangles, stats %d", mesh.Count(), st.Triangles)
+	if mesh.Count() == 0 {
+		t.Fatal("hierarchy extraction produced no triangles")
 	}
-	if st.CellsSwept != h.TotalCells() {
-		t.Errorf("CellsSwept = %d, want %d", st.CellsSwept, h.TotalCells())
-	}
-	if st.MeshBytes != mesh.Bytes() {
-		t.Errorf("MeshBytes mismatch")
+	if err := sameStats(st, meshStats(mesh, 2*h.TotalCells())); err != nil {
+		t.Error(err)
 	}
 }
 
@@ -219,7 +216,7 @@ func refExtractBlock(d *field.BoxData, c int, iso float64, origin Vec3, dx float
 			return // fast reject: cube entirely on one side
 		}
 		for _, tet := range tets {
-			marchTet(m, iso,
+			marchTet(&sink{mesh: m}, iso,
 				vals[tet[0]], vals[tet[1]], vals[tet[2]], vals[tet[3]],
 				pos[tet[0]], pos[tet[1]], pos[tet[2]], pos[tet[3]])
 		}
@@ -353,4 +350,53 @@ func TestServiceMatchesPerBlockAppend(t *testing.T) {
 	if sum := meshChecksum(got); sum != pinned {
 		t.Errorf("vertex checksum %#x over %d triangles, pinned %#x", sum, got.Count(), uint64(pinned))
 	}
+}
+
+// meshStats is what Stats must read for mesh m built by sweeping cells:
+// the mesh's own count, payload and area, the area summed over m in order.
+func meshStats(m *Mesh, cells int64) Stats {
+	return Stats{Triangles: m.Count(), Area: m.Area(), CellsSwept: cells, MeshBytes: m.Bytes()}
+}
+
+// sameStats compares two Stats exactly, the area on its float bits.
+func sameStats(got, want Stats) error {
+	if got.Triangles != want.Triangles || got.CellsSwept != want.CellsSwept || got.MeshBytes != want.MeshBytes ||
+		math.Float64bits(got.Area) != math.Float64bits(want.Area) {
+		return fmt.Errorf("stats %+v, want %+v", got, want)
+	}
+	return nil
+}
+
+// TestMeasureMatchesMesh holds the one-pass statistics — Measure, which
+// keeps no triangles, and the Stats ExtractBlocks returns beside its mesh
+// — to the statistics of the mesh itself, over the reference cases one
+// block at a time and over multi-block lists at two isovalues.
+// TestServiceExtractHierarchy does the same for ExtractHierarchy.
+func TestMeasureMatchesMesh(t *testing.T) {
+	check := func(name string, svc *Service, blocks []*field.BoxData, c int, dx float64) {
+		t.Helper()
+		m, st := svc.ExtractBlocks(blocks, c, dx)
+		if m.Count() == 0 {
+			t.Errorf("%s: nothing extracted; the case tests nothing", name)
+		}
+		want := meshStats(m, st.CellsSwept)
+		if err := sameStats(svc.Measure(blocks, c, dx), want); err != nil {
+			t.Errorf("%s: Measure: %v", name, err)
+		}
+		if err := sameStats(st, want); err != nil {
+			t.Errorf("%s: ExtractBlocks: %v", name, err)
+		}
+	}
+	rng := rand.New(rand.NewSource(17))
+	var blocks []*field.BoxData
+	for _, ec := range extractCases {
+		d := ec.seededBlock(rng)
+		if ec.size.MinComp() >= 2 {
+			check(ec.name, NewService(ec.iso), []*field.BoxData{d}, ec.c, ec.dx)
+		}
+		blocks = append(blocks, d)
+	}
+	blocks = append(blocks, sphereField(16), sphereField(12))
+	check("all-blocks", NewService(1.5, 2), blocks, 0, 0.25)
+	check("all-blocks-sphere-iso", NewService(3, 5.5), blocks, 0, 0.1)
 }

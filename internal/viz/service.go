@@ -32,36 +32,48 @@ func NewService(isovalues ...float64) *Service {
 // isovalue by isovalue within a patch.
 func (s *Service) ExtractHierarchy(h *amr.Hierarchy, c int, dx0 float64) (*Mesh, Stats) {
 	mesh := &Mesh{}
-	var st Stats
+	k := &sink{mesh: mesh}
+	var cells int64
 	dx := dx0
 	for _, l := range h.Levels {
 		for _, p := range l.Patches {
 			for _, iso := range s.Isovalues {
-				extractInto(mesh, p.Data, c, iso, Vec3{}, dx)
+				extractInto(k, p.Data, c, iso, Vec3{}, dx)
 			}
-			st.CellsSwept += p.Box.NumCells() * int64(len(s.Isovalues))
+			cells += p.Box.NumCells() * int64(len(s.Isovalues))
 		}
 		dx /= float64(h.Cfg.RefRatio)
 	}
-	st.Triangles = mesh.Count()
-	st.Area = mesh.Area()
-	st.MeshBytes = mesh.Bytes()
-	return mesh, st
+	return mesh, k.stats(cells)
 }
 
 // ExtractBlocks runs extraction of component c over a list of standalone
 // blocks (e.g. reduced data received in-transit) at spacing dx.
 func (s *Service) ExtractBlocks(blocks []*field.BoxData, c int, dx float64) (*Mesh, Stats) {
 	mesh := &Mesh{}
-	var st Stats
+	return mesh, s.extract(&sink{mesh: mesh}, blocks, c, dx)
+}
+
+// Measure is ExtractBlocks without the mesh: the same extraction, counting
+// the triangles and summing their area as it finds them, keeping none.
+func (s *Service) Measure(blocks []*field.BoxData, c int, dx float64) Stats {
+	return s.extract(&sink{}, blocks, c, dx)
+}
+
+// extract writes the triangles of every block, isovalue by isovalue within
+// a block, to k.
+func (s *Service) extract(k *sink, blocks []*field.BoxData, c int, dx float64) Stats {
+	var cells int64
 	for _, b := range blocks {
 		for _, iso := range s.Isovalues {
-			extractInto(mesh, b, c, iso, Vec3{}, dx)
+			extractInto(k, b, c, iso, Vec3{}, dx)
 		}
-		st.CellsSwept += b.NumCells() * int64(len(s.Isovalues))
+		cells += b.NumCells() * int64(len(s.Isovalues))
 	}
-	st.Triangles = mesh.Count()
-	st.Area = mesh.Area()
-	st.MeshBytes = mesh.Bytes()
-	return mesh, st
+	return k.stats(cells)
+}
+
+// stats reports what k received over an extraction that swept cells.
+func (k *sink) stats(cells int64) Stats {
+	return Stats{Triangles: k.n, Area: k.area, CellsSwept: cells, MeshBytes: int64(k.n) * triangleBytes}
 }
