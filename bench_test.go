@@ -318,7 +318,7 @@ func BenchmarkStagingPutGet(b *testing.B) {
 		if err := sp.Put("v", i, d); err != nil {
 			b.Fatal(err)
 		}
-		if _, err := sp.Get("v", i, d.Box); err != nil {
+		if _, err := sp.GetBlocks("v", i, d.Box); err != nil {
 			b.Fatal(err)
 		}
 		if _, err := sp.DropBefore("v", i+1); err != nil {

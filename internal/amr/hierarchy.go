@@ -25,7 +25,6 @@ type Patch struct {
 
 // Level is a union of non-overlapping patches at one resolution.
 type Level struct {
-	Index   int      // 0 is the base level
 	Domain  grid.Box // problem domain in this level's index space
 	Patches []*Patch
 }
@@ -95,7 +94,7 @@ func NewHierarchy(cfg Config) *Hierarchy {
 		panic("amr: empty domain")
 	}
 	h := &Hierarchy{Cfg: c}
-	base := &Level{Index: 0, Domain: c.Domain}
+	base := &Level{Domain: c.Domain}
 	boxes := grid.Decompose(c.Domain, c.MaxBoxSize)
 	grid.MortonSort(boxes)
 	owners := grid.Assign(boxes, c.NRanks)

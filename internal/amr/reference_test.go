@@ -22,9 +22,12 @@ func refBlend(h *Hierarchy, li int, oldCoarse []*field.BoxData, theta float64) f
 				continue
 			}
 			is := cp.Box.Intersect(cdata.Box)
-			tmp := oldCoarse[j].Subset(is)
+			tmp := field.New(is, h.Cfg.NComp)
+			tmp.CopyFrom(oldCoarse[j])
 			for c := 0; c < h.Cfg.NComp; c++ {
-				tmp.Scale(c, 1-theta)
+				for i := range tmp.Comp(c) {
+					tmp.Comp(c)[i] *= 1 - theta
+				}
 				tmp.Axpy(theta, cp.Data, c, c)
 			}
 			cdata.CopyFrom(tmp)

@@ -161,7 +161,7 @@ func (h *Hierarchy) Regrid(li int, tags []grid.IntVect) {
 	owners := grid.Assign(fineBoxes, h.Cfg.NRanks)
 
 	// Gather a coarse snapshot once to prolong from.
-	fine := &Level{Index: li + 1, Domain: fineDomain}
+	fine := &Level{Domain: fineDomain}
 	var old *Level
 	if len(h.Levels) > li+1 {
 		old = h.Levels[li+1]

@@ -8,8 +8,6 @@
 package analysis
 
 import (
-	"fmt"
-
 	"crosslayer/internal/entropy"
 	"crosslayer/internal/field"
 	"crosslayer/internal/grid"
@@ -18,16 +16,13 @@ import (
 
 // Report is the outcome of one analysis execution.
 type Report struct {
-	CellsSwept  int64              // cost driver: cells scanned (× passes)
-	OutputBytes int64              // size of the analysis product
-	Metrics     map[string]float64 // service-specific results
+	CellsSwept int64              // cost driver: cells scanned (× passes)
+	Metrics    map[string]float64 // service-specific results
 }
 
 // Service is a communication-free analysis kernel operating block-locally,
 // which is what makes it placeable either in-situ or in-transit.
 type Service interface {
-	// Name identifies the service in logs and experiment output.
-	Name() string
 	// SweepsPerCell is the number of passes over each cell, the factor the
 	// Adaptation Engine's cost estimates multiply cell counts by. It must
 	// match what Analyze actually does.
@@ -48,9 +43,6 @@ func NewIsosurface(isovalues ...float64) *Isosurface {
 	return &Isosurface{svc: viz.NewService(isovalues...)}
 }
 
-// Name implements Service.
-func (s *Isosurface) Name() string { return "isosurface" }
-
 // SweepsPerCell implements Service: one sweep per isovalue.
 func (s *Isosurface) SweepsPerCell() float64 { return float64(len(s.svc.Isovalues)) }
 
@@ -58,8 +50,7 @@ func (s *Isosurface) SweepsPerCell() float64 { return float64(len(s.svc.Isovalue
 func (s *Isosurface) Analyze(blocks []*field.BoxData, comp int, dx float64) Report {
 	st := s.svc.Measure(blocks, comp, dx)
 	return Report{
-		CellsSwept:  st.CellsSwept,
-		OutputBytes: st.MeshBytes,
+		CellsSwept: st.CellsSwept,
 		Metrics: map[string]float64{
 			"triangles": float64(st.Triangles),
 			"area":      st.Area,
@@ -80,9 +71,6 @@ func NewStatistics(bins int) *Statistics {
 	}
 	return &Statistics{Bins: bins}
 }
-
-// Name implements Service.
-func (s *Statistics) Name() string { return "statistics" }
 
 // SweepsPerCell implements Service: two passes (range, then moments +
 // histogram).
@@ -127,8 +115,7 @@ func (s *Statistics) Analyze(blocks []*field.BoxData, comp int, dx float64) Repo
 		}
 	}
 	return Report{
-		CellsSwept:  2 * cells,
-		OutputBytes: int64(s.Bins)*8 + 5*8, // histogram + scalar summary
+		CellsSwept: 2 * cells,
 		Metrics: map[string]float64{
 			"min":      lo,
 			"max":      hi,
@@ -149,9 +136,6 @@ type Subset struct {
 // NewSubset builds the service for a region of interest.
 func NewSubset(region grid.Box) *Subset { return &Subset{Region: region} }
 
-// Name implements Service.
-func (s *Subset) Name() string { return fmt.Sprintf("subset%v", s.Region) }
-
 // SweepsPerCell implements Service.
 func (s *Subset) SweepsPerCell() float64 { return 1 }
 
@@ -166,8 +150,7 @@ func (s *Subset) Analyze(blocks []*field.BoxData, comp int, dx float64) Report {
 		}
 	}
 	return Report{
-		CellsSwept:  cells,
-		OutputBytes: outBytes,
-		Metrics:     map[string]float64{"subset_bytes": float64(outBytes)},
+		CellsSwept: cells,
+		Metrics:    map[string]float64{"subset_bytes": float64(outBytes)},
 	}
 }

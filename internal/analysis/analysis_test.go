@@ -25,9 +25,6 @@ func sphereBlock(n int) []*field.BoxData {
 
 func TestIsosurfaceService(t *testing.T) {
 	s := NewIsosurface(4.0, 6.0)
-	if s.Name() != "isosurface" {
-		t.Error("name")
-	}
 	if s.SweepsPerCell() != 2 {
 		t.Errorf("SweepsPerCell = %v", s.SweepsPerCell())
 	}
@@ -40,10 +37,10 @@ func TestIsosurfaceService(t *testing.T) {
 		t.Errorf("CellsSwept = %d", rep.CellsSwept)
 	}
 	m, st := viz.NewService(4.0, 6.0).ExtractBlocks(blocks, 0, 1)
-	if rep.Metrics["triangles"] != float64(m.Count()) || rep.OutputBytes != m.Bytes() ||
+	if rep.Metrics["triangles"] != float64(m.Count()) ||
 		math.Float64bits(rep.Metrics["area"]) != math.Float64bits(m.Area()) || rep.CellsSwept != st.CellsSwept {
-		t.Errorf("Analyze %+v; the extracted mesh has %d triangles, %d bytes, area %v over %d cells",
-			rep, m.Count(), m.Bytes(), m.Area(), st.CellsSwept)
+		t.Errorf("Analyze %+v; the extracted mesh has %d triangles, area %v over %d cells",
+			rep, m.Count(), m.Area(), st.CellsSwept)
 	}
 }
 
@@ -113,7 +110,7 @@ func TestStatisticsEmpty(t *testing.T) {
 func TestSubsetService(t *testing.T) {
 	region := grid.NewBox(grid.IV(2, 2, 2), grid.IV(5, 5, 5))
 	s := NewSubset(region)
-	if s.SweepsPerCell() != 1 || s.Name() == "" {
+	if s.SweepsPerCell() != 1 {
 		t.Error("metadata")
 	}
 	d := field.New(grid.BoxFromSize(grid.IV(0, 0, 0), grid.IV(8, 8, 8)), 1)
@@ -123,8 +120,8 @@ func TestSubsetService(t *testing.T) {
 	}
 	out := field.New(grid.BoxFromSize(grid.IV(16, 0, 0), grid.IV(4, 4, 4)), 1) // disjoint from region
 	rep := s.Analyze([]*field.BoxData{d, out}, 0, 1)
-	if rep.OutputBytes != region.NumCells()*8 {
-		t.Errorf("subset bytes = %d, want %d", rep.OutputBytes, region.NumCells()*8)
+	if got := rep.Metrics["subset_bytes"]; got != float64(region.NumCells()*8) {
+		t.Errorf("subset bytes = %v, want %d", got, region.NumCells()*8)
 	}
 }
 

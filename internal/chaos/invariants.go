@@ -190,7 +190,7 @@ func (h *harness) degradeJustified() bool {
 // from the same monitored inputs the engine saw and compares.
 func (h *harness) checkPolicyConformance(step int, rec core.StepRecord) {
 	s := h.s
-	sample := h.wf.Monitor().At(step)
+	sample, _ := h.wf.Monitor().Last()
 
 	// Application layer: the brute-force minimum-feasible-factor oracle.
 	rangeMode := slices.Contains(s.Adapt, "application") &&

@@ -160,9 +160,9 @@ func (w *Workflow) resume(rec *journal.Recovered) error {
 		w.lastPlacement, w.placementKnown = policy.PlaceInTransit, true
 	}
 
-	// Monitor: the raw sample window died with the old process; the
-	// smoothed estimates survive.
-	w.mon.Restore(cp.Step+1, cp.MonitorSimEWMA, cp.MonitorDataEWMA, cp.MonitorHaveEWMA)
+	// Monitor: the last sample died with the old process; the smoothed
+	// estimates survive.
+	w.mon.Restore(cp.MonitorSimEWMA, cp.MonitorDataEWMA, cp.MonitorHaveEWMA)
 
 	// Run accumulators and the full per-step trace, rebuilt from every
 	// checkpoint's embedded record.

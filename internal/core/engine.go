@@ -222,8 +222,6 @@ func (e *Engine) AdaptMiddleware(st PlacementState) (policy.Placement, string) {
 	}
 	return policy.DecidePlacement(policy.PlacementInput{
 		InSituSeconds:     e.cfg.Machine.AnalysisTime(e.sweptCells(st.ReducedCells), e.cfg.SimCores) * imb,
-		InTransitSeconds:  e.cfg.Machine.AnalysisTime(e.sweptCells(st.ReducedCells), st.StagingCores),
-		TransferSeconds:   st.TransferSeconds,
 		StagingRemaining:  st.StagingRemaining,
 		InSituMemOK:       inSituOK,
 		InTransitMemOK:    inTransitOK,

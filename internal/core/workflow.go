@@ -250,7 +250,7 @@ func buildWorkflow(cfg Config, sim solver.Simulation, rec *journal.Recovered) (*
 		sim:           sim,
 		svc:           c.Analysis,
 		mon:           monitor.New(0),
-		simTL:         sysmodel.NewTimeline("simulation"),
+		simTL:         &sysmodel.Timeline{},
 		pool:          sysmodel.NewStagingPool(c.StagingCores),
 		stagingMemCap: c.Machine.MemPerCore() * int64(c.StagingCores),
 	}
@@ -463,14 +463,10 @@ func (w *Workflow) Step() StepRecord {
 		SimSeconds:              simSecs,
 		DataBytes:               rawBytes,
 		DataCells:               w.scale(rawCells),
-		FinestLevel:             stats.FinestLevel,
 		Imbalance:               imbalance,
 		MemUsedPerRank:          memUsed,
 		MemAvailPerRank:         memAvail,
-		StagingMemUsed:          w.stagingMemUsed,
 		StagingMemCap:           w.effectiveStagingCap(healthy, totalEps),
-		StagingCores:            w.pool.Cores(),
-		StagingBusy:             w.pool.RemainingAt(simEnd),
 		MaxRankDataBytes:        maxRankData,
 		StagingHealthyEndpoints: healthy,
 		StagingTotalEndpoints:   totalEps,

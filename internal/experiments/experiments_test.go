@@ -2,6 +2,7 @@ package experiments
 
 import (
 	"bytes"
+	"io"
 	"os"
 	"strings"
 	"sync"
@@ -47,7 +48,7 @@ func TestFig1Shape(t *testing.T) {
 }
 
 func TestFig5Shape(t *testing.T) {
-	r := Fig5AppAdaptation(40)
+	r := fig5()
 	if len(r.Steps) != 40 {
 		t.Fatalf("steps = %d", len(r.Steps))
 	}
@@ -92,40 +93,63 @@ func TestFig5Shape(t *testing.T) {
 	}
 }
 
-// fig6 is Fig 6 at the parameters `xlayer fig6` and `xlayer all` run it
-// with, computed once for the tests that read it.
-var fig6 = sync.OnceValue(func() *Fig6Result { return Fig6EntropyReduction(0) })
+// The figures `xlayer all` prints from its published sections, each at
+// the parameters the CLI runs it with and computed once for every test that
+// reads it.
+var (
+	fig5  = sync.OnceValue(func() *Fig5Result { return Fig5AppAdaptation(0) })
+	fig6  = sync.OnceValue(func() *Fig6Result { return Fig6EntropyReduction(0) })
+	fig7  = sync.OnceValue(func() *Fig7Result { return Fig7Placement(0) })
+	fig10 = sync.OnceValue(func() *Fig10Result { return Fig10CrossLayer(0) })
+)
 
-// TestFig6MatchesPublished holds Fig 6's printed output, triangle counts
-// included, byte for byte to its section of docs/run_all.txt.
-func TestFig6MatchesPublished(t *testing.T) {
+// TestFiguresMatchPublished holds each figure's printed output byte for byte
+// to its section of docs/run_all.txt.
+func TestFiguresMatchPublished(t *testing.T) {
 	doc, err := os.ReadFile("../../docs/run_all.txt")
 	if err != nil {
 		t.Fatal(err)
 	}
-	_, want, ok := strings.Cut(string(doc), "=== Fig 6 ===\n")
-	if !ok {
-		t.Fatal("docs/run_all.txt has no Fig 6 section")
-	}
-	want, _, _ = strings.Cut(want, "\n\n=== ")
-	want += "\n"
-	var buf bytes.Buffer
-	fig6().Print(&buf)
-	got := buf.String()
-	if got == want {
-		return
-	}
-	gl, wl := strings.Split(got, "\n"), strings.Split(want, "\n")
-	for i := range gl {
-		if i >= len(wl) || gl[i] != wl[i] {
-			w := "(end of section)"
-			if i < len(wl) {
-				w = wl[i]
+	for _, fig := range []struct {
+		name, title string
+		slow        bool
+		print       func(io.Writer)
+	}{
+		{"fig5", "Fig 5", false, func(w io.Writer) { fig5().Print(w) }},
+		{"fig6", "Fig 6", false, func(w io.Writer) { fig6().Print(w) }},
+		{"fig7", "Figs 7 & 8", true, func(w io.Writer) { fig7().Print(w) }},
+		{"fig10", "Figs 10 & 11, Table 2", true, func(w io.Writer) { fig10().Print(w) }},
+	} {
+		t.Run(fig.name, func(t *testing.T) {
+			if fig.slow && testing.Short() {
+				t.Skip("scaling sweep is slow")
 			}
-			t.Fatalf("line %d:\n  got  %s\n  want %s", i+1, gl[i], w)
-		}
+			_, want, ok := strings.Cut(string(doc), "=== "+fig.title+" ===\n")
+			if !ok {
+				t.Fatalf("docs/run_all.txt has no %s section", fig.title)
+			}
+			if section, _, ok := strings.Cut(want, "\n\n=== "); ok {
+				want = section + "\n"
+			}
+			var buf bytes.Buffer
+			fig.print(&buf)
+			got := buf.String()
+			if got == want {
+				return
+			}
+			gl, wl := strings.Split(got, "\n"), strings.Split(want, "\n")
+			for i := range gl {
+				if i >= len(wl) || gl[i] != wl[i] {
+					w := "(end of section)"
+					if i < len(wl) {
+						w = wl[i]
+					}
+					t.Fatalf("line %d:\n  got  %s\n  want %s", i+1, gl[i], w)
+				}
+			}
+			t.Fatalf("output ends at line %d; the published section has %d lines", len(gl), len(wl))
+		})
 	}
-	t.Fatalf("output ends at line %d; the published section has %d lines", len(gl), len(wl))
 }
 
 func TestFig6Shape(t *testing.T) {
@@ -158,7 +182,7 @@ func TestFig7Shape(t *testing.T) {
 	if testing.Short() {
 		t.Skip("scaling sweep is slow")
 	}
-	r := Fig7Placement(24)
+	r := fig7()
 	if len(r.Cases) != 12 {
 		t.Fatalf("cases = %d", len(r.Cases))
 	}
@@ -234,7 +258,7 @@ func TestFig10Shape(t *testing.T) {
 	if testing.Short() {
 		t.Skip("scaling sweep is slow")
 	}
-	r := Fig10CrossLayer(24)
+	r := fig10()
 	if len(r.Cases) != 8 {
 		t.Fatalf("cases = %d", len(r.Cases))
 	}

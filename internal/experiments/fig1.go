@@ -28,7 +28,6 @@ type Fig1Result struct {
 	MaxImbalance   float64 // max over steps of (max rank / mean rank)
 	BurstSteps     int     // steps where peak memory jumped > 10% at once
 	TargetPeakMB   float64 // calibration target for the peak rank
-	ScaleUsed      float64 // post-hoc linear calibration factor applied
 	RanksSimulated int
 }
 
@@ -66,7 +65,7 @@ func Fig1PeakMemory(steps, ranks int, targetPeakMB float64) *Fig1Result {
 	}
 	scale := targetPeakMB * (1 << 20) / (float64(peak) * core.MemOverhead)
 
-	res := &Fig1Result{TargetPeakMB: targetPeakMB, ScaleUsed: scale, RanksSimulated: ranks}
+	res := &Fig1Result{TargetPeakMB: targetPeakMB, RanksSimulated: ranks}
 	prevPeak := 0.0
 	for i, perRank := range raw {
 		var min, max, sum int64

@@ -157,13 +157,12 @@ type Listener struct {
 	plan  Plan
 
 	mu       sync.Mutex
-	rng      *rand.Rand
 	accepted int
 }
 
 // Listen wraps ln with the plan's faults.
 func Listen(ln net.Listener, plan Plan) *Listener {
-	return &Listener{inner: ln, plan: plan, rng: rand.New(rand.NewSource(plan.Seed))}
+	return &Listener{inner: ln, plan: plan}
 }
 
 // Accept accepts from the inner listener, refusing (closing) connections the

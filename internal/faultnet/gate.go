@@ -24,7 +24,6 @@ type Gate struct {
 
 	mu    sync.Mutex
 	down  bool
-	kills int
 	conns map[net.Conn]struct{}
 }
 
@@ -75,7 +74,6 @@ func (g *Gate) Kill() {
 		return
 	}
 	g.down = true
-	g.kills++
 	g.mu.Unlock()
 	g.severAll()
 }
@@ -92,13 +90,6 @@ func (g *Gate) Down() bool {
 	g.mu.Lock()
 	defer g.mu.Unlock()
 	return g.down
-}
-
-// Kills reports how many times the gate has been killed.
-func (g *Gate) Kills() int {
-	g.mu.Lock()
-	defer g.mu.Unlock()
-	return g.kills
 }
 
 func (g *Gate) severAll() {

@@ -66,8 +66,8 @@ func TestGateKillRevive(t *testing.T) {
 		t.Fatalf("echo before kill: %v", err)
 	}
 	g.Kill()
-	if !g.Down() || g.Kills() != 1 {
-		t.Fatalf("down=%v kills=%d after Kill", g.Down(), g.Kills())
+	if !g.Down() {
+		t.Fatal("not down after Kill")
 	}
 	conn.SetDeadline(time.Now().Add(time.Second))
 	if _, err := io.ReadFull(conn, buf); err == nil {
@@ -95,7 +95,7 @@ func TestGateKillRevive(t *testing.T) {
 	g.Revive()
 	g.Kill()
 	g.Kill()
-	if g.Kills() != 2 {
-		t.Errorf("kills = %d, want 2 (second Kill on a dead gate is a no-op)", g.Kills())
+	if !g.Down() {
+		t.Error("not down after a second Kill")
 	}
 }

@@ -152,14 +152,6 @@ func (d *BoxData) CopyCell(p grid.IntVect, src *BoxData, sp grid.IntVect) {
 	}
 }
 
-// Subset returns a new BoxData over sub (which must intersect d.Box) with
-// values copied from d; cells of sub outside d.Box are zero.
-func (d *BoxData) Subset(sub grid.Box) *BoxData {
-	out := New(sub, d.NComp)
-	out.CopyFrom(d)
-	return out
-}
-
 // Sum returns the sum of component c.
 func (d *BoxData) Sum(c int) float64 {
 	sum := 0.0

@@ -91,10 +91,12 @@ func TestCopyFromDisjointNoop(t *testing.T) {
 	}
 }
 
+// TestSubset copies a sub-box out of a larger container with CopyFrom.
 func TestSubset(t *testing.T) {
 	d := New(box(0, 0, 0, 7, 7, 7), 1)
 	d.Box.ForEach(func(p grid.IntVect) { d.Set(p, 0, float64(p.X)) })
-	s := d.Subset(box(2, 2, 2, 5, 5, 5))
+	s := New(box(2, 2, 2, 5, 5, 5), 1)
+	s.CopyFrom(d)
 	if s.NumCells() != 64 {
 		t.Fatalf("Subset cells = %d", s.NumCells())
 	}

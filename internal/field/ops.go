@@ -14,14 +14,6 @@ func (d *BoxData) Axpy(a float64, src *BoxData, dc, sc int) {
 	})
 }
 
-// Scale multiplies component c by a.
-func (d *BoxData) Scale(c int, a float64) {
-	s := d.Comp(c)
-	for i := range s {
-		s[i] *= a
-	}
-}
-
 // Equal reports whether two containers hold identical boxes, component
 // counts and values (exact float comparison).
 func (d *BoxData) Equal(o *BoxData) bool {

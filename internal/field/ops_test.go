@@ -27,16 +27,6 @@ func TestAxpy(t *testing.T) {
 	}
 }
 
-func TestScaleAndClamp(t *testing.T) {
-	d := New(box(0, 0, 0, 1, 1, 1), 2)
-	d.Fill(0, 3)
-	d.Fill(1, 5)
-	d.Scale(0, 2)
-	if d.Get(grid.IV(0, 0, 0), 0) != 6 || d.Get(grid.IV(0, 0, 0), 1) != 5 {
-		t.Error("Scale leaked across components")
-	}
-}
-
 func TestEqual(t *testing.T) {
 	a := New(box(0, 0, 0, 2, 2, 2), 2)
 	b := a.Clone()

@@ -23,14 +23,3 @@ func spread(v uint64) uint64 {
 	v = (v | v<<2) & 0x1249249249249249
 	return v
 }
-
-// compact is the inverse of spread.
-func compact(v uint64) uint64 {
-	v &= 0x1249249249249249
-	v = (v | v>>2) & 0x10c30c30c30c30c3
-	v = (v | v>>4) & 0x100f00f00f00f00f
-	v = (v | v>>8) & 0x1f0000ff0000ff
-	v = (v | v>>16) & 0x1f00000000ffff
-	v = (v | v>>32) & 0x1fffff
-	return v
-}

@@ -184,8 +184,8 @@ type Checkpoint struct {
 	StagingDownUntil int
 	LastPlacement    uint8
 
-	// Monitor EWMA state; the sample window itself is recomputed, the
-	// smoothed estimates are not.
+	// Monitor EWMA state: the next step records a fresh sample, but the
+	// smoothed estimates carry history and are restored.
 	MonitorHaveEWMA bool
 	MonitorSimEWMA  float64
 	MonitorDataEWMA float64
@@ -451,9 +451,6 @@ func NewWriter(w io.Writer) *Writer { return &Writer{w: w} }
 func (jw *Writer) SetBarrierFlush(fn func() (eventsOff, spansOff int64, err error)) {
 	jw.flush = fn
 }
-
-// Err returns the sticky write error, if any.
-func (jw *Writer) Err() error { return jw.err }
 
 // write frames one record of type typ, the rest of whose body appendBody
 // appends in place, and writes and syncs it.

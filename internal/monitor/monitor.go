@@ -13,11 +13,10 @@ type Sample struct {
 	Step int
 
 	// Application layer.
-	SimSeconds  float64 // modeled execution time of this simulation step
-	DataBytes   int64   // S_data: bytes of analysis data generated this step
-	DataCells   int64   // cells backing that data
-	FinestLevel int
-	Imbalance   float64 // per-rank load imbalance factor (max/mean), ≥ 1
+	SimSeconds float64 // modeled execution time of this simulation step
+	DataBytes  int64   // S_data: bytes of analysis data generated this step
+	DataCells  int64   // cells backing that data
+	Imbalance  float64 // per-rank load imbalance factor (max/mean), ≥ 1
 	// MaxRankDataBytes is the analysis-data share of the most loaded core
 	// (model scale, per-core units) — the S_data the application-layer
 	// memory constraint (Eq. 2) is checked against.
@@ -30,10 +29,7 @@ type Sample struct {
 	// Middleware/staging. StagingMemCap is the *effective* capacity: with a
 	// replicated staging pool it is scaled down to the healthy endpoints, so
 	// the policies plan against capacity that actually exists.
-	StagingMemUsed int64
-	StagingMemCap  int64 // 0 = unlimited
-	StagingCores   int
-	StagingBusy    float64 // remaining booked staging seconds at sample time
+	StagingMemCap int64 // 0 = unlimited
 
 	// Replicated staging-pool health: endpoints in rotation out of the
 	// configured total. Both zero when the transport does not track
@@ -77,13 +73,10 @@ func (s *Sample) MaxMemUsed() int64 {
 	return m
 }
 
-// Monitor accumulates samples and maintains smoothed estimates.
+// Monitor keeps the latest sample and maintains smoothed estimates.
 type Monitor struct {
-	samples []Sample
-
-	// base is the number of pre-restart samples a resumed run dropped:
-	// logical index i lives at samples[i-base]. Zero for a fresh run.
-	base int
+	last    Sample
+	hasLast bool
 
 	// Exponentially weighted moving averages used as predictors.
 	alpha         float64
@@ -106,7 +99,7 @@ func New(alpha float64) *Monitor {
 
 // Record ingests a sample (the periodic sampling of Fig. 3).
 func (m *Monitor) Record(s Sample) {
-	m.samples = append(m.samples, s)
+	m.last, m.hasLast = s, true
 	if !m.haveEWMA {
 		m.simSecsEWMA = s.SimSeconds
 		m.dataBytesEWMA = float64(s.DataBytes)
@@ -117,19 +110,13 @@ func (m *Monitor) Record(s Sample) {
 	m.dataBytesEWMA = m.alpha*float64(s.DataBytes) + (1-m.alpha)*m.dataBytesEWMA
 }
 
-// Restore primes a fresh Monitor with a resumed run's journaled state:
-// recorded samples so far (whose raw windows are not kept — only the
-// smoothed estimates survive a restart) and the EWMA values. Logical
-// sample indices continue from recorded; At panics for the dropped
-// pre-restart window, exactly like an out-of-range index.
-func (m *Monitor) Restore(recorded int, simSecsEWMA, dataBytesEWMA float64, have bool) {
-	if recorded < 0 {
-		panic(fmt.Sprintf("monitor: negative restore count %d", recorded))
-	}
-	if len(m.samples) > 0 {
+// Restore primes a fresh Monitor with a resumed run's journaled EWMA
+// values: only the smoothed estimates survive a restart, not the last
+// sample.
+func (m *Monitor) Restore(simSecsEWMA, dataBytesEWMA float64, have bool) {
+	if m.hasLast {
 		panic("monitor: restore after samples were recorded")
 	}
-	m.base = recorded
 	m.simSecsEWMA = simSecsEWMA
 	m.dataBytesEWMA = dataBytesEWMA
 	m.haveEWMA = have
@@ -141,21 +128,8 @@ func (m *Monitor) EWMA() (simSecs, dataBytes float64, have bool) {
 	return m.simSecsEWMA, m.dataBytesEWMA, m.haveEWMA
 }
 
-// Len returns the number of recorded samples, including a resumed run's
-// dropped pre-restart window.
-func (m *Monitor) Len() int { return m.base + len(m.samples) }
-
 // Last returns the most recent sample; ok is false when none exist.
-func (m *Monitor) Last() (Sample, bool) {
-	if len(m.samples) == 0 {
-		return Sample{}, false
-	}
-	return m.samples[len(m.samples)-1], true
-}
-
-// At returns sample i (a logical step index; a resumed run only holds
-// samples from its restart point onward).
-func (m *Monitor) At(i int) Sample { return m.samples[i-m.base] }
+func (m *Monitor) Last() (Sample, bool) { return m.last, m.hasLast }
 
 // PredictSimSeconds estimates the next step's simulation time
 // (T_{i+1}_sim in Eq. 9) from the smoothed history; fallback is returned

@@ -1,7 +1,6 @@
 package obs
 
 import (
-	"context"
 	"errors"
 	"fmt"
 	"net"
@@ -18,7 +17,7 @@ type MetricsServer struct {
 
 	// serveErr carries the serve loop's exit status so a failure that
 	// happened while scraping ran in the background is not swallowed: Close
-	// and Shutdown surface it (http.ErrServerClosed is the clean exit).
+	// surfaces it (http.ErrServerClosed is the clean exit).
 	serveErr chan error
 
 	closeOnce sync.Once
@@ -29,7 +28,7 @@ type MetricsServer struct {
 // registry at /metrics (and /, for convenience). It returns once the
 // listener is bound — a bind failure is returned, never logged, so CLI
 // callers can exit nonzero — and scraping runs in the background until
-// Close or Shutdown.
+// Close.
 func ServeMetrics(addr string, reg *Registry) (*MetricsServer, error) {
 	ln, err := net.Listen("tcp", addr)
 	if err != nil {
@@ -57,29 +56,15 @@ func (s *MetricsServer) Addr() string { return s.ln.Addr().String() }
 // URL returns the scrape URL.
 func (s *MetricsServer) URL() string { return "http://" + s.Addr() + "/metrics" }
 
-// Shutdown stops the server gracefully: the port closes immediately,
-// in-flight scrapes run to completion (or until ctx expires). Safe to call
-// concurrently with Close; the first stop wins and later calls return its
-// result.
-func (s *MetricsServer) Shutdown(ctx context.Context) error {
+// Close stops the server immediately — in-flight scrapes are severed — and
+// releases the port, folding in the serve loop's exit status. Later calls
+// return the first one's result.
+func (s *MetricsServer) Close() error {
 	s.closeOnce.Do(func() {
-		s.closeErr = s.stop(func() error { return s.srv.Shutdown(ctx) })
+		s.closeErr = s.srv.Close()
+		if serr := <-s.serveErr; serr != nil && !errors.Is(serr, http.ErrServerClosed) && s.closeErr == nil {
+			s.closeErr = serr
+		}
 	})
 	return s.closeErr
-}
-
-// Close stops the server immediately — in-flight scrapes are severed — and
-// releases the port.
-func (s *MetricsServer) Close() error {
-	s.closeOnce.Do(func() { s.closeErr = s.stop(s.srv.Close) })
-	return s.closeErr
-}
-
-// stop halts the serve loop and folds in its exit status.
-func (s *MetricsServer) stop(halt func() error) error {
-	err := halt()
-	if serr := <-s.serveErr; serr != nil && !errors.Is(serr, http.ErrServerClosed) && err == nil {
-		err = serr
-	}
-	return err
 }

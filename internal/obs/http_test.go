@@ -1,13 +1,11 @@
 package obs
 
 import (
-	"context"
 	"io"
 	"net/http"
 	"strings"
 	"sync"
 	"testing"
-	"time"
 )
 
 func scrape(t *testing.T, url string) (*http.Response, string) {
@@ -113,28 +111,22 @@ func TestMetricsServerConcurrentScrape(t *testing.T) {
 	writers.Wait()
 }
 
-// TestMetricsServerGracefulShutdown: Shutdown releases the port, is
-// idempotent, and coexists with a later Close.
-func TestMetricsServerGracefulShutdown(t *testing.T) {
+// TestMetricsServerClose: Close releases the port and is idempotent.
+func TestMetricsServerClose(t *testing.T) {
 	reg := NewRegistry()
 	s, err := ServeMetrics("127.0.0.1:0", reg)
 	if err != nil {
 		t.Fatal(err)
 	}
-	scrape(t, s.URL()) // server is live before the shutdown
+	scrape(t, s.URL()) // server is live before the close
 
-	ctx, cancel := context.WithTimeout(context.Background(), 5*time.Second)
-	defer cancel()
-	if err := s.Shutdown(ctx); err != nil {
-		t.Fatalf("shutdown: %v", err)
+	if err := s.Close(); err != nil {
+		t.Fatalf("close: %v", err)
 	}
 	if _, err := http.Get(s.URL()); err == nil {
-		t.Error("scrape succeeded after shutdown")
-	}
-	if err := s.Shutdown(ctx); err != nil {
-		t.Errorf("second shutdown: %v", err)
+		t.Error("scrape succeeded after close")
 	}
 	if err := s.Close(); err != nil {
-		t.Errorf("close after shutdown: %v", err)
+		t.Errorf("second close: %v", err)
 	}
 }

@@ -58,20 +58,6 @@ func BuildTree(spans []Span) (*Tree, error) {
 // Roots returns the parentless spans (one run span per log, normally).
 func (t *Tree) Roots() []*Span { return t.roots }
 
-// depth returns s's distance from its root.
-func (t *Tree) depth(s *Span) int {
-	d := 0
-	for s.Parent != "" {
-		p := t.byID[s.Parent]
-		if p == nil {
-			break
-		}
-		s = p
-		d++
-	}
-	return d
-}
-
 // StepSpans returns the step-level spans (name "step") ordered by step.
 func (t *Tree) StepSpans() []*Span {
 	var steps []*Span

@@ -83,7 +83,7 @@ type Sink interface {
 // line sink the event stream writes through.
 func NewJSONLSink(w io.Writer) *obs.JSONLSink[Span] { return obs.NewJSONLSinkOf[Span](w) }
 
-// MemSink retains every span in memory — the test, bench, and chaos sink.
+// MemSink retains every span in memory: the sink the span tests read back.
 type MemSink struct {
 	mu    sync.Mutex
 	spans []Span
@@ -296,14 +296,6 @@ func (c Ctx) Enabled() bool { return c.t != nil }
 
 // Tracer returns the owning tracer (nil for the zero Ctx).
 func (c Ctx) Tracer() *Tracer { return c.t }
-
-// Step returns the context's step (StepUnset for the zero Ctx).
-func (c Ctx) Step() int {
-	if c.t == nil {
-		return StepUnset
-	}
-	return c.step
-}
 
 // WireIDs returns the (trace, span) pair a staging client stamps into the
 // request-header extension; both zero when disabled.

@@ -133,7 +133,7 @@ func Read(r io.Reader) (*amr.Hierarchy, error) {
 		if np > 1<<20 {
 			return nil, fmt.Errorf("%w: absurd patch count", ErrBadPlotfile)
 		}
-		lvl := &amr.Level{Index: li, Domain: domain}
+		lvl := &amr.Level{Domain: domain}
 		for pi := 0; pi < int(np); pi++ {
 			owner, err := readU32()
 			if err != nil {

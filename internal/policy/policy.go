@@ -197,8 +197,6 @@ func ParsePlacement(s string) (Placement, error) {
 // PlacementInput is the operational state the middleware policy consumes.
 type PlacementInput struct {
 	InSituSeconds     float64 // T_i_insitu(N, S_i_data) estimate
-	InTransitSeconds  float64 // T_i_intransit(M, S_i_data) estimate
-	TransferSeconds   float64 // T_sd + T_recv for S_i_data
 	StagingRemaining  float64 // T_j_intransit_remaining at decision time (Eq. 7)
 	InSituMemOK       bool    // Mem_available ≥ Mem_insitu(S_i_data, N) (Eq. 8)
 	InTransitMemOK    bool    // Mem_intransit(S_i_data, M) fits (Eq. 8/10)

@@ -88,7 +88,7 @@ func TestDecidePlacementIdleStaging(t *testing.T) {
 	// Case 2: both fit, staging idle → in-transit (overlap).
 	p, _ := DecidePlacement(PlacementInput{
 		InSituMemOK: true, InTransitMemOK: true,
-		InSituSeconds: 1, InTransitSeconds: 5, StagingRemaining: 0,
+		InSituSeconds: 1, StagingRemaining: 0,
 	})
 	if p != PlaceInTransit {
 		t.Error("idle staging must win even if slower (it overlaps)")
@@ -99,7 +99,7 @@ func TestDecidePlacementBusyStaging(t *testing.T) {
 	// Case 3: staging busy; Fig. 4's ts=30 situation — in-situ is faster.
 	p, _ := DecidePlacement(PlacementInput{
 		InSituMemOK: true, InTransitMemOK: true,
-		InSituSeconds: 2, InTransitSeconds: 1, TransferSeconds: 0.1,
+		InSituSeconds:    2,
 		StagingRemaining: 5,
 	})
 	if p != PlaceInSitu {
@@ -108,7 +108,7 @@ func TestDecidePlacementBusyStaging(t *testing.T) {
 	// Busy but still faster than a very slow in-situ.
 	p, _ = DecidePlacement(PlacementInput{
 		InSituMemOK: true, InTransitMemOK: true,
-		InSituSeconds: 100, InTransitSeconds: 1, TransferSeconds: 0.1,
+		InSituSeconds:    100,
 		StagingRemaining: 5,
 	})
 	if p != PlaceInTransit {

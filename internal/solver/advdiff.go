@@ -50,7 +50,6 @@ func (c *AdvDiffConfig) withDefaults() AdvDiffConfig {
 type AdvectionDiffusion struct {
 	cfg  AdvDiffConfig
 	h    *amr.Hierarchy
-	time float64
 	step int
 	dx0  float64
 
@@ -120,9 +119,6 @@ func (s *AdvectionDiffusion) Name() string { return "AMRAdvectionDiffusion" }
 // Hierarchy implements Simulation.
 func (s *AdvectionDiffusion) Hierarchy() *amr.Hierarchy { return s.h }
 
-// Time implements Simulation.
-func (s *AdvectionDiffusion) Time() float64 { return s.time }
-
 // AnalysisComp implements Simulation.
 func (s *AdvectionDiffusion) AnalysisComp() int { return 0 }
 
@@ -169,22 +165,17 @@ func (s *AdvectionDiffusion) Step() StepStats {
 	}
 	s.h.AverageDown()
 
-	regridded := false
 	if s.step > 0 && s.step%s.cfg.RegridInterval == 0 {
 		for li := 0; li < s.cfg.AMR.MaxLevel && li <= s.h.FinestLevel(); li++ {
 			tags := s.h.TagCells(li, 0, advDiffGradThresh)
 			s.h.Regrid(li, tags)
 		}
-		regridded = true
 	}
 
-	s.time += dt
 	s.step++
 	return StepStats{
-		StepIndex:    s.step - 1,
 		Dt:           dt,
 		CellsUpdated: cells,
-		Regridded:    regridded,
 		FinestLevel:  s.h.FinestLevel(),
 	}
 }

@@ -60,7 +60,6 @@ func (c *GasConfig) withDefaults() GasConfig {
 type PolytropicGas struct {
 	cfg  GasConfig
 	h    *amr.Hierarchy
-	time float64
 	step int
 	dx0  float64 // base-level mesh spacing
 
@@ -166,9 +165,6 @@ func (s *PolytropicGas) Name() string { return "AMRPolytropicGas" }
 
 // Hierarchy implements Simulation.
 func (s *PolytropicGas) Hierarchy() *amr.Hierarchy { return s.h }
-
-// Time implements Simulation.
-func (s *PolytropicGas) Time() float64 { return s.time }
 
 // AnalysisComp implements Simulation: visualization extracts isosurfaces of
 // density.
@@ -300,22 +296,17 @@ func (s *PolytropicGas) Step() StepStats {
 	}
 	s.h.AverageDown()
 
-	regridded := false
 	if s.step > 0 && s.step%s.cfg.RegridInterval == 0 {
 		for li := 0; li < s.cfg.AMR.MaxLevel && li <= s.h.FinestLevel(); li++ {
 			tags := s.h.TagCells(li, CompRho, s.tagThresh(li))
 			s.h.Regrid(li, tags)
 		}
-		regridded = true
 	}
 
-	s.time += dt
 	s.step++
 	return StepStats{
-		StepIndex:    s.step - 1,
 		Dt:           dt,
 		CellsUpdated: cells,
-		Regridded:    regridded,
 		FinestLevel:  s.h.FinestLevel(),
 	}
 }

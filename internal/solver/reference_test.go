@@ -153,16 +153,13 @@ func refGasStep(s *PolytropicGas) StepStats {
 	}
 	s.h.AverageDown()
 
-	regridded := false
 	if s.step > 0 && s.step%s.cfg.RegridInterval == 0 {
 		for li := 0; li < s.cfg.AMR.MaxLevel && li <= s.h.FinestLevel(); li++ {
 			s.h.Regrid(li, s.h.TagCells(li, CompRho, s.tagThresh(li)))
 		}
-		regridded = true
 	}
-	s.time += dt
 	s.step++
-	return StepStats{StepIndex: s.step - 1, Dt: dt, CellsUpdated: cells, Regridded: regridded, FinestLevel: s.h.FinestLevel()}
+	return StepStats{Dt: dt, CellsUpdated: cells, FinestLevel: s.h.FinestLevel()}
 }
 
 func refAdvDiffAdvanceLevel(s *AdvectionDiffusion, li int, dt float64, fill func(*amr.Patch) *field.BoxData) int64 {
@@ -244,14 +241,11 @@ func refAdvDiffStep(s *AdvectionDiffusion) StepStats {
 	}
 	s.h.AverageDown()
 
-	regridded := false
 	if s.step > 0 && s.step%s.cfg.RegridInterval == 0 {
 		for li := 0; li < s.cfg.AMR.MaxLevel && li <= s.h.FinestLevel(); li++ {
 			s.h.Regrid(li, s.h.TagCells(li, 0, advDiffGradThresh))
 		}
-		regridded = true
 	}
-	s.time += dt
 	s.step++
-	return StepStats{StepIndex: s.step - 1, Dt: dt, CellsUpdated: cells, Regridded: regridded, FinestLevel: s.h.FinestLevel()}
+	return StepStats{Dt: dt, CellsUpdated: cells, FinestLevel: s.h.FinestLevel()}
 }

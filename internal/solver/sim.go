@@ -26,8 +26,6 @@ type Simulation interface {
 	// Step advances the solution by one time step, regridding on the
 	// configured cadence, and returns statistics about the work done.
 	Step() StepStats
-	// Time returns the current simulation time.
-	Time() float64
 	// AnalysisComp returns the component index analysis operates on
 	// (density for the gas solver, the scalar for advection-diffusion).
 	AnalysisComp() int
@@ -35,10 +33,8 @@ type Simulation interface {
 
 // StepStats summarizes one time step for the Monitor.
 type StepStats struct {
-	StepIndex    int
 	Dt           float64
 	CellsUpdated int64 // total cell updates across levels
-	Regridded    bool
 	FinestLevel  int
 }
 

@@ -181,7 +181,7 @@ func TestSpecResumeValidation(t *testing.T) {
 			},
 			spec: fmt.Sprintf(`{"application": "advection-diffusion", "domain": [16,16,16],
 				"steps": 3, "journal": %q, "resume": true}`, journalPath),
-			build: ErrJournalTornBeyondBarrier,
+			build: journal.ErrJournalTornBeyondBarrier,
 		},
 		{
 			name: "resume under different spec",
@@ -193,7 +193,7 @@ func TestSpecResumeValidation(t *testing.T) {
 			},
 			spec: fmt.Sprintf(`{"application": "advection-diffusion", "domain": [16,16,16],
 				"steps": 6, "journal": %q, "resume": true}`, journalPath),
-			build: ErrJournalSpecMismatch,
+			build: journal.ErrJournalSpecMismatch,
 		},
 	}
 	for _, tc := range cases {

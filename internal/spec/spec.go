@@ -158,7 +158,7 @@ type Workflow struct {
 	// event/span logs are truncated to what the last checkpoint had
 	// flushed, and the workflow restarts at the checkpointed step + 1. The
 	// spec must be identical to the journaled run's — a fingerprint
-	// mismatch fails closed with ErrJournalSpecMismatch.
+	// mismatch fails closed with journal.ErrJournalSpecMismatch.
 	Resume bool `json:"resume"`
 
 	metricsBound string // actual listen address once Build has bound it
@@ -212,15 +212,11 @@ var (
 	ErrDataDirRequiresTCP = errors.New("spec: staging_data_dir requires staging_tcp")
 )
 
-// Resume failure classes. The journal's are aliased from the journal
-// package so spec callers match them without importing it.
+// Resume failure classes. ErrResumeRequiresJournal is aliased from the
+// journal package so spec callers match it without importing it.
 var (
 	// ErrResumeRequiresJournal: resume was requested without a journal file.
 	ErrResumeRequiresJournal = journal.ErrResumeRequiresJournal
-	// ErrJournalSpecMismatch: the journal belongs to a different run spec.
-	ErrJournalSpecMismatch = journal.ErrJournalSpecMismatch
-	// ErrJournalTornBeyondBarrier: the journal holds no complete checkpoint.
-	ErrJournalTornBeyondBarrier = journal.ErrJournalTornBeyondBarrier
 	// ErrLogShorterThanCheckpoint: an event or span log lost a tail its
 	// checkpoint counted (flushed, never synced), so no resume can match it.
 	ErrLogShorterThanCheckpoint = errors.New("spec: log shorter than its checkpointed offset")

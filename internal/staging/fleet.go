@@ -121,9 +121,6 @@ func (f *Fleet) Addrs() []string {
 // Server returns server i.
 func (f *Fleet) Server(i int) *Server { return f.servers[i] }
 
-// Space returns the space behind server i.
-func (f *Fleet) Space(i int) *Space { return f.spaces[i] }
-
 // Kill crashes server i the way its clients and its replicas see it: the
 // gate severs every connection and refuses new ones, and the space is
 // emptied, so a revived server rejoins with nothing and the pool's rejoin

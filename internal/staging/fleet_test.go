@@ -84,7 +84,7 @@ func TestFleetKillReviveWipe(t *testing.T) {
 	addrs := fleet.Addrs()
 
 	fleet.Kill(1)
-	if !fleet.Down(1) || fleet.Space(1).MemUsed() != 0 {
+	if !fleet.Down(1) || fleet.spaces[1].MemUsed() != 0 {
 		t.Fatal("Kill left the gate up or the space populated")
 	}
 	got, err := pool.GetBlocks("rho", 0, dom())
@@ -102,12 +102,12 @@ func TestFleetKillReviveWipe(t *testing.T) {
 	if healthy, _ := pool.HealthyEndpoints(); healthy != 3 {
 		t.Fatalf("healthy = %d, want 3 after rejoin", healthy)
 	}
-	if countKind(sink, obs.KindRepair) == 0 || fleet.Space(1).MemUsed() == 0 {
+	if countKind(sink, obs.KindRepair) == 0 || fleet.spaces[1].MemUsed() == 0 {
 		t.Error("rejoin repair restored nothing onto the revived server")
 	}
 
 	fleet.Wipe(2)
-	if fleet.Down(2) || fleet.Space(2).MemUsed() != 0 {
+	if fleet.Down(2) || fleet.spaces[2].MemUsed() != 0 {
 		t.Error("Wipe must empty the space and leave the gate up")
 	}
 	if _, err := pool.GetBlocks("rho", 0, dom()); err != nil {
@@ -128,14 +128,14 @@ func TestFleetRestart(t *testing.T) {
 	fleet, pool, sink := fleetPool(t, FleetOptions{Servers: 3, DataDir: t.TempDir()})
 	blocks := spread()
 	putAll(t, pool, 0, blocks)
-	srv, addr, held := fleet.Server(1), fleet.Addrs()[1], fleet.Space(1).MemUsed()
+	srv, addr, held := fleet.Server(1), fleet.Addrs()[1], fleet.spaces[1].MemUsed()
 
 	st, err := fleet.Restart(1, true)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if st.Bytes != held || fleet.Space(1).MemUsed() != held || st.TornTail {
-		t.Errorf("recovered %+v, space holds %d, want the %d bytes held before", st, fleet.Space(1).MemUsed(), held)
+	if st.Bytes != held || fleet.spaces[1].MemUsed() != held || st.TornTail {
+		t.Errorf("recovered %+v, space holds %d, want the %d bytes held before", st, fleet.spaces[1].MemUsed(), held)
 	}
 	if fleet.Server(1) != srv || fleet.Addrs()[1] != addr || fleet.Down(1) {
 		t.Error("restart must keep the Server and its address and reopen the gate")
@@ -158,8 +158,8 @@ func TestFleetRestart(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if st.Blocks != 0 || fleet.Space(1).MemUsed() != 0 || fleet.Addrs()[1] != addr || fleet.Down(1) {
-		t.Errorf("discarding restart: %+v, %d bytes held, down=%v", st, fleet.Space(1).MemUsed(), fleet.Down(1))
+	if st.Blocks != 0 || fleet.spaces[1].MemUsed() != 0 || fleet.Addrs()[1] != addr || fleet.Down(1) {
+		t.Errorf("discarding restart: %+v, %d bytes held, down=%v", st, fleet.spaces[1].MemUsed(), fleet.Down(1))
 	}
 	if err := fleet.Shutdown(); err != nil {
 		t.Errorf("shutdown after restarts: %v", err)

@@ -260,13 +260,6 @@ func replicaName(varName string, shard, j int) string {
 // int32 for the wire encoding.
 var allRegion = grid.NewBox(grid.IV(-(1<<30), -(1<<30), -(1<<30)), grid.IV(1<<30, 1<<30, 1<<30))
 
-// Replicas returns the replication factor.
-func (p *Pool) Replicas() int { return p.replicas }
-
-// Concurrency returns the configured in-flight operation bound (1 when jobs
-// run inline).
-func (p *Pool) Concurrency() int { return p.conc }
-
 // inline reports whether endpoint jobs run on the caller's goroutine — the
 // pool started no workers — rather than on per-endpoint worker queues.
 func (p *Pool) inline() bool { return p.conc <= 1 }

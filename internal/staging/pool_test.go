@@ -282,7 +282,7 @@ func TestSpaceClear(t *testing.T) {
 	if sp.MemUsed() != 0 {
 		t.Errorf("MemUsed after Clear = %d", sp.MemUsed())
 	}
-	if _, err := sp.Get("rho", 0, dom()); !errors.Is(err, ErrNotFound) {
+	if _, err := sp.GetBlocks("rho", 0, dom()); !errors.Is(err, ErrNotFound) {
 		t.Errorf("get after Clear: err = %v, want ErrNotFound", err)
 	}
 }

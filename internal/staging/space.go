@@ -251,23 +251,6 @@ func (sp *Space) TenantUsage(tenant string) (bytes int64, blocks int) {
 	return 0, 0
 }
 
-// Get assembles the stored data of varName at version over region into a
-// fresh BoxData, copying the intersecting blocks in GetBlocks' order (a
-// later block overwrites an earlier one where they overlap). Cells of
-// region not covered by any stored block are zero; ErrNotFound is returned
-// when nothing intersects at all.
-func (sp *Space) Get(varName string, version int, region grid.Box) (*field.BoxData, error) {
-	blocks, err := sp.GetBlocks(varName, version, region)
-	if err != nil {
-		return nil, err
-	}
-	out := field.New(region, blocks[0].NComp)
-	for _, b := range blocks {
-		out.CopyFrom(b)
-	}
-	return out, nil
-}
-
 // GetBlocks returns the stored blocks of varName at version intersecting
 // region, without assembling them (what an in-transit analysis kernel that
 // works block-locally wants). They come sorted by the Morton code of their

@@ -21,6 +21,21 @@ func block(lo grid.IntVect, n int, val float64) *field.BoxData {
 	return d
 }
 
+// getRegion assembles GetBlocks over region: the blocks are copied in
+// staging order, so a later block overwrites an earlier one where they
+// overlap, and cells no block covers are zero.
+func getRegion(sp *Space, varName string, version int, region grid.Box) (*field.BoxData, error) {
+	blocks, err := sp.GetBlocks(varName, version, region)
+	if err != nil {
+		return nil, err
+	}
+	out := field.New(region, blocks[0].NComp)
+	for _, b := range blocks {
+		out.CopyFrom(b)
+	}
+	return out, nil
+}
+
 func TestPutGetRoundTrip(t *testing.T) {
 	sp := NewSpace(4, 0, dom())
 	if err := sp.Put("rho", 0, block(grid.IV(0, 0, 0), 8, 1)); err != nil {
@@ -29,7 +44,7 @@ func TestPutGetRoundTrip(t *testing.T) {
 	if err := sp.Put("rho", 0, block(grid.IV(8, 0, 0), 8, 2)); err != nil {
 		t.Fatal(err)
 	}
-	got, err := sp.Get("rho", 0, grid.NewBox(grid.IV(4, 0, 0), grid.IV(11, 7, 7)))
+	got, err := getRegion(sp, "rho", 0, grid.NewBox(grid.IV(4, 0, 0), grid.IV(11, 7, 7)))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -44,13 +59,13 @@ func TestPutGetRoundTrip(t *testing.T) {
 func TestGetMissingVersion(t *testing.T) {
 	sp := NewSpace(2, 0, dom())
 	sp.Put("rho", 0, block(grid.IV(0, 0, 0), 4, 1))
-	if _, err := sp.Get("rho", 1, dom()); !errors.Is(err, ErrNotFound) {
+	if _, err := sp.GetBlocks("rho", 1, dom()); !errors.Is(err, ErrNotFound) {
 		t.Errorf("missing version err = %v", err)
 	}
-	if _, err := sp.Get("u", 0, dom()); !errors.Is(err, ErrNotFound) {
+	if _, err := sp.GetBlocks("u", 0, dom()); !errors.Is(err, ErrNotFound) {
 		t.Errorf("missing var err = %v", err)
 	}
-	if _, err := sp.Get("rho", 0, grid.NewBox(grid.IV(40, 40, 40), grid.IV(41, 41, 41))); !errors.Is(err, ErrNotFound) {
+	if _, err := sp.GetBlocks("rho", 0, grid.NewBox(grid.IV(40, 40, 40), grid.IV(41, 41, 41))); !errors.Is(err, ErrNotFound) {
 		t.Errorf("disjoint region err = %v", err)
 	}
 }
@@ -59,7 +74,7 @@ func TestVersionsIsolated(t *testing.T) {
 	sp := NewSpace(2, 0, dom())
 	sp.Put("rho", 0, block(grid.IV(0, 0, 0), 4, 1))
 	sp.Put("rho", 1, block(grid.IV(0, 0, 0), 4, 9))
-	got, err := sp.Get("rho", 0, grid.BoxFromSize(grid.IV(0, 0, 0), grid.IV(4, 4, 4)))
+	got, err := getRegion(sp, "rho", 0, grid.BoxFromSize(grid.IV(0, 0, 0), grid.IV(4, 4, 4)))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -112,10 +127,10 @@ func TestDropBeforeFreesMemory(t *testing.T) {
 	if freed != used*2/3 {
 		t.Errorf("freed %d, want %d", freed, used*2/3)
 	}
-	if _, err := sp.Get("rho", 0, dom()); !errors.Is(err, ErrNotFound) {
+	if _, err := sp.GetBlocks("rho", 0, dom()); !errors.Is(err, ErrNotFound) {
 		t.Error("version 0 survived DropBefore")
 	}
-	if _, err := sp.Get("rho", 2, dom()); err != nil {
+	if _, err := sp.GetBlocks("rho", 2, dom()); err != nil {
 		t.Error("version 2 was evicted")
 	}
 }
@@ -125,7 +140,7 @@ func TestDropBeforeOtherVarUntouched(t *testing.T) {
 	sp.Put("rho", 0, block(grid.IV(0, 0, 0), 4, 1))
 	sp.Put("u", 0, block(grid.IV(0, 0, 0), 4, 2))
 	sp.DropBefore("rho", 5)
-	if _, err := sp.Get("u", 0, dom()); err != nil {
+	if _, err := sp.GetBlocks("u", 0, dom()); err != nil {
 		t.Error("DropBefore crossed variables")
 	}
 }
@@ -150,7 +165,7 @@ func TestConcurrentPutGet(t *testing.T) {
 					t.Errorf("put: %v", err)
 					return
 				}
-				if _, err := sp.Get("rho", i%3, dom()); err != nil {
+				if _, err := sp.GetBlocks("rho", i%3, dom()); err != nil {
 					t.Errorf("get: %v", err)
 					return
 				}
@@ -204,7 +219,7 @@ func TestPutKeepsDistinctBlocksWithEqualBoxes(t *testing.T) {
 // corners share a Morton code (AMR levels do): they come in slot order, a
 // block's slot being where its first put appended it, and a replacement —
 // a same-seq replay, a normal put over its repaired copy — keeps the slot.
-// Get copies in that order, so the last slot wins where blocks overlap.
+// Copied in that order, the last slot wins where blocks overlap.
 func TestGetBlocksTiesKeepSlotOrder(t *testing.T) {
 	sp := NewSpace(4, 0, dom())
 	o := grid.IV(0, 0, 0)
@@ -220,12 +235,12 @@ func TestGetBlocksTiesKeepSlotOrder(t *testing.T) {
 		if !reflect.DeepEqual(got, want) {
 			t.Fatalf("%s: GetBlocks order differs from slot order", what)
 		}
-		g, err := sp.Get("v", 0, grid.BoxFromSize(o, grid.IV(4, 4, 4)))
+		g, err := getRegion(sp, "v", 0, grid.BoxFromSize(o, grid.IV(4, 4, 4)))
 		if err != nil {
 			t.Fatalf("%s: %v", what, err)
 		}
 		if v, last := g.Get(o, 0), want[len(want)-2].Get(o, 0); v != last {
-			t.Fatalf("%s: Get at Lo = %g, want the last tied slot's %g", what, v, last)
+			t.Fatalf("%s: assembled at Lo = %g, want the last tied slot's %g", what, v, last)
 		}
 	}
 	for _, p := range []struct {

@@ -48,13 +48,13 @@ func assertSameContent(t *testing.T, want, got *Space) {
 		}
 	}
 	for _, e := range wm.Entries {
-		wd, err := want.Get(e.Var, e.Version, dom())
+		wd, err := getRegion(want, e.Var, e.Version, dom())
 		if err != nil {
-			t.Fatalf("want.Get(%s@%d): %v", e.Var, e.Version, err)
+			t.Fatalf("want %s@%d): %v", e.Var, e.Version, err)
 		}
-		gd, err := got.Get(e.Var, e.Version, dom())
+		gd, err := getRegion(got, e.Var, e.Version, dom())
 		if err != nil {
-			t.Fatalf("got.Get(%s@%d): %v", e.Var, e.Version, err)
+			t.Fatalf("got %s@%d): %v", e.Var, e.Version, err)
 		}
 		if !wd.Equal(gd) {
 			t.Fatalf("data for %s@%d differs after recovery", e.Var, e.Version)
@@ -170,10 +170,10 @@ func TestWALClearAndDropReplay(t *testing.T) {
 	if st.Blocks != 1 {
 		t.Fatalf("recovered %d blocks, want 1 (clear and drop must replay)", st.Blocks)
 	}
-	if _, err := got.Get("junk", 0, dom()); !errors.Is(err, ErrNotFound) {
+	if _, err := got.GetBlocks("junk", 0, dom()); !errors.Is(err, ErrNotFound) {
 		t.Fatalf("cleared var survived recovery: %v", err)
 	}
-	if _, err := got.Get("rho", 1, dom()); !errors.Is(err, ErrNotFound) {
+	if _, err := got.GetBlocks("rho", 1, dom()); !errors.Is(err, ErrNotFound) {
 		t.Fatalf("dropped version survived recovery: %v", err)
 	}
 	assertSameContent(t, sp, got)

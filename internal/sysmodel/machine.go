@@ -15,7 +15,6 @@ import "fmt"
 
 // Machine describes a target platform for the cost model.
 type Machine struct {
-	Name         string
 	CoresPerNode int
 	MemPerNode   int64 // bytes of RAM per node
 
@@ -46,7 +45,6 @@ func (m Machine) MemPerCore() int64 { return m.MemPerNode / int64(m.CoresPerNode
 // memory makes the application-layer adaptation necessary.
 func Intrepid() Machine {
 	return Machine{
-		Name:             "Intrepid-BGP",
 		CoresPerNode:     4,
 		MemPerNode:       2 << 30,
 		SimCellRate:      2.0e5,
@@ -62,7 +60,6 @@ func Intrepid() Machine {
 // nodes on a Gemini interconnect.
 func Titan() Machine {
 	return Machine{
-		Name:             "Titan-XK7",
 		CoresPerNode:     16,
 		MemPerNode:       32 << 30,
 		SimCellRate:      1.0e6,

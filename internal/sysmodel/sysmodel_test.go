@@ -17,9 +17,6 @@ func TestMachinePresets(t *testing.T) {
 	if ti.SimCellRate <= in.SimCellRate {
 		t.Error("Titan should be faster than Intrepid per core")
 	}
-	if in.Name == "" || ti.Name == "" {
-		t.Error("machines must be named")
-	}
 }
 
 func TestCostScalesInverselyWithCores(t *testing.T) {
@@ -80,7 +77,7 @@ func TestImbalanceFactor(t *testing.T) {
 }
 
 func TestTimelineFIFO(t *testing.T) {
-	tl := NewTimeline("sim")
+	tl := &Timeline{}
 	s1, e1 := tl.Schedule(0, 10)
 	if s1 != 0 || e1 != 10 {
 		t.Fatalf("first job %v-%v", s1, e1)
@@ -101,7 +98,7 @@ func TestTimelineFIFO(t *testing.T) {
 }
 
 func TestTimelineRemainingAt(t *testing.T) {
-	tl := NewTimeline("staging")
+	tl := &Timeline{}
 	tl.Schedule(0, 10)
 	if got := tl.RemainingAt(4); got != 6 {
 		t.Errorf("RemainingAt(4) = %v", got)
@@ -117,7 +114,7 @@ func TestTimelineNegativeDurationPanics(t *testing.T) {
 			t.Error("negative duration should panic")
 		}
 	}()
-	NewTimeline("x").Schedule(0, -1)
+	new(Timeline).Schedule(0, -1)
 }
 
 func TestStagingPoolGangScheduling(t *testing.T) {

@@ -5,18 +5,12 @@ import "fmt"
 // Timeline tracks the busy intervals of one logical resource (the
 // simulation side or the staging side) under the virtual clock. The two
 // timelines advance independently — that asynchrony is exactly what makes
-// in-transit analysis overlap the next simulation step (Eqs. 4–6).
+// in-transit analysis overlap the next simulation step (Eqs. 4–6). The zero
+// Timeline is idle at t=0.
 type Timeline struct {
-	name      string
 	busyUntil float64 // virtual time the resource frees up
 	busyTotal float64 // accumulated busy seconds (for utilization)
 }
-
-// NewTimeline names a fresh timeline starting idle at t=0.
-func NewTimeline(name string) *Timeline { return &Timeline{name: name} }
-
-// Name returns the timeline's label.
-func (t *Timeline) Name() string { return t.name }
 
 // FreeAt returns the virtual time the resource becomes idle.
 func (t *Timeline) FreeAt() float64 { return t.busyUntil }
@@ -79,7 +73,7 @@ func NewStagingPool(cores int) *StagingPool {
 	if cores < 1 {
 		panic(fmt.Sprintf("sysmodel: staging pool needs >= 1 core, got %d", cores))
 	}
-	return &StagingPool{Timeline: *NewTimeline("in-transit"), cores: cores}
+	return &StagingPool{cores: cores}
 }
 
 // Cores returns the pool's current size.
