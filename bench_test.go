@@ -392,6 +392,8 @@ func BenchmarkGhostFill(b *testing.B) {
 	}
 }
 
+// BenchmarkRegrid rebuilds level 1 of a 32³ hierarchy from the cells of
+// an 8³ cube: buffering, clustering, chopping, balancing and prolonging.
 func BenchmarkRegrid(b *testing.B) {
 	h := amr.NewHierarchy(amr.Config{
 		Domain:     grid.NewBox(grid.IV(0, 0, 0), grid.IV(31, 31, 31)),
@@ -404,6 +406,7 @@ func BenchmarkRegrid(b *testing.B) {
 	grid.NewBox(grid.IV(12, 12, 12), grid.IV(19, 19, 19)).ForEach(func(q grid.IntVect) {
 		tags = append(tags, q)
 	})
+	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		h.Regrid(0, tags)

@@ -297,3 +297,224 @@ func TestTagCellsMatchesReference(t *testing.T) {
 		}
 	}
 }
+
+// refCluster and refRegrid are the clustering and regrid this package
+// shipped before Regrid kept its working memory on the Hierarchy: tags
+// buffered through a map, a signature and two tag copies per bisection,
+// and a fresh coarse snapshot per fine box. Regrid must reproduce them bit
+// for bit.
+
+func refCluster(tags []grid.IntVect, fillRatio float64, minSize int) []grid.Box {
+	if len(tags) == 0 {
+		return nil
+	}
+	bb := grid.BoxFromSize(tags[0], grid.Unit)
+	for _, t := range tags[1:] {
+		bb = bb.Union(grid.BoxFromSize(t, grid.Unit))
+	}
+	fill := float64(len(tags)) / float64(bb.NumCells())
+	if fill >= fillRatio || bb.Size().MaxComp() <= minSize {
+		return []grid.Box{bb}
+	}
+	d := bb.Size().MaxDim()
+	n := bb.Size().Comp(d)
+	sig := make([]int, n)
+	for _, t := range tags {
+		sig[t.Comp(d)-bb.Lo.Comp(d)]++
+	}
+	split := -1
+	bestDist := n
+	for i := 1; i < n; i++ {
+		if sig[i] == 0 {
+			if dist := abs(i - n/2); dist < bestDist {
+				split, bestDist = i, dist
+			}
+		}
+	}
+	if split < 0 {
+		split = n / 2
+	}
+	at := bb.Lo.Comp(d) + split
+	var loTags, hiTags []grid.IntVect
+	for _, t := range tags {
+		if t.Comp(d) < at {
+			loTags = append(loTags, t)
+		} else {
+			hiTags = append(hiTags, t)
+		}
+	}
+	if len(loTags) == 0 || len(hiTags) == 0 {
+		return []grid.Box{bb}
+	}
+	return append(refCluster(loTags, fillRatio, minSize), refCluster(hiTags, fillRatio, minSize)...)
+}
+
+func refRegrid(h *Hierarchy, li int, tags []grid.IntVect) {
+	if li >= h.Cfg.MaxLevel {
+		return
+	}
+	coarse := h.Levels[li]
+	if len(tags) == 0 {
+		h.Levels = h.Levels[:li+1]
+		return
+	}
+	seen := make(map[grid.IntVect]bool, len(tags)*4)
+	for _, t := range tags {
+		b := grid.BoxFromSize(t, grid.Unit).Grow(1).Intersect(coarse.Domain)
+		b.ForEach(func(q grid.IntVect) { seen[q] = true })
+	}
+	buffered := make([]grid.IntVect, 0, len(seen))
+	for q := range seen {
+		buffered = append(buffered, q)
+	}
+	boxes := refCluster(buffered, h.Cfg.FillRatio, 2)
+	fineDomain := coarse.Domain.Refine(h.Cfg.RefRatio)
+	var fineBoxes []grid.Box
+	for _, b := range boxes {
+		for _, cp := range coarse.Patches {
+			part := b.Intersect(cp.Box)
+			if part.IsEmpty() {
+				continue
+			}
+			fb := part.Refine(h.Cfg.RefRatio)
+			fineBoxes = append(fineBoxes, grid.DecomposeAligned(fb, h.Cfg.MaxBoxSize, h.Cfg.RefRatio)...)
+		}
+	}
+	if len(fineBoxes) == 0 {
+		h.Levels = h.Levels[:li+1]
+		return
+	}
+	grid.MortonSort(fineBoxes)
+	owners := grid.Assign(fineBoxes, h.Cfg.NRanks)
+	fine := &Level{Domain: fineDomain}
+	var old *Level
+	if len(h.Levels) > li+1 {
+		old = h.Levels[li+1]
+	}
+	for i, fb := range fineBoxes {
+		cb := fb.Coarsen(h.Cfg.RefRatio).Grow(1).Intersect(coarse.Domain)
+		cdata := field.New(cb, h.Cfg.NComp)
+		for _, cp := range coarse.Patches {
+			cdata.CopyFrom(cp.Data)
+		}
+		data := field.Prolong(cdata, fb, h.Cfg.RefRatio)
+		if old != nil {
+			for _, op := range old.Patches {
+				data.CopyFrom(op.Data)
+			}
+		}
+		fine.Patches = append(fine.Patches, &Patch{Box: fb, Data: data, Owner: owners[i]})
+	}
+	h.Levels = append(h.Levels[:li+1], fine)
+}
+
+// setBumps fills every level of h with a sharp spherical bump centred at
+// c (base-level coordinates), at the level's own resolution, so each level
+// tags a shell around it.
+func setBumps(h *Hierarchy, c [3]float64) {
+	scale := 1.0
+	for _, l := range h.Levels {
+		for _, p := range l.Patches {
+			p.Box.ForEach(func(q grid.IntVect) {
+				dx, dy, dz := (float64(q.X)+0.5)/scale-c[0], (float64(q.Y)+0.5)/scale-c[1], (float64(q.Z)+0.5)/scale-c[2]
+				for comp := 0; comp < p.Data.NComp; comp++ {
+					p.Data.Set(q, comp, float64(comp+1)*math.Exp(-(dx*dx+dy*dy+dz*dz)/8))
+				}
+			})
+		}
+		scale *= float64(h.Cfg.RefRatio)
+	}
+}
+
+func sameHierarchy(got, want *Hierarchy) error {
+	if len(got.Levels) != len(want.Levels) {
+		return fmt.Errorf("%d levels, reference %d", len(got.Levels), len(want.Levels))
+	}
+	for li := range want.Levels {
+		gl, wl := got.Levels[li], want.Levels[li]
+		if gl.Domain != wl.Domain || len(gl.Patches) != len(wl.Patches) {
+			return fmt.Errorf("level %d: domain %v with %d patches, reference %v with %d", li, gl.Domain, len(gl.Patches), wl.Domain, len(wl.Patches))
+		}
+		for pi, wp := range wl.Patches {
+			gp := gl.Patches[pi]
+			if gp.Box != wp.Box || gp.Owner != wp.Owner {
+				return fmt.Errorf("level %d patch %d: %v on rank %d, reference %v on rank %d", li, pi, gp.Box, gp.Owner, wp.Box, wp.Owner)
+			}
+			if err := equalBits(gp.Data, wp.Data); err != nil {
+				return fmt.Errorf("level %d patch %d: %v", li, pi, err)
+			}
+		}
+	}
+	return nil
+}
+
+// TestRegridMatchesReference regrids level 0 and then level 1 around a
+// seeded moving bump, periodic and not, several rounds on one hierarchy,
+// so later regrids run on the buffers earlier ones left (a larger or
+// smaller tag box, an old fine level to copy from).
+func TestRegridMatchesReference(t *testing.T) {
+	rng := rand.New(rand.NewSource(17))
+	for _, periodic := range []bool{false, true} {
+		cfg := testCfg()
+		cfg.NComp = 2
+		cfg.Periodic = periodic
+		got, want := NewHierarchy(cfg), NewHierarchy(cfg)
+		regridded := map[int]bool{}
+		for round := 0; round < 4; round++ {
+			c := [3]float64{4 + 24*rng.Float64(), 4 + 24*rng.Float64(), 4 + 24*rng.Float64()}
+			setBumps(got, c)
+			setBumps(want, c)
+			for li := 0; li < cfg.MaxLevel && li <= want.FinestLevel(); li++ {
+				thresh := 0.05 / float64(int(1)<<li)
+				tags := got.TagCells(li, 1, thresh)
+				got.Regrid(li, tags)
+				refRegrid(want, li, want.TagCells(li, 1, thresh))
+				if err := sameHierarchy(got, want); err != nil {
+					t.Fatalf("periodic=%v round %d, regrid of level %d (%d tags): %v", periodic, round, li, len(tags), err)
+				}
+				if len(tags) > 0 {
+					regridded[li] = true
+				}
+			}
+		}
+		if !regridded[0] || !regridded[1] {
+			t.Errorf("periodic=%v: regridded levels %v; want 0 and 1", periodic, regridded)
+		}
+	}
+}
+
+// TestClusterIgnoresTagOrder clusters seeded shuffles of the buffered tags
+// of a bump: Cluster reorders its argument, and its boxes must not depend
+// on the order it was given.
+func TestClusterIgnoresTagOrder(t *testing.T) {
+	rng := rand.New(rand.NewSource(19))
+	h := NewHierarchy(testCfg())
+	setBumps(h, [3]float64{13.5, 17.25, 15})
+	var tags []grid.IntVect
+	seen := map[grid.IntVect]bool{}
+	for _, tag := range h.TagCells(0, 0, 0.05) {
+		grid.BoxFromSize(tag, grid.Unit).Grow(1).Intersect(h.Cfg.Domain).ForEach(func(q grid.IntVect) {
+			if !seen[q] {
+				seen[q] = true
+				tags = append(tags, q)
+			}
+		})
+	}
+	want := refCluster(tags, 0.7, 2)
+	if len(want) < 2 {
+		t.Fatalf("setup: %d tags cluster into %d box(es); want a split", len(tags), len(want))
+	}
+	for trial := 0; trial < 8; trial++ {
+		shuffled := append([]grid.IntVect(nil), tags...)
+		rng.Shuffle(len(shuffled), func(i, j int) { shuffled[i], shuffled[j] = shuffled[j], shuffled[i] })
+		got := Cluster(shuffled, 0.7, 2)
+		if len(got) != len(want) {
+			t.Fatalf("trial %d: %d boxes, reference %d", trial, len(got), len(want))
+		}
+		for i := range want {
+			if got[i] != want[i] {
+				t.Fatalf("trial %d: box %d is %v, reference %v", trial, i, got[i], want[i])
+			}
+		}
+	}
+}

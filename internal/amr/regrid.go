@@ -43,6 +43,9 @@ func (h *Hierarchy) TagCells(li, c int, thresh float64) []grid.IntVect {
 // bounding box of the tags is accepted if efficient or small, otherwise it
 // is split at the largest gap (or the midpoint of the longest axis) of the
 // tag signature, and each side recurses.
+//
+// Cluster reorders tags: each split partitions them in place around the
+// split plane. The boxes depend only on the set of tags, not their order.
 func Cluster(tags []grid.IntVect, fillRatio float64, minSize int) []grid.Box {
 	if len(tags) == 0 {
 		return nil
@@ -56,10 +59,17 @@ func Cluster(tags []grid.IntVect, fillRatio float64, minSize int) []grid.Box {
 		return []grid.Box{bb}
 	}
 
-	// Signature along the longest axis: count of tags per plane.
+	// Signature along the longest axis: count of tags per plane. It lives
+	// on the stack unless the axis is longer than sigBuf.
 	d := bb.Size().MaxDim()
 	n := bb.Size().Comp(d)
-	sig := make([]int, n)
+	var sigBuf [64]int
+	var sig []int
+	if n <= len(sigBuf) {
+		sig = sigBuf[:n]
+	} else {
+		sig = make([]int, n)
+	}
 	for _, t := range tags {
 		sig[t.Comp(d)-bb.Lo.Comp(d)]++
 	}
@@ -80,20 +90,20 @@ func Cluster(tags []grid.IntVect, fillRatio float64, minSize int) []grid.Box {
 	}
 	at := bb.Lo.Comp(d) + split
 
-	var loTags, hiTags []grid.IntVect
-	for _, t := range tags {
+	// Partition in place: tags[:lo] lie below the split plane.
+	lo := 0
+	for i, t := range tags {
 		if t.Comp(d) < at {
-			loTags = append(loTags, t)
-		} else {
-			hiTags = append(hiTags, t)
+			tags[i], tags[lo] = tags[lo], t
+			lo++
 		}
 	}
-	if len(loTags) == 0 || len(hiTags) == 0 {
+	if lo == 0 || lo == len(tags) {
 		// Degenerate split (all tags on one side of the midpoint): accept
 		// the bounding box rather than recurse forever.
 		return []grid.Box{bb}
 	}
-	return append(Cluster(loTags, fillRatio, minSize), Cluster(hiTags, fillRatio, minSize)...)
+	return append(Cluster(tags[:lo], fillRatio, minSize), Cluster(tags[lo:], fillRatio, minSize)...)
 }
 
 func abs(v int) int {
@@ -122,16 +132,39 @@ func (h *Hierarchy) Regrid(li int, tags []grid.IntVect) {
 	}
 
 	// Buffer tags by one cell so features cannot escape the refined region
-	// between regrids, then cluster.
-	seen := make(map[grid.IntVect]bool, len(tags)*4)
+	// between regrids, then cluster. A mask over the bounding box of the
+	// buffered cells merges overlapping neighbourhoods; draining it row by
+	// row lists each cell once, in domain order, and leaves it all false.
+	near := func(t grid.IntVect) grid.Box {
+		return grid.BoxFromSize(t, grid.Unit).Grow(1).Intersect(coarse.Domain)
+	}
+	bb := grid.Empty()
 	for _, t := range tags {
-		b := grid.BoxFromSize(t, grid.Unit).Grow(1).Intersect(coarse.Domain)
-		b.ForEach(func(q grid.IntVect) { seen[q] = true })
+		bb = bb.Union(near(t))
 	}
-	buffered := make([]grid.IntVect, 0, len(seen))
-	for q := range seen {
-		buffered = append(buffered, q)
+	if n := int(bb.NumCells()); cap(h.tagMask) < n {
+		h.tagMask = make([]bool, n)
+	} else {
+		h.tagMask = h.tagMask[:n]
 	}
+	for _, t := range tags {
+		if b := near(t); !b.IsEmpty() {
+			markRows(h.tagMask, bb, b)
+		}
+	}
+	buffered := h.buffered[:0]
+	for z := bb.Lo.Z; z <= bb.Hi.Z; z++ {
+		for y := bb.Lo.Y; y <= bb.Hi.Y; y++ {
+			o := bb.Offset(grid.IV(bb.Lo.X, y, z))
+			for x := bb.Lo.X; x <= bb.Hi.X; x, o = x+1, o+1 {
+				if h.tagMask[o] {
+					h.tagMask[o] = false
+					buffered = append(buffered, grid.IV(x, y, z))
+				}
+			}
+		}
+	}
+	h.buffered = buffered
 	boxes := Cluster(buffered, h.Cfg.FillRatio, 2)
 
 	// Refine to the fine index space, clipping against the coarse patch
@@ -160,7 +193,8 @@ func (h *Hierarchy) Regrid(li int, tags []grid.IntVect) {
 	grid.MortonSort(fineBoxes)
 	owners := grid.Assign(fineBoxes, h.Cfg.NRanks)
 
-	// Gather a coarse snapshot once to prolong from.
+	// Gather the coarse data under each fine box into one reused snapshot
+	// and prolong from it.
 	fine := &Level{Domain: fineDomain}
 	var old *Level
 	if len(h.Levels) > li+1 {
@@ -168,7 +202,9 @@ func (h *Hierarchy) Regrid(li int, tags []grid.IntVect) {
 	}
 	for i, fb := range fineBoxes {
 		cb := fb.Coarsen(h.Cfg.RefRatio).Grow(1).Intersect(coarse.Domain)
-		cdata := field.New(cb, h.Cfg.NComp)
+		cdata := field.Sized(h.snap, cb, h.Cfg.NComp)
+		h.snap = cdata
+		cdata.FillAll(0) // cells under no coarse patch read as zero
 		for _, cp := range coarse.Patches {
 			cdata.CopyFrom(cp.Data)
 		}

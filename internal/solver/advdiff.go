@@ -53,7 +53,7 @@ type AdvectionDiffusion struct {
 	step int
 	dx0  float64
 
-	scratch scratch // per level, reused across steps
+	scratch scratch // reused across steps
 }
 
 // NewAdvectionDiffusion builds the solver, applies the pulse initial
@@ -195,7 +195,7 @@ func (s *AdvectionDiffusion) advanceSubcycled(dt float64) int64 {
 	}
 	// The advance swapped level 0's previous state into its next buffers,
 	// where it stays until level 0 advances again.
-	old := s.scratch[0].next
+	old := s.scratch.levels[0].next
 	r := s.h.Cfg.RefRatio
 	dtFine := dt / float64(r)
 	for k := 0; k < r; k++ {
@@ -223,9 +223,9 @@ func (s *AdvectionDiffusion) advanceLevelWith(li int, dt float64, oldCoarse []*f
 
 	v := s.cfg.Velocity
 	nu := s.cfg.Diffusion
-	forEachPatch(len(l.Patches), func(pi int) {
+	s.scratch.forEachPatch(len(l.Patches), func(w, pi int) {
 		p := l.Patches[pi]
-		g := s.h.FillGhostInto(&ls.ghost[pi], li, p, 1, oldCoarse, theta)
+		g := s.h.FillGhostInto(&s.scratch.ghost[w], li, p, 1, oldCoarse, theta)
 		next := field.Sized(ls.next[pi], p.Box, 1)
 		ls.next[pi] = next
 		u, out := g.Comp(0), next.Comp(0)

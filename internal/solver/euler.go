@@ -63,7 +63,7 @@ type PolytropicGas struct {
 	step int
 	dx0  float64 // base-level mesh spacing
 
-	scratch scratch             // per level, reused across steps
+	scratch scratch             // reused across steps
 	regs    []*amr.FluxRegister // regs[li] registers fine level li; rebuilt when a regrid changes it
 }
 
@@ -359,9 +359,9 @@ func (s *PolytropicGas) advanceLevel(li int, dt float64, regSelf, regAbove *amr.
 	for _, p := range l.Patches {
 		cells += p.Box.NumCells()
 	}
-	forEachPatch(len(l.Patches), func(pi int) {
+	s.scratch.forEachPatch(len(l.Patches), func(w, pi int) {
 		p := l.Patches[pi]
-		g := s.h.FillGhostInto(&ls.ghost[pi], li, p, 2, nil, 0)
+		g := s.h.FillGhostInto(&s.scratch.ghost[w], li, p, 2, nil, 0)
 		next := field.Sized(ls.next[pi], p.Box, NumComp)
 		ls.next[pi] = next
 		s.sweepFaces(p, g, next, lambda, regSelf, regAbove)

@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"math"
 	"math/rand"
+	"runtime"
 	"testing"
 
 	"crosslayer/internal/amr"
@@ -331,6 +332,15 @@ func TestGasResumeReplayMatchesUninterruptedRun(t *testing.T) {
 // A step on an unchanged hierarchy runs out of its arenas: the guard is two
 // orders of magnitude under the ≈ 4 100 mallocs a step cost when every
 // ghost fill, next buffer and flux register was allocated afresh.
+//
+// A regrid step and the step after it still allocate: the new fine level's
+// prolonged data, the tags, next buffers for patches that outgrew their
+// index's buffer, and the rebuilt flux register. They no longer allocate
+// ghost scratch (one per worker, not per patch) or the regrid's mask,
+// tag copies and coarse snapshots (kept on the Hierarchy). At this
+// configuration the first regrid cycle's two steps read 0.71 MB each;
+// with per-patch ghost scratch and an allocating regrid they read 1.61 and
+// 3.43 MB. The bound is half the smaller of those.
 func TestGasStepAllocationGuard(t *testing.T) {
 	s := xbenchGas().(*PolytropicGas)
 	s.cfg.RegridInterval = 1 << 30
@@ -339,5 +349,22 @@ func TestGasStepAllocationGuard(t *testing.T) {
 	t.Logf("%.0f allocations per non-regrid step", n)
 	if n > 200 {
 		t.Errorf("a non-regrid gas step made %.0f allocations, want ≤ 200", n)
+	}
+
+	const maxRegridCycleBytes = 800_000
+	s = xbenchGas().(*PolytropicGas)
+	for s.step < s.cfg.RegridInterval {
+		s.Step()
+	}
+	for _, name := range []string{"regrid step", "step after the regrid"} {
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		s.Step()
+		runtime.ReadMemStats(&after)
+		b := after.TotalAlloc - before.TotalAlloc
+		t.Logf("%s: %d bytes", name, b)
+		if b > maxRegridCycleBytes {
+			t.Errorf("the %s allocated %d bytes, want ≤ %d", name, b, maxRegridCycleBytes)
+		}
 	}
 }

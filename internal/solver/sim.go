@@ -38,18 +38,21 @@ type StepStats struct {
 	FinestLevel  int
 }
 
-// forEachPatch runs f over patches [0,n) with bounded parallelism. Explicit
-// AMR updates are embarrassingly parallel across patches: a level advance
-// reads every Patch.Data and writes only the scratch of the patch it is on
-// (levelScratch), so this is the hot loop of both solvers.
-func forEachPatch(n int, f func(i int)) {
-	workers := runtime.GOMAXPROCS(0)
-	if workers > n {
-		workers = n
+// forEachPatch runs f(w, i) over patches [0,n) with bounded parallelism,
+// where w is the index of the worker running patch i; the worker count is
+// fixed here, and sc.ghost is grown to it first, so worker w may use
+// sc.ghost[w]. Explicit AMR updates are embarrassingly parallel across
+// patches: a level advance reads every Patch.Data and writes only its
+// worker's ghost scratch and the next buffer of the patch it is on, so this
+// is the hot loop of both solvers.
+func (sc *scratch) forEachPatch(n int, f func(w, i int)) {
+	workers := min(runtime.GOMAXPROCS(0), n)
+	for len(sc.ghost) < workers {
+		sc.ghost = append(sc.ghost, amr.GhostScratch{})
 	}
 	if workers <= 1 {
 		for i := 0; i < n; i++ {
-			f(i)
+			f(0, i)
 		}
 		return
 	}
@@ -60,7 +63,7 @@ func forEachPatch(n int, f func(i int)) {
 		go func() {
 			defer wg.Done()
 			for i := range next {
-				f(i)
+				f(w, i)
 			}
 		}()
 	}
@@ -71,33 +74,40 @@ func forEachPatch(n int, f func(i int)) {
 	wg.Wait()
 }
 
-// levelScratch is one level's working memory, kept across steps so a
-// step on an unchanged hierarchy allocates nothing: per patch index, the
-// ghost-extended snapshot the update reads and the buffer it writes. The
-// update never writes Patch.Data in place; once every patch of the level is
-// done, swap exchanges each patch's data with its next buffer, which
-// thereby holds the level's previous state until the next advance.
+// scratch is a solver's working memory, kept across steps so a step on an
+// unchanged hierarchy allocates nothing.
 //
-// No buffer is trusted across a hierarchy change: every use reshapes it to
-// the patch it serves (field.Sized, amr.GhostScratch), reallocating only
-// when the backing array is too small, and rewrites all of it. Entries past
-// the level's current patch count idle until a regrid grows the level again.
-type levelScratch struct {
-	ghost []amr.GhostScratch
-	next  []*field.BoxData
+// A patch's ghost-extended snapshot lives only while that patch updates,
+// and every ghost fill reshapes its scratch to the patch it is given and
+// rewrites all of it, so the snapshots are per forEachPatch worker, not per
+// patch: ghost[w] serves every patch worker w updates, on every level, and
+// a regrid that reshapes the levels leaves their number unchanged.
+type scratch struct {
+	ghost  []amr.GhostScratch // per forEachPatch worker
+	levels []levelScratch
 }
 
-// scratch is a solver's working memory, one levelScratch per level.
-type scratch []levelScratch
+// levelScratch holds, per patch index of one level, the buffer the update
+// writes. The update never writes Patch.Data in place; once every patch of
+// the level is done, swap exchanges each patch's data with its next buffer,
+// which thereby holds the level's previous state until the next advance.
+// These stay per patch because swap makes them patch data.
+//
+// No buffer is trusted across a hierarchy change: every use reshapes it to
+// the patch it serves (field.Sized), reallocating only when the backing
+// array is too small, and rewrites all of it. Entries past the level's
+// current patch count idle until a regrid grows the level again.
+type levelScratch struct {
+	next []*field.BoxData
+}
 
 // level returns level li's scratch with an entry for every patch of l.
 func (sc *scratch) level(li int, l *amr.Level) *levelScratch {
-	for len(*sc) <= li {
-		*sc = append(*sc, levelScratch{})
+	for len(sc.levels) <= li {
+		sc.levels = append(sc.levels, levelScratch{})
 	}
-	ls := &(*sc)[li]
+	ls := &sc.levels[li]
 	for len(ls.next) < len(l.Patches) {
-		ls.ghost = append(ls.ghost, amr.GhostScratch{})
 		ls.next = append(ls.next, nil)
 	}
 	return ls

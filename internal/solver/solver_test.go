@@ -288,7 +288,13 @@ func TestSimulationInterfaceCompliance(t *testing.T) {
 func TestForEachPatchCoversAll(t *testing.T) {
 	for _, n := range []int{0, 1, 7, 64} {
 		hit := make([]int32, n)
-		forEachPatch(n, func(i int) { hit[i]++ })
+		var sc scratch
+		sc.forEachPatch(n, func(w, i int) {
+			if w >= len(sc.ghost) {
+				t.Errorf("n=%d: worker %d has no ghost scratch (%d)", n, w, len(sc.ghost))
+			}
+			hit[i]++
+		})
 		for i, h := range hit {
 			if h != 1 {
 				t.Fatalf("n=%d: index %d visited %d times", n, i, h)
