@@ -390,22 +390,17 @@ func (r *repoIndex) called(fn *types.Func) bool {
 var internalKeep = map[string]string{
 	"solver.PolytropicGas.TotalMass":        "conservation observable the solver tests and BenchmarkAblationReflux rest on",
 	"solver.AdvectionDiffusion.TotalScalar": "conservation observable the solver tests rest on",
-	"amr.Hierarchy.FillGhost":               "allocating form of FillGhostInto; reference for the ghost-fill differential tests",
-	"amr.Hierarchy.FillGhostBlended":        "allocating form of FillGhostInto with a coarse snapshot; reference for the subcycling tests",
 	"field.BoxData.Fill":                    "test fixture builder across field, staging, viz and spec tests",
 	"field.BoxData.CopyCell":                "per-cell copy amr's reference ghost fill (reference_test.go) is written with",
 	"field.BoxData.Axpy":                    "amr's reference blend (reference_test.go) is written with it",
 	"grid.Box.Cell":                         "inverse of Box.Offset; the solver and amr reference kernels index through it",
 	"grid.Box.GrowDir":                      "one-direction Grow; the solver reference kernels (reference_test.go) build face boxes with it",
-	"field.Restrict":                        "allocating form of RestrictInto; the conservation tests drive it",
-	"reduce.EntropyPlan.ApplyPlan":          "applies a decided plan; reduce's tests check plan and result separately",
 	"reduce.MemCost":                        "the paper's Mem_data_reduce (Eq. 2) by name",
 	"viz.Mesh.Append":                       "per-block meshes appended with it are the reference ExtractBlocks is compared against",
 	"viz.Service.ExtractBlocks":             "mesh-building form of Service.Measure; the one-pass statistics are tested against its mesh",
 	"amr.FluxRegister.NumFaces":             "observation hook for the register-rebuild tests",
 	"core.Engine.PlanIncludes":              "observation hook for the root-leaf plan tests",
 	"analysis.NewSubset":                    "the third analysis.Service; core's workflow test plugs it in through Config.Analysis",
-	"staging.Space.ContentManifest":         "unsized form of ContentManifestSized; what the concurrent-pool tests compare",
 	"staging.Space.CompactWAL":              "forces a snapshot compaction; the WAL tests and FuzzStagingSnapshot need the trigger",
 	"staging.Space.TenantUsage":             "observation hook for the quota accounting and WAL usage-recovery tests",
 	"staging.Space.Persisted":               "observation hook: shutdown tests assert the WAL detached",

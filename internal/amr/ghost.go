@@ -5,46 +5,37 @@ import (
 	"crosslayer/internal/grid"
 )
 
-// GhostScratch holds the buffers of one ghost fill. A caller that fills
-// the same patch every step keeps one per patch and passes it to
-// FillGhostInto; every fill reshapes the buffers to the patch it is given
-// and rewrites all of them, so a scratch that outlives a regrid is safe to
-// reuse. The zero value is ready to use.
+// GhostScratch holds the buffers of one ghost fill. A caller keeps one per
+// goroutine that fills and passes it to FillGhostInto; every fill reshapes
+// the buffers to the patch it is given and rewrites all of them, so one
+// scratch serves patches of any shape and is safe to reuse across a
+// regrid. The zero value is ready to use.
 type GhostScratch struct {
 	data   *field.BoxData // the ghost-extended patch
 	coarse *field.BoxData // coarse level gathered under the ghost box
 	filled []bool         // per ghost-box cell: already has its value
 }
 
-// FillGhost returns patch data extended by ng ghost cells, filled in
-// priority order from (1) same-level patches, including periodic images
-// when the domain is periodic, (2) the next coarser level by
-// piecewise-constant interpolation, and (3) for non-periodic domains,
-// clamped extrapolation of the nearest interior cell (outflow boundary).
+// FillGhostInto returns patch data extended by ng ghost cells, written
+// into s's buffers, filled in priority order from (1) same-level patches,
+// including periodic images when the domain is periodic, (2) the next
+// coarser level by piecewise-constant interpolation, and (3) for
+// non-periodic domains, clamped extrapolation of the nearest interior cell
+// (outflow boundary). The result covers p.Box.Grow(ng), its interior equals
+// p.Data, and it is owned by s and valid until s is filled again.
 //
-// The returned BoxData covers p.Box.Grow(ng); the interior equals p.Data.
-func (h *Hierarchy) FillGhost(li int, p *Patch, ng int) *field.BoxData {
-	return h.FillGhostInto(&GhostScratch{}, li, p, ng, nil, 0)
-}
-
-// FillGhostBlended is FillGhost with the coarse source replaced by a time
-// blend: ghost cells interpolated from the coarse level use
+// A non-nil oldCoarse replaces the coarse source by a time blend: ghost
+// cells interpolated from the coarse level use
 // (1−theta)·oldCoarse[j] + theta·current for each coarse patch j. This is
 // the coarse-ghost interpolation Berger–Oliger subcycling needs: a fine
 // substep at time t within a coarse step [T, T+Δ] fills its coarse ghosts
 // at theta = (t−T)/Δ. oldCoarse must parallel the coarse level's patches
-// (a snapshot taken before the coarse level advanced).
-func (h *Hierarchy) FillGhostBlended(li int, p *Patch, ng int, oldCoarse []*field.BoxData, theta float64) *field.BoxData {
-	if li > 0 && len(oldCoarse) != len(h.Levels[li-1].Patches) {
-		panic("amr: FillGhostBlended snapshot does not match the coarse level")
-	}
-	return h.FillGhostInto(&GhostScratch{}, li, p, ng, oldCoarse, theta)
-}
-
-// FillGhostInto is the ghost fill behind FillGhost (oldCoarse nil) and
-// FillGhostBlended, writing into s's buffers. The result is owned by s and
-// valid until s is filled again.
+// (a snapshot taken before the coarse level advanced); level 0 has no
+// coarse level and ignores it.
 func (h *Hierarchy) FillGhostInto(s *GhostScratch, li int, p *Patch, ng int, oldCoarse []*field.BoxData, theta float64) *field.BoxData {
+	if oldCoarse != nil && li > 0 && len(oldCoarse) != len(h.Levels[li-1].Patches) {
+		panic("amr: FillGhostInto snapshot does not match the coarse level")
+	}
 	return h.fillGhost(s, li, p, ng, 0, h.Cfg.NComp, oldCoarse, theta)
 }
 

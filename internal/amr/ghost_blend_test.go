@@ -74,7 +74,7 @@ func TestFillGhostBlendedEndpoints(t *testing.T) {
 		want  float64
 	}{{0, 10}, {1, 30}, {0.5, 20}}
 	for _, c := range cases {
-		g := h.FillGhostBlended(1, p, 2, old, c.theta)
+		g := h.FillGhostInto(&GhostScratch{}, 1, p, 2, old, c.theta)
 		if got := g.Get(q, 0); math.Abs(got-c.want) > 1e-12 {
 			t.Errorf("theta=%v: ghost at %v = %v, want %v", c.theta, q, got, c.want)
 		}
@@ -85,7 +85,7 @@ func TestFillGhostBlendedInteriorUntouched(t *testing.T) {
 	h, old := blendSetup(t)
 	p := h.Level(1).Patches[0]
 	p.Data.FillAll(7)
-	g := h.FillGhostBlended(1, p, 1, old, 0.25)
+	g := h.FillGhostInto(&GhostScratch{}, 1, p, 1, old, 0.25)
 	p.Box.ForEach(func(q grid.IntVect) {
 		if g.Get(q, 0) != 7 {
 			t.Fatalf("interior value changed at %v", q)
@@ -94,11 +94,11 @@ func TestFillGhostBlendedInteriorUntouched(t *testing.T) {
 }
 
 func TestFillGhostBlendedLevelZeroFallsBack(t *testing.T) {
-	h, _ := blendSetup(t)
+	h, old := blendSetup(t)
 	p := h.Level(0).Patches[0]
-	g := h.FillGhostBlended(0, p, 1, nil, 0.5)
-	// Level 0 has no coarser level; the call must behave like FillGhost.
-	ref := h.FillGhost(0, p, 1)
+	g := h.FillGhostInto(&GhostScratch{}, 0, p, 1, old, 0.5)
+	// Level 0 has no coarser level; the blend must change nothing.
+	ref := h.FillGhostInto(&GhostScratch{}, 0, p, 1, nil, 0)
 	if !g.Equal(ref) {
 		t.Error("level-0 blended fill differs from plain fill")
 	}
@@ -112,5 +112,5 @@ func TestFillGhostBlendedValidatesSnapshot(t *testing.T) {
 			t.Error("mismatched snapshot should panic")
 		}
 	}()
-	h.FillGhostBlended(1, p, 1, []*field.BoxData{}, 0.5)
+	h.FillGhostInto(&GhostScratch{}, 1, p, 1, []*field.BoxData{}, 0.5)
 }

@@ -81,11 +81,13 @@ type Hierarchy struct {
 	Cfg    Config
 	Levels []*Level
 
-	// Regrid's working memory, reused across calls. Every use reshapes it
-	// and rewrites what it reads, and tagMask is all false between calls.
+	// TagCells' and Regrid's working memory, reused across calls. Every
+	// use reshapes it and rewrites what it reads, and tagMask is all false
+	// between calls.
+	tagGhost GhostScratch   // TagCells' one-component ghost fill
+	tags     []grid.IntVect // TagCells' result
 	tagMask  []bool         // per cell of the buffered tags' bounding box
 	buffered []grid.IntVect // the buffered tags, handed to Cluster
-	snap     *field.BoxData // coarse data under one fine box
 }
 
 // NewHierarchy builds a hierarchy whose base level covers cfg.Domain,

@@ -273,7 +273,7 @@ func TestFillGhostInterior(t *testing.T) {
 		})
 	}
 	p := h.Level(0).Patches[0]
-	g := h.FillGhost(0, p, 2)
+	g := h.FillGhostInto(&GhostScratch{}, 0, p, 2, nil, 0)
 	// All in-domain cells must hold the global function value.
 	g.Box.Intersect(h.Cfg.Domain).ForEach(func(q grid.IntVect) {
 		want := float64(q.X + 100*q.Y + 10000*q.Z)
@@ -291,7 +291,7 @@ func TestFillGhostClampBoundary(t *testing.T) {
 		p.Data.FillAll(9)
 	}
 	p := h.Level(0).Patches[0] // touches the low domain corner
-	g := h.FillGhost(0, p, 1)
+	g := h.FillGhostInto(&GhostScratch{}, 0, p, 1, nil, 0)
 	g.Box.ForEach(func(q grid.IntVect) {
 		if got := g.Get(q, 0); got != 9 {
 			t.Fatalf("clamped ghost at %v = %v, want 9", q, got)
@@ -314,7 +314,7 @@ func TestFillGhostPeriodic(t *testing.T) {
 			break
 		}
 	}
-	g := h.FillGhost(0, corner, 1)
+	g := h.FillGhostInto(&GhostScratch{}, 0, corner, 1, nil, 0)
 	if got := g.Get(grid.IV(-1, 0, 0), 0); got != 31 {
 		t.Errorf("periodic ghost at x=-1 = %v, want 31", got)
 	}
@@ -330,7 +330,7 @@ func TestFillGhostFromCoarse(t *testing.T) {
 	}
 	h.Regrid(0, []grid.IntVect{grid.IV(16, 16, 16), grid.IV(17, 17, 17)})
 	fp := h.Level(1).Patches[0]
-	g := h.FillGhost(1, fp, 2)
+	g := h.FillGhostInto(&GhostScratch{}, 1, fp, 2, nil, 0)
 	// Ghost cells outside the fine level but inside the domain must read
 	// the coarse value 5 (prolonged), as must the interior.
 	g.Box.Intersect(h.Level(1).Domain).ForEach(func(q grid.IntVect) {

@@ -233,8 +233,8 @@ func TestFillGhostMatchesReference(t *testing.T) {
 						}
 						want := refFillGhost(h, li, p, ng, nil)
 						name := fmt.Sprintf("periodic=%v level=%d ng=%d patch=%d", periodic, li, ng, pi)
-						if err := equalBits(h.FillGhost(li, p, ng), want); err != nil {
-							t.Errorf("%s: FillGhost: %v", name, err)
+						if err := equalBits(h.FillGhostInto(&GhostScratch{}, li, p, ng, nil, 0), want); err != nil {
+							t.Errorf("%s: FillGhostInto on a fresh scratch: %v", name, err)
 						}
 						if err := equalBits(h.FillGhostInto(&scratch, li, p, ng, nil, 0), want); err != nil {
 							t.Errorf("%s: FillGhostInto on a reused scratch: %v", name, err)
@@ -265,8 +265,8 @@ func TestFillGhostBlendedMatchesReference(t *testing.T) {
 				for pi, p := range h.Level(1).Patches {
 					want := refFillGhost(h, 1, p, ng, refBlend(h, 1, old, theta))
 					name := fmt.Sprintf("periodic=%v theta=%v ng=%d patch=%d", periodic, theta, ng, pi)
-					if err := equalBits(h.FillGhostBlended(1, p, ng, old, theta), want); err != nil {
-						t.Errorf("%s: %v", name, err)
+					if err := equalBits(h.FillGhostInto(&GhostScratch{}, 1, p, ng, old, theta), want); err != nil {
+						t.Errorf("%s: fresh scratch: %v", name, err)
 					}
 					if err := equalBits(h.FillGhostInto(&scratch, 1, p, ng, old, theta), want); err != nil {
 						t.Errorf("%s: reused scratch: %v", name, err)
@@ -274,6 +274,28 @@ func TestFillGhostBlendedMatchesReference(t *testing.T) {
 				}
 			}
 		}
+	}
+}
+
+// TestTagCellsReusesScratch tags every level of a hierarchy twice: the
+// second pass finds the ghost scratch and the tag slice the first one
+// sized, and allocates nothing.
+func TestTagCellsReusesScratch(t *testing.T) {
+	h := refHierarchy(t, true, true, 2)
+	randomize(h, rand.New(rand.NewSource(23)))
+	tagged := 0
+	tagAll := func() {
+		tagged = 0
+		for li := range h.Levels {
+			tagged += len(h.TagCells(li, 1, 1.5))
+		}
+	}
+	tagAll()
+	if allocs := testing.AllocsPerRun(5, tagAll); allocs != 0 {
+		t.Errorf("repeated TagCells allocated %v times a pass; want 0", allocs)
+	}
+	if tagged == 0 {
+		t.Fatal("setup: nothing tagged")
 	}
 }
 
@@ -448,10 +470,27 @@ func sameHierarchy(got, want *Hierarchy) error {
 	return nil
 }
 
+// sourcePatches counts the patches of level li that the patches of level
+// li+1 were cut from: those their coarsenings lie in.
+func sourcePatches(h *Hierarchy, li int) int {
+	sources := map[*Patch]bool{}
+	for _, fp := range h.Levels[li+1].Patches {
+		cb := fp.Box.Coarsen(h.Cfg.RefRatio)
+		for _, cp := range h.Levels[li].Patches {
+			if cp.Box.ContainsBox(cb) {
+				sources[cp] = true
+			}
+		}
+	}
+	return len(sources)
+}
+
 // TestRegridMatchesReference regrids level 0 and then level 1 around a
 // seeded moving bump, periodic and not, several rounds on one hierarchy,
 // so later regrids run on the buffers earlier ones left (a larger or
-// smaller tag box, an old fine level to copy from).
+// smaller tag box, an old fine level to copy from). Some round must cut
+// its fine level from several coarse patches, so each fine box has to be
+// prolonged from its own one.
 func TestRegridMatchesReference(t *testing.T) {
 	rng := rand.New(rand.NewSource(17))
 	for _, periodic := range []bool{false, true} {
@@ -460,6 +499,7 @@ func TestRegridMatchesReference(t *testing.T) {
 		cfg.Periodic = periodic
 		got, want := NewHierarchy(cfg), NewHierarchy(cfg)
 		regridded := map[int]bool{}
+		mostSources := 0
 		for round := 0; round < 4; round++ {
 			c := [3]float64{4 + 24*rng.Float64(), 4 + 24*rng.Float64(), 4 + 24*rng.Float64()}
 			setBumps(got, c)
@@ -475,10 +515,16 @@ func TestRegridMatchesReference(t *testing.T) {
 				if len(tags) > 0 {
 					regridded[li] = true
 				}
+				if got.FinestLevel() > li {
+					mostSources = max(mostSources, sourcePatches(got, li))
+				}
 			}
 		}
 		if !regridded[0] || !regridded[1] {
 			t.Errorf("periodic=%v: regridded levels %v; want 0 and 1", periodic, regridded)
+		}
+		if mostSources < 2 {
+			t.Errorf("periodic=%v: every fine level was cut from %d coarse patch(es); want one cut from two or more", periodic, mostSources)
 		}
 	}
 }

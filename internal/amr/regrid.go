@@ -11,11 +11,14 @@ import (
 // component c exceeds thresh. The undivided difference
 // max_d |u(i+e_d) - u(i-e_d)| is the standard Chombo-style refinement
 // criterion for tracking steep features and shocks.
+//
+// The returned slice is the hierarchy's own and valid until the next
+// TagCells call; a caller that keeps tags across calls copies them. Calls
+// on one hierarchy must not overlap: they share its ghost scratch.
 func (h *Hierarchy) TagCells(li, c int, thresh float64) []grid.IntVect {
-	var tags []grid.IntVect
-	var scratch GhostScratch // one-component ghost fill, reshaped per patch
+	tags := h.tags[:0]
 	for _, p := range h.Levels[li].Patches {
-		g := h.fillGhost(&scratch, li, p, 1, c, 1, nil, 0)
+		g := h.fillGhost(&h.tagGhost, li, p, 1, c, 1, nil, 0)
 		u, gsz := g.Comp(0), g.Box.Size()
 		strides := [3]int{1, gsz.X, gsz.X * gsz.Y}
 		for z := p.Box.Lo.Z; z <= p.Box.Hi.Z; z++ {
@@ -35,6 +38,7 @@ func (h *Hierarchy) TagCells(li, c int, thresh float64) []grid.IntVect {
 			}
 		}
 	}
+	h.tags = tags
 	return tags
 }
 
@@ -193,22 +197,24 @@ func (h *Hierarchy) Regrid(li int, tags []grid.IntVect) {
 	grid.MortonSort(fineBoxes)
 	owners := grid.Assign(fineBoxes, h.Cfg.NRanks)
 
-	// Gather the coarse data under each fine box into one reused snapshot
-	// and prolong from it.
+	// Prolong each fine box from the coarse patch it was cut from, the one
+	// patch its coarsening lies in: ratio-aligned chopping keeps every
+	// piece of a refined part inside that part's patch.
 	fine := &Level{Domain: fineDomain}
 	var old *Level
 	if len(h.Levels) > li+1 {
 		old = h.Levels[li+1]
 	}
 	for i, fb := range fineBoxes {
-		cb := fb.Coarsen(h.Cfg.RefRatio).Grow(1).Intersect(coarse.Domain)
-		cdata := field.Sized(h.snap, cb, h.Cfg.NComp)
-		h.snap = cdata
-		cdata.FillAll(0) // cells under no coarse patch read as zero
+		cb := fb.Coarsen(h.Cfg.RefRatio)
+		var src *Patch
 		for _, cp := range coarse.Patches {
-			cdata.CopyFrom(cp.Data)
+			if cp.Box.ContainsBox(cb) {
+				src = cp
+				break
+			}
 		}
-		data := field.Prolong(cdata, fb, h.Cfg.RefRatio)
+		data := field.Prolong(src.Data, fb, h.Cfg.RefRatio)
 		if old != nil {
 			for _, op := range old.Patches {
 				data.CopyFrom(op.Data)

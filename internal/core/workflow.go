@@ -633,23 +633,23 @@ func (w *Workflow) runAnalysis(rec *StepRecord, blocks []*field.BoxData, sample 
 
 	// Middleware layer: place the analysis.
 	transfer := c.Machine.TransferTime(redBytes, min(c.SimCores, w.pool.Cores()))
-	stagingRemaining := w.pool.RemainingAt(dataReady)
-	placement, reason := w.engine.AdaptMiddleware(PlacementState{
+	st := PlacementState{
 		ReducedBytes:     redBytes,
 		ReducedCells:     w.scale(redCells),
 		Sample:           sample,
 		StagingCores:     w.pool.Cores(),
-		StagingRemaining: stagingRemaining,
+		StagingRemaining: w.pool.RemainingAt(dataReady),
 		TransferSeconds:  transfer,
 		StagingMemUsed:   w.stagingMemUsed,
 		StagingMemCap:    sample.StagingMemCap,
-	})
+	}
+	placement, reason := w.engine.AdaptMiddleware(st)
 	rec.Placement = placement
 	rec.PlacementReason = reason
 	if w.span.Enabled() && c.Enable.Middleware {
 		w.span.PolicyDecision("middleware", placement.String(), reason, 0, 0,
 			fmt.Sprintf("reduced_bytes=%d transfer_s=%.4g staging_remaining_s=%.4g staging_mem=%d/%d",
-				redBytes, transfer, stagingRemaining, w.stagingMemUsed, sample.StagingMemCap))
+				redBytes, transfer, st.StagingRemaining, w.stagingMemUsed, sample.StagingMemCap))
 	}
 	if w.stepCtx.Enabled() && c.Enable.Middleware {
 		w.stepCtx.Record(span.Op{Name: "policy:middleware", Layer: span.LayerPolicy,
@@ -660,14 +660,7 @@ func (w *Workflow) runAnalysis(rec *StepRecord, blocks []*field.BoxData, sample 
 	// split the blocks so staging gets exactly what it can absorb before
 	// the next step's data and the rest runs in-situ.
 	if c.EnableHybrid && c.Enable.Middleware {
-		phi := w.engine.HybridFraction(PlacementState{
-			ReducedBytes:     redBytes,
-			ReducedCells:     w.scale(redCells),
-			Sample:           sample,
-			StagingCores:     w.pool.Cores(),
-			StagingRemaining: w.pool.RemainingAt(dataReady),
-			TransferSeconds:  transfer,
-		}, w.mon.PredictSimSeconds(sample.SimSeconds))
+		phi := w.engine.HybridFraction(st, w.mon.PredictSimSeconds(sample.SimSeconds))
 		if phi > 0 && phi < 1 {
 			inSituBlocks, shipBlocks := splitBlocks(reduced, phi)
 			rec.HybridFrac = phi

@@ -7,21 +7,13 @@ import (
 	"crosslayer/internal/grid"
 )
 
-// Restrict computes the conservative average of fine data onto the coarse
-// box fine.Box.Coarsen(r): each coarse value is the arithmetic mean of its
-// r³ fine children. This is the restriction operator AMR uses to keep
-// coarse levels consistent with covering fine patches.
-func Restrict(fine *BoxData, r int) *BoxData {
-	coarse := New(fine.Box.Coarsen(r), fine.NComp)
-	RestrictInto(coarse, fine, r, coarse.Box)
-	return coarse
-}
-
 // RestrictInto writes, for every cell of region, the mean of the cell's
-// fine children into coarse. region must lie inside both coarse.Box and
-// fine.Box.Coarsen(r). Children are summed x fastest, then y, then z, and
-// clipped to the fine box: patches produced by regrid chopping may start at
-// ratio-misaligned offsets, so a coarse cell's children can be partial.
+// fine children into coarse: the conservative restriction AMR uses to keep
+// coarse levels consistent with covering fine patches. region must lie
+// inside both coarse.Box and fine.Box.Coarsen(r). Children are summed x
+// fastest, then y, then z, and clipped to the fine box: patches produced by
+// regrid chopping may start at ratio-misaligned offsets, so a coarse cell's
+// children can be partial.
 func RestrictInto(coarse, fine *BoxData, r int, region grid.Box) {
 	fb, fsz := fine.Box, fine.Box.Size()
 	cb, csz := coarse.Box, coarse.Box.Size()

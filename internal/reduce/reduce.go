@@ -121,18 +121,6 @@ func (p *EntropyPlan) Decide(blocks []*field.BoxData, c int) []BlockDecision {
 	return out
 }
 
-// ApplyPlan reduces each block by its decided factor with the given
-// operator and reports the resulting total bytes.
-func (p *EntropyPlan) ApplyPlan(blocks []*field.BoxData, c int, op Op) (reduced []*field.BoxData, bytes int64) {
-	decisions := p.Decide(blocks, c)
-	reduced = make([]*field.BoxData, len(blocks))
-	for i, b := range blocks {
-		reduced[i] = Apply(b, decisions[i].Factor, op)
-		bytes += reduced[i].Bytes()
-	}
-	return reduced, bytes
-}
-
 func globalRange(blocks []*field.BoxData, c int) (lo, hi float64) {
 	first := true
 	for _, b := range blocks {

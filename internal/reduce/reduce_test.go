@@ -120,9 +120,12 @@ func TestApplyPlanBytes(t *testing.T) {
 	flat := cube(8)
 	flat.FillAll(1)
 	plan, _ := NewEntropyPlan([]Band{{Below: 1, Factor: 4}}, 64)
-	reduced, bytes := plan.ApplyPlan([]*field.BoxData{noisy, flat}, 0, Strided)
-	if len(reduced) != 2 {
-		t.Fatal("wrong block count")
+	blocks := []*field.BoxData{noisy, flat}
+	reduced := make([]*field.BoxData, len(blocks))
+	var bytes int64
+	for i, dec := range plan.Decide(blocks, 0) {
+		reduced[i] = Apply(blocks[i], dec.Factor, Strided)
+		bytes += reduced[i].Bytes()
 	}
 	want := noisy.Bytes() + flat.Bytes()/64
 	if bytes != want {

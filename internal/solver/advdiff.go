@@ -206,7 +206,7 @@ func (s *AdvectionDiffusion) advanceSubcycled(dt float64) int64 {
 }
 
 // advanceLevelWith is the level update; a non-nil oldCoarse blends the
-// coarse ghost source in time (amr.FillGhostBlended). Jacobi, like the gas
+// coarse ghost source in time (amr.FillGhostInto). Jacobi, like the gas
 // update: patches write their next buffers, swapped in at the end.
 func (s *AdvectionDiffusion) advanceLevelWith(li int, dt float64, oldCoarse []*field.BoxData, theta float64) int64 {
 	l := s.h.Level(li)

@@ -9,12 +9,12 @@ import (
 )
 
 // The closure-per-cell kernels both solvers shipped before they became flat
-// strided loops, kept as oracles. They allocate every buffer afresh
-// (FillGhost, Clone, NewFluxRegister per step), record the coarse flux of a
-// shared face from both neighbouring patches and offer every fine face to
-// the register, so they also check the scratch reuse and the one-writer
-// flux-register rules of the real kernels. The reference steps mutate the
-// solver they are given exactly as Step does.
+// strided loops, kept as oracles. They allocate every buffer afresh (a new
+// GhostScratch per fill, Clone, NewFluxRegister per step), record the
+// coarse flux of a shared face from both neighbouring patches and offer
+// every fine face to the register, so they also check the scratch reuse
+// and the one-writer flux-register rules of the real kernels. The reference
+// steps mutate the solver they are given exactly as Step does.
 
 func refToPrim(s *PolytropicGas, d *field.BoxData, q grid.IntVect) prim {
 	rho := d.Get(q, CompRho)
@@ -77,7 +77,7 @@ func refGasAdvanceLevel(s *PolytropicGas, li int, dt float64, regSelf, regAbove 
 
 	ghosts := make([]*field.BoxData, len(l.Patches))
 	for i, p := range l.Patches {
-		ghosts[i] = s.h.FillGhost(li, p, 2)
+		ghosts[i] = s.h.FillGhostInto(&amr.GhostScratch{}, li, p, 2, nil, 0)
 	}
 	var cells int64
 	for pi, p := range l.Patches {
@@ -202,7 +202,7 @@ func refAdvDiffAdvanceLevel(s *AdvectionDiffusion, li int, dt float64, fill func
 func refAdvDiffStep(s *AdvectionDiffusion) StepStats {
 	r := s.h.Cfg.RefRatio
 	plain := func(li int) func(*amr.Patch) *field.BoxData {
-		return func(p *amr.Patch) *field.BoxData { return s.h.FillGhost(li, p, 1) }
+		return func(p *amr.Patch) *field.BoxData { return s.h.FillGhostInto(&amr.GhostScratch{}, li, p, 1, nil, 0) }
 	}
 	var dt float64
 	var cells int64
@@ -225,7 +225,7 @@ func refAdvDiffStep(s *AdvectionDiffusion) StepStats {
 			for k := 0; k < r; k++ {
 				theta := float64(k) / float64(r)
 				cells += refAdvDiffAdvanceLevel(s, 1, dt/float64(r), func(p *amr.Patch) *field.BoxData {
-					return s.h.FillGhostBlended(1, p, 1, old, theta)
+					return s.h.FillGhostInto(&amr.GhostScratch{}, 1, p, 1, old, theta)
 				})
 			}
 		}

@@ -2,6 +2,7 @@ package staging
 
 import (
 	"net"
+	"slices"
 	"sync"
 	"testing"
 	"time"
@@ -124,8 +125,10 @@ func TestConcurrentPoolMatchesSerial(t *testing.T) {
 		t.Fatalf("manifests diverge: %v vs %v", conc.pool.Manifest(), serial.pool.Manifest())
 	}
 	for i := range serial.spaces {
-		if got, want := conc.spaces[i].ContentManifest(), serial.spaces[i].ContentManifest(); !got.Equal(want) {
-			t.Errorf("server %d contents diverge after repair: %v vs %v", i, got, want)
+		got, gotSizes := conc.spaces[i].ContentManifestSized()
+		want, wantSizes := serial.spaces[i].ContentManifestSized()
+		if !got.Equal(want) || !slices.Equal(gotSizes, wantSizes) {
+			t.Errorf("server %d contents diverge after repair: %v %v vs %v %v", i, got, gotSizes, want, wantSizes)
 		}
 	}
 }

@@ -407,18 +407,12 @@ func (sp *Space) recomputeUsage() {
 	sp.mu.Unlock()
 }
 
-// ContentManifest recomputes the space's manifest from the objects it
+// ContentManifestSized recomputes the space's manifest from the objects it
 // actually holds — what a recovered server advertises on rejoin so the
-// pool can repair the diff instead of re-putting everything.
-func (sp *Space) ContentManifest() Manifest {
-	m, _ := sp.ContentManifestSized()
-	return m
-}
-
-// ContentManifestSized is ContentManifest plus each entry's total encoded
-// payload bytes, aligned with the (sorted) entries. The sizes let the
-// repair pass verify byte totals, not just block counts, before skipping
-// a shipment.
+// pool can repair the diff instead of re-putting everything — with each
+// entry's total encoded payload bytes, aligned with the (sorted) entries.
+// The sizes let the repair pass verify byte totals, not just block counts,
+// before skipping a shipment.
 func (sp *Space) ContentManifestSized() (Manifest, []int64) {
 	type agg struct {
 		blocks int
